@@ -39,7 +39,7 @@ driven = DriveProfile.constant(1.0, force=lambda t: 1.0)
 traj_driven = solve_epsilon(driven, 2.0 * math.pi, 1e-3)
 print("\ndrive shift for f = 1:")
 for t in (math.pi / 2, math.pi, 2.0 * math.pi):
-    print(f"  beta({t:.4f}) = {beta_shift(driven, traj_driven, t):+.6f}")
+    print(f"  beta({t:.4f}) = {beta_shift(traj_driven, t):+.6f}")
 
 # --- weak-resonance closed form vs the ODE --------------------------------
 traj_res = trajectories["parametric resonance k = 0.01"]

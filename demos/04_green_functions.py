@@ -39,7 +39,7 @@ print("driven(f=0) == SHO:",
 profile = DriveProfile.constant(1.0, force=lambda s: math.cos(0.7 * s) + 0.4)
 t = 1.3
 traj = solve_epsilon(profile, t, 1e-3)
-beta = beta_shift(profile, traj, t)
+beta = beta_shift(traj, t)
 k_direct = quantum_propagator(0.4, -0.2, 0.1, 0.9, t, profile)
 k_shift = quantum_propagator_from_shift(0.4, -0.2, 0.1, 0.9, t, beta)
 print(f"force-integral route : {k_direct:.12f}")

@@ -6,7 +6,8 @@ quadrature X = mu*q + nu*p, indexed by the phase-space frame (mu, nu).
 The package provides
 
 * :mod:`osctomo.dynamics` -- the auxiliary complex trajectory eps(t), the
-  drive shift beta(t) and Hermite utilities;
+  drive shift beta(t), the flow (eps, eps_dot, beta) at one time and
+  Hermite utilities;
 * :mod:`osctomo.invariants` -- linear and ladder integrals of motion;
 * :mod:`osctomo.propagators` -- the affine classical propagator of the
   tomogram evolution equation and the quantum Green functions;
@@ -28,6 +29,7 @@ from .dynamics import (
     EpsilonTrajectory,
     solve_epsilon,
     beta_shift,
+    flow_at,
     parametric_resonance_epsilon,
     hermite,
     hermite_gauss,
@@ -56,7 +58,6 @@ from .invariants import (
 )
 from .propagators import (
     ClassicalPropagator,
-    MdfSample,
     fokker_planck_residual,
     green_sho,
     green_free,
@@ -65,7 +66,6 @@ from .propagators import (
     quantum_propagator_from_shift,
 )
 from .states import (
-    FrameKernel,
     coherent_mdf,
     mean_X,
     variance_X,
@@ -93,6 +93,7 @@ __all__ = [
     "EpsilonTrajectory",
     "solve_epsilon",
     "beta_shift",
+    "flow_at",
     "parametric_resonance_epsilon",
     "hermite",
     "hermite_gauss",
@@ -105,14 +106,12 @@ __all__ = [
     "ladder_commutator",
     "invariant_from_ladder",
     "ClassicalPropagator",
-    "MdfSample",
     "fokker_planck_residual",
     "green_sho",
     "green_free",
     "green_driven",
     "quantum_propagator",
     "quantum_propagator_from_shift",
-    "FrameKernel",
     "coherent_mdf",
     "mean_X",
     "variance_X",

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, selftest
-from .dynamics import DriveProfile, beta_shift, hermite, solve_epsilon
+from .dynamics import DriveProfile, flow_at, hermite, solve_epsilon
 from .errors import OscTomoError
 from .propagators import (
     ClassicalPropagator,
@@ -152,20 +152,14 @@ class _EvalArgs:
 
 
 def _state_inputs(args: _EvalArgs):
-    """(eps, eps_dot, beta) at args' time for args' profile, via the ODE."""
+    """(t, eps, eps_dot, beta) at args' time for args' profile, via the ODE."""
     profile = args.profile()
     t = args.real("t")
-    step = args.real("step", "1e-3")
-    if t == 0.0:
-        return profile, 0.0, 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    traj = solve_epsilon(profile, t, step)
-    eps, eps_dot = traj(t)
-    beta = beta_shift(profile, traj, t)
-    return profile, t, eps, eps_dot, beta
+    return (t, *flow_at(profile, t, args.real("step", "1e-3")))
 
 
 def _op_epsilon(args):
-    _, _, eps, eps_dot, _ = _state_inputs(args)
+    _, eps, eps_dot, _ = _state_inputs(args)
     return f"{_fmt(eps)} {_fmt(eps_dot)}"
 
 
@@ -178,17 +172,12 @@ def _op_wronskian(args):
 
 
 def _op_beta(args):
-    profile = args.profile()
-    t = args.real("t")
-    step = args.real("step", "1e-3")
-    if t == 0.0:
-        return _fmt(0j)
-    traj = solve_epsilon(profile, t, step)
-    return _fmt(beta_shift(profile, traj, t))
+    _, _, _, beta = _state_inputs(args)
+    return _fmt(beta)
 
 
 def _op_frame_map(args):
-    _, t, eps, eps_dot, beta = _state_inputs(args)
+    t, eps, eps_dot, beta = _state_inputs(args)
     prop = ClassicalPropagator.from_epsilon(eps, eps_dot, beta, t)
     x, mu, nu = prop.frame_map(args.real("X"), args.real("mu"), args.real("nu"))
     return f"{_fmt(x)} {_fmt(mu)} {_fmt(nu)}"
@@ -196,36 +185,36 @@ def _op_frame_map(args):
 
 def _op_coherent_mdf(args):
     alpha = args.cplx("alpha")
-    _, _, eps, eps_dot, beta = _state_inputs(args)
+    _, eps, eps_dot, beta = _state_inputs(args)
     return _fmt(coherent_mdf(alpha, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu")))
 
 
 def _op_fock_mdf(args):
     n = args.integer("n")
-    _, _, eps, eps_dot, beta = _state_inputs(args)
+    _, eps, eps_dot, beta = _state_inputs(args)
     return _fmt(fock_mdf(n, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu")))
 
 
 def _op_cross_mdf(args):
     n, m = args.integer("n"), args.integer("m")
-    _, _, eps, eps_dot, beta = _state_inputs(args)
+    _, eps, eps_dot, beta = _state_inputs(args)
     return _fmt(complex(cross_mdf(n, m, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu"))))
 
 
 def _op_mean(args):
     alpha = args.cplx("alpha")
-    _, _, eps, eps_dot, beta = _state_inputs(args)
+    _, eps, eps_dot, beta = _state_inputs(args)
     return _fmt(mean_X(alpha, eps, eps_dot, beta, args.real("mu"), args.real("nu")))
 
 
 def _op_variance(args):
-    _, _, eps, eps_dot, _ = _state_inputs(args)
+    _, eps, eps_dot, _ = _state_inputs(args)
     return _fmt(variance_X(eps, eps_dot, args.real("mu"), args.real("nu")))
 
 
 def _op_eigencheck(args):
     alpha = args.cplx("alpha")
-    _, _, eps, eps_dot, beta = _state_inputs(args)
+    _, eps, eps_dot, beta = _state_inputs(args)
     residual = annihilation_eigencheck(
         alpha, eps, eps_dot, beta, args.real("mu"), args.real("nu"),
         args.real("k"), args.real("h", "1e-4"),

@@ -19,6 +19,10 @@ Wronskian
 for all times, and that conservation law is the one solution-quality
 invariant monitored during integration.
 
+:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time: the
+classical flow every tomogram, invariant and propagator downstream is
+evaluated from.
+
 Sign conventions and orderings used by the rest of the package are
 documented in :mod:`osctomo.invariants`.
 """
@@ -38,6 +42,7 @@ __all__ = [
     "EpsilonTrajectory",
     "solve_epsilon",
     "beta_shift",
+    "flow_at",
     "parametric_resonance_epsilon",
     "hermite",
     "hermite_gauss",
@@ -241,6 +246,13 @@ def _integrand(traj: EpsilonTrajectory, time: float) -> complex:
     return eps * traj.profile.force(time)
 
 
+def _simpson(values: np.ndarray, h: float):
+    """Composite Simpson's rule over an odd number of samples spaced h apart."""
+    return (h / 3.0) * (
+        values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])
+    )
+
+
 def _beta_integral_to(traj: EpsilonTrajectory, t: float) -> complex:
     """integral_0^t eps(s) f(s) ds on the trajectory grid.
 
@@ -255,38 +267,42 @@ def _beta_integral_to(traj: EpsilonTrajectory, t: float) -> complex:
     m -= m % 2  # composite Simpson needs an even interval count
     total = 0.0 + 0.0j
     if m >= 2:
-        total += (h / 3.0) * (
-            g[0] + g[m] + 4.0 * np.sum(g[1:m:2]) + 2.0 * np.sum(g[2:m:2])
-        )
+        total += _simpson(g[: m + 1], h)
     a, b = m * h, t
     if b - a > 1e-15 * max(1.0, t):
-        mid = 0.5 * (a + b)
-        total += ((b - a) / 6.0) * (
-            _integrand(traj, a) + 4.0 * _integrand(traj, mid) + _integrand(traj, b)
-        )
+        tail = np.array([_integrand(traj, x) for x in (a, 0.5 * (a + b), b)])
+        total += _simpson(tail, 0.5 * (b - a))
     return total
 
 
-def beta_shift(
-    profile: DriveProfile,
-    traj: EpsilonTrajectory,
-    t: float,
-    t_start: float = 0.0,
-) -> complex:
+def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> complex:
     """Drive shift beta over [t_start, t]: -(1j/sqrt(2)) * integral eps f.
 
-    ``profile`` must be the one the trajectory was solved with (its force
-    is the integrand weight).  Both endpoints must lie inside the
-    trajectory range.  Additivity over adjacent intervals is exact by
-    construction.
+    The force is the one of the profile the trajectory was solved with.
+    Both endpoints must lie inside the trajectory range.  Additivity over
+    adjacent intervals is exact by construction.
     """
-    if profile is not traj.profile and profile != traj.profile:
-        raise ValueError("profile does not match the trajectory's profile")
     for endpoint in (t_start, t):
         if not 0.0 <= endpoint <= traj.t_end * (1 + 1e-12) + 1e-15:
             raise ValueError(f"time {endpoint} outside trajectory range [0, {traj.t_end}]")
     value = _beta_integral_to(traj, t) - _beta_integral_to(traj, t_start)
     return complex(-1j / math.sqrt(2.0) * value)
+
+
+def flow_at(
+    profile: DriveProfile, t: float, step: float = 1e-3
+) -> tuple[complex, complex, complex]:
+    """The classical flow (eps, eps_dot, beta) of ``profile`` at time t.
+
+    Solves the auxiliary equation up to t at the given step, interpolates
+    eps and eps_dot at t and integrates the drive shift.  At t = 0 the
+    seeded initial data (1, 1j, 0) is returned without solving.
+    """
+    if t == 0.0:
+        return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
+    traj = solve_epsilon(profile, t, step)
+    eps, eps_dot = traj(t)
+    return eps, eps_dot, beta_shift(traj, t)
 
 
 def parametric_resonance_epsilon(k: float, t):

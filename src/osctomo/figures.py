@@ -130,27 +130,20 @@ def figure_table(fig_id: int, cfg: FigureConfig | None = None):
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
     t = np.linspace(0.0, cfg.t_max, cfg.t_count)
 
+    # figure 5 sweeps the frame at the single time t_fixed
+    eps, eps_dot = parametric_resonance_epsilon(cfg.k, cfg.t_fixed if fig_id == 5 else t)
     if frame is not None:
         mu, nu = frame
-        values = np.empty((cfg.t_count, cfg.x_count))
-        for i, ti in enumerate(t):
-            eps, eps_dot = parametric_resonance_epsilon(cfg.k, ti)
-            values[i] = fock_mdf(n, eps, eps_dot, 0.0, x, mu, nu)
+        values = fock_mdf(n, eps[:, None], eps_dot[:, None], 0.0, x, mu, nu)
         return ("x", "t", "value"), x, t, values
 
     mus = _sweep_mu(cfg)
     nus = np.sqrt(1.0 - mus**2)
     if fig_id == 5:
-        eps, eps_dot = parametric_resonance_epsilon(cfg.k, cfg.t_fixed)
-        values = np.empty((len(mus), cfg.x_count))
-        for j, (m, nu_) in enumerate(zip(mus, nus)):
-            values[j] = fock_mdf(n, eps, eps_dot, 0.0, x, m, nu_)
+        values = fock_mdf(n, eps, eps_dot, 0.0, x, mus[:, None], nus[:, None])
         return ("x", "mu", "value"), x, mus, values
 
-    values = np.empty((len(mus), cfg.t_count))
-    for i, ti in enumerate(t):
-        eps, eps_dot = parametric_resonance_epsilon(cfg.k, ti)
-        values[:, i] = fock_mdf(n, eps, eps_dot, 0.0, cfg.x_fixed, mus, nus)
+    values = fock_mdf(n, eps, eps_dot, 0.0, cfg.x_fixed, mus[:, None], nus[:, None])
     return ("t", "mu", "value"), t, mus, values
 
 

@@ -45,13 +45,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DriveProfile, solve_epsilon, beta_shift
+from .dynamics import DriveProfile, _simpson, flow_at
 from .errors import CausticError, ConsistencyError
 from .invariants import LinearInvariant, linear_invariant
 
 __all__ = [
     "ClassicalPropagator",
-    "MdfSample",
     "fokker_planck_residual",
     "green_sho",
     "green_free",
@@ -66,21 +65,6 @@ CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MdfSample:
-    """A single validated tomogram value w(X, mu, nu, t)."""
-
-    X: float
-    mu: float
-    nu: float
-    t: float
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"tomogram value must be finite and >= 0, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,12 +92,7 @@ class ClassicalPropagator:
     @classmethod
     def from_profile(cls, profile: DriveProfile, t: float, step: float = 1e-3):
         """Solve the auxiliary dynamics up to t and build the propagator."""
-        if t == 0.0:
-            return cls.from_epsilon(1.0, 1.0j, 0.0, 0.0)
-        traj = solve_epsilon(profile, t, step)
-        eps, eps_dot = traj(t)
-        beta = beta_shift(profile, traj, t)
-        return cls.from_epsilon(eps, eps_dot, beta, t)
+        return cls.from_epsilon(*flow_at(profile, t, step), t)
 
     def frame_map(self, X: float, mu: float, nu: float) -> tuple[float, float, float]:
         """The unique source point (X', mu', nu') the delta kernel fires at.
@@ -152,10 +131,6 @@ class ClassicalPropagator:
         The delta kernel integrates out exactly; no quadrature is involved.
         """
         return w0(*self.frame_map(X, mu, nu))
-
-    def sample(self, w0, X, mu, nu) -> MdfSample:
-        """Evolve and wrap the result in a validated MdfSample."""
-        return MdfSample(X, mu, nu, self.t, float(self.evolve(w0, X, mu, nu)))
 
 
 def fokker_planck_residual(
@@ -223,12 +198,25 @@ def _force_integrals(profile: DriveProfile, t: float, quad_step: float) -> tuple
     s = np.linspace(0.0, t, n + 1)
     f = np.array([profile.force(si) for si in s])
     h = t / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-    weights *= h / 3.0
-    i1 = float(np.sum(weights * f * np.sin(t - s)))
-    i2 = float(np.sum(weights * f * np.sin(s)))
-    return i1, i2
+    return float(_simpson(f * np.sin(t - s), h)), float(_simpson(f * np.sin(s), h))
+
+
+def _driven_green(profile: DriveProfile, t: float, quad_step: float, label: str):
+    """G(X, Z, phase) of the driven unit-frequency oscillator at fixed t.
+
+    Guards the profile and the focal point and evaluates the force
+    integrals once; the returned kernel is green_sho times
+    exp{1j (Z I1 + X I2)/sin t}.
+    """
+    _require_unit_constant(profile)
+    s = math.sin(t)
+    _caustic_guard(s, label)
+    i1, i2 = _force_integrals(profile, t, quad_step)
+
+    def green(X: float, Z: float, phase: float) -> complex:
+        return green_sho(X, Z, t, phase) * cmath.exp(1j * (Z * i1 + X * i2) / s)
+
+    return green
 
 
 def green_driven(
@@ -245,11 +233,7 @@ def green_driven(
     force integrals evaluated by composite Simpson at step ``quad_step``.
     The modulus is force-independent.
     """
-    _require_unit_constant(profile)
-    s = math.sin(t)
-    _caustic_guard(s, "driven Green function")
-    i1, i2 = _force_integrals(profile, t, quad_step)
-    return green_sho(X, Z, t, phase) * cmath.exp(1j * (Z * i1 + X * i2) / s)
+    return _driven_green(profile, t, quad_step, "driven Green function")(X, Z, phase)
 
 
 def quantum_propagator(
@@ -267,13 +251,8 @@ def quantum_propagator(
     Independent of the free phase convention: ``phase`` enters G and
     conj(G) with opposite signs and cancels exactly.
     """
-    _require_unit_constant(profile)
-    s = math.sin(t)
-    _caustic_guard(s, "quantum propagator")
-    i1, i2 = _force_integrals(profile, t, quad_step)
-    g = green_sho(X, Z, t, phase) * cmath.exp(1j * (Z * i1 + X * i2) / s)
-    gp = green_sho(Xp, Zp, t, phase) * cmath.exp(1j * (Zp * i1 + Xp * i2) / s)
-    return g * gp.conjugate()
+    green = _driven_green(profile, t, quad_step, "quantum propagator")
+    return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 
 def quantum_propagator_from_shift(

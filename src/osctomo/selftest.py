@@ -10,6 +10,7 @@ acceptance test module of the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import figures
-from .dynamics import DriveProfile, beta_shift, parametric_resonance_epsilon, solve_epsilon
+from .dynamics import DriveProfile, flow_at, parametric_resonance_epsilon, solve_epsilon
 from .invariants import delta_vector, lambda_matrix
 from .propagators import (
     ClassicalPropagator,
@@ -45,25 +46,24 @@ _INV_SQRT2 = 1.0 / _SQRT2
 
 _FRAMES = ((1.0, 0.0), (0.0, 1.0), (_INV_SQRT2, _INV_SQRT2))
 
-_trajectory_cache: dict = {}
-
-
+@functools.cache
 def _trajectory(kind: str, t_end: float = 20.0, step: float = 1e-3):
-    key = (kind, t_end, step)
-    if key not in _trajectory_cache:
-        profile = {
-            "constant": lambda: DriveProfile.constant(1.0),
-            "free": DriveProfile.free,
-            "resonance": lambda: DriveProfile.parametric_resonance(0.01),
-        }[kind]()
-        _trajectory_cache[key] = solve_epsilon(profile, t_end, step, tol_wronskian=1e-4)
-    return _trajectory_cache[key]
+    profile = {
+        "constant": lambda: DriveProfile.constant(1.0),
+        "free": DriveProfile.free,
+        "resonance": lambda: DriveProfile.parametric_resonance(0.01),
+    }[kind]()
+    return solve_epsilon(profile, t_end, step, tol_wronskian=1e-4)
 
 
-def _driven_state(t: float):
-    """Analytic (eps, eps_dot, beta) for constant unit frequency, f = 1."""
+def _driven_state(t: float, force: float = 1.0):
+    """Analytic (eps, eps_dot, beta) for constant unit frequency, f = force.
+
+    eps = exp(1j t) solves the auxiliary equation exactly, and
+    beta = -force (exp(1j t) - 1)/sqrt(2) is the closed-form drive shift.
+    """
     eps = cmath.exp(1j * t)
-    beta = -(eps - 1.0) / _SQRT2
+    beta = -force * (eps - 1.0) / _SQRT2
     return eps, 1j * eps, beta
 
 
@@ -114,10 +114,8 @@ def _check_invariant_matrix():
 
 def _normalization_cases():
     profile = DriveProfile.constant(1.0, force=lambda t: 1.0)
-    traj = solve_epsilon(profile, 3.0, 1e-3)
     for t in (0.0, 1.0, 3.0):
-        eps, eps_dot = traj(t)
-        beta = beta_shift(profile, traj, t)
+        eps, eps_dot, beta = flow_at(profile, t)
         for mu, nu in _FRAMES:
             for alpha in (0.0, 0.7 + 0.3j):
                 yield lambda X, a=alpha, e=eps, ed=eps_dot, b=beta, m=mu, n=nu: (
@@ -258,9 +256,7 @@ def _check_fokker_planck():
         profile = DriveProfile.constant(1.0, force=lambda t, c=f_const: c)
 
         def w(X, mu, nu, t, c=f_const):
-            eps = cmath.exp(1j * t)
-            beta = -c * (eps - 1.0) / _SQRT2
-            return coherent_mdf(alpha, eps, 1j * eps, beta, X, mu, nu)
+            return coherent_mdf(alpha, *_driven_state(t, c), X, mu, nu)
 
         res = abs(fokker_planck_residual(w, profile, point, 1e-3))
         res_coarse = abs(fokker_planck_residual(w, profile, point, 4e-3))

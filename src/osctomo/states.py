@@ -35,7 +35,6 @@ from .dynamics import hermite_gauss
 from .errors import DegenerateFrameError
 
 __all__ = [
-    "FrameKernel",
     "coherent_mdf",
     "mean_X",
     "variance_X",
@@ -62,7 +61,7 @@ def _frame_r(eps: complex, eps_dot: complex, mu, nu):
 
 
 @dataclass(frozen=True)
-class FrameKernel:
+class _FrameKernel:
     """The shared (r, Y, gamma) combination entering every closed form.
 
     ``r`` and ``Y`` broadcast with whatever array arguments produced them.
@@ -183,7 +182,7 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     For f = 0 and constant unit frequency this depends on (X, mu, nu)
     only through X / sqrt(mu^2 + nu^2).
     """
-    fk = FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
+    fk = _FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
     return hermite_gauss(n, fk.Y) ** 2 / np.abs(fk.r)
 
 
@@ -197,7 +196,7 @@ def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
         w_alpha = e^{-|alpha|^2} sum_{n,m} alpha^n conj(alpha)^m
                   / sqrt(n! m!) * w_nm.
     """
-    fk = FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
+    fk = _FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
     phase = np.exp(1j * (m - n) * np.angle(fk.r))
     return hermite_gauss(n, fk.Y) * hermite_gauss(m, fk.Y) * phase / np.abs(fk.r)
 

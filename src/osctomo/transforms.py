@@ -31,6 +31,11 @@ Three transforms are provided:
 
 Wigner normalisation convention: (2 pi)^{-1} double integral of W over
 phase space equals 1 (the vacuum is W = 2 exp(-q^2 - p^2)).
+
+Sampled inputs are :class:`DensityGrid` (complex) and :class:`WignerGrid`
+(real).  Both derive from one uniform square-grid base that owns the
+axis, the spacing and the plain-text save/load format; each adds only its
+dtype and its own invariant check.
 """
 
 from __future__ import annotations
@@ -67,39 +72,22 @@ _NU_TOL = 1e-12
 _CONVERGENCE_TOL = 1e-3
 
 
-def _load_header(path) -> tuple[float, int]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-    if not header.startswith("#"):
-        raise ValueError(f"{path}: missing '# L=<real> n=<int>' header")
-    fields = dict(tok.split("=") for tok in header[1:].split())
-    return float(fields["L"]), int(fields["n"])
-
-
 @dataclass(frozen=True)
-class DensityGrid:
-    """Density matrix rho(Z, Z') sampled on a uniform square grid.
+class _UniformGrid:
+    """Values on a uniform square grid, ``axis = linspace(-extent, extent, n)``.
 
-    ``values[i, j] = rho(axis[i], axis[j])`` with
-    ``axis = linspace(-extent, extent, n)``.  Construction checks
-    Hermiticity (to 1e-10) and unit trace of the diagonal quadrature
-    (to 1e-4).
+    Subclasses set ``_dtype`` and add their own invariant check in
+    ``__post_init__`` after calling this one.
     """
 
     extent: float
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=self._dtype)
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
             raise ValueError("values must be a square grid with at least 2 points per axis")
         object.__setattr__(self, "values", values)
-        herm = np.max(np.abs(values - values.conj().T))
-        if herm > _HERMITICITY_TOL:
-            raise ConsistencyError(f"density grid not Hermitian: residue {herm:.3e}")
-        tr = self.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ConsistencyError(f"density grid trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
 
     @property
     def n(self) -> int:
@@ -112,6 +100,49 @@ class DensityGrid:
     @property
     def spacing(self) -> float:
         return 2.0 * self.extent / (self.n - 1)
+
+    def save(self, path) -> None:
+        """Plain-text format: '# L=<real> n=<int>' then the rows of values,
+        complex entries written as 're im' pairs."""
+        with open(path, "w") as fh:
+            fh.write(f"# L={self.extent:.17g} n={self.n}\n")
+            for row in np.ascontiguousarray(self.values).view(float):
+                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            header = fh.readline().strip()
+        if not header.startswith("#"):
+            raise ValueError(f"{path}: missing '# L=<real> n=<int>' header")
+        fields = dict(tok.split("=") for tok in header[1:].split())
+        extent, n = float(fields["L"]), int(fields["n"])
+        raw = np.loadtxt(path, comments="#")
+        width = 2 * n if cls._dtype is complex else n
+        if raw.shape != (n, width):
+            raise ValueError(f"{path}: expected {n} rows of {width} values, got {raw.shape}")
+        return cls(extent, raw.view(cls._dtype))
+
+
+class DensityGrid(_UniformGrid):
+    """Density matrix rho(Z, Z') sampled on a uniform square grid.
+
+    ``values[i, j] = rho(axis[i], axis[j])`` with
+    ``axis = linspace(-extent, extent, n)``.  Construction checks
+    Hermiticity (to 1e-10) and unit trace of the diagonal quadrature
+    (to 1e-4).
+    """
+
+    _dtype = complex
+
+    def __post_init__(self):
+        super().__post_init__()
+        herm = np.max(np.abs(self.values - self.values.conj().T))
+        if herm > _HERMITICITY_TOL:
+            raise ConsistencyError(f"density grid not Hermitian: residue {herm:.3e}")
+        tr = self.trace()
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise ConsistencyError(f"density grid trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
 
     def trace(self) -> float:
         return float(np.trapezoid(np.real(np.diag(self.values)), dx=self.spacing))
@@ -123,74 +154,27 @@ class DensityGrid:
         vals = np.asarray(psi(z), dtype=complex)
         return cls(extent, np.outer(vals, vals.conj()))
 
-    def save(self, path) -> None:
-        """Plain-text format: '# L=<real> n=<int>' then row-major 're im' pairs."""
-        with open(path, "w") as fh:
-            fh.write(f"# L={self.extent:.17g} n={self.n}\n")
-            for row in self.values:
-                fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n")
 
-    @classmethod
-    def load(cls, path):
-        extent, n = _load_header(path)
-        raw = np.loadtxt(path, comments="#")
-        if raw.shape != (n, 2 * n):
-            raise ValueError(f"{path}: expected {n} rows of {2 * n} values, got {raw.shape}")
-        return cls(extent, raw[:, 0::2] + 1j * raw[:, 1::2])
-
-
-@dataclass(frozen=True)
-class WignerGrid:
+class WignerGrid(_UniformGrid):
     """Real Wigner function on a uniform square grid.
 
     ``values[i, j] = W(q=axis[i], p=axis[j])``; the construction checks
     (2 pi)^{-1} integral W dq dp = 1 to 1e-4.
     """
 
-    extent: float
-    values: np.ndarray
+    _dtype = float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
-            raise ValueError("values must be a square grid with at least 2 points per axis")
-        object.__setattr__(self, "values", values)
+        super().__post_init__()
         norm = self.normalisation()
         if abs(norm - 1.0) > _TRACE_TOL:
             raise ConsistencyError(
                 f"Wigner normalisation {norm!r} deviates from 1 beyond {_TRACE_TOL}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.n)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.extent / (self.n - 1)
-
     def normalisation(self) -> float:
         inner = np.trapezoid(self.values, dx=self.spacing, axis=1)
         return float(np.trapezoid(inner, dx=self.spacing) / (2.0 * np.pi))
-
-    def save(self, path) -> None:
-        """Plain-text format: '# L=<real> n=<int>' then row-major values."""
-        with open(path, "w") as fh:
-            fh.write(f"# L={self.extent:.17g} n={self.n}\n")
-            for row in self.values:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        extent, n = _load_header(path)
-        raw = np.loadtxt(path, comments="#")
-        if raw.shape != (n, n):
-            raise ValueError(f"{path}: expected a {n}x{n} block, got {raw.shape}")
-        return cls(extent, raw)
 
 
 def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:

@@ -1,24 +1,13 @@
 """Shared test utilities: analytic reference states and the Wigner fixture."""
 
-import cmath
 import math
 
 import numpy as np
 
 from osctomo import WignerGrid
+from osctomo.selftest import _driven_state as driven_state
 
 SQRT2 = math.sqrt(2.0)
-
-
-def driven_state(t, force=1.0):
-    """Analytic (eps, eps_dot, beta) for constant unit frequency, f = force.
-
-    eps = exp(1j t) solves the auxiliary equation exactly, and
-    beta = -force (exp(1j t) - 1)/sqrt(2) is the closed-form drive shift.
-    """
-    eps = cmath.exp(1j * t)
-    beta = -force * (eps - 1.0) / SQRT2
-    return eps, 1j * eps, beta
 
 
 def wigner_from_density_function(rho, extent, n, u_max=12.0, u_count=801):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from osctomo import cli
+from osctomo import cli, fock_mdf, parametric_resonance_epsilon
 from osctomo.figures import FigureConfig, figure_table
 
 
@@ -158,6 +158,30 @@ class TestFigure:
         assert "resolution" in err
 
 
+def rowwise_table(fig_id, cfg):
+    """One fock_mdf call per slice: the loop form figure_table must reproduce.
+
+    eps comes from one array evaluation of the closed form over the time
+    grid, as in figure_table; a scalar call per time may differ in the last
+    bit, because numpy's vectorised complex product can round differently.
+    """
+    frames = {1: (1.0, 0.0), 2: (1 / math.sqrt(2), 1 / math.sqrt(2)), 3: (0.0, 1.0)}
+    frames[4] = frames[2]
+    n = 2 if fig_id == 4 else 0
+    x = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
+    t = np.linspace(0.0, cfg.t_max, cfg.t_count)
+    eps, eps_dot = parametric_resonance_epsilon(cfg.k, t)
+    mus = np.linspace(0.0, 1.0, cfg.mu_count + 2)[1:-1]
+    nus = np.sqrt(1.0 - mus**2)
+    if fig_id in frames:
+        return np.array([fock_mdf(n, e, ed, 0.0, x, *frames[fig_id]) for e, ed in zip(eps, eps_dot)])
+    if fig_id == 5:
+        e, ed = parametric_resonance_epsilon(cfg.k, cfg.t_fixed)
+        return np.array([fock_mdf(n, e, ed, 0.0, x, m, v) for m, v in zip(mus, nus)])
+    columns = [fock_mdf(n, e, ed, 0.0, cfg.x_fixed, mus, nus) for e, ed in zip(eps, eps_dot)]
+    return np.array(columns).T
+
+
 class TestFigureTables:
     def test_fig4_slices_have_two_interior_zeros(self):
         from osctomo.figures import count_near_zero_minima
@@ -177,6 +201,16 @@ class TestFigureTables:
         assert np.all((mus > 0.0) & (mus < 1.0))
         nus = np.sqrt(1.0 - mus**2)
         assert np.max(np.abs(mus**2 + nus**2 - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "cfg",
+        [FigureConfig(), FigureConfig(k=0.0), FigureConfig(k=0.2, t_count=23, x_count=37, mu_count=17)],
+        ids=["default", "k0", "odd"],
+    )
+    def test_broadcast_equals_loop(self, fig_id, cfg):
+        _, _, _, values = figure_table(fig_id, cfg)
+        assert np.array_equal(values, rowwise_table(fig_id, cfg))
 
 
 class TestSelftest:

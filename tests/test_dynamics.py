@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from osctomo import (
+    ClassicalPropagator,
     DriveProfile,
     EvaluationError,
     UnsupportedOrderError,
     WronskianDriftError,
     beta_shift,
+    flow_at,
     hermite,
     hermite_gauss,
     parametric_resonance_epsilon,
     solve_epsilon,
 )
+from osctomo.dynamics import _simpson
 
 
 class TestSolveEpsilon:
@@ -86,15 +89,15 @@ class TestSolveEpsilon:
 
 class TestBetaShift:
     def test_zero_force(self, constant_traj):
-        assert beta_shift(constant_traj.profile, constant_traj, 7.3) == 0.0
+        assert beta_shift(constant_traj, 7.3) == 0.0
 
     def test_constant_force_closed_form(self):
         # oracle: integral_0^t e^{1j s} ds = (e^{1j t} - 1)/1j, so
         # beta(pi) = sqrt(2) and beta(2 pi) = 0
         profile = DriveProfile.constant(1.0, force=lambda t: 1.0)
         traj = solve_epsilon(profile, 2.0 * math.pi, 1e-3)
-        assert abs(beta_shift(profile, traj, math.pi) - math.sqrt(2.0)) < 1e-10
-        assert abs(beta_shift(profile, traj, 2.0 * math.pi)) < 1e-10
+        assert abs(beta_shift(traj, math.pi) - math.sqrt(2.0)) < 1e-10
+        assert abs(beta_shift(traj, 2.0 * math.pi)) < 1e-10
 
     def test_generic_force_closed_form(self):
         # f(s) = cos(2s): integral e^{1j s} cos 2s ds has the antiderivative
@@ -107,19 +110,43 @@ class TestBetaShift:
             + 1j * (math.cos(t) - math.cos(3 * t) / 3.0)
         ) - 1j / 3.0
         expected = -1j / math.sqrt(2.0) * integral
-        assert abs(beta_shift(profile, traj, t) - expected) < 1e-10
+        assert abs(beta_shift(traj, t) - expected) < 1e-10
 
     def test_additivity(self):
         profile = DriveProfile.constant(1.0, force=lambda t: math.sin(t) + 0.3)
         traj = solve_epsilon(profile, 3.0, 1e-3)
         t1 = 1.2345671  # deliberately off the step grid
-        total = beta_shift(profile, traj, 2.9)
-        split = beta_shift(profile, traj, t1) + beta_shift(profile, traj, 2.9, t_start=t1)
+        total = beta_shift(traj, 2.9)
+        split = beta_shift(traj, t1) + beta_shift(traj, 2.9, t_start=t1)
         assert abs(total - split) < 1e-10
 
     def test_domain_error(self, constant_traj):
         with pytest.raises(ValueError):
-            beta_shift(constant_traj.profile, constant_traj, 21.0)
+            beta_shift(constant_traj, 21.0)
+
+
+class TestSimpson:
+    def test_exact_on_cubic(self):
+        # Simpson's rule integrates polynomials up to degree 3 exactly
+        x = np.linspace(-0.5, 1.5, 9)
+        cubic = 2.0 * x**3 - x**2 + 3.0 * x - 1.0
+        exact = 0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - x
+        assert abs(_simpson(cubic, x[1] - x[0]) - (exact[-1] - exact[0])) < 1e-13
+
+
+class TestFlowAt:
+    def test_initial_data_without_solving(self):
+        # a NaN frequency would make any solve raise EvaluationError
+        profile = DriveProfile.custom(lambda t: math.nan)
+        assert flow_at(profile, 0.0) == (1.0, 1.0j, 0.0)
+
+    def test_matches_trajectory_and_propagator(self):
+        profile = DriveProfile.parametric_resonance(0.1, force=lambda t: math.cos(t) + 0.2)
+        t, step = 2.345, 1e-3
+        traj = solve_epsilon(profile, t, step)
+        assert flow_at(profile, t, step) == (*traj(t), beta_shift(traj, t))
+        prop = ClassicalPropagator.from_profile(profile, t, step)
+        assert flow_at(profile, t, step) == (prop.eps, prop.eps_dot, prop.beta)
 
 
 class TestParametricResonance:

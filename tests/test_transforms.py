@@ -83,6 +83,20 @@ class TestGrids:
         with pytest.raises(ConsistencyError):
             WignerGrid(6.0, 0.5 * vacuum)
 
+    def test_save_format_golden(self, tmp_path):
+        # round trips cannot see a format change that hits save and load alike
+        rho = DensityGrid(1.0, np.array([[0.25, 0.125 + 0.5j], [0.125 - 0.5j, 0.75]]))
+        rho.save(tmp_path / "rho.txt")
+        assert (tmp_path / "rho.txt").read_text() == (
+            "# L=1 n=2\n0.25 0 0.125 0.5\n0.125 -0.5 0.75 0\n"
+        )
+        q = math.pi / 2.0
+        WignerGrid(1.0, np.array([[q + 0.1, q - 0.1], [q, q]])).save(tmp_path / "w.txt")
+        assert (tmp_path / "w.txt").read_text() == (
+            "# L=1 n=2\n1.6707963267948966 1.4707963267948965\n"
+            "1.5707963267948966 1.5707963267948966\n"
+        )
+
 
 class TestMdfFromDensity:
     def test_vacuum_matches_closed_form(self, vacuum_density):
