@@ -22,6 +22,8 @@ values accept either ``0.7+0.3j`` or ``0.7+0.3i``.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from pathlib import Path
 
@@ -74,6 +76,8 @@ def _table_profile(path: str) -> DriveProfile:
     if data.shape[1] not in (2, 3):
         raise UsageError(f"profile table {path!r} needs columns: t omega_sq [force]")
     ts, w2 = data[:, 0], data[:, 1]
+    if not np.all(np.diff(ts) > 0):
+        raise UsageError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
     return DriveProfile.custom(
         lambda t: float(np.interp(t, ts, w2)),
@@ -122,9 +126,19 @@ class _EvalArgs:
     def real(self, key, default=None) -> float:
         raw = self._get(key, default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise UsageError(f"argument {key}={raw!r} is not a real number") from exc
+        if not math.isfinite(value):
+            raise UsageError(f"argument {key}={raw!r} is not finite")
+        return value
+
+    def frame(self) -> tuple[float, float]:
+        """The tomographic frame (mu, nu); (0, 0) is not a frame."""
+        mu, nu = self.real("mu"), self.real("nu")
+        if mu == 0.0 and nu == 0.0:
+            raise UsageError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
+        return mu, nu
 
     def integer(self, key, default=None) -> int:
         raw = self._get(key, default)
@@ -136,9 +150,12 @@ class _EvalArgs:
     def cplx(self, key, default=None) -> complex:
         raw = self._get(key, default)
         try:
-            return _parse_complex(str(raw))
+            value = _parse_complex(str(raw))
         except ValueError as exc:
             raise UsageError(f"argument {key}={raw!r} is not a complex number") from exc
+        if not cmath.isfinite(value):
+            raise UsageError(f"argument {key}={raw!r} is not finite")
+        return value
 
     def profile(self) -> DriveProfile:
         spec = self._get("profile", "constant:1")
@@ -177,47 +194,53 @@ def _op_beta(args):
 
 
 def _op_frame_map(args):
+    mu, nu = args.frame()
     t, eps, eps_dot, beta = _state_inputs(args)
     prop = ClassicalPropagator.from_epsilon(eps, eps_dot, beta, t)
-    x, mu, nu = prop.frame_map(args.real("X"), args.real("mu"), args.real("nu"))
+    x, mu, nu = prop.frame_map(args.real("X"), mu, nu)
     return f"{_fmt(x)} {_fmt(mu)} {_fmt(nu)}"
 
 
 def _op_coherent_mdf(args):
     alpha = args.cplx("alpha")
+    mu, nu = args.frame()
     _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(coherent_mdf(alpha, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu")))
+    return _fmt(coherent_mdf(alpha, eps, eps_dot, beta, args.real("X"), mu, nu))
 
 
 def _op_fock_mdf(args):
     n = args.integer("n")
+    mu, nu = args.frame()
     _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(fock_mdf(n, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu")))
+    return _fmt(fock_mdf(n, eps, eps_dot, beta, args.real("X"), mu, nu))
 
 
 def _op_cross_mdf(args):
     n, m = args.integer("n"), args.integer("m")
+    mu, nu = args.frame()
     _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(complex(cross_mdf(n, m, eps, eps_dot, beta, args.real("X"), args.real("mu"), args.real("nu"))))
+    return _fmt(complex(cross_mdf(n, m, eps, eps_dot, beta, args.real("X"), mu, nu)))
 
 
 def _op_mean(args):
     alpha = args.cplx("alpha")
+    mu, nu = args.frame()
     _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(mean_X(alpha, eps, eps_dot, beta, args.real("mu"), args.real("nu")))
+    return _fmt(mean_X(alpha, eps, eps_dot, beta, mu, nu))
 
 
 def _op_variance(args):
+    mu, nu = args.frame()
     _, eps, eps_dot, _ = _state_inputs(args)
-    return _fmt(variance_X(eps, eps_dot, args.real("mu"), args.real("nu")))
+    return _fmt(variance_X(eps, eps_dot, mu, nu))
 
 
 def _op_eigencheck(args):
     alpha = args.cplx("alpha")
+    mu, nu = args.frame()
     _, eps, eps_dot, beta = _state_inputs(args)
     residual = annihilation_eigencheck(
-        alpha, eps, eps_dot, beta, args.real("mu"), args.real("nu"),
-        args.real("k"), args.real("h", "1e-4"),
+        alpha, eps, eps_dot, beta, mu, nu, args.real("k"), args.real("h", "1e-4"),
     )
     return _fmt(residual)
 

@@ -9,7 +9,10 @@ Three transforms are provided:
                      exp[-1j (Z - Z') (X - mu (Z + Z')/2) / nu] dZ dZ'
 
   (double trapezoidal rule on the sampled grid; nu = 0 makes the kernel
-  singular and is rejected rather than regularised);
+  singular and is rejected rather than regularised).  The kernel is rank
+  one, a(Z) conj(a(Z')) with a(Z) = exp[1j (mu Z^2/2 - X Z) / nu], so the
+  double sum is v^T rho conj(v) with v the trapezoidal weights times a:
+  n exponentials and one matrix-vector product per point;
 
 * tomogram -> density matrix:
 
@@ -27,7 +30,11 @@ Three transforms are provided:
                      W(q, p) dq dp,
 
   evaluated as a 1-D quadrature along the line mu q + nu p = X with
-  spline interpolation of the sampled W.
+  cubic-spline interpolation of the sampled W.  The spline coefficients of
+  the most recently used grid are kept in a one-slot cache, which holds the
+  grid only by weak reference, so repeated projections of one grid skip the
+  B-spline prefilter over the whole grid.  scipy.ndimage is imported on the
+  first projection, not with the package.
 
 Wigner normalisation convention: (2 pi)^{-1} double integral of W over
 phase space equals 1 (the vacuum is W = 2 exp(-q^2 - p^2)).
@@ -35,18 +42,20 @@ phase space equals 1 (the vacuum is W = 2 exp(-q^2 - p^2)).
 Sampled inputs are :class:`DensityGrid` (complex) and :class:`WignerGrid`
 (real).  Both derive from one uniform square-grid base that owns the
 axis, the spacing and the plain-text save/load format; each adds only its
-dtype and its own invariant check.
+dtype and its own invariant check.  Grid values are stored read-only, so
+code holding a grid cannot make its construction-time checks or its cached
+spline coefficients stale.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import (
     ConsistencyError,
@@ -77,7 +86,9 @@ class _UniformGrid:
     """Values on a uniform square grid, ``axis = linspace(-extent, extent, n)``.
 
     Subclasses set ``_dtype`` and add their own invariant check in
-    ``__post_init__`` after calling this one.
+    ``__post_init__`` after calling this one.  ``values`` is stored as a
+    read-only view; it shares memory with the array passed in when no
+    dtype conversion was needed, so that array must not be changed later.
     """
 
     extent: float
@@ -87,6 +98,8 @@ class _UniformGrid:
         values = np.asarray(self.values, dtype=self._dtype)
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
             raise ValueError("values must be a square grid with at least 2 points per axis")
+        values = values.view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -190,11 +203,8 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
             "nu = 0 frames are not supported by the density-matrix kernel"
         )
     z = rho.axis
-    Z = z[:, None]
-    Zp = z[None, :]
-    kernel = np.exp(-1j * (Z - Zp) * (X - mu * (Z + Zp) / 2.0) / nu)
-    inner = np.trapezoid(rho.values * kernel, dx=rho.spacing, axis=1)
-    val = complex(np.trapezoid(inner, dx=rho.spacing)) / (2.0 * np.pi * abs(nu))
+    v = _trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
+    val = complex(v @ (rho.values @ v.conj())) / (2.0 * np.pi * abs(nu))
     if abs(val.imag) > _IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {val.imag:.3e} above {_IMAG_RESIDUE_TOL}")
     return val.real
@@ -349,5 +359,33 @@ def mdf_from_wigner(
     tau = np.linspace(lo, hi, num_points)
     rows = (q0 + tau * dq + W.extent) / W.spacing
     cols = (p0 + tau * dp + W.extent) / W.spacing
-    vals = map_coordinates(W.values, np.array([rows, cols]), order=3, mode="constant")
+    from scipy.ndimage import map_coordinates
+
+    vals = map_coordinates(
+        _spline_coefficients(W), np.array([rows, cols]), order=3, mode="constant", prefilter=False
+    )
     return float(np.trapezoid(vals, x=tau) / (2.0 * np.pi * s))
+
+
+# (weak reference to the grid, its cubic B-spline coefficients)
+_spline_slot: tuple[weakref.ref, np.ndarray] | None = None
+
+
+def _spline_coefficients(W: WignerGrid) -> np.ndarray:
+    """Cubic B-spline coefficients of ``W.values`` for ``mode="constant"``.
+
+    That mode needs no pre-padding, so ``map_coordinates(coefficients, ...,
+    prefilter=False)`` equals ``map_coordinates(W.values, ...)`` bit for
+    bit.  The last grid's coefficients are kept; the slot is read once, so
+    a concurrent caller replacing it cannot pair one grid with another's
+    coefficients.
+    """
+    global _spline_slot
+    slot = _spline_slot
+    if slot is not None and slot[0]() is W:
+        return slot[1]
+    from scipy.ndimage import spline_filter
+
+    coefficients = spline_filter(W.values, 3, output=np.float64, mode="constant")
+    _spline_slot = (weakref.ref(W), coefficients)
+    return coefficients

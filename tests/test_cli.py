@@ -88,6 +88,31 @@ class TestEval:
         assert run(["eval", "coherent_mdf", "alpha=0", "profile=weird:1",
                     "t=0", "X=0", "mu=1", "nu=0"], capsys)[0] == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_inputs_rejected(self, capsys, value):
+        code, out, err = run(["eval", "green_sho", "X=0", "Z=0.5", f"t={value}"], capsys)
+        assert (code, out) == (1, "")
+        assert "not finite" in err
+        code, out, _ = run(["eval", "coherent_mdf", f"alpha={value}", "profile=constant:1",
+                            "t=0", "X=0", "mu=1", "nu=0"], capsys)
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("op", [["frame_map"], ["coherent_mdf", "alpha=0.5+0.5j"]])
+    def test_zero_frame_is_usage_error(self, capsys, op):
+        code, out, err = run(["eval", *op, "profile=constant:1", "t=0.7", "X=0.2", "mu=0", "nu=0"],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert "(0, 0)" in err
+
+    def test_unsorted_table_rejected(self, capsys, tmp_path):
+        t = np.arange(0.0, 10.5, 0.5)
+        rows = np.column_stack([t, 1.0 + 0.3 * np.sin(t)])
+        table = tmp_path / "shuffled.txt"
+        np.savetxt(table, rows[np.random.default_rng(5).permutation(len(rows))])
+        code, out, err = run(["eval", "epsilon", f"profile=table:{table}", "t=1.5"], capsys)
+        assert (code, out) == (1, "")
+        assert "strictly increasing" in err
+
     def test_argparse_usage_exit_code(self, capsys):
         assert run(["figure"], capsys)[0] == 1  # missing --id
         assert run(["bogus-command"], capsys)[0] == 1

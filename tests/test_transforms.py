@@ -1,7 +1,15 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from helpers import SQRT2, driven_state, wigner_from_density_function
 from osctomo import (
@@ -14,6 +22,7 @@ from osctomo import (
     WignerGrid,
     coherent_mdf,
     coherent_wavefunction,
+    hermite_gauss,
     density_from_mdf,
     density_grid_from_mdf,
     mdf_from_density,
@@ -54,6 +63,17 @@ def vacuum_density():
 
 
 class TestGrids:
+    def test_values_read_only(self):
+        raw = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        grid = DensityGrid(1.0, raw)
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 1
+        raw[1, 1] = 0.5  # the caller's own array stays writable
+        q = np.linspace(-6.0, 6.0, 201)
+        wigner = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(q * q, q * q)))
+        with pytest.raises(ValueError):
+            wigner.values[0, 0] = 1
+
     def test_density_validation(self):
         with pytest.raises(ConsistencyError):
             DensityGrid(3.0, np.array([[1.0, 0.5j], [0.4j, 0.2]]))  # not Hermitian
@@ -126,6 +146,30 @@ class TestMdfFromDensity:
     def test_nu_zero_rejected(self, vacuum_density):
         with pytest.raises(FrameUnsupportedError):
             mdf_from_density(vacuum_density, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("state", ["vacuum", "coherent", "fock"])
+    def test_rank_one_matches_double_trapezoid(self, state):
+        psi = {
+            "vacuum": lambda x: coherent_wavefunction(0.0, *VACUUM, x),
+            "coherent": lambda x: coherent_wavefunction(0.7 + 0.3j, *driven_state(1.3), x),
+            "fock": lambda x: hermite_gauss(3, x),
+        }[state]
+        rho = DensityGrid.from_wavefunction(psi, 8.0, 241)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            angle = rng.uniform(0.2, math.pi - 0.2)
+            scale = rng.uniform(0.5, 2.0)
+            X, mu, nu = rng.uniform(-4.0, 4.0), scale * math.cos(angle), scale * math.sin(angle)
+            assert abs(mdf_from_density(rho, X, mu, nu) - double_trapezoid_mdf(rho, X, mu, nu)) <= 1e-13
+
+
+def double_trapezoid_mdf(rho, X, mu, nu):
+    """The n x n kernel form that the rank-one evaluation must reproduce."""
+    z = rho.axis
+    Z, Zp = z[:, None], z[None, :]
+    kernel = np.exp(-1j * (Z - Zp) * (X - mu * (Z + Zp) / 2.0) / nu)
+    inner = np.trapezoid(rho.values * kernel, dx=rho.spacing, axis=1)
+    return (complex(np.trapezoid(inner, dx=rho.spacing)) / (2.0 * np.pi * abs(nu))).real
 
 
 class TestDensityFromMdf:
@@ -241,3 +285,48 @@ class TestMdfFromWigner:
     def test_zero_frame_rejected(self, vacuum_wigner):
         with pytest.raises(ValueError):
             mdf_from_wigner(vacuum_wigner, 0.0, 0.0, 0.0)
+
+    def test_cached_coefficients_equal_prefiltered_call(self, vacuum_wigner):
+        q = np.linspace(-6.0, 6.0, 401)
+        shifted = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer((q - 0.5) ** 2, (q + 0.3) ** 2)))
+        rng = np.random.default_rng(11)
+        for i in range(12):
+            grid = (vacuum_wigner, shifted)[i % 2]
+            X, angle = rng.uniform(-2.0, 2.0), rng.uniform(0.0, math.pi)
+            mu, nu = math.cos(angle), math.sin(angle)
+            assert mdf_from_wigner(grid, X, mu, nu) == direct_projection(grid, X, mu, nu)
+
+    def test_cache_holds_no_grid_alive(self):
+        q = np.linspace(-6.0, 6.0, 201)
+        grid = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(q * q, q * q)))
+        mdf_from_wigner(grid, 0.3, 0.6, 0.8)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
+
+
+def direct_projection(W, X, mu, nu):
+    """Radon projection with scipy's own prefilter on every call."""
+    s2 = mu * mu + nu * nu
+    s = math.sqrt(s2)
+    q0, p0, dq, dp = mu * X / s2, nu * X / s2, -nu / s, mu / s
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # axis-aligned lines divide by 0
+        bounds = [((-W.extent - c) / d, (W.extent - c) / d) for c, d in ((q0, dq), (p0, dp))]
+    lo = max(min(b) for b in bounds)
+    hi = min(max(b) for b in bounds)
+    tau = np.linspace(lo, hi, max(129, 2 * math.ceil((hi - lo) / (0.5 * W.spacing)) + 1))
+    rows = (q0 + tau * dq + W.extent) / W.spacing
+    cols = (p0 + tau * dp + W.extent) / W.spacing
+    vals = map_coordinates(W.values, np.array([rows, cols]), order=3, mode="constant")
+    return float(np.trapezoid(vals, x=tau) / (2.0 * np.pi * s))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, osctomo, osctomo.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
