@@ -71,7 +71,8 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
 
 
-def _table_profile(path: str) -> DriveProfile:
+def _table_profile(path: str) -> tuple[DriveProfile, tuple[float, float]]:
+    """The interpolated profile and the t range the table covers."""
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] not in (2, 3):
         raise UsageError(f"profile table {path!r} needs columns: t omega_sq [force]")
@@ -79,25 +80,30 @@ def _table_profile(path: str) -> DriveProfile:
     if not np.all(np.diff(ts) > 0):
         raise UsageError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
-    return DriveProfile.custom(
+    profile = DriveProfile.custom(
         lambda t: float(np.interp(t, ts, w2)),
         lambda t: float(np.interp(t, ts, f)),
     )
+    return profile, (float(ts[0]), float(ts[-1]))
 
 
-def _parse_profile(spec: str, force_value: float | None) -> DriveProfile:
+def _parse_profile(
+    spec: str, force_value: float | None
+) -> tuple[DriveProfile, tuple[float, float]]:
+    """The profile and the t range it is defined on (a table's rows, else all t)."""
+    always = (-math.inf, math.inf)
     force = None if force_value in (None, 0.0) else (lambda t, c=force_value: c)
     head, _, arg = spec.partition(":")
     try:
         if head == "constant":
-            return DriveProfile.constant(float(arg or 1.0), force)
+            return DriveProfile.constant(float(arg or 1.0), force), always
         if head == "free":
-            return DriveProfile.free(force)
+            return DriveProfile.free(force), always
         if head == "resonance":
-            return DriveProfile.parametric_resonance(float(arg or 0.01), force)
+            return DriveProfile.parametric_resonance(float(arg or 0.01), force), always
         if head == "table":
-            profile = _table_profile(arg)
-            return DriveProfile.custom(profile.omega_sq, force or profile.force)
+            profile, t_range = _table_profile(arg)
+            return DriveProfile.custom(profile.omega_sq, force or profile.force), t_range
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad profile spec {spec!r}: {exc}") from exc
     raise UsageError(f"unknown profile kind {head!r} (use constant/free/resonance/table)")
@@ -157,10 +163,19 @@ class _EvalArgs:
             raise UsageError(f"argument {key}={raw!r} is not finite")
         return value
 
-    def profile(self) -> DriveProfile:
+    def profile_and_time(self) -> tuple[DriveProfile, float]:
+        """The drive profile and the time t; the flow runs over [0, t], so a
+        table profile must cover that interval instead of being extrapolated."""
         spec = self._get("profile", "constant:1")
         force = self.real("force", "0")
-        return _parse_profile(spec, force)
+        profile, (t_first, t_last) = _parse_profile(spec, force)
+        t = self.real("t")
+        if not t_first <= min(0.0, t) <= max(0.0, t) <= t_last:
+            raise UsageError(
+                f"t={t!r}: the profile table covers t in [{t_first:g}, {t_last:g}], "
+                f"which must contain [0, t]"
+            )
+        return profile, t
 
     def check_consumed(self):
         unused = set(self.values) - self.used
@@ -170,8 +185,7 @@ class _EvalArgs:
 
 def _state_inputs(args: _EvalArgs):
     """(t, eps, eps_dot, beta) at args' time for args' profile, via the ODE."""
-    profile = args.profile()
-    t = args.real("t")
+    profile, t = args.profile_and_time()
     return (t, *flow_at(profile, t, args.real("step", "1e-3")))
 
 
@@ -181,8 +195,7 @@ def _op_epsilon(args):
 
 
 def _op_wronskian(args):
-    profile = args.profile()
-    t = args.real("t")
+    profile, t = args.profile_and_time()
     step = args.real("step", "1e-3")
     traj = solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
     return _fmt(traj.max_wronskian_drift)
@@ -258,16 +271,16 @@ def _op_green_free(args):
 
 
 def _op_green_driven(args):
-    profile = args.profile()
-    return _fmt(green_driven(args.real("X"), args.real("Z"), args.real("t"), profile))
+    profile, t = args.profile_and_time()
+    return _fmt(green_driven(args.real("X"), args.real("Z"), t, profile))
 
 
 def _op_quantum_propagator(args):
-    profile = args.profile()
+    profile, t = args.profile_and_time()
     return _fmt(
         quantum_propagator(
             args.real("X"), args.real("Xp"), args.real("Z"), args.real("Zp"),
-            args.real("t"), profile,
+            t, profile,
         )
     )
 

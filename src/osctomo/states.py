@@ -103,8 +103,16 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
     s = np.abs(r) ** 2
     gamma = complex(alpha) - complex(beta)
     m = _SQRT2 * np.real(gamma * np.conj(r))
-    X = np.asarray(X, dtype=float)
-    return np.exp(-((X - m) ** 2) / s) / np.sqrt(np.pi * s)
+    out = np.asarray(X, dtype=float) - m
+    if not out.ndim:
+        return np.exp(-(out**2) / s) / np.sqrt(np.pi * s)
+    # the same operations in place: one full-size array instead of five
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= s
+    np.exp(out, out=out)
+    out /= np.sqrt(np.pi * s)
+    return out
 
 
 def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
@@ -183,7 +191,12 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     only through X / sqrt(mu^2 + nu^2).
     """
     fk = _FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
-    return hermite_gauss(n, fk.Y) ** 2 / np.abs(fk.r)
+    out = hermite_gauss(n, fk.Y)
+    if not np.ndim(out):
+        return out**2 / np.abs(fk.r)
+    np.square(out, out=out)
+    out /= np.abs(fk.r)
+    return out
 
 
 def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):

@@ -21,7 +21,15 @@ Three transforms are provided:
 
   (trapezoidal in both variables on truncated domains; every test state
   is Gaussian-enveloped, so plain rules converge fast once the windows
-  cover the mass);
+  cover the mass).  The Y nodes of each mu row are uniform, Y_k = lo +
+  k dY, so with k = S a + b, S = ceil(sqrt(K)), the phase factorises as
+  e^{1j (lo + S a dY)} e^{1j b dY}: a row takes about 2 sqrt(K)
+  exponentials and one batched product of the samples, viewed as an
+  A x S block, with the cos/sin table of b dY, instead of K complex
+  exponentials.  On a grid, diagonal d (nu = d h) shares one Y integral,
+  and (X + X')/2 = z_j + d h / 2 splits the mu phase, so all diagonals
+  come out of one matrix product E @ cols, E = exp(-1j outer(z, mu)),
+  cols[:, d] = G_d(mu) e^{-1j d h mu / 2} times the mu weights / 2 pi;
 
 * Wigner -> tomogram: after the k-integral is done analytically the
   relation collapses to the normalised Radon projection
@@ -219,7 +227,10 @@ class QuadratureSpec:
     the Y window track the tomogram's mass frame by frame; the latter is
     what keeps narrow slices resolved near mu = 0.  ``mu_count`` defaults
     to an even value so the mu grid never lands exactly on 0, where
-    degenerate frames can occur for nu = 0.
+    degenerate frames can occur for nu = 0.  Construction rejects node
+    counts below 2, a non-finite or non-positive ``mu_max`` and a fixed
+    window that is not finite with lo < hi (ValueError); a callable
+    window is checked on every use.
     """
 
     mu_max: float = 12.0
@@ -227,30 +238,57 @@ class QuadratureSpec:
     y_window: tuple[float, float] | Callable = (-40.0, 40.0)
     y_count: int = 1201
 
+    def __post_init__(self):
+        if self.mu_count < 2 or self.y_count < 2:
+            raise ValueError(
+                f"mu_count and y_count must be at least 2, got {self.mu_count} and {self.y_count}"
+            )
+        if not (math.isfinite(self.mu_max) and self.mu_max > 0):
+            raise ValueError(f"mu_max must be finite and positive, got {self.mu_max!r}")
+        if not callable(self.y_window):
+            _check_y_window(*self.y_window)
+
     def refined(self) -> "QuadratureSpec":
         """Same windows with doubled node counts (for convergence checks)."""
         return replace(self, mu_count=2 * self.mu_count, y_count=2 * self.y_count - 1)
 
 
-def _y_nodes(quad: QuadratureSpec, mu: np.ndarray, nu: float) -> np.ndarray:
-    if callable(quad.y_window):
-        lo, hi = quad.y_window(mu, nu)
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), mu.shape)
-    else:
-        lo_v, hi_v = quad.y_window
-        lo = np.full(mu.shape, float(lo_v))
-        hi = np.full(mu.shape, float(hi_v))
-    frac = np.linspace(0.0, 1.0, quad.y_count)
-    return lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+def _check_y_window(lo, hi) -> None:
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+        raise ValueError("y_window bounds must be finite with lo < hi")
 
 
 def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """G(mu) = integral w(Y, mu, nu) e^{1j Y} dY on the mu grid."""
+    """G(mu) = integral w(Y, mu, nu) e^{1j Y} dY on the mu grid.
+
+    Trapezoidal rule on the uniform nodes Y_k = lo + k dY of each mu row.
+    With k = S a + b and S = ceil(sqrt(K)) the phase factorises,
+    e^{1j Y_k} = e^{1j (lo + S a dY)} e^{1j b dY}, so a row costs about
+    2 sqrt(K) exponentials: the end-halved, zero-padded samples, viewed as
+    an A x S block, meet the cos/sin table of b dY in one batched product,
+    and a length-A sum against the table of lo + S a dY finishes the row.
+    """
     mu = np.linspace(-quad.mu_max, quad.mu_max, quad.mu_count)
-    y = _y_nodes(quad, mu, nu)
-    vals = w(y, mu[:, None], nu) * np.exp(1j * y)
-    return mu, np.trapezoid(vals, x=y, axis=1)
+    lo, hi = quad.y_window(mu, nu) if callable(quad.y_window) else quad.y_window
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), mu.shape)
+    _check_y_window(lo, hi)
+    rows, K = mu.size, quad.y_count
+    dy = (hi - lo) / (K - 1)
+    y = np.multiply.outer(dy, np.arange(K, dtype=float))
+    y += lo[:, None]
+    vals = w(y, mu[:, None], nu)
+
+    S = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
+    A = -(-K // S)
+    block = np.zeros((rows, A * S), dtype=np.result_type(vals))
+    block[:, :K] = vals
+    block[:, [0, K - 1]] *= 0.5
+    b_phase = np.multiply.outer(dy, np.arange(S))
+    inner = block.reshape(rows, A, S) @ np.stack([np.cos(b_phase), np.sin(b_phase)], axis=2)
+    inner = inner[..., 0] + 1j * inner[..., 1]
+    a_phase = lo[:, None] + np.multiply.outer(S * dy, np.arange(A))
+    return mu, dy * np.einsum("ma,ma->m", inner, np.exp(1j * a_phase))
 
 
 def _density_point(w, X: float, Xp: float, quad: QuadratureSpec) -> complex:
@@ -289,25 +327,29 @@ def density_grid_from_mdf(
 ) -> DensityGrid:
     """Assemble a full DensityGrid from a tomogram.
 
-    Produces exactly the values :func:`density_from_mdf` would, but
-    factorises the work over grid diagonals: along a diagonal nu = X - X'
-    is constant, so the Y integral is shared and only the cheap phase
-    integral over mu depends on the position along the diagonal.  The
-    lower triangle follows from Hermiticity.
+    Produces the values :func:`density_from_mdf` would (up to roundoff),
+    but factorises the work over grid diagonals: along diagonal d,
+    nu = X - X' = d h is constant, so the Y integral is shared.  With
+    (X + X')/2 = z_j + d h / 2 the mu phase splits into
+    e^{-1j z_j mu} e^{-1j d h mu / 2}, so every diagonal's mu integral
+    comes out of one matrix product of exp(-1j outer(z, mu)) with the
+    stacked per-diagonal columns.  The upper triangle follows from
+    Hermiticity.
     """
     quad = quad or QuadratureSpec()
     z = np.linspace(-extent, extent, n)
     h = z[1] - z[0]
-    values = np.empty((n, n), dtype=complex)
-    for d in range(n):  # d = i - j >= 0, nu = d*h
+    cols = np.empty((quad.mu_count, n), dtype=complex)
+    for d in range(n):
         mu, g = _char_slice(w, quad, d * h)
-        j = np.arange(0, n - d)
-        s = z[j] + d * h / 2.0  # (z[i] + z[j])/2 with i = j + d
-        vals = (g[None, :] * np.exp(-1j * np.outer(s, mu))) @ _trapz_weights(mu)
-        vals /= 2.0 * np.pi
-        values[j + d, j] = vals
-        if d:
-            values[j, j + d] = vals.conj()
+        cols[:, d] = g * np.exp(-0.5j * d * h * mu)
+    cols *= (_trapz_weights(mu) / (2.0 * np.pi))[:, None]
+    diag = np.exp(-1j * np.outer(z, mu)) @ cols  # diag[j, d] = rho(z[j + d], z[j])
+    i, j = np.tril_indices(n)
+    lower = diag[j, i - j]
+    values = np.empty((n, n), dtype=complex)
+    values[j, i] = lower.conj()
+    values[i, j] = lower  # written last, so the diagonal is not conjugated
     return DensityGrid(extent, values)
 
 
@@ -327,8 +369,11 @@ def mdf_from_wigner(
     Integrates W along the line mu q + nu p = X (cubic-spline
     interpolation, trapezoidal rule in arc length) and divides by
     2 pi sqrt(mu^2 + nu^2).  If the line misses the sampled square an
-    OutOfSupportWarning is issued and 0.0 returned.
+    OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
+    nu and the frame (0, 0) raise ValueError.
     """
+    if not all(map(math.isfinite, (X, mu, nu))):
+        raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
     s2 = mu * mu + nu * nu
     if s2 <= 0.0:
         raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")

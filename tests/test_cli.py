@@ -113,6 +113,17 @@ class TestEval:
         assert (code, out) == (1, "")
         assert "strictly increasing" in err
 
+    @pytest.mark.parametrize(
+        "rows, t", [("0 1\n5 1\n", "12"), ("0.5 1\n50 1\n", "1.5")], ids=["ends-early", "starts-late"]
+    )
+    def test_table_must_cover_zero_to_t(self, capsys, tmp_path, rows, t):
+        table = tmp_path / "short.txt"
+        table.write_text(rows)
+        for op in (["epsilon"], ["wronskian"], ["coherent_mdf", "alpha=0", "X=0", "mu=1", "nu=0"]):
+            code, out, err = run(["eval", *op, f"profile=table:{table}", f"t={t}"], capsys)
+            assert (code, out) == (1, "")
+            assert "covers t in" in err
+
     def test_argparse_usage_exit_code(self, capsys):
         assert run(["figure"], capsys)[0] == 1  # missing --id
         assert run(["bogus-command"], capsys)[0] == 1

@@ -217,3 +217,27 @@ class TestHermiteGauss:
         u = hermite_gauss(200, y)
         assert np.all(np.isfinite(u))
         assert abs(np.trapezoid(u * u, y) - 1.0) < 1e-6
+
+    def test_in_place_recurrence_bit_identical(self):
+        rng = np.random.default_rng(4)
+        arrays = (rng.normal(0.0, 4.0, (23, 37)), np.linspace(-9.0, 9.0, 41), [0.3, -1.7])
+        scalars = (0.37, -2.5, np.float64(1.25), np.asarray(3.1))
+        for n in range(31):
+            for y in arrays:
+                assert np.array_equal(hermite_gauss(n, y), allocating_hermite_gauss(n, y))
+            for y in scalars:
+                got, want = hermite_gauss(n, y), allocating_hermite_gauss(n, y)
+                assert type(got) is type(want) is float and got == want
+
+
+def allocating_hermite_gauss(n, y):
+    """The recurrence with a fresh array per operation, as the arrays of
+    hermite_gauss must reproduce bit for bit."""
+    y = np.asarray(y, dtype=float)
+    u_prev = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    if n == 0:
+        return u_prev if u_prev.ndim else float(u_prev)
+    u = math.sqrt(2.0) * y * u_prev
+    for j in range(1, n):
+        u, u_prev = math.sqrt(2.0 / (j + 1)) * y * u - math.sqrt(j / (j + 1)) * u_prev, u
+    return u if u.ndim else float(u)

@@ -81,6 +81,56 @@ class TestCoherentMdf:
             coherent_mdf(0.0, 1.0, 1.0, 0.0, 0.0, 1.0, -1.0)  # r = mu + nu = 0
 
 
+class TestInPlaceClosedForms:
+    """coherent_mdf and fock_mdf work on one full-size array in place; the
+    values and the scalar return types stay those of the allocating forms."""
+
+    STATE = (1.1 + 0.2j, 0.3 + 0.9j, 0.2 - 0.1j)
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(12)
+        X = rng.normal(0.0, 3.0, (19, 29))
+        mu = rng.normal(0.0, 3.0, (19, 1))
+        yield X, mu, 0.7  # the tomogram -> density slice layout
+        yield X[0], 0.6, 0.8
+        yield 0.4, mu, 0.7  # scalar X, array frame
+        yield [0.1, -2.0], 0.6, 0.8
+        yield 0.4, 0.6, 0.8
+        yield np.float64(-1.3), 1.0, 0.0
+
+    @staticmethod
+    def same(got, want):
+        return type(got) is type(want) and np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+    def test_coherent_bit_identical(self):
+        for alpha in (0.0, 0.7 + 0.3j, -1.2j):
+            for X, mu, nu in self.inputs():
+                got = coherent_mdf(alpha, *self.STATE, X, mu, nu)
+                assert self.same(got, allocating_coherent_mdf(alpha, *self.STATE, X, mu, nu))
+
+    def test_fock_bit_identical(self):
+        for n in (0, 1, 3, 8, 30):
+            for X, mu, nu in self.inputs():
+                got = fock_mdf(n, *self.STATE, X, mu, nu)
+                assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, nu))
+
+
+def allocating_coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
+    r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
+    s = np.abs(r) ** 2
+    m = SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
+    X = np.asarray(X, dtype=float)
+    return np.exp(-((X - m) ** 2) / s) / np.sqrt(np.pi * s)
+
+
+def allocating_fock_mdf(n, eps, eps_dot, beta, X, mu, nu):
+    # hermite_gauss itself is pinned to its allocating form in test_dynamics
+    r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
+    Y = (2.0 * np.real(np.conj(beta) * r) + SQRT2 * np.asarray(X, dtype=float)) / (SQRT2 * np.abs(r))
+    return hermite_gauss(n, Y) ** 2 / np.abs(r)
+
+
 class TestMoments:
     def test_zero_mean_when_alpha_equals_beta(self):
         eps, eps_dot, beta = driven_state(1.1)
