@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from pathlib import Path
@@ -80,10 +81,7 @@ def _table_profile(path: str) -> tuple[DriveProfile, tuple[float, float]]:
     if not np.all(np.diff(ts) > 0):
         raise UsageError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
-    profile = DriveProfile.custom(
-        lambda t: float(np.interp(t, ts, w2)),
-        lambda t: float(np.interp(t, ts, f)),
-    )
+    profile = DriveProfile.custom(lambda t: np.interp(t, ts, w2), lambda t: np.interp(t, ts, f))
     return profile, (float(ts[0]), float(ts[-1]))
 
 
@@ -177,6 +175,18 @@ class _EvalArgs:
             )
         return profile, t
 
+    def flow_inputs(self) -> tuple[DriveProfile, float, float]:
+        """The profile, the time t and the ODE step of an op that solves the
+        flow; it is solved forward from 0, so t >= 0 and 0 < step <= t
+        (any positive step at t = 0)."""
+        profile, t = self.profile_and_time()
+        step = self.real("step", "1e-3")
+        if t < 0.0:
+            raise UsageError(f"t={t!r}: the flow is solved forward from 0, so t must be >= 0")
+        if not (step > 0.0 and (t == 0.0 or step <= t)):
+            raise UsageError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
+        return profile, t, step
+
     def check_consumed(self):
         unused = set(self.values) - self.used
         if unused:
@@ -185,8 +195,8 @@ class _EvalArgs:
 
 def _state_inputs(args: _EvalArgs):
     """(t, eps, eps_dot, beta) at args' time for args' profile, via the ODE."""
-    profile, t = args.profile_and_time()
-    return (t, *flow_at(profile, t, args.real("step", "1e-3")))
+    profile, t, step = args.flow_inputs()
+    return (t, *flow_at(profile, t, step))
 
 
 def _op_epsilon(args):
@@ -195,8 +205,7 @@ def _op_epsilon(args):
 
 
 def _op_wronskian(args):
-    profile, t = args.profile_and_time()
-    step = args.real("step", "1e-3")
+    profile, t, step = args.flow_inputs()
     traj = solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
     return _fmt(traj.max_wronskian_drift)
 
@@ -353,6 +362,7 @@ def _cmd_figure(ns) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="osctomo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

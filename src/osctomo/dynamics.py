@@ -65,9 +65,13 @@ def _zero_force(t: float) -> float:
 class DriveProfile:
     """Time dependence of the Hamiltonian H = p^2/2 + omega^2(t) q^2/2 - f(t) q.
 
-    ``omega_sq`` and ``force`` are scalar callables of time.  A repulsive
-    oscillator is expressed by a negative ``omega_sq`` (only the square of
-    the frequency ever enters the equations).
+    ``omega_sq`` and ``force`` are callables of time.  Where a whole time
+    grid is needed they are first called once with the array of nodes; a
+    callable that raises on an array, or returns neither a scalar nor an
+    array of the grid's shape, is then called once per node instead, so
+    scalar-only callables (``math.cos``, ``if t < 3``) work unchanged.  A
+    repulsive oscillator is expressed by a negative ``omega_sq`` (only the
+    square of the frequency ever enters the equations).
 
     Use the constructors :meth:`constant`, :meth:`free`,
     :meth:`parametric_resonance` and :meth:`custom` rather than building
@@ -101,7 +105,7 @@ class DriveProfile:
         if not -0.5 < k < 0.5:
             raise ValueError(f"parametric resonance requires k in (-0.5, 0.5), got {k}")
         return cls(
-            lambda t: (1.0 + k * math.cos(2.0 * t)) / (1.0 + k),
+            lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k),
             force or _zero_force,
             "parametric_resonance",
             k,
@@ -185,6 +189,15 @@ def solve_epsilon(
     (eps, eps_dot).  The step is rounded so the uniform grid lands exactly
     on ``t_end``.
 
+    omega_sq is real, so each RK4 step is a real 2x2 matrix P_k acting on
+    (eps, eps_dot); all of them are formed at once from omega_sq sampled
+    on the grid, and their running products are the transfer matrices
+    M(t_k) = P_{k-1}...P_0, with (eps, eps_dot)(t_k) = M(t_k) (1, 1j).
+    The products are taken in blocks of about sqrt(n) steps: the prefix
+    products inside every block in one batched pass per position, then
+    the block starts in sequence, so the work in Python is about
+    2 sqrt(n) iterations instead of one per step.
+
     Parameters
     ----------
     profile : DriveProfile
@@ -210,35 +223,93 @@ def solve_epsilon(
     h = t_end / n
     t = np.linspace(0.0, t_end, n + 1)
 
-    w_full = np.array([profile.omega_sq(t[i]) for i in range(n + 1)], dtype=float)
-    w_half = np.array([profile.omega_sq(t[i] + 0.5 * h) for i in range(n)], dtype=float)
+    w_full = np.asarray(_on_grid(profile.omega_sq, t), dtype=float)
+    w_half = np.asarray(_on_grid(profile.omega_sq, t[:-1] + 0.5 * h), dtype=float)
     if not (np.all(np.isfinite(w_full)) and np.all(np.isfinite(w_half))):
         bad = t[~np.isfinite(w_full)] if not np.all(np.isfinite(w_full)) else (
             t[:-1][~np.isfinite(w_half)] + 0.5 * h
         )
         raise EvaluationError(f"omega_sq non-finite at t = {bad[0]:g}")
 
+    transfer = _transfer_matrices(w_full, w_half, h)
     eps = np.empty(n + 1, dtype=complex)
     eps_dot = np.empty(n + 1, dtype=complex)
-    e, d = 1.0 + 0.0j, 1.0j
-    eps[0], eps_dot[0] = e, d
-    for i in range(n):
-        w0, wh, w1 = w_full[i], w_half[i], w_full[i + 1]
-        k1e, k1d = d, -w0 * e
-        y2e, y2d = e + 0.5 * h * k1e, d + 0.5 * h * k1d
-        k2e, k2d = y2d, -wh * y2e
-        y3e, y3d = e + 0.5 * h * k2e, d + 0.5 * h * k2d
-        k3e, k3d = y3d, -wh * y3e
-        y4e, y4d = e + h * k3e, d + h * k3d
-        k4e, k4d = y4d, -w1 * y4e
-        e = e + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-        d = d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-        eps[i + 1], eps_dot[i + 1] = e, d
+    eps[0], eps_dot[0] = 1.0 + 0.0j, 1.0j
+    eps.real[1:], eps.imag[1:] = transfer[:, 0, 0], transfer[:, 0, 1]
+    eps_dot.real[1:], eps_dot.imag[1:] = transfer[:, 1, 0], transfer[:, 1, 1]
 
     drift = float(np.max(np.abs(eps_dot * np.conj(eps) - np.conj(eps_dot) * eps - 2.0j)))
     if drift > tol_wronskian:
         raise WronskianDriftError(drift, tol_wronskian)
     return EpsilonTrajectory(t, eps, eps_dot, profile, drift)
+
+
+def _on_grid(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """fn sampled at every node of the time array t.
+
+    One call with the whole array when fn takes it (a scalar result is
+    broadcast).  If that call raises, including on a floating-point error,
+    or returns any other shape, fn is called once per node, so a
+    scalar-only callable gives, and raises, what it does node by node.
+    """
+    try:
+        with np.errstate(all="raise"):
+            values = np.asarray(fn(t))
+    except Exception:  # user callables may fail on arrays in any way
+        pass
+    else:
+        if values.shape == t.shape:
+            return values
+        if values.ndim == 0:
+            return np.full(t.shape, values)
+    return np.array([fn(ti) for ti in t])
+
+
+def _transfer_matrices(w_full: np.ndarray, w_half: np.ndarray, h: float) -> np.ndarray:
+    """M(t_k) = P_{k-1}...P_0 for k = 1..n, as an (n, 2, 2) array.
+
+    P_k is the RK4 step on (eps, eps_dot) for eps_dot' = -w eps, with
+    w = omega_sq at the step's start (w0), midpoint (wh) and end (w1): the
+    four stages of the scalar scheme, expanded in closed form.
+
+    The products are taken in place in one buffer of whole blocks of
+    B = isqrt(n) steps (zero padded; the padding is never returned): the prefix
+    products inside every block, one batched product per position; the
+    block starts, one 2x2 product per block; then every in-block product
+    times its block start, one (2B x 2) @ (2 x 2) product per block.
+    Steps and in-block products are kept as their difference from the
+    identity, A = P - 1, and multiplied as (1 + A)(1 + D) = 1 + (A + D + AD),
+    so the 1 + small sums are rounded only against the block starts.
+    Multiplying the rounded P_k themselves repeats one rounding error in
+    every step of a constant profile (Wronskian drift ~5e-12 at t = 20
+    for omega = 1.7, against ~2e-14 this way).
+    """
+    n = len(w_half)
+    size = math.isqrt(n)
+    count = -(-n // size)
+    buffer = np.zeros((count * size, 2, 2))
+    w0, wh, w1 = w_full[:-1], w_half, w_full[1:]
+    h2 = h * h
+    steps = buffer[:n]
+    steps[:, 0, 0] = -h2 / 6.0 * (w0 + 2.0 * wh) + h2 * h2 / 24.0 * w0 * wh
+    steps[:, 0, 1] = h - h2 * h / 6.0 * wh
+    steps[:, 1, 0] = -h / 6.0 * (w0 + 4.0 * wh + w1) + h2 * h / 12.0 * wh * (w0 + w1)
+    steps[:, 1, 1] = -h2 / 6.0 * (2.0 * wh + w1) + h2 * h2 / 24.0 * wh * w1
+
+    blocks = buffer.reshape(count, size, 2, 2)
+    for p in range(1, size):
+        prev, cur = blocks[:, p - 1], blocks[:, p]
+        cross = cur @ prev
+        cur += prev
+        cur += cross
+    starts = np.empty((count, 2, 2))
+    starts[0] = np.eye(2)
+    for j in range(1, count):
+        starts[j] = starts[j - 1] + blocks[j - 1, -1] @ starts[j - 1]
+    rows = buffer.reshape(count, 2 * size, 2)
+    np.matmul(rows, starts, out=rows)
+    blocks += starts[:, None]
+    return buffer[:n]
 
 
 def _integrand(traj: EpsilonTrajectory, time: float) -> complex:
@@ -261,7 +332,7 @@ def _beta_integral_to(traj: EpsilonTrajectory, t: float) -> complex:
     interpolated values.
     """
     h = traj.step
-    g = traj.eps * np.array([traj.profile.force(ti) for ti in traj.t])
+    g = traj.eps * _on_grid(traj.profile.force, traj.t)
 
     m = int(math.floor(t / h + 1e-12))
     m -= m % 2  # composite Simpson needs an even interval count
@@ -285,7 +356,9 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
     for endpoint in (t_start, t):
         if not 0.0 <= endpoint <= traj.t_end * (1 + 1e-12) + 1e-15:
             raise ValueError(f"time {endpoint} outside trajectory range [0, {traj.t_end}]")
-    value = _beta_integral_to(traj, t) - _beta_integral_to(traj, t_start)
+    value = _beta_integral_to(traj, t)
+    if t_start != 0.0:
+        value -= _beta_integral_to(traj, t_start)
     return complex(-1j / math.sqrt(2.0) * value)
 
 

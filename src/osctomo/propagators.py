@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DriveProfile, _simpson, flow_at
+from .dynamics import DriveProfile, _on_grid, _simpson, flow_at
 from .errors import CausticError, ConsistencyError
 from .invariants import LinearInvariant, linear_invariant
 
@@ -196,7 +196,7 @@ def _force_integrals(profile: DriveProfile, t: float, quad_step: float) -> tuple
     """Simpson values of I1 = int f(s) sin(t-s) ds and I2 = int f(s) sin s ds."""
     n = max(2, 2 * max(1, round(abs(t) / (2.0 * quad_step))))
     s = np.linspace(0.0, t, n + 1)
-    f = np.array([profile.force(si) for si in s])
+    f = _on_grid(profile.force, s)
     h = t / n
     return float(_simpson(f * np.sin(t - s), h)), float(_simpson(f * np.sin(s), h))
 

@@ -124,9 +124,50 @@ class TestEval:
             assert (code, out) == (1, "")
             assert "covers t in" in err
 
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (["epsilon", "t=-1"], "t must be >= 0"),
+            (["beta", "force=1", "t=-1"], "t must be >= 0"),
+            (["coherent_mdf", "alpha=0", "X=0", "mu=1", "nu=0", "t=-1"], "t must be >= 0"),
+            (["wronskian", "t=-1"], "t must be >= 0"),
+            (["epsilon", "t=1", "step=0"], "0 < step <= t"),
+            (["epsilon", "t=1", "step=5"], "0 < step <= t"),
+            (["wronskian", "t=2", "step=-1e-3"], "0 < step <= t"),
+        ],
+        ids=["epsilon", "beta", "coherent_mdf", "wronskian", "step-zero", "step-above-t",
+             "step-negative"],
+    )
+    def test_negative_time_and_bad_step_rejected(self, capsys, op, message):
+        code, out, err = run(["eval", *op], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_wronskian_at_time_zero_still_valid(self, capsys):
+        code, out, _ = run(["eval", "wronskian", "t=0"], capsys)
+        assert code == 0
+        assert float(out) <= 1e-12
+
     def test_argparse_usage_exit_code(self, capsys):
         assert run(["figure"], capsys)[0] == 1  # missing --id
         assert run(["bogus-command"], capsys)[0] == 1
+
+    def test_cached_parser_matches_fresh_parser(self, capsys):
+        calls = [
+            ["eval", "hermite", "n=2", "y=1"],
+            ["eval", "hermite", "n=2"],
+            ["eval"],
+            ["eval", "epsilon", "profile=resonance:0.1", "t=0.5"],
+            ["bogus-command"],
+            ["eval", "hermite", "n=3", "y=0.5"],
+        ]
+        cached = [run(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 1, 1, 0, 1, 0]
 
 
 class TestFigure:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osctomo import (
     ClassicalPropagator,
@@ -16,7 +18,7 @@ from osctomo import (
     parametric_resonance_epsilon,
     solve_epsilon,
 )
-from osctomo.dynamics import _simpson
+from osctomo.dynamics import _on_grid, _simpson
 
 
 class TestSolveEpsilon:
@@ -54,6 +56,27 @@ class TestSolveEpsilon:
             traj = solve_epsilon(profile, 2.0, step)
             errs.append(np.max(np.abs(traj.eps - np.exp(1j * traj.t))))
         assert errs[0] / errs[1] >= 12.0
+
+    def test_fourth_order_convergence_time_dependent(self):
+        # a constant profile cannot tell the start, midpoint and end
+        # frequencies of a step apart; a strongly modulated one can
+        profile = DriveProfile.parametric_resonance(0.4)
+        ref = solve_epsilon(profile, 4.0, 2.5e-3)
+        errs = []
+        for step, stride in ((2e-2, 8), (1e-2, 4)):
+            traj = solve_epsilon(profile, 4.0, step)
+            errs.append(np.max(np.abs(traj.eps - ref.eps[::stride])))
+        assert errs[0] / errs[1] >= 12.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), t_end=st.floats(1e-3, 20.0), n=st.sampled_from([1, 2, 3, 997, 1024]))
+    def test_matches_scalar_loop(self, data, t_end, n):
+        profile = data.draw(profiles())
+        traj = solve_epsilon(profile, t_end, t_end / n, tol_wronskian=np.inf)
+        assert len(traj.t) == n + 1
+        eps, eps_dot = scalar_rk4(profile, t_end, n)
+        for got, want in ((traj.eps, eps), (traj.eps_dot, eps_dot)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_interpolation_accuracy(self, constant_traj):
         for t in (0.37 + 2.5e-4, 11.1112345, 19.9990001):
@@ -120,9 +143,41 @@ class TestBetaShift:
         split = beta_shift(traj, t1) + beta_shift(traj, 2.9, t_start=t1)
         assert abs(total - split) < 1e-10
 
+    def test_array_force_matches_per_node_force(self):
+        array_force = DriveProfile.parametric_resonance(0.2, force=lambda s: np.sin(3.0 * s) + 0.5)
+        node_force = DriveProfile.parametric_resonance(0.2, force=lambda s: math.sin(3.0 * s) + 0.5)
+        by_array = solve_epsilon(array_force, 6.0, 1e-3)
+        by_node = solve_epsilon(node_force, 6.0, 1e-3)
+        for t, t_start in ((6.0, 0.0), (3.3, 1.1), (0.0123, 0.0), (5.0, 4.9999)):
+            want = beta_shift(by_node, t, t_start)
+            assert abs(beta_shift(by_array, t, t_start) - want) <= 1e-13 * max(1.0, abs(want))
+
     def test_domain_error(self, constant_traj):
         with pytest.raises(ValueError):
             beta_shift(constant_traj, 21.0)
+
+
+class TestOnGrid:
+    def test_array_and_scalar_results(self):
+        t = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(_on_grid(np.cos, t), np.cos(t))
+        assert np.array_equal(_on_grid(lambda s: 2.5, t), np.full(7, 2.5))
+
+    def test_array_rejecting_callable_sampled_per_node(self):
+        t = np.linspace(0.0, 5.0, 11)
+        for fn in (math.cos, lambda s: 1.0 if s < 2.0 else math.sin(s)):
+            assert np.array_equal(_on_grid(fn, t), np.array([fn(s) for s in t]))
+
+    def test_scalar_callable_error_propagates(self):
+        def omega_sq(s):
+            if s > 0.5:  # ValueError on an array, KeyError on a late node
+                raise KeyError(s)
+            return 1.0
+
+        with pytest.raises(KeyError):
+            _on_grid(omega_sq, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(KeyError):
+            solve_epsilon(DriveProfile.custom(omega_sq), 1.0, 1e-2)
 
 
 class TestSimpson:
@@ -241,3 +296,49 @@ def allocating_hermite_gauss(n, y):
     for j in range(1, n):
         u, u_prev = math.sqrt(2.0 / (j + 1)) * y * u - math.sqrt(j / (j + 1)) * u_prev, u
     return u if u.ndim else float(u)
+
+
+TABLE_T = np.linspace(0.0, 20.0, 9)
+
+
+@st.composite
+def profiles(draw):
+    """Constant (omega_sq < 0 included), resonance, table and a scalar-only
+    piecewise profile, the last sampled node by node by the solver."""
+    kind = draw(st.sampled_from(["constant", "resonance", "table", "piecewise"]))
+    if kind == "constant":
+        w2 = draw(st.floats(-1.0, 4.0))
+        return DriveProfile.custom(lambda t: w2)
+    if kind == "resonance":
+        return DriveProfile.parametric_resonance(draw(st.floats(-0.49, 0.49)))
+    if kind == "table":
+        rows = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=9, max_size=9)))
+        return DriveProfile.custom(lambda t: np.interp(t, TABLE_T, rows))
+    a, b, switch = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)), draw(st.floats(0.1, 19.9))
+    return DriveProfile.custom(lambda t: a if t < switch else b)
+
+
+def scalar_rk4(profile, t_end, n):
+    """The one-step-at-a-time RK4 loop on complex (eps, eps_dot), with
+    omega_sq called node by node: the reference the array solver must match."""
+    h = t_end / n
+    t = np.linspace(0.0, t_end, n + 1)
+    w_full = np.array([profile.omega_sq(t[i]) for i in range(n + 1)], dtype=float)
+    w_half = np.array([profile.omega_sq(t[i] + 0.5 * h) for i in range(n)], dtype=float)
+    eps = np.empty(n + 1, dtype=complex)
+    eps_dot = np.empty(n + 1, dtype=complex)
+    e, d = 1.0 + 0.0j, 1.0j
+    eps[0], eps_dot[0] = e, d
+    for i in range(n):
+        w0, wh, w1 = w_full[i], w_half[i], w_full[i + 1]
+        k1e, k1d = d, -w0 * e
+        y2e, y2d = e + 0.5 * h * k1e, d + 0.5 * h * k1d
+        k2e, k2d = y2d, -wh * y2e
+        y3e, y3d = e + 0.5 * h * k2e, d + 0.5 * h * k2d
+        k3e, k3d = y3d, -wh * y3e
+        y4e, y4d = e + h * k3e, d + h * k3d
+        k4e, k4d = y4d, -w1 * y4e
+        e = e + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
+        d = d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+        eps[i + 1], eps_dot[i + 1] = e, d
+    return eps, eps_dot
