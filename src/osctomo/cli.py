@@ -77,6 +77,8 @@ def _table_profile(path: str) -> tuple[DriveProfile, tuple[float, float]]:
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] not in (2, 3):
         raise UsageError(f"profile table {path!r} needs columns: t omega_sq [force]")
+    if not np.isfinite(data).all():
+        raise UsageError(f"profile table {path!r}: every entry must be finite")
     ts, w2 = data[:, 0], data[:, 1]
     if not np.all(np.diff(ts) > 0):
         raise UsageError(f"profile table {path!r}: the t column must be strictly increasing")
@@ -326,8 +328,7 @@ def _cmd_eval(ns) -> int:
 
 
 _FIGURE_KEYS = (
-    "k", "t_max", "t_count", "x_min", "x_max", "x_count",
-    "mu_count", "t_fixed", "x_fixed", "gaussian_fit_tol", "t_independence_tol",
+    "k", "t_max", "t_count", "x_min", "x_max", "x_count", "mu_count", "t_fixed", "x_fixed",
 )
 
 

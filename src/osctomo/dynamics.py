@@ -75,8 +75,9 @@ class DriveProfile:
 
     Use the constructors :meth:`constant`, :meth:`free`,
     :meth:`parametric_resonance` and :meth:`custom` rather than building
-    instances by hand; they set the ``kind`` tag consumed by closed-form
-    shortcuts and the command line driver.
+    instances by hand; they set the ``kind`` tag and ``parameter`` that
+    the quantum propagators check to admit only the constant
+    unit-frequency profile their closed forms assume.
     """
 
     omega_sq: Callable[[float], float]
@@ -430,27 +431,18 @@ def hermite_gauss(n: int, y):
     """L2-normalised Hermite function H_n(y) e^{-y^2/2} / sqrt(n! 2^n sqrt(pi)).
 
     Evaluated with a scaled recurrence that keeps every intermediate on
-    the order of one, so it stays finite for all supported n and y.
+    the order of one, so it stays finite for all supported n and y.  A
+    scalar y runs the array recurrence on a 1-element array.
     """
     n = _check_order(n)
     y = np.asarray(y, dtype=float)
-    if y.ndim:
-        return _hermite_gauss_array(n, y)
-    u_prev = np.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if n == 0:
-        return float(u_prev)
-    u = math.sqrt(2.0) * y * u_prev
-    for j in range(1, n):
-        u, u_prev = math.sqrt(2.0 / (j + 1)) * y * u - math.sqrt(j / (j + 1)) * u_prev, u
-    return float(u)
+    u = _hermite_gauss_array(n, np.atleast_1d(y))
+    return u if y.ndim else float(u[0])
 
 
 def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:
-    """The recurrence of :func:`hermite_gauss` in three rotating buffers.
-
-    Same operations in the same order as the scalar path, so the values
-    are bit-identical, without four fresh temporaries per step.
-    """
+    """The recurrence of :func:`hermite_gauss` in three rotating buffers,
+    without four fresh temporaries per step."""
     u_prev = np.multiply(-0.5, y)
     u_prev *= y
     np.exp(u_prev, out=u_prev)

@@ -71,7 +71,7 @@ _FIGURES = {
 
 @dataclass(frozen=True)
 class FigureConfig:
-    """Grid/profile choices and validation tolerances for the figures."""
+    """Grid/profile choices for the figures."""
 
     k: float = 0.01
     t_max: float = 10.0
@@ -82,8 +82,6 @@ class FigureConfig:
     mu_count: int = 101
     t_fixed: float = 4.0
     x_fixed: float = 0.0
-    gaussian_fit_tol: float = GAUSSIAN_FIT_TOL
-    t_independence_tol: float = T_INDEPENDENCE_TOL
 
     def __post_init__(self):
         for name in ("t_count", "x_count", "mu_count"):
@@ -99,8 +97,6 @@ class FigureConfig:
             raise ValueError("x_max must exceed x_min")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
-        if self.gaussian_fit_tol <= 0 or self.t_independence_tol <= 0:
-            raise ValueError("validation tolerances must be positive")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "FigureConfig":
@@ -178,10 +174,10 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
         raise ConsistencyError(f"figure {fig_id}: negative tomogram values")
     if fig_id in (1, 2, 3, 5):
         residual = gaussian_slice_residual(first, values)
-        if residual > cfg.gaussian_fit_tol:
+        if residual > GAUSSIAN_FIT_TOL:
             raise ConsistencyError(
                 f"figure {fig_id}: ground-state slice deviates from a Gaussian "
-                f"(log-parabola residual {residual:.3e} > {cfg.gaussian_fit_tol})"
+                f"(log-parabola residual {residual:.3e} > {GAUSSIAN_FIT_TOL})"
             )
     if fig_id == 4:
         for i, row in enumerate(values):
@@ -193,7 +189,7 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
                 )
     if fig_id == 1 and cfg.k == 0.0:
         residual = time_independence_residual(values)
-        if residual > cfg.t_independence_tol:
+        if residual > T_INDEPENDENCE_TOL:
             raise ConsistencyError(
                 f"figure 1: k = 0 surface varies in time by {residual:.3e}"
             )

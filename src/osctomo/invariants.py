@@ -73,15 +73,17 @@ class LinearInvariant:
         delta = np.asarray(self.delta, dtype=float)
         if lam.shape != (2, 2) or delta.shape != (2,):
             raise ValueError("lam must be 2x2 and delta length 2")
-        det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-        if abs(det - 1.0) > DET_TOL:
-            raise ConsistencyError(f"det Lambda = {det!r} deviates from 1 beyond {DET_TOL}")
+        if not (np.isfinite(lam).all() and np.isfinite(delta).all()):
+            raise ConsistencyError(f"Lambda {lam.tolist()} or Delta {delta.tolist()} is not finite")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "delta", delta)
+        if abs(self.det - 1.0) > DET_TOL:
+            raise ConsistencyError(f"det Lambda = {self.det!r} deviates from 1 beyond {DET_TOL}")
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.lam))
+        lam = self.lam
+        return float(lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0])
 
     def apply(self, p: float, q: float) -> np.ndarray:
         """Value of (I_p, I_q) on a classical phase-space point."""
@@ -109,21 +111,14 @@ def _to_real(value: complex, what: str) -> float:
 
 
 def lambda_matrix(eps: complex, eps_dot: complex) -> np.ndarray:
-    """Real 2x2 matrix Lambda(t) built from (eps, eps_dot).
+    """Real 2x2 matrix Lambda(t) = [[Re eps, -Re eps_dot], [-Im eps, Im eps_dot]].
 
-    Imaginary residues of the four entries must sit below
-    IMAG_RESIDUE_TOL (they are exactly zero in exact arithmetic) and are
-    then dropped.
+    These are the entries of the complex form in the module docstring,
+    whose imaginary parts vanish identically; ``0.0 - Im eps`` keeps the
+    +0.0 that form gives at Im eps = 0.
     """
     eps, eps_dot = complex(eps), complex(eps_dot)
-    entries = [
-        0.5 * (eps + eps.conjugate()),
-        -0.5 * (eps_dot + eps_dot.conjugate()),
-        0.5j * (eps - eps.conjugate()),
-        -0.5j * (eps_dot - eps_dot.conjugate()),
-    ]
-    vals = [_to_real(e, "Lambda entry") for e in entries]
-    return np.array([[vals[0], vals[1]], [vals[2], vals[3]]])
+    return np.array([[eps.real, -eps_dot.real], [0.0 - eps.imag, eps_dot.imag]])
 
 
 def delta_vector(beta: complex) -> np.ndarray:

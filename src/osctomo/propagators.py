@@ -104,10 +104,7 @@ class ClassicalPropagator:
         if mu == 0.0 and nu == 0.0:
             raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
         lam, delta = self.inv.lam, self.inv.delta
-        det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-        if abs(det) < 1e-12:  # cannot happen while det == 1 holds
-            raise ConsistencyError("Lambda is singular")
-        lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / det
+        lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
         n_prime = np.array([nu, mu]) @ lam_inv
         nu_p, mu_p = float(n_prime[0]), float(n_prime[1])
         x_p = float(X + n_prime @ delta)

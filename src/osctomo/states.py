@@ -26,7 +26,6 @@ Hermite-Gauss profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,38 +59,36 @@ def _frame_r(eps: complex, eps_dot: complex, mu, nu):
     return r
 
 
-@dataclass(frozen=True)
-class _FrameKernel:
-    """The shared (r, Y, gamma) combination entering every closed form.
+def _coherent_moments(alpha, eps, eps_dot, beta, mu, nu):
+    """The coherent tomogram's mean <X> and |r|^2 = 2 Var X."""
+    r = _frame_r(eps, eps_dot, mu, nu)
+    gamma = complex(alpha) - complex(beta)
+    return _SQRT2 * np.real(gamma * np.conj(r)), np.abs(r) ** 2
 
-    ``r`` and ``Y`` broadcast with whatever array arguments produced them.
+
+def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
+    """(r, |r|, Y) of the Fock and cross tomograms, Y in one full-size array.
+
+    ``r`` broadcasts with mu/nu and ``Y`` with X and r; Y is 0-d when all
+    three are scalars.
     """
-
-    r: complex | np.ndarray
-    Y: float | np.ndarray
-    gamma: complex
-
-    @classmethod
-    def from_state(cls, alpha, eps, eps_dot, beta, X, mu, nu):
-        r = _frame_r(eps, eps_dot, mu, nu)
-        abs_r = np.abs(r)
-        Y = (2.0 * np.real(np.conj(beta) * r) + _SQRT2 * np.asarray(X, dtype=float)) / (
-            _SQRT2 * abs_r
-        )
-        return cls(r, Y, complex(alpha) - complex(beta))
+    r = _frame_r(eps, eps_dot, mu, nu)
+    abs_r = np.abs(r)
+    X = np.asarray(X, dtype=float)
+    Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
+    Y += 2.0 * np.real(np.conj(beta) * r)
+    Y /= _SQRT2 * abs_r
+    return r, abs_r, Y
 
 
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
     """<X> = sqrt(2) Re[(alpha - beta) conj(r)]."""
-    r = _frame_r(eps, eps_dot, mu, nu)
-    gamma = complex(alpha) - complex(beta)
-    return _SQRT2 * np.real(gamma * np.conj(r))
+    return _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)[0]
 
 
 def variance_X(eps, eps_dot, mu, nu):
     """Var X = |eps_dot*nu + eps*mu|^2 / 2 (independent of the state label)."""
-    r = _frame_r(eps, eps_dot, mu, nu)
-    return 0.5 * np.abs(r) ** 2
+    return 0.5 * _coherent_moments(0.0, eps, eps_dot, 0.0, mu, nu)[1]
 
 
 def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
@@ -99,20 +96,16 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
 
     Vectorised over X (and over mu/nu as long as r stays away from zero).
     """
-    r = _frame_r(eps, eps_dot, mu, nu)
-    s = np.abs(r) ** 2
-    gamma = complex(alpha) - complex(beta)
-    m = _SQRT2 * np.real(gamma * np.conj(r))
-    out = np.asarray(X, dtype=float) - m
-    if not out.ndim:
-        return np.exp(-(out**2) / s) / np.sqrt(np.pi * s)
-    # the same operations in place: one full-size array instead of five
+    m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
+    diff = np.asarray(X, dtype=float) - m
+    # the allocating operations in place on one full-size array (1 element for scalars)
+    out = np.atleast_1d(diff)
     np.square(out, out=out)
     np.negative(out, out=out)
     out /= s
     np.exp(out, out=out)
     out /= np.sqrt(np.pi * s)
-    return out
+    return out if np.ndim(diff) else out[0]
 
 
 def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
@@ -126,10 +119,7 @@ def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
     the exponent at t = 0 reads -(y^2 + z^2)/4, i.e. the Gaussian ansatz
     coefficients are c = d = -1/4 with no cross term.
     """
-    r = _frame_r(eps, eps_dot, mu, nu)
-    s = np.abs(r) ** 2
-    gamma = complex(alpha) - complex(beta)
-    m = _SQRT2 * np.real(gamma * np.conj(r))
+    m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
     k = np.asarray(k, dtype=float)
     out = np.exp(-0.25 * k * k * s - 1j * k * m)
     return out if out.ndim else complex(out)
@@ -190,13 +180,11 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     For f = 0 and constant unit frequency this depends on (X, mu, nu)
     only through X / sqrt(mu^2 + nu^2).
     """
-    fk = _FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
-    out = hermite_gauss(n, fk.Y)
-    if not np.ndim(out):
-        return out**2 / np.abs(fk.r)
+    _, abs_r, Y = _frame_kernel(eps, eps_dot, beta, X, mu, nu)
+    out = hermite_gauss(n, np.atleast_1d(Y))
     np.square(out, out=out)
-    out /= np.abs(fk.r)
-    return out
+    out /= abs_r
+    return out if Y.ndim else out[0]
 
 
 def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
@@ -209,9 +197,9 @@ def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
         w_alpha = e^{-|alpha|^2} sum_{n,m} alpha^n conj(alpha)^m
                   / sqrt(n! m!) * w_nm.
     """
-    fk = _FrameKernel.from_state(0.0, eps, eps_dot, beta, X, mu, nu)
-    phase = np.exp(1j * (m - n) * np.angle(fk.r))
-    return hermite_gauss(n, fk.Y) * hermite_gauss(m, fk.Y) * phase / np.abs(fk.r)
+    r, abs_r, Y = _frame_kernel(eps, eps_dot, beta, X, mu, nu)
+    phase = np.exp(1j * (m - n) * np.angle(r))
+    return hermite_gauss(n, Y) * hermite_gauss(m, Y) * phase / abs_r
 
 
 def coherent_wavefunction(alpha, eps, eps_dot, beta, x):

@@ -361,13 +361,12 @@ def _trapz_weights(x: np.ndarray) -> np.ndarray:
     return wts
 
 
-def mdf_from_wigner(
-    W: WignerGrid, X: float, mu: float, nu: float, num_points: int | None = None
-) -> float:
+def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     """Radon projection of a sampled Wigner function.
 
     Integrates W along the line mu q + nu p = X (cubic-spline
-    interpolation, trapezoidal rule in arc length) and divides by
+    interpolation, trapezoidal rule in arc length on at least 129 nodes
+    at most half a grid spacing apart) and divides by
     2 pi sqrt(mu^2 + nu^2).  If the line misses the sampled square an
     OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
     nu and the frame (0, 0) raise ValueError.
@@ -399,8 +398,7 @@ def mdf_from_wigner(
         )
         return 0.0
 
-    if num_points is None:
-        num_points = max(129, 2 * int(math.ceil((hi - lo) / (0.5 * W.spacing))) + 1)
+    num_points = max(129, 2 * int(math.ceil((hi - lo) / (0.5 * W.spacing))) + 1)
     tau = np.linspace(lo, hi, num_points)
     rows = (q0 + tau * dq + W.extent) / W.spacing
     cols = (p0 + tau * dp + W.extent) / W.spacing

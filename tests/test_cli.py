@@ -125,6 +125,17 @@ class TestEval:
             assert "covers t in" in err
 
     @pytest.mark.parametrize(
+        "rows", ["0 1 0\n2 1 nan\n5 1 0\n", "0 1\n2 inf\n5 1\n"], ids=["nan-force", "inf-omega-sq"]
+    )
+    def test_non_finite_table_rejected(self, capsys, tmp_path, rows):
+        table = tmp_path / "non_finite.txt"
+        table.write_text(rows)
+        for op in (["beta"], ["frame_map", "X=0.3", "mu=1", "nu=0"]):
+            code, out, err = run(["eval", *op, f"profile=table:{table}", "t=3"], capsys)
+            assert (code, out) == (1, "")
+            assert "must be finite" in err
+
+    @pytest.mark.parametrize(
         "op, message",
         [
             (["epsilon", "t=-1"], "t must be >= 0"),

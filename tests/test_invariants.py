@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from osctomo import (
+    ClassicalPropagator,
     ConsistencyError,
     LinearInvariant,
     delta_vector,
@@ -55,6 +56,17 @@ class TestLambdaMatrix:
         with pytest.raises(ConsistencyError):
             LinearInvariant(np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
 
+
+    @pytest.mark.parametrize(
+        "eps, eps_dot, beta",
+        [(math.nan, 1j, 0.0), (1.0, complex(0.0, math.inf), 0.0), (1.0, 1j, complex(math.nan, 0.0))],
+        ids=["nan-eps", "inf-eps-dot", "nan-beta"],
+    )
+    def test_non_finite_rejected(self, eps, eps_dot, beta):
+        with pytest.raises(ConsistencyError, match="not finite"):
+            linear_invariant(eps, eps_dot, beta)
+        with pytest.raises(ConsistencyError, match="not finite"):
+            ClassicalPropagator.from_epsilon(eps, eps_dot, beta, 1.0)
 
 class TestDeltaVector:
     def test_zero_shift(self):

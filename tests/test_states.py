@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import SQRT2, driven_state
 from osctomo import (
     DegenerateFrameError,
+    DriveProfile,
     annihilation_eigencheck,
     coherent_mdf,
     coherent_mdf_fourier,
     coherent_wavefunction,
     cross_mdf,
+    flow_at,
     fock_mdf,
     fourier_ladder_apply,
     hermite_gauss,
@@ -333,3 +337,61 @@ class TestCoherentWavefunction:
     def test_degenerate_eps(self):
         with pytest.raises(DegenerateFrameError):
             coherent_wavefunction(0.1, 0.0, 1.0j, 0.0, 0.5)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A flow state (eps, eps_dot, beta) of a constant (omega_sq < 0
+    included), resonance or forced profile at t in [0, 10], a frame with
+    |r| >= 0.05 and a coherent amplitude with |alpha| <= 1.5."""
+    kind = draw(st.sampled_from(["constant", "resonance", "forced"]))
+    if kind == "constant":
+        w2 = draw(st.floats(-1.0, 4.0))
+        profile = DriveProfile.custom(lambda t: w2)
+    elif kind == "resonance":
+        profile = DriveProfile.parametric_resonance(draw(st.floats(-0.49, 0.49)))
+    else:
+        w2, c, wf = draw(st.floats(0.2, 3.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 3.0))
+        profile = DriveProfile.custom(lambda t: w2, lambda t: c * np.cos(wf * t))
+    t = draw(st.floats(0.0, 10.0))
+    state = flow_at(profile, t, min(1e-3, t) or 1e-3)  # the solver needs step <= t
+    mu, nu = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    assume(abs(state[1] * nu + state[0] * mu) >= 0.05)
+    alpha = cmath.rect(draw(st.floats(0.0, 1.5)), draw(st.floats(-math.pi, math.pi)))
+    return state, mu, nu, alpha
+
+
+class TestClosedFormProperties:
+    """Structural identities of the closed forms over random flows and frames."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=closed_form_cases())
+    def test_coherent_normalised_with_closed_form_moments(self, case):
+        state, mu, nu, alpha = case
+        mean, var = mean_X(alpha, *state, mu, nu), variance_X(*state[:2], mu, nu)
+        sigma = math.sqrt(var)
+        X = mean + sigma * np.linspace(-12.0, 12.0, 2001)
+        w = coherent_mdf(alpha, *state, X, mu, nu)
+        assert np.all(w >= 0.0)
+        assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.trapezoid(X * w, X) - mean) <= 1e-9 * (sigma + abs(mean))
+        assert np.trapezoid((X - mean) ** 2 * w, X) == pytest.approx(var, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=closed_form_cases(), n=st.integers(0, 10))
+    def test_fock_normalised(self, case, n):
+        (eps, eps_dot, beta), mu, nu, _ = case
+        r = eps_dot * nu + eps * mu
+        # X at Hermite arguments Y in [-12, 12]
+        X = abs(r) * np.linspace(-12.0, 12.0, 2001) - SQRT2 * (beta.conjugate() * r).real
+        w = fock_mdf(n, eps, eps_dot, beta, X, mu, nu)
+        assert np.all(w >= 0.0)
+        assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=closed_form_cases(), n=st.integers(0, 10), m=st.integers(0, 10))
+    def test_cross_hermitian(self, case, n, m):
+        state, mu, nu, _ = case
+        X = np.linspace(-5.0, 5.0, 11)
+        w_nm, w_mn = cross_mdf(n, m, *state, X, mu, nu), cross_mdf(m, n, *state, X, mu, nu)
+        assert np.array_equal(w_nm, np.conj(w_mn))
