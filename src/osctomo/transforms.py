@@ -366,7 +366,7 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
 
     Integrates W along the line mu q + nu p = X (cubic-spline
     interpolation, trapezoidal rule in arc length on at least 129 nodes
-    at most half a grid spacing apart) and divides by
+    at most a quarter grid spacing apart) and divides by
     2 pi sqrt(mu^2 + nu^2).  If the line misses the sampled square an
     OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
     nu and the frame (0, 0) raise ValueError.
