@@ -34,8 +34,9 @@ quiet = DriveProfile.constant(1.0)
 print("driven(f=0) == SHO:",
       abs(green_driven(0.4, -0.7, 1.1, quiet) - green_sho(0.4, -0.7, 1.1)))
 
-# two routes to the driven density-matrix propagator: force integrals in
-# the exponent, or the whole drive folded into the shift beta(t)
+# two routes to the driven density-matrix propagator: the Green kernel of
+# the flow with beta from its own force integrals, or the trajectory's
+# beta(t) folded into the force-free propagator
 profile = DriveProfile.constant(1.0, force=lambda s: math.cos(0.7 * s) + 0.4)
 t = 1.3
 traj = solve_epsilon(profile, t, 1e-3)

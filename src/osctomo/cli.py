@@ -281,19 +281,22 @@ def _op_green_free(args):
     return _fmt(green_free(args.real("X"), args.real("Z"), args.real("t")))
 
 
-def _op_green_driven(args):
+def _driven(kernel, args, *points):
+    """kernel(*points, t, profile); a profile without omega_sq = 1 is a usage error."""
     profile, t = args.profile_and_time()
-    return _fmt(green_driven(args.real("X"), args.real("Z"), t, profile))
+    values = [args.real(key) for key in points]
+    try:
+        return _fmt(kernel(*values, t, profile))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _op_green_driven(args):
+    return _driven(green_driven, args, "X", "Z")
 
 
 def _op_quantum_propagator(args):
-    profile, t = args.profile_and_time()
-    return _fmt(
-        quantum_propagator(
-            args.real("X"), args.real("Xp"), args.real("Z"), args.real("Zp"),
-            t, profile,
-        )
-    )
+    return _driven(quantum_propagator, args, "X", "Xp", "Z", "Zp")
 
 
 _OPERATIONS = {

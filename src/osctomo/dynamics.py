@@ -74,27 +74,23 @@ class DriveProfile:
     square of the frequency ever enters the equations).
 
     Use the constructors :meth:`constant`, :meth:`free`,
-    :meth:`parametric_resonance` and :meth:`custom` rather than building
-    instances by hand; they set the ``kind`` tag and ``parameter`` that
-    the quantum propagators check to admit only the constant
-    unit-frequency profile their closed forms assume.
+    :meth:`parametric_resonance` and :meth:`custom`, which default the
+    force to zero.
     """
 
     omega_sq: Callable[[float], float]
     force: Callable[[float], float]
-    kind: str
-    parameter: float | None = None
 
     @classmethod
     def constant(cls, omega: float = 1.0, force: Callable[[float], float] | None = None):
         """Constant frequency omega (omega_sq = omega**2 for all t)."""
         w2 = float(omega) ** 2
-        return cls(lambda t: w2, force or _zero_force, "constant", float(omega))
+        return cls(lambda t: w2, force or _zero_force)
 
     @classmethod
     def free(cls, force: Callable[[float], float] | None = None):
         """Free motion, omega_sq = 0."""
-        return cls(lambda t: 0.0, force or _zero_force, "free", None)
+        return cls(lambda t: 0.0, force or _zero_force)
 
     @classmethod
     def parametric_resonance(cls, k: float, force: Callable[[float], float] | None = None):
@@ -108,8 +104,6 @@ class DriveProfile:
         return cls(
             lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k),
             force or _zero_force,
-            "parametric_resonance",
-            k,
         )
 
     @classmethod
@@ -119,7 +113,7 @@ class DriveProfile:
         force: Callable[[float], float] | None = None,
     ):
         """Arbitrary user-supplied omega_sq(t) (may be negative) and force."""
-        return cls(omega_sq, force or _zero_force, "custom", None)
+        return cls(omega_sq, force or _zero_force)
 
 
 @dataclass(frozen=True)
@@ -370,11 +364,12 @@ def flow_at(
 
     Solves the auxiliary equation up to t at the given step, interpolates
     eps and eps_dot at t and integrates the drive shift.  At t = 0 the
-    seeded initial data (1, 1j, 0) is returned without solving.
+    seeded initial data (1, 1j, 0) is returned without solving; for
+    0 < t < step the step is t.
     """
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    traj = solve_epsilon(profile, t, step)
+    traj = solve_epsilon(profile, t, min(step, t))
     eps, eps_dot = traj(t)
     return eps, eps_dot, beta_shift(traj, t)
 

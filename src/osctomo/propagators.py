@@ -21,19 +21,19 @@ The same map has an explicit form in terms of (eps, eps_dot, beta):
 
 both representations are evaluated and must agree.
 
-Quantum propagators (constant unit frequency only, where
-eps = exp(1j t)): the wavefunction Green function with the global phase
-convention F(t) = 0 is
+The quantum Green function is one Van Vleck kernel of the same flow, with
+m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2) Re(eps
+conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
 
-    G(X, Z, t) = (2 pi sin t)^{-1/2}
-                 exp{ 1j [ (X^2+Z^2) cos t - 2 X Z ] / (2 sin t) }
-                 exp{ 1j [ Z I1(t) + X I2(t) ] / sin t },
+    G(X, Z, t) = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
+                                          + (m12 dp - m22 dq) X + dq Z ] / m12 }.
 
-    I1 = integral_0^t f(s) sin(t - s) ds,  I2 = integral_0^t f(s) sin s ds,
-
-and the density-matrix propagator K = G(X,Z) conj(G(X',Z')) is
-independent of the phase convention.  Focal points (sin t = 0) raise
-CausticError rather than returning NaNs.
+green_sho and green_free evaluate it at (e^{it}, i e^{it}, 0) and
+(1 + it, i, 0); green_driven and quantum_propagator, the driven unit
+oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2)(C + 1j S),
+C and S the integrals of f(s) cos s and f(s) sin s over [0, t].  The
+density-matrix propagator K = G(X,Z) conj(G(X',Z')) is independent of the
+phase convention.  Focal points (m12 = 0) raise CausticError.
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ __all__ = [
     "CAUSTIC_TOL",
 ]
 
-#: |sin t| below this is treated as a focal point.
+#: |Im eps| (|sin t| for the oscillator) below this is treated as a focal point.
 CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
+_QUAD_STEP = 1e-3  # Simpson step of the driven oscillator's force integrals
+_UNIT_TOL = 1e-12  # largest |omega_sq - 1| the driven closed forms accept
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,21 @@ def fokker_planck_residual(
     return d_t - mu * d_nu + profile.omega_sq(t) * nu * d_mu + profile.force(t) * nu * d_X
 
 
-def _caustic_guard(s: float, label: str) -> None:
-    if abs(s) < CAUSTIC_TOL:
-        raise CausticError(f"{label} is singular at a focal point (|sin t| < {CAUSTIC_TOL})")
+def _green(eps: complex, eps_dot: complex, beta: complex, label: str):
+    """G(X, Z, phase) of the flow (eps, eps_dot, beta): the module's Van
+    Vleck kernel, checked for a focal point once, when it is built."""
+    m11, m12, m22 = eps.real, eps.imag, eps_dot.imag
+    if abs(m12) < CAUSTIC_TOL:
+        raise CausticError(f"{label} is singular at a focal point (|Im eps| < {CAUSTIC_TOL})")
+    dq = -_SQRT2 * (eps * beta.conjugate()).real
+    dp = -_SQRT2 * (eps_dot * beta.conjugate()).real
+    lin_x, amp = m12 * dp - m22 * dq, 1.0 / cmath.sqrt(2.0 * math.pi * m12)
+
+    def green(X: float, Z: float, phase: float) -> complex:
+        expo = ((m22 * X * X - 2.0 * X * Z + m11 * Z * Z) / 2.0 + lin_x * X + dq * Z) / m12
+        return amp * cmath.exp(1j * (expo + phase))
+
+    return green
 
 
 def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
@@ -162,11 +176,8 @@ def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
-    s = math.sin(t)
-    _caustic_guard(s, "oscillator Green function")
-    amp = 1.0 / cmath.sqrt(2.0 * math.pi * s)
-    expo = ((X * X + Z * Z) * math.cos(t) - 2.0 * X * Z) / (2.0 * s)
-    return amp * cmath.exp(1j * (expo + phase))
+    eps = cmath.exp(1j * t)
+    return _green(eps, 1j * eps, 0j, "oscillator Green function")(X, Z, phase)
 
 
 def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
@@ -174,81 +185,45 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
-    if abs(t) < CAUSTIC_TOL:
-        raise CausticError("free Green function is singular at t = 0")
-    amp = 1.0 / cmath.sqrt(2.0 * math.pi * t)
-    return amp * cmath.exp(1j * ((X - Z) ** 2 / (2.0 * t) + phase))
+    return _green(complex(1.0, t), 1j, 0j, "free Green function")(X, Z, phase)
 
 
-def _require_unit_constant(profile: DriveProfile) -> None:
-    if profile.kind != "constant" or abs((profile.parameter or 0.0) ** 2 - 1.0) > 1e-12:
-        raise ValueError(
-            "driven closed forms assume the constant unit-frequency profile "
-            "(eps = exp(1j t)); got kind "
-            f"{profile.kind!r} with parameter {profile.parameter!r}"
-        )
-
-
-def _force_integrals(profile: DriveProfile, t: float, quad_step: float) -> tuple[float, float]:
-    """Simpson values of I1 = int f(s) sin(t-s) ds and I2 = int f(s) sin s ds."""
-    n = max(2, 2 * max(1, round(abs(t) / (2.0 * quad_step))))
+def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
+    """(e^{it}, i e^{it}, beta) of a unit-frequency profile, C and S by
+    Simpson; omega_sq, sampled on the same grid, must be 1 (else ValueError)."""
+    n = max(2, 2 * max(1, round(abs(t) / (2.0 * _QUAD_STEP))))
     s = np.linspace(0.0, t, n + 1)
-    f = _on_grid(profile.force, s)
-    h = t / n
-    return float(_simpson(f * np.sin(t - s), h)), float(_simpson(f * np.sin(s), h))
-
-
-def _driven_green(profile: DriveProfile, t: float, quad_step: float, label: str):
-    """G(X, Z, phase) of the driven unit-frequency oscillator at fixed t.
-
-    Guards the profile and the focal point and evaluates the force
-    integrals once; the returned kernel is green_sho times
-    exp{1j (Z I1 + X I2)/sin t}.
-    """
-    _require_unit_constant(profile)
-    s = math.sin(t)
-    _caustic_guard(s, label)
-    i1, i2 = _force_integrals(profile, t, quad_step)
-
-    def green(X: float, Z: float, phase: float) -> complex:
-        return green_sho(X, Z, t, phase) * cmath.exp(1j * (Z * i1 + X * i2) / s)
-
-    return green
+    off = np.abs(_on_grid(profile.omega_sq, s) - 1.0)
+    if not np.all(off <= _UNIT_TOL):
+        raise ValueError("driven closed forms assume the unit-frequency oscillator "
+                         f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
+    f, h = _on_grid(profile.force, s), t / n
+    c, si = float(_simpson(f * np.cos(s), h)), float(_simpson(f * np.sin(s), h))
+    eps = cmath.exp(1j * t)
+    return eps, 1j * eps, -1j / _SQRT2 * complex(c, si)
 
 
 def green_driven(
-    X: float,
-    Z: float,
-    t: float,
-    profile: DriveProfile,
-    phase: float = 0.0,
-    quad_step: float = 1e-3,
+    X: float, Z: float, t: float, profile: DriveProfile, phase: float = 0.0
 ) -> complex:
     """Green function of the driven unit-frequency oscillator.
 
-    Equals :func:`green_sho` times exp{1j (Z I1 + X I2)/sin t} with the
-    force integrals evaluated by composite Simpson at step ``quad_step``.
-    The modulus is force-independent.
+    ``profile`` must have omega_sq = 1 (ValueError otherwise); the modulus
+    is force-independent.
     """
-    return _driven_green(profile, t, quad_step, "driven Green function")(X, Z, phase)
+    return _green(*_unit_flow(profile, t), "driven Green function")(X, Z, phase)
 
 
 def quantum_propagator(
-    X: float,
-    Xp: float,
-    Z: float,
-    Zp: float,
-    t: float,
-    profile: DriveProfile,
-    phase: float = 0.0,
-    quad_step: float = 1e-3,
+    X: float, Xp: float, Z: float, Zp: float, t: float, profile: DriveProfile, phase: float = 0.0
 ) -> complex:
     """Density-matrix propagator K = G(X, Z, t) conj(G(Xp, Zp, t)).
 
     Independent of the free phase convention: ``phase`` enters G and
-    conj(G) with opposite signs and cancels exactly.
+    conj(G) with opposite signs and cancels exactly.  ``profile`` must
+    have omega_sq = 1, as for :func:`green_driven`.
     """
-    green = _driven_green(profile, t, quad_step, "quantum propagator")
+    green = _green(*_unit_flow(profile, t), "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 
@@ -267,8 +242,8 @@ def quantum_propagator_from_shift(
 
     multiplying the force-free oscillator propagator.
     """
+    k_sho = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate()
     s = math.sin(t)
-    _caustic_guard(s, "quantum propagator")
     beta = complex(beta)
     d = X - Xp
     e = (Z - Zp) / s - d * math.cos(t) / s
@@ -276,5 +251,4 @@ def quantum_propagator_from_shift(
         beta * cmath.exp(-1j * t) * (-1j * d + e)
         + beta.conjugate() * cmath.exp(1j * t) * (1j * d + e)
     )
-    k_sho = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate()
     return k_sho * cmath.exp(shift)

@@ -218,6 +218,16 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
     return val.real
 
 
+_Y_WINDOW_QUADRATURE = 10.0  # largest optical quadrature the default Y window covers
+
+
+def _default_y_window(mu, nu):
+    """Y in +-10 hypot(mu, nu): w(l X, l mu, l nu) = w(X, mu, nu) / |l|, so
+    this covers the same optical-quadrature mass in every frame."""
+    half = _Y_WINDOW_QUADRATURE * np.hypot(mu, nu)
+    return -half, half
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncated trapezoidal grids for the tomogram -> density transform.
@@ -225,7 +235,9 @@ class QuadratureSpec:
     ``y_window`` is either a fixed interval (lo, hi) or a callable
     ``(mu, nu) -> (lo, hi)`` (broadcasting over an array of mu) letting
     the Y window track the tomogram's mass frame by frame; the latter is
-    what keeps narrow slices resolved near mu = 0.  ``mu_count`` defaults
+    what keeps narrow slices resolved near mu = 0.  The default,
+    Y in +-10 hypot(mu, nu), covers optical quadratures up to 10 in every
+    frame.  ``mu_count`` defaults
     to an even value so the mu grid never lands exactly on 0, where
     degenerate frames can occur for nu = 0.  Construction rejects node
     counts below 2, a non-finite or non-positive ``mu_max`` and a fixed
@@ -235,7 +247,7 @@ class QuadratureSpec:
 
     mu_max: float = 12.0
     mu_count: int = 240
-    y_window: tuple[float, float] | Callable = (-40.0, 40.0)
+    y_window: tuple[float, float] | Callable = _default_y_window
     y_count: int = 1201
 
     def __post_init__(self):

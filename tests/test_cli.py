@@ -154,6 +154,25 @@ class TestEval:
         assert (code, out) == (1, "")
         assert message in err
 
+    @pytest.mark.parametrize("profile", ["resonance:0.1", "free"])
+    @pytest.mark.parametrize(
+        "op", [["green_driven", "X=0", "Z=0"], ["quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2"]],
+        ids=["green_driven", "quantum_propagator"],
+    )
+    def test_non_unit_profile_is_usage_error(self, capsys, op, profile):
+        code, out, err = run(["eval", *op, f"profile={profile}", "t=1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "omega_sq" in err
+
+    def test_unit_table_equals_constant_profile(self, capsys, tmp_path):
+        table = tmp_path / "unit.txt"
+        table.write_text("0 1 0.7\n5 1 0.7\n")
+        for op in (["green_driven", "X=0.3", "Z=-0.2"],
+                   ["quantum_propagator", "X=0.3", "Xp=-0.5", "Z=-0.2", "Zp=0.6"]):
+            from_table = run(["eval", *op, f"profile=table:{table}", "t=1.1"], capsys)
+            constant = run(["eval", *op, "profile=constant:1", "force=0.7", "t=1.1"], capsys)
+            assert from_table[0] == 0 and from_table == constant
+
     def test_wronskian_at_time_zero_still_valid(self, capsys):
         code, out, _ = run(["eval", "wronskian", "t=0"], capsys)
         assert code == 0

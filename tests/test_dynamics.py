@@ -203,6 +203,15 @@ class TestFlowAt:
         prop = ClassicalPropagator.from_profile(profile, t, step)
         assert flow_at(profile, t, step) == (prop.eps, prop.eps_dot, prop.beta)
 
+    def test_time_below_step(self):
+        # 0 < t < step: the solve takes t itself as the step
+        t = 5e-4
+        eps, eps_dot, beta = flow_at(DriveProfile.constant(1.0), t)
+        exact = np.exp(1j * t)
+        assert abs(eps - exact) <= 1e-15 and abs(eps_dot - 1j * exact) <= 1e-15
+        assert beta == 0.0
+        assert ClassicalPropagator.from_profile(DriveProfile.constant(1.0), t).t == t
+
 
 class TestParametricResonance:
     def test_t_zero(self):

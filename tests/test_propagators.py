@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import driven_state
+from helpers import SQRT2, driven_state
 from osctomo import (
     CausticError,
     ClassicalPropagator,
     DriveProfile,
     beta_shift,
     coherent_mdf,
+    flow_at,
     fock_mdf,
     fokker_planck_residual,
     green_driven,
@@ -20,6 +23,7 @@ from osctomo import (
     quantum_propagator_from_shift,
     solve_epsilon,
 )
+from osctomo.invariants import DET_TOL
 
 
 def propagator_at(t, force=1.0):
@@ -230,3 +234,115 @@ class TestQuantumPropagator:
         k0 = quantum_propagator(*args, profile, phase=0.0)
         k1 = quantum_propagator(*args, profile, phase=0.37 * args[4])
         assert abs(k0 - k1) <= 1e-12
+
+
+def seed_green_sho(X, Z, t, phase):
+    """The oscillator closed form in the (sin t, cos t) form it first had."""
+    s = math.sin(t)
+    expo = ((X * X + Z * Z) * math.cos(t) - 2.0 * X * Z) / (2.0 * s)
+    return cmath.exp(1j * (expo + phase)) / cmath.sqrt(2.0 * math.pi * s)
+
+
+def seed_green_free(X, Z, t, phase):
+    return cmath.exp(1j * ((X - Z) ** 2 / (2.0 * t) + phase)) / cmath.sqrt(2.0 * math.pi * t)
+
+
+points = st.floats(-3.0, 3.0)
+phases = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def unit_forces(draw):
+    """A constant or a cos force, as a scalar callable."""
+    c, w, a = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 3.0)), draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        return lambda t: c
+    return lambda t: c * math.cos(w * t) + a
+
+
+TABLE_T = np.linspace(0.0, 8.0, 9)
+
+
+@st.composite
+def classical_profiles(draw):
+    """(profile, autonomous): constant omega_sq (negative included) with a
+    constant force, resonance or a table, the last two with a cos force."""
+    kind = draw(st.sampled_from(["constant", "resonance", "table"]))
+    c, w = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 2.0))
+    if kind == "constant":
+        w2 = draw(st.floats(-1.0, 4.0))
+        return DriveProfile.custom(lambda t: w2, lambda t: c), True
+    force = lambda t: c * np.cos(w * t)
+    if kind == "resonance":
+        return DriveProfile.parametric_resonance(draw(st.floats(-0.49, 0.49)), force), False
+    rows = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=9, max_size=9)))
+    return DriveProfile.custom(lambda t: np.interp(t, TABLE_T, rows), force), False
+
+
+frame_points = st.tuples(points, points, points).filter(lambda p: abs(p[1]) + abs(p[2]) >= 1e-2)
+
+
+class TestGreenProperties:
+    """The one Green kernel against the seed closed forms and the beta-shift
+    route, over random times and points."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(X=points, Z=points, t=st.floats(-20.0, 20.0), phase=phases)
+    def test_sho_matches_seed_closed_form(self, X, Z, t, phase):
+        assume(abs(math.sin(t)) >= 0.1)
+        seed = seed_green_sho(X, Z, t, phase)
+        assert abs(green_sho(X, Z, t, phase) - seed) <= 1e-13 * abs(seed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(X=points, Z=points, t=st.floats(-20.0, 20.0), phase=phases)
+    def test_free_matches_seed_closed_form(self, X, Z, t, phase):
+        assume(abs(t) >= 0.1)
+        seed = seed_green_free(X, Z, t, phase)
+        assert abs(green_free(X, Z, t, phase) - seed) <= 1e-13 * abs(seed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(force=unit_forces(), t=st.floats(0.0, 20.0), X=points, Xp=points, Z=points, Zp=points)
+    def test_propagator_matches_shift_form(self, force, t, X, Xp, Z, Zp):
+        assume(abs(math.sin(t)) >= 0.1)
+        profile = DriveProfile.constant(1.0, force)
+        beta = flow_at(profile, t)[2]
+        direct = quantum_propagator(X, Xp, Z, Zp, t, profile)
+        assert abs(direct - quantum_propagator_from_shift(X, Xp, Z, Zp, t, beta)) <= 1e-8
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(force=unit_forces(), t=st.floats(0.1, 6.0), X=points, Z=points)
+    def test_driven_reads_the_profile_not_its_constructor(self, force, t, X, Z):
+        assume(abs(math.sin(t)) >= 0.1)
+        unit = green_driven(X, Z, t, DriveProfile.constant(1.0, force))
+        assert green_driven(X, Z, t, DriveProfile.custom(lambda s: 1.0, force)) == unit
+        with pytest.raises(ValueError):
+            green_driven(X, Z, t, DriveProfile.custom(lambda s: 1.0 + 1e-9, force))
+
+
+class TestClassicalPropagatorProperties:
+    """Structural identities of the frame map over random profiles."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), point=frame_points)
+    def test_unit_determinant_and_two_routes(self, case, t, point):
+        prop = ClassicalPropagator.from_profile(case[0], t)
+        assert abs(prop.inv.det - 1.0) <= DET_TOL
+        X, mu, nu = point
+        r = prop.eps_dot * nu + prop.eps * mu
+        eps_form = (X + SQRT2 * (prop.beta * r.conjugate()).real, r.real, r.imag)
+        scale = max(1.0, abs(r))
+        assert prop.frame_map(*point) == pytest.approx(eps_form, abs=1e-10 * scale)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), point=frame_points)
+    def test_identity_at_time_zero(self, case, point):
+        assert ClassicalPropagator.from_profile(case[0], 0.0).frame_map(*point) == point
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t1=st.floats(0.0, 3.0), t2=st.floats(0.0, 3.0), point=frame_points)
+    def test_group_law_for_autonomous_profiles(self, case, t1, t2, point):
+        profile, autonomous = case
+        assume(autonomous)
+        pa, pb, pc = (ClassicalPropagator.from_profile(profile, t) for t in (t1, t2, t1 + t2))
+        composed = pa.frame_map(*pb.frame_map(*point))
+        assert composed == pytest.approx(pc.frame_map(*point), rel=1e-9, abs=1e-9)

@@ -319,6 +319,17 @@ class TestQuadratureSpecValidation:
             density_grid_from_mdf(vacuum_w, 3.0, 5, quad)
 
 
+class TestDefaultWindow:
+    def test_default_spec_resolves_narrow_slices(self):
+        # near mu = 0 on the nu = 0 diagonal the slices are ~|mu| wide; a
+        # fixed (-40, 40) window misses them (error ~3e-3 on this grid)
+        alpha = 0.7 - 0.4j
+        w = lambda Y, mu, nu: coherent_mdf(alpha, *VACUUM, Y, mu, nu)
+        grid = density_grid_from_mdf(w, 6.0, 31)
+        psi = coherent_wavefunction(alpha, *VACUUM, grid.axis)
+        assert np.max(np.abs(grid.values - np.outer(psi, psi.conj()))) <= 1e-10
+
+
 class TestRoundTrip:
     def test_vacuum_round_trip(self):
         grid = density_grid_from_mdf(vacuum_w, 6.0, 161, vacuum_quad())
