@@ -330,11 +330,6 @@ def _cmd_eval(ns) -> int:
     return 0
 
 
-_FIGURE_KEYS = (
-    "k", "t_max", "t_count", "x_min", "x_max", "x_count", "mu_count", "t_fixed", "x_fixed",
-)
-
-
 def _read_config(path: str) -> dict:
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -352,7 +347,7 @@ def _cmd_figure(ns) -> int:
     overrides: dict = {}
     if ns.config:
         overrides.update(_read_config(ns.config))
-    for key in _FIGURE_KEYS:
+    for key in figures.FigureConfig._types():
         flag = getattr(ns, key)
         if flag is not None:
             overrides[key] = flag
@@ -375,11 +370,8 @@ def _build_parser() -> _Parser:
     fig.add_argument("--id", type=int, required=True, choices=figures.FIGURE_IDS)
     fig.add_argument("--out", default=".", help="output directory")
     fig.add_argument("--config", default=None, help="key=value file with grid overrides")
-    for key in _FIGURE_KEYS:
-        fig.add_argument(
-            f"--{key.replace('_', '-')}", dest=key, type=float if not key.endswith("_count") else int,
-            default=None,
-        )
+    for key, kind in figures.FigureConfig._types().items():
+        fig.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, default=None)
 
     ev = sub.add_parser("eval", help="evaluate a library operation")
     ev.add_argument("operation")

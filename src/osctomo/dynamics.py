@@ -307,11 +307,6 @@ def _transfer_matrices(w_full: np.ndarray, w_half: np.ndarray, h: float) -> np.n
     return buffer[:n]
 
 
-def _integrand(traj: EpsilonTrajectory, time: float) -> complex:
-    eps, _ = traj(time)
-    return eps * traj.profile.force(time)
-
-
 def _simpson(values: np.ndarray, h: float):
     """Composite Simpson's rule over an odd number of samples spaced h apart."""
     return (h / 3.0) * (
@@ -319,41 +314,43 @@ def _simpson(values: np.ndarray, h: float):
     )
 
 
+def _drive_integral(s: np.ndarray, eps: np.ndarray, force: Callable, h: float):
+    """integral eps f by Simpson over the odd number of uniform nodes s,
+    spacing h (h < 0: from s[0] down to s[-1]); f is sampled at s only.
+    The one quadrature of the drive, for beta_shift and the driven Green
+    functions."""
+    return _simpson(eps * _on_grid(force, s), h)
+
+
 def _beta_integral_to(traj: EpsilonTrajectory, t: float) -> complex:
-    """integral_0^t eps(s) f(s) ds on the trajectory grid.
-
-    Composite Simpson over whole grid intervals; the (at most two steps
-    long) remainder is handled with a single 3-point Simpson rule on
-    interpolated values.
-    """
-    h = traj.step
-    g = traj.eps * _on_grid(traj.profile.force, traj.t)
-
+    """integral_0^t eps(s) f(s) ds: composite Simpson over the grid
+    intervals in [0, t], then one 3-point rule on interpolated eps for
+    the (at most two steps long) remainder; t = 0 samples nothing.
+    ValueError outside the trajectory range."""
+    traj._bracket(t)
+    h, force = traj.step, traj.profile.force
     m = int(math.floor(t / h + 1e-12))
     m -= m % 2  # composite Simpson needs an even interval count
     total = 0.0 + 0.0j
     if m >= 2:
-        total += _simpson(g[: m + 1], h)
+        total += _drive_integral(traj.t[: m + 1], traj.eps[: m + 1], force, h)
     a, b = m * h, t
     if b - a > 1e-15 * max(1.0, t):
-        tail = np.array([_integrand(traj, x) for x in (a, 0.5 * (a + b), b)])
-        total += _simpson(tail, 0.5 * (b - a))
+        nodes = (a, 0.5 * (a + b), b)
+        eps = np.array([traj(x)[0] for x in nodes])
+        total += _drive_integral(np.array(nodes), eps, force, 0.5 * (b - a))
     return total
 
 
 def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> complex:
     """Drive shift beta over [t_start, t]: -(1j/sqrt(2)) * integral eps f.
 
-    The force is the one of the profile the trajectory was solved with.
-    Both endpoints must lie inside the trajectory range.  Additivity over
-    adjacent intervals is exact by construction.
+    The force is the one of the profile the trajectory was solved with,
+    sampled on [0, max(t, t_start)] only.  Both endpoints must lie inside
+    the trajectory range.  Additivity over adjacent intervals is exact by
+    construction.
     """
-    for endpoint in (t_start, t):
-        if not 0.0 <= endpoint <= traj.t_end * (1 + 1e-12) + 1e-15:
-            raise ValueError(f"time {endpoint} outside trajectory range [0, {traj.t_end}]")
-    value = _beta_integral_to(traj, t)
-    if t_start != 0.0:
-        value -= _beta_integral_to(traj, t_start)
+    value = _beta_integral_to(traj, t) - _beta_integral_to(traj, t_start)
     return complex(-1j / math.sqrt(2.0) * value)
 
 

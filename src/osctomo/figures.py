@@ -84,12 +84,11 @@ class FigureConfig:
     x_fixed: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_count", "x_count", "mu_count"):
-            count = getattr(self, name)
-            if int(count) != count or count < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
-        for name in ("k", "t_max", "x_min", "x_max", "t_fixed", "x_fixed"):
-            if not np.isfinite(getattr(self, name)):
+        for name, kind in self._types().items():
+            value = getattr(self, name)
+            if kind is int and (int(value) != value or value < 2):
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+            if kind is float and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not -0.5 < self.k < 0.5:
             raise ValueError(f"k must lie in (-0.5, 0.5), got {self.k}")
@@ -99,12 +98,16 @@ class FigureConfig:
             raise ValueError("t_max must be positive")
 
     @classmethod
+    def _types(cls) -> dict:  # option -> int or float, its default's type
+        return {f.name: type(f.default) for f in fields(cls)}
+
+    @classmethod
     def from_mapping(cls, mapping: dict) -> "FigureConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        types = cls._types()
+        unknown = set(mapping) - set(types)
         if unknown:
             raise ValueError(f"unknown figure option(s): {', '.join(sorted(unknown))}")
-        return cls(**{k: (int(v) if k.endswith("_count") else float(v)) for k, v in mapping.items()})
+        return cls(**{k: types[k](v) for k, v in mapping.items()})
 
 
 def _sweep_mu(cfg: FigureConfig) -> np.ndarray:
@@ -154,10 +157,10 @@ def gaussian_slice_residual(x: np.ndarray, values: np.ndarray) -> float:
     return worst
 
 
-def count_near_zero_minima(row: np.ndarray, rel_threshold: float = ZERO_MINIMUM_REL) -> int:
-    """Interior local minima sitting below rel_threshold * max(row)."""
+def count_near_zero_minima(row: np.ndarray) -> int:
+    """Interior local minima sitting below ZERO_MINIMUM_REL * max(row)."""
     row = np.asarray(row, dtype=float)
-    cut = rel_threshold * row.max()
+    cut = ZERO_MINIMUM_REL * row.max()
     interior = (row[1:-1] < row[:-2]) & (row[1:-1] < row[2:]) & (row[1:-1] < cut)
     return int(np.count_nonzero(interior))
 

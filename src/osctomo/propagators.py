@@ -30,10 +30,11 @@ conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
 
 green_sho and green_free evaluate it at (e^{it}, i e^{it}, 0) and
 (1 + it, i, 0); green_driven and quantum_propagator, the driven unit
-oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2)(C + 1j S),
-C and S the integrals of f(s) cos s and f(s) sin s over [0, t].  The
-density-matrix propagator K = G(X,Z) conj(G(X',Z')) is independent of the
-phase convention.  Focal points (m12 = 0) raise CausticError.
+oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2) integral
+of e^{is} f(s) over [0, t], by the one Simpson rule of the drive that
+beta_shift also uses.  The density-matrix propagator K = G(X,Z)
+conj(G(X',Z')) is independent of the phase convention.  Focal points
+(m12 = 0) raise CausticError.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DriveProfile, _on_grid, _simpson, flow_at
+from .dynamics import DriveProfile, _drive_integral, _on_grid, flow_at
 from .errors import CausticError, ConsistencyError
 from .invariants import LinearInvariant, linear_invariant
 
@@ -65,7 +66,7 @@ CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
-_QUAD_STEP = 1e-3  # Simpson step of the driven oscillator's force integrals
+_QUAD_STEP = 1e-3  # Simpson step of the driven oscillator's drive integral
 _UNIT_TOL = 1e-12  # largest |omega_sq - 1| the driven closed forms accept
 
 
@@ -189,18 +190,19 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
 
 def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
-    """(e^{it}, i e^{it}, beta) of a unit-frequency profile, C and S by
-    Simpson; omega_sq, sampled on the same grid, must be 1 (else ValueError)."""
+    """(e^{it}, i e^{it}, beta) of a unit-frequency profile, beta by the
+    drive quadrature of beta_shift on a grid of step ~1e-3 from 0 to t
+    (t < 0 too); omega_sq, sampled there, must be 1 (else ValueError)."""
     n = max(2, 2 * max(1, round(abs(t) / (2.0 * _QUAD_STEP))))
     s = np.linspace(0.0, t, n + 1)
     off = np.abs(_on_grid(profile.omega_sq, s) - 1.0)
     if not np.all(off <= _UNIT_TOL):
         raise ValueError("driven closed forms assume the unit-frequency oscillator "
                          f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
-    f, h = _on_grid(profile.force, s), t / n
-    c, si = float(_simpson(f * np.cos(s), h)), float(_simpson(f * np.sin(s), h))
+    e_is = np.empty(n + 1, dtype=complex)
+    e_is.real, e_is.imag = np.cos(s), np.sin(s)
     eps = cmath.exp(1j * t)
-    return eps, 1j * eps, -1j / _SQRT2 * complex(c, si)
+    return eps, 1j * eps, complex(-1j / _SQRT2 * _drive_integral(s, e_is, profile.force, t / n))
 
 
 def green_driven(

@@ -67,6 +67,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DegenerateFrameError,
     FrameUnsupportedError,
     OutOfSupportWarning,
     QuadratureConvergenceError,
@@ -237,12 +238,12 @@ class QuadratureSpec:
     the Y window track the tomogram's mass frame by frame; the latter is
     what keeps narrow slices resolved near mu = 0.  The default,
     Y in +-10 hypot(mu, nu), covers optical quadratures up to 10 in every
-    frame.  ``mu_count`` defaults
-    to an even value so the mu grid never lands exactly on 0, where
-    degenerate frames can occur for nu = 0.  Construction rejects node
-    counts below 2, a non-finite or non-positive ``mu_max`` and a fixed
-    window that is not finite with lo < hi (ValueError); a callable
-    window is checked on every use.
+    frame.  ``mu_count`` defaults to an even value so the mu grid never
+    lands exactly on 0: a node at mu = 0 on a diagonal element (nu = 0)
+    is the frame (0, 0) and raises DegenerateFrameError.  Construction
+    rejects node counts below 2, a non-finite or non-positive ``mu_max``
+    and a fixed window that is not finite with lo < hi (ValueError); a
+    callable window is checked on every use.
     """
 
     mu_max: float = 12.0
@@ -281,6 +282,10 @@ def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndar
     and a length-A sum against the table of lo + S a dY finishes the row.
     """
     mu = np.linspace(-quad.mu_max, quad.mu_max, quad.mu_count)
+    if nu == 0.0 and not np.all(mu):
+        raise DegenerateFrameError(
+            f"odd mu_count = {quad.mu_count} puts a mu node at 0: on a diagonal element "
+            "(nu = 0) that is the frame (0, 0), not a tomographic frame; use an even mu_count")
     lo, hi = quad.y_window(mu, nu) if callable(quad.y_window) else quad.y_window
     lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), mu.shape)

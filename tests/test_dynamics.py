@@ -156,6 +156,22 @@ class TestBetaShift:
         with pytest.raises(ValueError):
             beta_shift(constant_traj, 21.0)
 
+    def test_force_sampled_only_up_to_t(self):
+        sampled = []
+
+        def force(s):
+            sampled.append(float(np.max(s)))
+            return np.sin(s) + 0.5
+
+        traj = solve_epsilon(DriveProfile.constant(1.0, force), 20.0, 1e-3)
+        for t, t_start in ((0.5, 0.0), (3.3, 1.0)):
+            sampled.clear()
+            beta_shift(traj, t, t_start)
+            # the last grid node used may be t rounded, 3.3000000000000003 for 3.3
+            assert sampled and max(sampled) <= t + 1e-12
+        sampled.clear()
+        assert beta_shift(traj, 0.0) == 0.0 and not sampled
+
 
 class TestOnGrid:
     def test_array_and_scalar_results(self):

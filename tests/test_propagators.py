@@ -203,6 +203,19 @@ class TestGreenFunctions:
         with pytest.raises(CausticError):
             green_driven(0.1, 0.2, 2.0 * math.pi, DriveProfile.constant(1.0))
 
+    @pytest.mark.parametrize("t", [-1.1, -2.6, -7.3])
+    def test_driven_forms_at_negative_time(self, t):
+        for X, Z in ((0.4, -0.7), (-1.3, 0.2)):
+            assert green_driven(X, Z, t, DriveProfile.constant(1.0)) == green_sho(X, Z, t)
+        # constant force f: beta = -(1j/sqrt 2) integral_0^t e^{1j s} f ds
+        f = 0.8
+        profile = DriveProfile.constant(1.0, force=lambda s: f)
+        beta = -f * (cmath.exp(1j * t) - 1.0) / SQRT2
+        for X, Xp, Z, Zp in ((0.4, -0.2, 0.1, 0.9), (-1.1, 0.5, 0.7, -0.6)):
+            direct = quantum_propagator(X, Xp, Z, Zp, t, profile)
+            shifted = quantum_propagator_from_shift(X, Xp, Z, Zp, t, beta)
+            assert abs(direct - shifted) <= 1e-8
+
     def test_driven_requires_unit_constant_profile(self):
         with pytest.raises(ValueError):
             green_driven(0.0, 0.0, 1.0, DriveProfile.parametric_resonance(0.01))

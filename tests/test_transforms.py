@@ -15,6 +15,7 @@ from helpers import SQRT2, driven_state, wigner_from_density_function
 from osctomo import transforms
 from osctomo import (
     ConsistencyError,
+    DegenerateFrameError,
     DensityGrid,
     FrameUnsupportedError,
     OutOfSupportWarning,
@@ -328,6 +329,18 @@ class TestDefaultWindow:
         grid = density_grid_from_mdf(w, 6.0, 31)
         psi = coherent_wavefunction(alpha, *VACUUM, grid.axis)
         assert np.max(np.abs(grid.values - np.outer(psi, psi.conj()))) <= 1e-10
+
+    def test_odd_mu_count_on_a_diagonal_element_is_the_zero_frame(self):
+        # an odd mu_count puts a node at mu = 0; on nu = 0 that is the frame (0, 0)
+        quad = QuadratureSpec(mu_count=241)
+        with pytest.raises(DegenerateFrameError, match=r"\(0, 0\).*mu_count"):
+            density_from_mdf(vacuum_w, 0.3, 0.3, quad)
+        with pytest.raises(DegenerateFrameError, match=r"\(0, 0\).*mu_count"):
+            density_grid_from_mdf(vacuum_w, 3.0, 11, quad)
+        psi = coherent_wavefunction(0.0, *VACUUM, np.array([0.3, 0.1]))
+        assert density_from_mdf(vacuum_w, 0.3, 0.1, quad) == pytest.approx(
+            psi[0] * psi[1].conj(), abs=1e-8
+        )
 
 
 class TestRoundTrip:
