@@ -17,12 +17,12 @@ gnuplot script for a quick surface rendering.  Grid extents and counts
 are package choices, recorded in the CSV header; they are not part of
 any published reference.
 
-Every written surface is validated structurally before the file is
-accepted: all values must be finite and non-negative; w_0 slices along x
-must be exact Gaussians (log-parabola fit residual below 1e-8); w_2
-slices must show exactly the two interior zeros of the second Hermite
-polynomial; and at k = 0 the frame-(1,0) surface must be independent of
-time to 1e-12.
+Every surface is validated structurally before any file is written: all
+values must be finite and non-negative; w_0 slices along x must be exact
+Gaussians (log-parabola fit residual below 1e-8, and a value lost to
+underflow only where the fitted Gaussian underflows too); w_2 slices must
+show exactly the two interior zeros of the second Hermite polynomial; and
+at k = 0 the frame-(1,0) surface must be independent of time to 1e-12.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ GAUSSIAN_FIT_TOL = 1e-8
 T_INDEPENDENCE_TOL = 1e-12
 #: Interior minima below this fraction of the slice maximum count as zeros.
 ZERO_MINIMUM_REL = 0.05
+# tomogram values below the smallest normal float are underflow, not data
+_TINY = np.finfo(float).tiny
+_LOG_UNDERFLOW = math.log(_TINY) + GAUSSIAN_FIT_TOL
 
 FIGURE_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -147,22 +150,52 @@ def figure_table(fig_id: int, cfg: FigureConfig | None = None):
 
 
 def gaussian_slice_residual(x: np.ndarray, values: np.ndarray) -> float:
-    """Worst sup-residual of a log-parabola fit over the rows of ``values``."""
+    """Worst sup-residual of a log-parabola fit over the rows of ``values``.
+
+    A row is fitted on its finite values of at least the smallest normal
+    float, so underflowed tails do not enter ``log``.  A row that loses a
+    value where its fitted Gaussian lies above that floor (plus the fit
+    tolerance), or keeps fewer than 3 values, raises ConsistencyError
+    naming the slice.
+    """
+    rows = np.atleast_2d(values)
     design = np.vander(x, 3)
+    usable = np.isfinite(rows) & (rows >= _TINY)
+    whole = usable.all(axis=1)
     worst = 0.0
-    for row in np.atleast_2d(values):
-        logs = np.log(row)
+    if whole.any():
+        logs = np.log(rows[whole]).T
         coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-        worst = max(worst, float(np.max(np.abs(design @ coef - logs))))
+        worst = float(np.max(np.abs(design @ coef - logs)))
+    for i in np.flatnonzero(~whole):
+        keep = usable[i]
+        if np.count_nonzero(keep) < 3:
+            raise ConsistencyError(f"slice {i}: fewer than 3 values above underflow to fit")
+        logs = np.log(rows[i, keep])
+        coef, *_ = np.linalg.lstsq(design[keep], logs, rcond=None)
+        worst = max(worst, float(np.max(np.abs(design[keep] @ coef - logs))))
+        fitted = design[~keep] @ coef
+        if np.any(fitted >= _LOG_UNDERFLOW):
+            j = np.flatnonzero(~keep)[np.argmax(fitted)]
+            raise ConsistencyError(
+                f"slice {i}: value {rows[i, j]:.3e} at x = {x[j]:g} where the fitted "
+                f"log-parabola is {fitted.max():.3f}, above the underflow level "
+                f"{_LOG_UNDERFLOW:.3f}"
+            )
     return worst
 
 
-def count_near_zero_minima(row: np.ndarray) -> int:
-    """Interior local minima sitting below ZERO_MINIMUM_REL * max(row)."""
-    row = np.asarray(row, dtype=float)
-    cut = ZERO_MINIMUM_REL * row.max()
-    interior = (row[1:-1] < row[:-2]) & (row[1:-1] < row[2:]) & (row[1:-1] < cut)
-    return int(np.count_nonzero(interior))
+def count_near_zero_minima(values: np.ndarray):
+    """Interior local minima below ZERO_MINIMUM_REL * the row maximum, along the last axis.
+
+    A 1-D row gives an ``int``; a 2-D array gives one count per row.
+    """
+    values = np.asarray(values, dtype=float)
+    cut = ZERO_MINIMUM_REL * values.max(axis=-1, keepdims=True)
+    inner = values[..., 1:-1]
+    interior = (inner < values[..., :-2]) & (inner < values[..., 2:]) & (inner < cut)
+    counts = np.count_nonzero(interior, axis=-1)
+    return int(counts) if values.ndim == 1 else counts
 
 
 def time_independence_residual(values: np.ndarray) -> float:
@@ -176,20 +209,24 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
     if np.any(values < 0):
         raise ConsistencyError(f"figure {fig_id}: negative tomogram values")
     if fig_id in (1, 2, 3, 5):
-        residual = gaussian_slice_residual(first, values)
+        try:
+            residual = gaussian_slice_residual(first, values)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"figure {fig_id}: ground-state {exc}") from None
         if residual > GAUSSIAN_FIT_TOL:
             raise ConsistencyError(
                 f"figure {fig_id}: ground-state slice deviates from a Gaussian "
                 f"(log-parabola residual {residual:.3e} > {GAUSSIAN_FIT_TOL})"
             )
     if fig_id == 4:
-        for i, row in enumerate(values):
-            zeros = count_near_zero_minima(row)
-            if zeros != 2:
-                raise ConsistencyError(
-                    f"figure 4: slice t = {second[i]:g} shows {zeros} interior "
-                    "zeros, expected the 2 of the second Hermite polynomial"
-                )
+        zeros = count_near_zero_minima(values)
+        bad = np.flatnonzero(zeros != 2)
+        if bad.size:
+            i = bad[0]
+            raise ConsistencyError(
+                f"figure 4: slice t = {second[i]:g} shows {zeros[i]} interior "
+                "zeros, expected the 2 of the second Hermite polynomial"
+            )
     if fig_id == 1 and cfg.k == 0.0:
         residual = time_independence_residual(values)
         if residual > T_INDEPENDENCE_TOL:
@@ -230,9 +267,13 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
         % (columns[0], first[0], first[-1], len(first), columns[1], len(second)),
         ",".join(columns),
     ]
-    for j, b in enumerate(second):
-        for i, a in enumerate(first):
-            lines.append(f"{a:.12g},{b:.12g},{values[j, i]:.12g}")
+    # one % per slice: each first value is formatted once into the template
+    template = "\n".join("%.12g,%%s,%%.12g" % a for a in first.tolist())
+    args = [None] * (2 * len(first))
+    for b, row in zip(second.tolist(), values.tolist()):
+        args[0::2] = ["%.12g" % b] * len(first)
+        args[1::2] = row
+        lines.append(template % tuple(args))
     csv_path.write_text("\n".join(lines) + "\n")
 
     gp_path.write_text(

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from osctomo import cli, fock_mdf, parametric_resonance_epsilon
+from osctomo import cli, figures, fock_mdf, parametric_resonance_epsilon
+from osctomo.errors import ConsistencyError
 from osctomo.figures import FigureConfig, figure_table
 
 
@@ -318,6 +320,101 @@ class TestFigureTables:
     def test_broadcast_equals_loop(self, fig_id, cfg):
         _, _, _, values = figure_table(fig_id, cfg)
         assert np.array_equal(values, rowwise_table(fig_id, cfg))
+
+
+def pointwise_csv(fig_id, cfg):
+    """The CSV text as one f-string per point on numpy scalars: the reference formatter."""
+    columns, first, second, values = figure_table(fig_id, cfg)
+    lines = [
+        f"# osctomo figure {fig_id}: {figures._FIG_TITLES[fig_id]}",
+        "# profile: parametric resonance k=%.12g, force=0, "
+        "epsilon from the closed-form resonance approximation" % cfg.k,
+        "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"
+        % (columns[0], first[0], first[-1], len(first), columns[1], len(second)),
+        ",".join(columns),
+    ]
+    for j, b in enumerate(second):
+        for i, a in enumerate(first):
+            lines.append(f"{a:.12g},{b:.12g},{values[j, i]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_gaussian_residual(x, values):
+    design = np.vander(x, 3)
+    worst = 0.0
+    for row in values:
+        logs = np.log(row)
+        coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
+        worst = max(worst, float(np.max(np.abs(design @ coef - logs))))
+    return worst
+
+
+FIGURE_CONFIGS = {
+    "default": FigureConfig(),
+    "k0": FigureConfig(k=0.0),
+    "odd": FigureConfig(k=0.2, t_count=23, x_count=37, mu_count=17),
+    # values down to 1e-61 and times like 2.5e-06 print in exponent form
+    "exponent": FigureConfig(t_max=1e-5, x_min=-12.0, x_max=12.0, x_count=97, t_count=5, mu_count=5),
+}
+
+
+class TestFigureWriteAndChecks:
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", list(FIGURE_CONFIGS))
+    def test_csv_bytes_equal_pointwise_formatter(self, tmp_path, fig_id, name):
+        cfg = FIGURE_CONFIGS[name]
+        csv_path, _ = figures.write_figure(fig_id, tmp_path, cfg)
+        assert csv_path.read_bytes() == pointwise_csv(fig_id, cfg).encode()
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", list(FIGURE_CONFIGS))
+    def test_batched_gaussian_residual_equals_row_loop(self, fig_id, name):
+        _, first, _, values = figure_table(fig_id, FIGURE_CONFIGS[name])
+        assert np.all(values >= np.finfo(float).tiny)
+        batched = figures.gaussian_slice_residual(first, values)
+        assert abs(batched - rowwise_gaussian_residual(first, values)) <= 1e-12
+
+    def test_zero_minima_counted_per_row(self):
+        rng = np.random.default_rng(3)
+        for values in (figure_table(4, FigureConfig())[3], rng.random((40, 25))):
+            counts = figures.count_near_zero_minima(values)
+            assert counts.tolist() == [figures.count_near_zero_minima(row) for row in values]
+            assert all(type(figures.count_near_zero_minima(row)) is int for row in values)
+
+    def test_zeroed_peak_fails_the_gaussian_check(self):
+        cfg = FigureConfig()
+        _, first, second, values = figure_table(1, cfg)
+        values = values.copy()
+        values[5, 80] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError, match="figure 1: ground-state slice 5"):
+                figures._validate(1, cfg, first, second, values)
+
+    def test_slice_with_fewer_than_three_normal_values_fails(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        row = np.exp(-x * x)
+        row[:3] = 0.0
+        with pytest.raises(ConsistencyError, match="slice 0: fewer than 3"):
+            figures.gaussian_slice_residual(x, row)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1e-3])
+    def test_non_finite_or_negative_value_fails_the_fit(self, bad):
+        x = np.linspace(-3.0, 3.0, 31)
+        values = np.exp(-x * x)[None].repeat(3, axis=0)
+        values[1, 4] = bad
+        with pytest.raises(ConsistencyError, match="slice 1: value"):
+            figures.gaussian_slice_residual(x, values)
+
+    @pytest.mark.parametrize("fig_id", [1, 5])
+    def test_underflowed_tails_pass_without_warnings(self, tmp_path, fig_id):
+        """Zero and subnormal tails are left out of the fit, not logged."""
+        cfg = FigureConfig(k=0.3, t_max=40.0, x_min=-30.0, x_max=30.0)
+        values = figure_table(fig_id, cfg)[3]
+        assert np.any(values == 0.0) and np.any((values > 0.0) & (values < np.finfo(float).tiny))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            figures.write_figure(fig_id, tmp_path, cfg)
 
 
 class TestSelftest:
