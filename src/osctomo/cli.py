@@ -353,9 +353,9 @@ def _cmd_figure(ns) -> int:
             overrides[key] = flag
     try:
         cfg = figures.FigureConfig.from_mapping(overrides)
+        csv_path, gp_path = figures.write_figure(ns.id, ns.out, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    csv_path, gp_path = figures.write_figure(ns.id, ns.out, cfg)
     print(csv_path)
     print(gp_path)
     return 0

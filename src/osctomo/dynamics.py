@@ -322,36 +322,33 @@ def _drive_integral(s: np.ndarray, eps: np.ndarray, force: Callable, h: float):
     return _simpson(eps * _on_grid(force, s), h)
 
 
-def _beta_integral_to(traj: EpsilonTrajectory, t: float) -> complex:
-    """integral_0^t eps(s) f(s) ds: composite Simpson over the grid
-    intervals in [0, t], then one 3-point rule on interpolated eps for
-    the (at most two steps long) remainder; t = 0 samples nothing.
-    ValueError outside the trajectory range."""
-    traj._bracket(t)
-    h, force = traj.step, traj.profile.force
-    m = int(math.floor(t / h + 1e-12))
-    m -= m % 2  # composite Simpson needs an even interval count
-    total = 0.0 + 0.0j
-    if m >= 2:
-        total += _drive_integral(traj.t[: m + 1], traj.eps[: m + 1], force, h)
-    a, b = m * h, t
-    if b - a > 1e-15 * max(1.0, t):
-        nodes = (a, 0.5 * (a + b), b)
-        eps = np.array([traj(x)[0] for x in nodes])
-        total += _drive_integral(np.array(nodes), eps, force, 0.5 * (b - a))
-    return total
-
-
 def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> complex:
     """Drive shift beta over [t_start, t]: -(1j/sqrt(2)) * integral eps f.
 
-    The force is the one of the profile the trajectory was solved with,
-    sampled on [0, max(t, t_start)] only.  Both endpoints must lie inside
-    the trajectory range.  Additivity over adjacent intervals is exact by
-    construction.
+    f is the force of the profile the trajectory was solved with, sampled
+    on [t_start, t] only.  The integral is composite Simpson over an even
+    number of grid steps in [t_start, t] and one 3-point rule on
+    interpolated eps for each partial end step (the last at most two steps
+    long), or one for an interval inside one step; t = t_start samples
+    nothing, and t < t_start gives minus the shift over [t, t_start].  Both
+    endpoints must lie inside the trajectory range (ValueError).
     """
-    value = _beta_integral_to(traj, t) - _beta_integral_to(traj, t_start)
-    return complex(-1j / math.sqrt(2.0) * value)
+    if t < t_start:
+        return -beta_shift(traj, t_start, t)
+    traj._bracket(t_start)
+    traj._bracket(t)
+    h, force = traj.step, traj.profile.force
+    first, m = int(math.ceil(t_start / h - 1e-12)), int(math.floor(t / h + 1e-12))
+    m -= max(m - first, 0) % 2  # composite Simpson needs an even interval count
+    total = 0.0 + 0.0j
+    if m - first >= 2:
+        total += _drive_integral(traj.t[first : m + 1], traj.eps[first : m + 1], force, h)
+    for a, b in ((t_start, first * h), (m * h, t)) if m >= first else ((t_start, t),):
+        if b - a > 1e-15 * max(1.0, t):
+            nodes = (a, 0.5 * (a + b), b)
+            eps = np.array([traj(x)[0] for x in nodes])
+            total += _drive_integral(np.array(nodes), eps, force, 0.5 * (b - a))
+    return complex(-1j / math.sqrt(2.0) * total)
 
 
 def flow_at(

@@ -21,8 +21,9 @@ Every surface is validated structurally before any file is written: all
 values must be finite and non-negative; w_0 slices along x must be exact
 Gaussians (log-parabola fit residual below 1e-8, and a value lost to
 underflow only where the fitted Gaussian underflows too); w_2 slices must
-show exactly the two interior zeros of the second Hermite polynomial; and
-at k = 0 the frame-(1,0) surface must be independent of time to 1e-12.
+show exactly the two interior zeros of the second Hermite polynomial (an x
+grid too coarse or too narrow to show them is a ValueError, a grid choice);
+and at k = 0 the frame-(1,0) surface must be independent of time to 1e-12.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import parametric_resonance_epsilon
+from .dynamics import hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
 from .states import fock_mdf
 
@@ -223,6 +224,19 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
         bad = np.flatnonzero(zeros != 2)
         if bad.size:
             i = bad[0]
+            # w_2 = hermite_gauss(2, x/|r|)^2 / |r| is below the cut on a width `needed`
+            # around each zero x = +-|r|/sqrt(2): a coarser x grid can step over it
+            eps, eps_dot = parametric_resonance_epsilon(cfg.k, second[i])
+            abs_r = abs(eps + eps_dot) * _INV_SQRT2  # frame (1/sqrt2, 1/sqrt2)
+            y = np.linspace(0.0, math.sqrt(2.5), 100_001)  # w_2 peaks at Y^2 = 5/2
+            profile = hermite_gauss(2, y) ** 2
+            needed = np.count_nonzero(profile < ZERO_MINIMUM_REL * profile[-1]) * y[1] * abs_r
+            zero, spacing = abs_r * _INV_SQRT2, first[1] - first[0]
+            if spacing > needed or not first[0] <= -zero < zero <= first[-1]:
+                raise ValueError(
+                    f"figure 4: slice t = {second[i]:g} needs an x spacing of at most {needed:.3g} "
+                    f"on a range covering its zeros x = +-{zero:.3g}; the grid has {spacing:.3g} "
+                    f"on [{first[0]:g}, {first[-1]:g}]")
             raise ConsistencyError(
                 f"figure 4: slice t = {second[i]:g} shows {zeros[i]} interior "
                 "zeros, expected the 2 of the second Hermite polynomial"

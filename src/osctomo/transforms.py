@@ -38,11 +38,11 @@ Three transforms are provided:
                      W(q, p) dq dp,
 
   evaluated as a 1-D quadrature along the line mu q + nu p = X with
-  cubic-spline interpolation of the sampled W.  The spline coefficients of
-  the most recently used grid are kept in a one-slot cache, which holds the
-  grid only by weak reference, so repeated projections of one grid skip the
-  B-spline prefilter over the whole grid.  scipy.ndimage is imported on the
-  first projection, not with the package.
+  cubic-spline interpolation of the sampled W.  Each grid computes its
+  B-spline coefficients on its first projection and keeps them, so
+  repeated projections of one grid skip the prefilter over the whole grid
+  and the coefficients are freed with the grid.  scipy.ndimage is imported
+  on the first projection, not with the package.
 
 Wigner normalisation convention: (2 pi)^{-1} double integral of W over
 phase space equals 1 (the vacuum is W = 2 exp(-q^2 - p^2)).
@@ -50,17 +50,17 @@ phase space equals 1 (the vacuum is W = 2 exp(-q^2 - p^2)).
 Sampled inputs are :class:`DensityGrid` (complex) and :class:`WignerGrid`
 (real).  Both derive from one uniform square-grid base that owns the
 axis, the spacing and the plain-text save/load format; each adds only its
-dtype and its own invariant check.  Grid values are stored read-only, so
-code holding a grid cannot make its construction-time checks or its cached
-spline coefficients stale.
+dtype and its own invariant check.  Grid values and a Wigner grid's
+spline coefficients are stored read-only, so code holding a grid cannot
+make its construction-time checks or its coefficients stale.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -197,6 +197,17 @@ class WignerGrid(_UniformGrid):
     def normalisation(self) -> float:
         inner = np.trapezoid(self.values, dx=self.spacing, axis=1)
         return float(np.trapezoid(inner, dx=self.spacing) / (2.0 * np.pi))
+
+    @cached_property
+    def _prefiltered(self) -> np.ndarray:
+        """Read-only cubic B-spline coefficients of ``values``, computed on first
+        use: ``mode="constant"`` needs no pre-padding, so ``map_coordinates(them,
+        ..., prefilter=False)`` equals ``map_coordinates(values, ...)`` bit for bit."""
+        from scipy.ndimage import spline_filter
+
+        coefficients = spline_filter(self.values, 3, output=np.float64, mode="constant")
+        coefficients.flags.writeable = False
+        return coefficients
 
 
 def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
@@ -422,30 +433,7 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     from scipy.ndimage import map_coordinates
 
     vals = map_coordinates(
-        _spline_coefficients(W), np.array([rows, cols]), order=3, mode="constant", prefilter=False
+        W._prefiltered, np.array([rows, cols]), order=3, mode="constant", prefilter=False
     )
     return float(np.trapezoid(vals, x=tau) / (2.0 * np.pi * s))
 
-
-# (weak reference to the grid, its cubic B-spline coefficients)
-_spline_slot: tuple[weakref.ref, np.ndarray] | None = None
-
-
-def _spline_coefficients(W: WignerGrid) -> np.ndarray:
-    """Cubic B-spline coefficients of ``W.values`` for ``mode="constant"``.
-
-    That mode needs no pre-padding, so ``map_coordinates(coefficients, ...,
-    prefilter=False)`` equals ``map_coordinates(W.values, ...)`` bit for
-    bit.  The last grid's coefficients are kept; the slot is read once, so
-    a concurrent caller replacing it cannot pair one grid with another's
-    coefficients.
-    """
-    global _spline_slot
-    slot = _spline_slot
-    if slot is not None and slot[0]() is W:
-        return slot[1]
-    from scipy.ndimage import spline_filter
-
-    coefficients = spline_filter(W.values, 3, output=np.float64, mode="constant")
-    _spline_slot = (weakref.ref(W), coefficients)
-    return coefficients

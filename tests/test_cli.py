@@ -417,6 +417,34 @@ class TestFigureWriteAndChecks:
             figures.write_figure(fig_id, tmp_path, cfg)
 
 
+class TestFigureFourZeroResolution:
+    @pytest.mark.parametrize(
+        "overrides, slice_t, needed",
+        [
+            (["--t-count", "7", "--x-count", "9", "--mu-count", "5"], "0", "0.235"),
+            (["--x-min", "-30", "--x-max", "30", "--t-max", "40", "--k", "0.3"], "2.8", "0.207"),
+            (["--x-min", "-0.5", "--x-max", "0.5"], "0", "0.235"),
+        ],
+        ids=["coarse", "coarse-late-slice", "zeros-outside"],
+    )
+    def test_unresolvable_zeros_are_a_usage_error(
+        self, tmp_path, capsys, overrides, slice_t, needed
+    ):
+        code, _, err = run(["figure", "--id", "4", "--out", str(tmp_path), *overrides], capsys)
+        assert code == 1
+        assert f"figure 4: slice t = {slice_t} needs an x spacing of at most {needed} " in err
+        assert err.startswith("usage error: ")
+        assert not (tmp_path / "fig4.csv").exists()
+
+    def test_resolvable_slice_without_two_zeros_stays_a_failure(self):
+        cfg = FigureConfig()
+        _, first, second, values = figure_table(4, cfg)
+        values = values.copy()
+        values[3] = np.exp(-first * first)
+        with pytest.raises(ConsistencyError, match="slice t = 0.3 shows 0 interior zeros"):
+            figures._validate(4, cfg, first, second, values)
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out, _ = run(["selftest"], capsys)

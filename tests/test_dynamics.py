@@ -172,6 +172,27 @@ class TestBetaShift:
         sampled.clear()
         assert beta_shift(traj, 0.0) == 0.0 and not sampled
 
+    def test_force_sampled_only_within_the_interval(self):
+        sampled = []
+
+        def force(s):
+            sampled.append(np.atleast_1d(s))
+            return np.sin(s) + 0.5
+
+        traj = solve_epsilon(DriveProfile.constant(1.0, force), 20.0, 1e-3)
+        h = traj.step
+        for t, t_start in ((19.9, 19.8), (3.3, 1.0), (5.0, 4.9999), (10.0006, 10.0002), (2.0, 2.0)):
+            sampled.clear()
+            beta_shift(traj, t, t_start)
+            nodes = np.concatenate(sampled) if sampled else np.empty(0)
+            assert np.all((nodes >= t_start - h) & (nodes <= t + h))
+            assert nodes.size <= (t - t_start) / h + 8
+
+    def test_reversed_interval_is_negated(self):
+        profile = DriveProfile.constant(1.0, force=lambda t: math.sin(t) + 0.3)
+        traj = solve_epsilon(profile, 3.0, 1e-3)
+        assert beta_shift(traj, 1.1, 2.345) == -beta_shift(traj, 2.345, 1.1)
+
 
 class TestOnGrid:
     def test_array_and_scalar_results(self):

@@ -451,6 +451,32 @@ class TestMdfFromWigner:
         gc.collect()
         assert ref() is None
 
+    def test_each_grid_prefilters_once(self, monkeypatch):
+        import scipy.ndimage
+
+        calls = []
+
+        def counting_spline_filter(values, *args, **kwargs):
+            calls.append(values.shape)
+            return spline_filter(values, *args, **kwargs)
+
+        spline_filter = scipy.ndimage.spline_filter
+        monkeypatch.setattr(scipy.ndimage, "spline_filter", counting_spline_filter)
+        q = np.linspace(-6.0, 6.0, 201)
+        grids = [
+            WignerGrid(6.0, 2.0 * np.exp(-np.add.outer((q - a) ** 2, q * q))) for a in (0.0, 0.4)
+        ]
+        for i in range(8):
+            mdf_from_wigner(grids[i % 2], 0.1 * i, 0.6, 0.8)
+        assert len(calls) == 2
+
+    def test_coefficients_read_only(self, vacuum_wigner):
+        mdf_from_wigner(vacuum_wigner, 0.3, 0.6, 0.8)
+        coefficients = vacuum_wigner._prefiltered
+        assert not coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            coefficients[0, 0] = 1.0
+
 
 def direct_projection(W, X, mu, nu):
     """Radon projection with scipy's own prefilter on every call."""
