@@ -8,9 +8,11 @@ Three subcommands::
 
 ``figure`` writes ``figN.csv`` (with a structural validation pass) and a
 companion gnuplot script.  ``eval`` exposes the library operations for
-scripted use and prints values with 12 significant digits.  ``selftest``
-runs the acceptance battery.  Exit codes: 0 success, 1 usage error,
-2 numerical-invariant failure.
+scripted use and prints the values they return with 12 significant
+digits.  ``selftest`` runs the acceptance battery.  Exit codes: 0
+success, 1 usage error, 2 numerical-invariant failure.  The library
+validates its own input, and a ValueError it raises is a usage error,
+converted once in :func:`main`; the CLI keeps no copy of its rules.
 
 Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 ``free``, ``resonance:<k>`` or ``table:<path>`` (whitespace-separated
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, selftest
-from .dynamics import DriveProfile, flow_at, hermite, solve_epsilon
+from .dynamics import DriveProfile, _flow_step, flow_at, hermite, solve_epsilon
 from .errors import OscTomoError
 from .propagators import (
     ClassicalPropagator,
@@ -41,6 +43,7 @@ from .propagators import (
     quantum_propagator,
 )
 from .states import (
+    _check_frame,
     annihilation_eigencheck,
     coherent_mdf,
     cross_mdf,
@@ -140,10 +143,9 @@ class _EvalArgs:
         return value
 
     def frame(self) -> tuple[float, float]:
-        """The tomographic frame (mu, nu); (0, 0) is not a frame."""
+        """The tomographic frame (mu, nu)."""
         mu, nu = self.real("mu"), self.real("nu")
-        if mu == 0.0 and nu == 0.0:
-            raise UsageError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
+        _check_frame(mu, nu)
         return mu, nu
 
     def integer(self, key, default=None) -> int:
@@ -177,17 +179,9 @@ class _EvalArgs:
             )
         return profile, t
 
-    def flow_inputs(self) -> tuple[DriveProfile, float, float]:
-        """The profile, the time t and the ODE step of an op that solves the
-        flow; it is solved forward from 0, so t >= 0 and 0 < step <= t
-        (any positive step at t = 0)."""
-        profile, t = self.profile_and_time()
-        step = self.real("step", "1e-3")
-        if t < 0.0:
-            raise UsageError(f"t={t!r}: the flow is solved forward from 0, so t must be >= 0")
-        if not (step > 0.0 and (t == 0.0 or step <= t)):
-            raise UsageError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
-        return profile, t, step
+    def flow_args(self) -> tuple[DriveProfile, float, float | None]:
+        """profile_and_time and the ODE step, None (flow_at's default) if not given."""
+        return (*self.profile_and_time(), self.real("step") if "step" in self.values else None)
 
     def check_consumed(self):
         unused = set(self.values) - self.used
@@ -195,108 +189,83 @@ class _EvalArgs:
             raise UsageError(f"unknown argument(s): {', '.join(sorted(unused))}")
 
 
-def _state_inputs(args: _EvalArgs):
-    """(t, eps, eps_dot, beta) at args' time for args' profile, via the ODE."""
-    profile, t, step = args.flow_inputs()
-    return (t, *flow_at(profile, t, step))
-
-
 def _op_epsilon(args):
-    _, eps, eps_dot, _ = _state_inputs(args)
-    return f"{_fmt(eps)} {_fmt(eps_dot)}"
+    return flow_at(*args.flow_args())[:2]
 
 
 def _op_wronskian(args):
-    profile, t, step = args.flow_inputs()
-    traj = solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
-    return _fmt(traj.max_wronskian_drift)
+    profile, t, step = args.flow_args()
+    step = _flow_step(t, step)
+    return (solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf).max_wronskian_drift,)
 
 
 def _op_beta(args):
-    _, _, _, beta = _state_inputs(args)
-    return _fmt(beta)
+    return flow_at(*args.flow_args())[2:]
 
 
 def _op_frame_map(args):
     mu, nu = args.frame()
-    t, eps, eps_dot, beta = _state_inputs(args)
-    prop = ClassicalPropagator.from_epsilon(eps, eps_dot, beta, t)
-    x, mu, nu = prop.frame_map(args.real("X"), mu, nu)
-    return f"{_fmt(x)} {_fmt(mu)} {_fmt(nu)}"
+    return ClassicalPropagator.from_profile(*args.flow_args()).frame_map(args.real("X"), mu, nu)
 
 
 def _op_coherent_mdf(args):
     alpha = args.cplx("alpha")
     mu, nu = args.frame()
-    _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(coherent_mdf(alpha, eps, eps_dot, beta, args.real("X"), mu, nu))
+    return (coherent_mdf(alpha, *flow_at(*args.flow_args()), args.real("X"), mu, nu),)
 
 
 def _op_fock_mdf(args):
     n = args.integer("n")
     mu, nu = args.frame()
-    _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(fock_mdf(n, eps, eps_dot, beta, args.real("X"), mu, nu))
+    return (fock_mdf(n, *flow_at(*args.flow_args()), args.real("X"), mu, nu),)
 
 
 def _op_cross_mdf(args):
     n, m = args.integer("n"), args.integer("m")
     mu, nu = args.frame()
-    _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(complex(cross_mdf(n, m, eps, eps_dot, beta, args.real("X"), mu, nu)))
+    return (complex(cross_mdf(n, m, *flow_at(*args.flow_args()), args.real("X"), mu, nu)),)
 
 
 def _op_mean(args):
     alpha = args.cplx("alpha")
     mu, nu = args.frame()
-    _, eps, eps_dot, beta = _state_inputs(args)
-    return _fmt(mean_X(alpha, eps, eps_dot, beta, mu, nu))
+    return (mean_X(alpha, *flow_at(*args.flow_args()), mu, nu),)
 
 
 def _op_variance(args):
     mu, nu = args.frame()
-    _, eps, eps_dot, _ = _state_inputs(args)
-    return _fmt(variance_X(eps, eps_dot, mu, nu))
+    eps, eps_dot, _ = flow_at(*args.flow_args())
+    return (variance_X(eps, eps_dot, mu, nu),)
 
 
 def _op_eigencheck(args):
     alpha = args.cplx("alpha")
     mu, nu = args.frame()
-    _, eps, eps_dot, beta = _state_inputs(args)
-    residual = annihilation_eigencheck(
-        alpha, eps, eps_dot, beta, mu, nu, args.real("k"), args.real("h", "1e-4"),
-    )
-    return _fmt(residual)
+    flow = flow_at(*args.flow_args())
+    return (annihilation_eigencheck(alpha, *flow, mu, nu, args.real("k"), args.real("h", "1e-4")),)
 
 
 def _op_hermite(args):
-    return _fmt(hermite(args.integer("n"), args.real("y")))
+    return (hermite(args.integer("n"), args.real("y")),)
 
 
 def _op_green_sho(args):
-    return _fmt(green_sho(args.real("X"), args.real("Z"), args.real("t")))
+    return (green_sho(args.real("X"), args.real("Z"), args.real("t")),)
 
 
 def _op_green_free(args):
-    return _fmt(green_free(args.real("X"), args.real("Z"), args.real("t")))
-
-
-def _driven(kernel, args, *points):
-    """kernel(*points, t, profile); a profile without omega_sq = 1 is a usage error."""
-    profile, t = args.profile_and_time()
-    values = [args.real(key) for key in points]
-    try:
-        return _fmt(kernel(*values, t, profile))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return (green_free(args.real("X"), args.real("Z"), args.real("t")),)
 
 
 def _op_green_driven(args):
-    return _driven(green_driven, args, "X", "Z")
+    profile, t = args.profile_and_time()
+    return (green_driven(args.real("X"), args.real("Z"), t, profile),)
 
 
 def _op_quantum_propagator(args):
-    return _driven(quantum_propagator, args, "X", "Xp", "Z", "Zp")
+    profile, t = args.profile_and_time()
+    points = (args.real(key) for key in ("X", "Xp", "Z", "Zp"))
+    return (quantum_propagator(*points, t, profile),)
 
 
 _OPERATIONS = {
@@ -319,14 +288,10 @@ _OPERATIONS = {
 
 
 def _cmd_eval(ns) -> int:
-    if ns.operation not in _OPERATIONS:
-        raise UsageError(
-            f"unknown operation {ns.operation!r}; available: {', '.join(sorted(_OPERATIONS))}"
-        )
     args = _EvalArgs(ns.args)
-    out = _OPERATIONS[ns.operation](args)
+    values = _OPERATIONS[ns.operation](args)
     args.check_consumed()
-    print(out)
+    print(" ".join(map(_fmt, values)))
     return 0
 
 
@@ -351,13 +316,8 @@ def _cmd_figure(ns) -> int:
         flag = getattr(ns, key)
         if flag is not None:
             overrides[key] = flag
-    try:
-        cfg = figures.FigureConfig.from_mapping(overrides)
-        csv_path, gp_path = figures.write_figure(ns.id, ns.out, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(csv_path)
-    print(gp_path)
+    cfg = figures.FigureConfig.from_mapping(overrides)
+    print(*figures.write_figure(ns.id, ns.out, cfg), sep="\n")
     return 0
 
 
@@ -374,7 +334,7 @@ def _build_parser() -> _Parser:
         fig.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, default=None)
 
     ev = sub.add_parser("eval", help="evaluate a library operation")
-    ev.add_argument("operation")
+    ev.add_argument("operation", choices=sorted(_OPERATIONS))
     ev.add_argument("args", nargs="*", metavar="key=value")
 
     sub.add_parser("selftest", help="run the acceptance battery")
@@ -390,12 +350,12 @@ def main(argv=None) -> int:
         if ns.command == "eval":
             return _cmd_eval(ns)
         return selftest.run_all()
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except OscTomoError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:  # the library's ValueErrors are bad input too
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

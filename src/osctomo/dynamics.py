@@ -19,9 +19,10 @@ Wronskian
 for all times, and that conservation law is the one solution-quality
 invariant monitored during integration.
 
-:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time: the
-classical flow every tomogram, invariant and propagator downstream is
-evaluated from.
+:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0:
+the classical flow every tomogram, invariant and propagator downstream is
+evaluated from.  It owns the flow's input rule (t finite and >= 0,
+0 < step <= t) and raises ValueError for input that breaks it.
 
 Sign conventions and orderings used by the rest of the package are
 documented in :mod:`osctomo.invariants`.
@@ -198,7 +199,7 @@ def solve_epsilon(
     profile : DriveProfile
         Supplies omega_sq; the force plays no role here.
     t_end, step : float
-        Final time (> 0) and requested step (0 < step <= t_end).
+        Final time (finite, > 0) and requested step (0 < step <= t_end).
     tol_wronskian : float
         Maximum accepted drift |W(t) - 2j| over the grid.
 
@@ -209,10 +210,10 @@ def solve_epsilon(
     WronskianDriftError
         The integration quality invariant was violated.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if step <= 0 or step > t_end:
-        raise ValueError("step must satisfy 0 < step <= t_end")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if not 0.0 < step <= t_end:
+        raise ValueError(f"step must satisfy 0 < step <= t_end, got step={step!r}")
 
     n = max(1, round(t_end / step))
     h = t_end / n
@@ -351,19 +352,32 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
     return complex(-1j / math.sqrt(2.0) * total)
 
 
+def _flow_step(t: float, step: float | None) -> float:
+    """The ODE step of the flow over [0, t]: see :func:`flow_at` (1e-3 by default at t = 0)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
+    if step is None:
+        return min(1e-3, t) or 1e-3
+    if not (step > 0.0 and (t == 0.0 or step <= t)):
+        raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
+    return step
+
+
 def flow_at(
-    profile: DriveProfile, t: float, step: float = 1e-3
+    profile: DriveProfile, t: float, step: float | None = None
 ) -> tuple[complex, complex, complex]:
     """The classical flow (eps, eps_dot, beta) of ``profile`` at time t.
 
-    Solves the auxiliary equation up to t at the given step, interpolates
-    eps and eps_dot at t and integrates the drive shift.  At t = 0 the
-    seeded initial data (1, 1j, 0) is returned without solving; for
-    0 < t < step the step is t.
+    Solves the auxiliary equation forward from 0 up to t, interpolates eps
+    and eps_dot at t and integrates the drive shift.  t must be finite and
+    >= 0, and a given step 0 < step <= t, any step > 0 at t = 0
+    (ValueError); the default step is min(1e-3, t).  At t = 0 the seeded
+    initial data (1, 1j, 0) is returned without solving.
     """
+    step = _flow_step(t, step)
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    traj = solve_epsilon(profile, t, min(step, t))
+    traj = solve_epsilon(profile, t, step)
     eps, eps_dot = traj(t)
     return eps, eps_dot, beta_shift(traj, t)
 

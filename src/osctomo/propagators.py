@@ -49,6 +49,7 @@ import numpy as np
 from .dynamics import DriveProfile, _drive_integral, _on_grid, flow_at
 from .errors import CausticError, ConsistencyError
 from .invariants import LinearInvariant, linear_invariant
+from .states import _check_frame
 
 __all__ = [
     "ClassicalPropagator",
@@ -93,8 +94,8 @@ class ClassicalPropagator:
         )
 
     @classmethod
-    def from_profile(cls, profile: DriveProfile, t: float, step: float = 1e-3):
-        """Solve the auxiliary dynamics up to t and build the propagator."""
+    def from_profile(cls, profile: DriveProfile, t: float, step: float | None = None):
+        """Solve the auxiliary dynamics up to t (see :func:`flow_at`) and build the propagator."""
         return cls.from_epsilon(*flow_at(profile, t, step), t)
 
     def frame_map(self, X: float, mu: float, nu: float) -> tuple[float, float, float]:
@@ -104,8 +105,7 @@ class ClassicalPropagator:
         verified against the explicit eps-form; disagreement beyond 1e-10
         raises ConsistencyError.
         """
-        if mu == 0.0 and nu == 0.0:
-            raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
+        _check_frame(mu, nu)
         lam, delta = self.inv.lam, self.inv.delta
         lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
         n_prime = np.array([nu, mu]) @ lam_inv
@@ -192,7 +192,9 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
     """(e^{it}, i e^{it}, beta) of a unit-frequency profile, beta by the
     drive quadrature of beta_shift on a grid of step ~1e-3 from 0 to t
-    (t < 0 too); omega_sq, sampled there, must be 1 (else ValueError)."""
+    (t < 0 too, but finite); omega_sq, sampled there, must be 1 (else ValueError)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     n = max(2, 2 * max(1, round(abs(t) / (2.0 * _QUAD_STEP))))
     s = np.linspace(0.0, t, n + 1)
     off = np.abs(_on_grid(profile.omega_sq, s) - 1.0)

@@ -49,6 +49,12 @@ _SQRT2 = math.sqrt(2.0)
 _R_TOL = 1e-12
 
 
+def _check_frame(mu: float, nu: float) -> None:
+    """ValueError for (0, 0), or a frame so small that mu^2 + nu^2 is 0."""
+    if mu * mu + nu * nu == 0.0:
+        raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
+
+
 def _frame_r(eps: complex, eps_dot: complex, mu, nu):
     r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
     if np.any(np.abs(r) < _R_TOL):

@@ -72,6 +72,7 @@ from .errors import (
     OutOfSupportWarning,
     QuadratureConvergenceError,
 )
+from .states import _check_frame
 
 __all__ = [
     "DensityGrid",
@@ -401,9 +402,8 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     """
     if not all(map(math.isfinite, (X, mu, nu))):
         raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
+    _check_frame(mu, nu)
     s2 = mu * mu + nu * nu
-    if s2 <= 0.0:
-        raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
     s = math.sqrt(s2)
     q0, p0 = mu * X / s2, nu * X / s2
     dq, dp = -nu / s, mu / s

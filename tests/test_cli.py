@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from osctomo import cli, figures, fock_mdf, parametric_resonance_epsilon
+from osctomo import (
+    ClassicalPropagator,
+    DriveProfile,
+    cli,
+    figures,
+    flow_at,
+    fock_mdf,
+    parametric_resonance_epsilon,
+)
 from osctomo.errors import ConsistencyError
 from osctomo.figures import FigureConfig, figure_table
 
@@ -200,6 +208,71 @@ class TestEval:
             fresh.append(run(argv, capsys))
         assert cached == fresh
         assert [code for code, _, _ in cached] == [0, 1, 1, 0, 1, 0]
+
+
+# every eval operation with valid arguments, and the malformed values of the
+# library's own input rules it can reach (green_sho and green_free have none,
+# so they get a value the argument reader rejects)
+EVAL_CASES = {
+    "epsilon": (["t=1"], ["t=-1", "step=0", "step=2"]),
+    "wronskian": (["t=1"], ["t=-1", "step=0", "step=2"]),
+    "beta": (["force=1", "t=1"], ["t=-1", "step=0", "step=2"]),
+    "frame_map": (["t=1", "X=0.3", "mu=1", "nu=0.5"], ["t=-1", "step=0", "step=2"]),
+    "coherent_mdf": (["alpha=0.5+0.2j", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["t=-1", "step=2"]),
+    "fock_mdf": (["n=2", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["n=-1", "t=-1", "step=0"]),
+    "cross_mdf": (["n=2", "m=1", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["m=-2", "n=-1", "step=2"]),
+    "mean_X": (["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5"], ["t=-1", "step=0"]),
+    "variance_X": (["t=1", "mu=1", "nu=0.5"], ["t=-1", "step=2"]),
+    "annihilation_eigencheck": (
+        ["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5", "k=0.7"], ["k=0", "h=0", "h=-1e-3", "t=-1"]
+    ),
+    "hermite": (["n=3", "y=0.5"], ["n=-1"]),
+    "green_sho": (["X=0.1", "Z=0.2", "t=1"], ["t=nan"]),
+    "green_free": (["X=0.1", "Z=0.2", "t=1"], ["Z=inf"]),
+    "green_driven": (
+        ["X=0.1", "Z=0.2", "t=1", "profile=constant:1", "force=0.5"],
+        ["profile=constant:2", "profile=free", "profile=resonance:0.1"],
+    ),
+    "quantum_propagator": (
+        ["X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4", "t=1", "profile=constant:1", "force=0.5"],
+        ["profile=constant:2", "profile=free"],
+    ),
+}
+
+
+def with_override(args, override):
+    """args with the key of ``override`` set to its value (added if absent)."""
+    key = override.partition("=")[0]
+    return [a for a in args if a.partition("=")[0] != key] + [override]
+
+
+class TestLibraryErrorsAreUsageErrors:
+    def test_every_operation_is_covered(self):
+        assert set(EVAL_CASES) == set(cli._OPERATIONS)
+
+    @pytest.mark.parametrize("op", list(EVAL_CASES))
+    def test_valid_arguments_succeed(self, capsys, op):
+        code, out, err = run(["eval", op, *EVAL_CASES[op][0]], capsys)
+        assert (code, err) == (0, "") and out.strip()
+
+    @pytest.mark.parametrize(
+        "op, bad", [(op, bad) for op, (_, bads) in EVAL_CASES.items() for bad in bads]
+    )
+    def test_malformed_value_exits_1_without_raising(self, capsys, op, bad):
+        code, out, err = run(["eval", op, *with_override(EVAL_CASES[op][0], bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_default_step_below_the_default(self, capsys):
+        # t below 1e-3: the default step is t itself, as in flow_at
+        code, out, _ = run(["eval", "epsilon", "profile=constant:1", "t=0.0005"], capsys)
+        eps, eps_dot, _ = flow_at(DriveProfile.constant(1.0), 5e-4)
+        assert (code, out) == (0, f"{cli._fmt(eps)} {cli._fmt(eps_dot)}\n")
+
+    def test_frame_map_default_step_below_the_default(self, capsys):
+        code, out, _ = run(["eval", "frame_map", "t=0.0005", "X=0.3", "mu=1", "nu=0.5"], capsys)
+        prop = ClassicalPropagator.from_profile(DriveProfile.constant(1.0), 5e-4)
+        assert (code, out) == (0, " ".join(map(cli._fmt, prop.frame_map(0.3, 1.0, 0.5))) + "\n")
 
 
 class TestFigure:

@@ -93,6 +93,14 @@ class TestSolveEpsilon:
         with pytest.raises(ValueError):
             solve_epsilon(profile, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "t_end, step, name",
+        [(math.nan, 1e-3, "t_end"), (math.inf, 1e-3, "t_end"), (1.0, math.nan, "step")],
+    )
+    def test_non_finite_arguments_named(self, t_end, step, name):
+        with pytest.raises(ValueError, match=name):
+            solve_epsilon(DriveProfile.constant(1.0), t_end, step)
+
     def test_non_finite_omega(self):
         profile = DriveProfile.custom(lambda t: math.inf if t > 0.5 else 1.0)
         with pytest.raises(EvaluationError):
@@ -248,6 +256,29 @@ class TestFlowAt:
         assert abs(eps - exact) <= 1e-15 and abs(eps_dot - 1j * exact) <= 1e-15
         assert beta == 0.0
         assert ClassicalPropagator.from_profile(DriveProfile.constant(1.0), t).t == t
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_time_outside_the_flow_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            flow_at(DriveProfile.constant(1.0), t)
+
+    @pytest.mark.parametrize(
+        "t, step", [(1.0, 2.0), (5e-4, 1e-3), (1.0, 0.0), (0.0, -1e-3), (1.0, math.nan)]
+    )
+    def test_explicit_step_outside_zero_to_t_rejected(self, t, step):
+        # an explicit step above t is an error, not clamped to t
+        with pytest.raises(ValueError, match="0 < step <= t"):
+            flow_at(DriveProfile.constant(1.0), t, step)
+        with pytest.raises(ValueError, match="0 < step <= t"):
+            ClassicalPropagator.from_profile(DriveProfile.constant(1.0), t, step)
+
+    def test_any_positive_step_at_time_zero(self):
+        assert flow_at(DriveProfile.constant(1.0), 0.0, 5.0) == (1.0, 1.0j, 0.0)
+
+    def test_default_step_is_min_of_1e3_and_t(self):
+        profile = DriveProfile.parametric_resonance(0.2, force=math.cos)
+        for t in (5e-4, 1e-3, 0.75):
+            assert flow_at(profile, t) == flow_at(profile, t, min(1e-3, t))
 
 
 class TestParametricResonance:

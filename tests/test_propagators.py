@@ -222,6 +222,12 @@ class TestGreenFunctions:
         with pytest.raises(ValueError):
             green_driven(0.0, 0.0, 1.0, DriveProfile.constant(2.0))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_driven_non_finite_time_named(self, t):
+        for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
+            with pytest.raises(ValueError, match="t must be finite"):
+                kernel(0.0, 0.0, t, DriveProfile.constant(1.0, math.cos))
+
 
 class TestQuantumPropagator:
     def test_equal_arguments_real_positive(self):
@@ -321,6 +327,15 @@ class TestGreenProperties:
         beta = flow_at(profile, t)[2]
         direct = quantum_propagator(X, Xp, Z, Zp, t, profile)
         assert abs(direct - quantum_propagator_from_shift(X, Xp, Z, Zp, t, beta)) <= 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(force=unit_forces(), t=st.floats(-20.0, 20.0), X=points, Xp=points, Z=points, Zp=points,
+           phase=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    def test_propagator_blind_to_phase(self, force, t, X, Xp, Z, Zp, phase):
+        assume(abs(math.sin(t)) >= 0.1)
+        profile = DriveProfile.constant(1.0, force)
+        k = quantum_propagator(X, Xp, Z, Zp, t, profile)
+        assert abs(quantum_propagator(X, Xp, Z, Zp, t, profile, phase) - k) <= 1e-12 * abs(k)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(force=unit_forces(), t=st.floats(0.1, 6.0), X=points, Z=points)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
 
 from helpers import SQRT2, driven_state, wigner_from_density_function
@@ -476,6 +478,61 @@ class TestMdfFromWigner:
         assert not coefficients.flags.writeable
         with pytest.raises(ValueError):
             coefficients[0, 0] = 1.0
+
+
+@st.composite
+def driven_states(draw):
+    """(alpha, n, flow): a coherent state (n None) or a Fock state n (alpha 0)
+    of the unit oscillator at a random time under a random constant force."""
+    flow = driven_state(draw(st.floats(0.0, 10.0)), draw(st.floats(-0.5, 0.5)))
+    if draw(st.booleans()):
+        return complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))), None, flow
+    return 0j, draw(st.integers(0, 4)), flow
+
+
+def state_tomogram(alpha, n, flow):
+    if n is None:
+        return lambda X, mu, nu: coherent_mdf(alpha, *flow, X, mu, nu)
+    return lambda X, mu, nu: fock_mdf(n, *flow, X, mu, nu)
+
+
+def state_wavefunction(alpha, n, flow):
+    """The coherent wavefunction, or the Fock one displaced to the flow's
+    mean (q0, p0) (the unit oscillator keeps its width, |eps| = 1)."""
+    if n is None:
+        return lambda x: coherent_wavefunction(alpha, *flow, x)
+    eps, eps_dot, beta = flow
+    q0, p0 = -SQRT2 * (beta * eps.conjugate()).real, -SQRT2 * (beta * eps_dot.conjugate()).real
+    return lambda x: np.exp(1j * p0 * x) * hermite_gauss(n, x - q0)
+
+
+class TestTransformWebProperties:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(state=driven_states(), n=st.sampled_from([25, 33, 41]))
+    def test_reconstructed_density_is_hermitian_with_unit_trace(self, state, n):
+        alpha, _, flow = state
+
+        def window(mu, nu):  # the demo's: +-10 sigma around the slice's mean
+            centre = mean_X(alpha, *flow, mu, nu)
+            sigma = np.sqrt(variance_X(flow[0], flow[1], mu, nu))
+            return centre - 10.0 * sigma, centre + 10.0 * sigma
+
+        quad = QuadratureSpec(mu_max=12.0, mu_count=160, y_window=window, y_count=501)
+        grid = density_grid_from_mdf(state_tomogram(*state), 7.0, n, quad)
+        assert np.max(np.abs(grid.values - grid.values.conj().T)) <= 1e-13
+        # the trapezoid trace of a Fock 4 density is off 1 by ~2e-7 on the
+        # 25-point grid; the exact density's own trace on the grid is the reference
+        exact = np.abs(state_wavefunction(*state)(grid.axis)) ** 2
+        assert abs(grid.trace() - np.trapezoid(exact, dx=grid.spacing)) <= 1e-11
+        assert abs(grid.trace() - 1.0) <= 1e-6
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(state=driven_states(), X=st.floats(-3.0, 3.0), angle=st.floats(0.3, math.pi - 0.3),
+           scale=st.floats(0.5, 2.0))
+    def test_density_to_tomogram_matches_closed_form(self, state, X, angle, scale):
+        rho = DensityGrid.from_wavefunction(state_wavefunction(*state), 8.0, 321)
+        mu, nu = scale * math.cos(angle), scale * math.sin(angle)
+        assert abs(mdf_from_density(rho, X, mu, nu) - state_tomogram(*state)(X, mu, nu)) <= 1e-8
 
 
 def direct_projection(W, X, mu, nu):
