@@ -78,6 +78,27 @@ class TestSolveEpsilon:
         for got, want in ((traj.eps, eps), (traj.eps_dot, eps_dot)):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 511, 512, 513, 4097, 20000])
+    @pytest.mark.parametrize(
+        "profile",
+        [DriveProfile.constant(1.3), DriveProfile.parametric_resonance(0.3)],
+        ids=["constant", "modulated"],
+    )
+    def test_matches_scalar_loop_across_block_boundaries(self, profile, n):
+        # n one below, at and one above whole blocks of the recursive product,
+        # up to the 20 000 steps of a t = 20 flow at the default step
+        t_end = 20.0 * min(1.0, n / 2000)
+        traj = solve_epsilon(profile, t_end, t_end / n)
+        eps, eps_dot = scalar_rk4(profile, t_end, n)
+        for got, want in ((traj.eps, eps), (traj.eps_dot, eps_dot)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("omega", [1.0, 1.7])
+    def test_long_run_rounding_does_not_accumulate(self, omega):
+        # multiplying the rounded RK4 steps themselves drifts ~5e-12 here
+        traj = solve_epsilon(DriveProfile.constant(omega), 20.0, 1e-3)
+        assert traj.max_wronskian_drift <= 5e-14
+
     def test_interpolation_accuracy(self, constant_traj):
         for t in (0.37 + 2.5e-4, 11.1112345, 19.9990001):
             eps, eps_dot = constant_traj(t)
