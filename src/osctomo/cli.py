@@ -12,7 +12,8 @@ scripted use and prints the values they return with 12 significant
 digits.  ``selftest`` runs the acceptance battery.  Exit codes: 0
 success, 1 usage error, 2 numerical-invariant failure.  The library
 validates its own input, and a ValueError it raises is a usage error,
-converted once in :func:`main`; the CLI keeps no copy of its rules.
+as is an OSError on a path the user gave; both are converted once in
+:func:`main`, and the CLI keeps no copy of the library's rules.
 
 Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 ``free``, ``resonance:<k>`` or ``table:<path>`` (whitespace-separated
@@ -55,14 +56,10 @@ from .states import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the CLI contract wants 1
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value) -> str:
@@ -71,22 +68,20 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
-
-
-def _table_profile(path: str) -> tuple[DriveProfile, tuple[float, float]]:
-    """The interpolated profile and the t range the table covers."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+def _table_profile(path: str, data: np.ndarray, force) -> tuple[DriveProfile, tuple[float, float]]:
+    """The profile interpolated from the table's rows, a given force in
+    place of its force column, and the t range the rows cover."""
     if data.shape[1] not in (2, 3):
-        raise UsageError(f"profile table {path!r} needs columns: t omega_sq [force]")
+        raise ValueError(f"profile table {path!r} needs columns: t omega_sq [force]")
     if not np.isfinite(data).all():
-        raise UsageError(f"profile table {path!r}: every entry must be finite")
+        raise ValueError(f"profile table {path!r}: every entry must be finite")
     ts, w2 = data[:, 0], data[:, 1]
     if not np.all(np.diff(ts) > 0):
-        raise UsageError(f"profile table {path!r}: the t column must be strictly increasing")
+        raise ValueError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
-    profile = DriveProfile.custom(lambda t: np.interp(t, ts, w2), lambda t: np.interp(t, ts, f))
+    profile = DriveProfile.custom(
+        lambda t: np.interp(t, ts, w2), force or (lambda t: np.interp(t, ts, f))
+    )
     return profile, (float(ts[0]), float(ts[-1]))
 
 
@@ -105,75 +100,60 @@ def _parse_profile(
         if head == "resonance":
             return DriveProfile.parametric_resonance(float(arg or 0.01), force), always
         if head == "table":
-            profile, t_range = _table_profile(arg)
-            return DriveProfile.custom(profile.omega_sq, force or profile.force), t_range
+            data = np.loadtxt(arg, comments="#", ndmin=2)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"bad profile spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown profile kind {head!r} (use constant/free/resonance/table)")
+        raise ValueError(f"bad profile spec {spec!r}: {exc}") from exc
+    if head != "table":
+        raise ValueError(f"unknown profile kind {head!r} (use constant/free/resonance/table)")
+    return _table_profile(arg, data, force)
+
+
+_KINDS = {float: "a real number", int: "an integer", complex: "a complex number"}
 
 
 class _EvalArgs:
-    """key=value argument bag with typed accessors and usage errors."""
+    """key=value argument bag with one typed reader and usage errors."""
 
     def __init__(self, pairs):
         self.values = {}
         for pair in pairs:
             key, sep, value = pair.partition("=")
             if not sep or not key:
-                raise UsageError(f"arguments must look like key=value, got {pair!r}")
+                raise ValueError(f"arguments must look like key=value, got {pair!r}")
             self.values[key] = value
         self.used = set()
 
-    def _get(self, key, default=None):
+    def get(self, key, kind=float, default=None):
+        """The value of ``key`` (``default`` if absent) as ``kind``: str, or a
+        finite float, an int, or a finite complex written ``0.7+0.3j`` or
+        ``0.7+0.3i``."""
         self.used.add(key)
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            raise UsageError(f"missing required argument {key}=...")
-        return default
-
-    def real(self, key, default=None) -> float:
-        raw = self._get(key, default)
+        raw = self.values.get(key, default)
+        if raw is None:
+            raise ValueError(f"missing required argument {key}=...")
         try:
-            value = float(raw)
+            value = kind(raw.replace("i", "j").replace(" ", "") if kind is complex else raw)
         except ValueError as exc:
-            raise UsageError(f"argument {key}={raw!r} is not a real number") from exc
-        if not math.isfinite(value):
-            raise UsageError(f"argument {key}={raw!r} is not finite")
+            raise ValueError(f"argument {key}={raw!r} is not {_KINDS[kind]}") from exc
+        if kind in (float, complex) and not cmath.isfinite(value):
+            raise ValueError(f"argument {key}={raw!r} is not finite")
         return value
 
     def frame(self) -> tuple[float, float]:
-        """The tomographic frame (mu, nu)."""
-        mu, nu = self.real("mu"), self.real("nu")
+        """The tomographic frame (mu, nu), checked before any flow is solved."""
+        mu, nu = self.get("mu"), self.get("nu")
         _check_frame(mu, nu)
         return mu, nu
-
-    def integer(self, key, default=None) -> int:
-        raw = self._get(key, default)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"argument {key}={raw!r} is not an integer") from exc
-
-    def cplx(self, key, default=None) -> complex:
-        raw = self._get(key, default)
-        try:
-            value = _parse_complex(str(raw))
-        except ValueError as exc:
-            raise UsageError(f"argument {key}={raw!r} is not a complex number") from exc
-        if not cmath.isfinite(value):
-            raise UsageError(f"argument {key}={raw!r} is not finite")
-        return value
 
     def profile_and_time(self) -> tuple[DriveProfile, float]:
         """The drive profile and the time t; the flow runs over [0, t], so a
         table profile must cover that interval instead of being extrapolated."""
-        spec = self._get("profile", "constant:1")
-        force = self.real("force", "0")
+        spec = self.get("profile", str, "constant:1")
+        force = self.get("force", float, "0")
         profile, (t_first, t_last) = _parse_profile(spec, force)
-        t = self.real("t")
+        t = self.get("t")
         if not t_first <= min(0.0, t) <= max(0.0, t) <= t_last:
-            raise UsageError(
+            raise ValueError(
                 f"t={t!r}: the profile table covers t in [{t_first:g}, {t_last:g}], "
                 f"which must contain [0, t]"
             )
@@ -181,12 +161,12 @@ class _EvalArgs:
 
     def flow_args(self) -> tuple[DriveProfile, float, float | None]:
         """profile_and_time and the ODE step, None (flow_at's default) if not given."""
-        return (*self.profile_and_time(), self.real("step") if "step" in self.values else None)
+        return (*self.profile_and_time(), self.get("step") if "step" in self.values else None)
 
     def check_consumed(self):
         unused = set(self.values) - self.used
         if unused:
-            raise UsageError(f"unknown argument(s): {', '.join(sorted(unused))}")
+            raise ValueError(f"unknown argument(s): {', '.join(sorted(unused))}")
 
 
 def _op_epsilon(args):
@@ -205,29 +185,29 @@ def _op_beta(args):
 
 def _op_frame_map(args):
     mu, nu = args.frame()
-    return ClassicalPropagator.from_profile(*args.flow_args()).frame_map(args.real("X"), mu, nu)
+    return ClassicalPropagator.from_profile(*args.flow_args()).frame_map(args.get("X"), mu, nu)
 
 
 def _op_coherent_mdf(args):
-    alpha = args.cplx("alpha")
+    alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    return (coherent_mdf(alpha, *flow_at(*args.flow_args()), args.real("X"), mu, nu),)
+    return (coherent_mdf(alpha, *flow_at(*args.flow_args()), args.get("X"), mu, nu),)
 
 
 def _op_fock_mdf(args):
-    n = args.integer("n")
+    n = args.get("n", int)
     mu, nu = args.frame()
-    return (fock_mdf(n, *flow_at(*args.flow_args()), args.real("X"), mu, nu),)
+    return (fock_mdf(n, *flow_at(*args.flow_args()), args.get("X"), mu, nu),)
 
 
 def _op_cross_mdf(args):
-    n, m = args.integer("n"), args.integer("m")
+    n, m = args.get("n", int), args.get("m", int)
     mu, nu = args.frame()
-    return (complex(cross_mdf(n, m, *flow_at(*args.flow_args()), args.real("X"), mu, nu)),)
+    return (complex(cross_mdf(n, m, *flow_at(*args.flow_args()), args.get("X"), mu, nu)),)
 
 
 def _op_mean(args):
-    alpha = args.cplx("alpha")
+    alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     return (mean_X(alpha, *flow_at(*args.flow_args()), mu, nu),)
 
@@ -239,32 +219,33 @@ def _op_variance(args):
 
 
 def _op_eigencheck(args):
-    alpha = args.cplx("alpha")
+    alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     flow = flow_at(*args.flow_args())
-    return (annihilation_eigencheck(alpha, *flow, mu, nu, args.real("k"), args.real("h", "1e-4")),)
+    k, h = args.get("k"), args.get("h", float, "1e-4")
+    return (annihilation_eigencheck(alpha, *flow, mu, nu, k, h),)
 
 
 def _op_hermite(args):
-    return (hermite(args.integer("n"), args.real("y")),)
+    return (hermite(args.get("n", int), args.get("y")),)
 
 
 def _op_green_sho(args):
-    return (green_sho(args.real("X"), args.real("Z"), args.real("t")),)
+    return (green_sho(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_free(args):
-    return (green_free(args.real("X"), args.real("Z"), args.real("t")),)
+    return (green_free(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_driven(args):
     profile, t = args.profile_and_time()
-    return (green_driven(args.real("X"), args.real("Z"), t, profile),)
+    return (green_driven(args.get("X"), args.get("Z"), t, profile),)
 
 
 def _op_quantum_propagator(args):
     profile, t = args.profile_and_time()
-    points = (args.real(key) for key in ("X", "Xp", "Z", "Zp"))
+    points = (args.get(key) for key in ("X", "Xp", "Z", "Zp"))
     return (quantum_propagator(*points, t, profile),)
 
 
@@ -303,7 +284,7 @@ def _read_config(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         values[key.strip()] = value.strip()
     return values
 
@@ -353,7 +334,7 @@ def main(argv=None) -> int:
     except OscTomoError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:  # the library's ValueErrors are bad input too
+    except (ValueError, OSError) as exc:  # bad input, or a path the user gave
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

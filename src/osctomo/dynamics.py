@@ -22,7 +22,9 @@ invariant monitored during integration.
 :func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0:
 the classical flow every tomogram, invariant and propagator downstream is
 evaluated from.  It owns the flow's input rule (t finite and >= 0,
-0 < step <= t) and raises ValueError for input that breaks it.
+0 < step <= t) and raises ValueError for input that breaks it.  Every
+profile callable is sampled on a grid through one helper, which raises
+EvaluationError on a non-finite omega_sq or force.
 
 Sign conventions and orderings used by the rest of the package are
 documented in :mod:`osctomo.invariants`.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,6 +63,9 @@ MAX_HERMITE_ORDER = 200
 # Steps per block at every level of the transfer-matrix product.
 _BLOCK = 8
 
+# Default ODE step of the flow, and the drive quadrature step of the driven closed forms.
+_DEFAULT_STEP = 1e-3
+
 
 def _zero_force(t: float) -> float:
     return 0.0
@@ -87,8 +93,12 @@ class DriveProfile:
 
     @classmethod
     def constant(cls, omega: float = 1.0, force: Callable[[float], float] | None = None):
-        """Constant frequency omega (omega_sq = omega**2 for all t)."""
-        w2 = float(omega) ** 2
+        """Constant frequency omega (omega_sq = omega**2 for all t); omega and
+        omega**2 must be finite (ValueError)."""
+        omega = float(omega)
+        if not math.isfinite(omega * omega):
+            raise ValueError(f"omega and omega**2 must be finite, got omega={omega!r}")
+        w2 = omega**2
         return cls(lambda t: w2, force or _zero_force)
 
     @classmethod
@@ -102,9 +112,7 @@ class DriveProfile:
 
         The weak-modulation regime is enforced as k in (-0.5, 0.5).
         """
-        k = float(k)
-        if not -0.5 < k < 0.5:
-            raise ValueError(f"parametric resonance requires k in (-0.5, 0.5), got {k}")
+        k = _resonance_k(k)
         return cls(
             lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k),
             force or _zero_force,
@@ -136,7 +144,6 @@ class EpsilonTrajectory:
     eps: np.ndarray
     eps_dot: np.ndarray
     profile: DriveProfile
-    max_wronskian_drift: float
 
     @property
     def step(self) -> float:
@@ -149,6 +156,11 @@ class EpsilonTrajectory:
     def wronskian(self) -> np.ndarray:
         """eps'*conj(eps) - conj(eps')*eps at every grid node (ideally 2j)."""
         return self.eps_dot * np.conj(self.eps) - np.conj(self.eps_dot) * self.eps
+
+    @cached_property
+    def max_wronskian_drift(self) -> float:
+        """max |W(t) - 2j| over the grid, the integrator's quality monitor."""
+        return float(np.max(np.abs(self.wronskian() - 2.0j)))
 
     def _bracket(self, time: float) -> tuple[int, float]:
         if not 0.0 <= time <= self.t_end * (1 + 1e-12) + 1e-15:
@@ -222,14 +234,8 @@ def solve_epsilon(
     h = t_end / n
     t = np.linspace(0.0, t_end, n + 1)
 
-    w_full = np.asarray(_on_grid(profile.omega_sq, t), dtype=float)
-    w_half = np.asarray(_on_grid(profile.omega_sq, t[:-1] + 0.5 * h), dtype=float)
-    if not (np.all(np.isfinite(w_full)) and np.all(np.isfinite(w_half))):
-        bad = t[~np.isfinite(w_full)] if not np.all(np.isfinite(w_full)) else (
-            t[:-1][~np.isfinite(w_half)] + 0.5 * h
-        )
-        raise EvaluationError(f"omega_sq non-finite at t = {bad[0]:g}")
-
+    w_full = np.asarray(_on_grid(profile.omega_sq, t, "omega_sq"), dtype=float)
+    w_half = np.asarray(_on_grid(profile.omega_sq, t[:-1] + 0.5 * h, "omega_sq"), dtype=float)
     transfer = _transfer_matrices(w_full, w_half, h)
     eps = np.empty(n + 1, dtype=complex)
     eps_dot = np.empty(n + 1, dtype=complex)
@@ -237,14 +243,15 @@ def solve_epsilon(
     eps.real[1:], eps.imag[1:] = 1.0 + transfer[0, 0], transfer[0, 1]
     eps_dot.real[1:], eps_dot.imag[1:] = transfer[1, 0], 1.0 + transfer[1, 1]
 
-    drift = float(np.max(np.abs(eps_dot * np.conj(eps) - np.conj(eps_dot) * eps - 2.0j)))
-    if drift > tol_wronskian:
-        raise WronskianDriftError(drift, tol_wronskian)
-    return EpsilonTrajectory(t, eps, eps_dot, profile, drift)
+    traj = EpsilonTrajectory(t, eps, eps_dot, profile)
+    if not traj.max_wronskian_drift <= tol_wronskian:  # a NaN drift fails too
+        raise WronskianDriftError(traj.max_wronskian_drift, tol_wronskian)
+    return traj
 
 
-def _on_grid(fn: Callable, t: np.ndarray) -> np.ndarray:
-    """fn sampled at every node of the time array t.
+def _on_grid(fn: Callable, t: np.ndarray, name: str = "profile value") -> np.ndarray:
+    """fn sampled at every node of the time array t; a non-finite sample
+    raises EvaluationError naming ``name`` and the first time it occurs.
 
     One call with the whole array when fn takes it (a scalar result is
     broadcast).  If that call raises, including on a floating-point error,
@@ -255,13 +262,13 @@ def _on_grid(fn: Callable, t: np.ndarray) -> np.ndarray:
         with np.errstate(all="raise"):
             values = np.asarray(fn(t))
     except Exception:  # user callables may fail on arrays in any way
-        pass
-    else:
-        if values.shape == t.shape:
-            return values
-        if values.ndim == 0:
-            return np.full(t.shape, values)
-    return np.array([fn(ti) for ti in t])
+        values = None
+    if values is None or values.ndim and values.shape != t.shape:
+        values = np.array([fn(ti) for ti in t])
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvaluationError(f"{name} non-finite at t = {(t[~finite] if finite.ndim else t)[0]:g}")
+    return values if values.ndim else np.full(t.shape, values)
 
 
 def _transfer_matrices(w_full: np.ndarray, w_half: np.ndarray, h: float) -> np.ndarray:
@@ -333,8 +340,14 @@ def _drive_integral(s: np.ndarray, eps: np.ndarray, force: Callable, h: float):
     """integral eps f by Simpson over the odd number of uniform nodes s,
     spacing h (h < 0: from s[0] down to s[-1]); f is sampled at s only.
     The one quadrature of the drive, for beta_shift and the driven Green
-    functions."""
-    return _simpson(eps * _on_grid(force, s), h)
+    functions.  A non-finite force sample, or a sum of finite ones that
+    overflows, raises EvaluationError."""
+    f = _on_grid(force, s, "force")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _simpson(eps * f, h)
+    if not np.isfinite(total):
+        raise EvaluationError(f"the drive integral over t in [{s[0]:g}, {s[-1]:g}] overflows")
+    return total
 
 
 def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> complex:
@@ -367,11 +380,11 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
 
 
 def _flow_step(t: float, step: float | None) -> float:
-    """The ODE step of the flow over [0, t]: see :func:`flow_at` (1e-3 by default at t = 0)."""
+    """The ODE step of the flow over [0, t]: see :func:`flow_at` (_DEFAULT_STEP at t = 0)."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
     if step is None:
-        return min(1e-3, t) or 1e-3
+        return min(_DEFAULT_STEP, t) or _DEFAULT_STEP
     if not (step > 0.0 and (t == 0.0 or step <= t)):
         raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
     return step
@@ -386,7 +399,8 @@ def flow_at(
     and eps_dot at t and integrates the drive shift.  t must be finite and
     >= 0, and a given step 0 < step <= t, any step > 0 at t = 0
     (ValueError); the default step is min(1e-3, t).  At t = 0 the seeded
-    initial data (1, 1j, 0) is returned without solving.
+    initial data (1, 1j, 0) is returned without solving.  A non-finite
+    profile sample or drive integral raises EvaluationError.
     """
     step = _flow_step(t, step)
     if t == 0.0:
@@ -405,16 +419,14 @@ def parametric_resonance_epsilon(k: float, t):
 
     and the returned eps_dot is the exact time derivative of that
     expression (not the derivative of the true solution).  At k = 0 this
-    reduces to exp(1j t).
+    reduces to exp(1j t).  k must lie in (-0.5, 0.5) (ValueError).
 
     The squared modulus of the approximation is
     ``|eps|^2 = cosh(kt/2) - sinh(kt/2) sin(2t)``; the 1/|r| envelope seen
     in constant-frame tomogram plots should be computed from eps via this
     route rather than from any further simplified expression.
     """
-    k = float(k)
-    if not abs(k) < 0.5:
-        raise ValueError(f"approximation valid only for |k| < 0.5, got {k}")
+    k = _resonance_k(k)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     ch, sh = np.cosh(k * t / 4.0), np.sinh(k * t / 4.0)
     fwd, bwd = np.exp(1j * t), np.exp(-1j * t)
@@ -423,6 +435,15 @@ def parametric_resonance_epsilon(k: float, t):
     if np.ndim(eps):
         return eps, eps_dot
     return complex(eps), complex(eps_dot)
+
+
+def _resonance_k(k) -> float:
+    """k as a float, inside the weak-modulation range (-0.5, 0.5) of the
+    resonance profile and its closed form (else ValueError)."""
+    k = float(k)
+    if not -0.5 < k < 0.5:
+        raise ValueError(f"parametric resonance requires k in (-0.5, 0.5), got {k}")
+    return k
 
 
 def hermite(n: int, y):

@@ -6,7 +6,8 @@ class OscTomoError(Exception):
 
 
 class EvaluationError(OscTomoError):
-    """A user-supplied profile function returned a non-finite value."""
+    """A profile function returned a non-finite value, or the drive
+    integral over its finite values overflowed."""
 
 
 class WronskianDriftError(OscTomoError):

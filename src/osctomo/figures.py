@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import hermite_gauss, parametric_resonance_epsilon
+from .dynamics import _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
 from .states import fock_mdf
 
@@ -88,14 +88,13 @@ class FigureConfig:
     x_fixed: float = 0.0
 
     def __post_init__(self):
+        _resonance_k(self.k)
         for name, kind in self._types().items():
             value = getattr(self, name)
             if kind is int and (int(value) != value or value < 2):
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
             if kind is float and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if not -0.5 < self.k < 0.5:
-            raise ValueError(f"k must lie in (-0.5, 0.5), got {self.k}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.t_max <= 0:

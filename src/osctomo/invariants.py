@@ -98,9 +98,6 @@ class LadderInvariant:
     cq: complex
     c0: complex
 
-    def apply(self, p: complex, q: complex) -> complex:
-        return self.cp * p + self.cq * q + self.c0
-
 
 def _to_real(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_RESIDUE_TOL:

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DriveProfile, _drive_integral, _on_grid, flow_at
+from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _on_grid, flow_at
 from .errors import CausticError, ConsistencyError
 from .invariants import LinearInvariant, linear_invariant
 from .states import _check_frame
@@ -67,7 +67,6 @@ CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
-_QUAD_STEP = 1e-3  # Simpson step of the driven oscillator's drive integral
 _UNIT_TOL = 1e-12  # largest |omega_sq - 1| the driven closed forms accept
 
 
@@ -191,13 +190,14 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
 def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
     """(e^{it}, i e^{it}, beta) of a unit-frequency profile, beta by the
-    drive quadrature of beta_shift on a grid of step ~1e-3 from 0 to t
-    (t < 0 too, but finite); omega_sq, sampled there, must be 1 (else ValueError)."""
+    drive quadrature of beta_shift on a grid of step ~_DEFAULT_STEP from 0
+    to t (t < 0 too, but finite); omega_sq, sampled there, must be 1 (else
+    ValueError, or EvaluationError where it is not finite)."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    n = max(2, 2 * max(1, round(abs(t) / (2.0 * _QUAD_STEP))))
+    n = max(2, 2 * max(1, round(abs(t) / (2.0 * _DEFAULT_STEP))))
     s = np.linspace(0.0, t, n + 1)
-    off = np.abs(_on_grid(profile.omega_sq, s) - 1.0)
+    off = np.abs(_on_grid(profile.omega_sq, s, "omega_sq") - 1.0)
     if not np.all(off <= _UNIT_TOL):
         raise ValueError("driven closed forms assume the unit-frequency oscillator "
                          f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")

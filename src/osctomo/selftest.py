@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -330,14 +329,13 @@ ALL_CHECKS = (
 )
 
 
-def run_all(stream=None) -> int:
+def run_all() -> int:
     """Run every acceptance check, print one line per check, return 0 or 2."""
-    stream = stream or sys.stdout
     failures = 0
     for check in ALL_CHECKS:
         result = check.run()
-        print(result.line(), file=stream)
+        print(result.line())
         failures += 0 if result.passed else 1
     summary = f"{len(ALL_CHECKS) - failures}/{len(ALL_CHECKS)} acceptance checks passed"
-    print(summary, file=stream)
+    print(summary)
     return 0 if failures == 0 else 2

@@ -107,6 +107,25 @@ class TestEval:
                             "t=0", "X=0", "mu=1", "nu=0"], capsys)
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("omega", ["nan", "inf", "1e200"])
+    def test_non_finite_constant_profile_is_usage_error(self, capsys, omega):
+        code, out, err = run(["eval", "epsilon", f"profile=constant:{omega}", "t=1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "op",
+        [["beta"], ["coherent_mdf", "alpha=0.5", "X=0", "mu=1", "nu=0.5"],
+         ["quantum_propagator", "X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4"]],
+        ids=["beta", "coherent_mdf", "quantum_propagator"],
+    )
+    def test_overflowing_drive_integral_exits_2(self, capsys, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", *op, "profile=constant:1", "force=1e308", "t=5"], capsys)
+        assert (code, out) == (2, "")
+        assert "drive integral" in err
+
     @pytest.mark.parametrize("op", [["frame_map"], ["coherent_mdf", "alpha=0.5+0.5j"]])
     def test_zero_frame_is_usage_error(self, capsys, op):
         code, out, err = run(["eval", *op, "profile=constant:1", "t=0.7", "X=0.2", "mu=0", "nu=0"],
@@ -329,6 +348,21 @@ class TestFigure:
         )
         assert code == 1
         assert "t_count" in err
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run(
+            ["figure", "--id", "1", "--out", str(tmp_path), "--config", str(missing)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and str(missing) in err
+
+    def test_out_under_a_regular_file_is_usage_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "file" / "figures"
+        out_dir.parent.write_text("")
+        code, out, err = run(["figure", "--id", "1", "--out", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and str(out_dir) in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -19,6 +19,7 @@ from osctomo import (
     solve_epsilon,
 )
 from osctomo.dynamics import _on_grid, _simpson
+from osctomo.figures import FigureConfig
 
 
 class TestSolveEpsilon:
@@ -246,6 +247,23 @@ class TestOnGrid:
             solve_epsilon(DriveProfile.custom(omega_sq), 1.0, 1e-2)
 
 
+class TestNonFiniteProfiles:
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e200])
+    def test_constant_needs_finite_omega_and_square(self, omega):
+        with pytest.raises(ValueError, match="must be finite"):
+            DriveProfile.constant(omega)
+
+    def test_nan_force_named_by_the_flow(self):
+        profile = DriveProfile.constant(1.0, force=lambda t: math.nan if t > 0.5 else 0.0)
+        with pytest.raises(EvaluationError, match="force non-finite at t = 0.501"):
+            flow_at(profile, 1.0)
+
+    def test_overflowing_flow_fails_the_wronskian_check(self):
+        # omega_sq = 1e300 overflows the RK4 steps to NaN, and a NaN drift fails
+        with np.errstate(all="ignore"), pytest.raises(WronskianDriftError, match="nan"):
+            solve_epsilon(DriveProfile.custom(lambda t: 1e300), 1.0, 1e-3)
+
+
 class TestSimpson:
     def test_exact_on_cubic(self):
         # Simpson's rule integrates polynomials up to degree 3 exactly
@@ -327,6 +345,17 @@ class TestParametricResonance:
             parametric_resonance_epsilon(0.6, 1.0)
         with pytest.raises(ValueError):
             DriveProfile.parametric_resonance(0.5)
+
+    @pytest.mark.parametrize("k", [0.5, -0.5, math.nan])
+    def test_one_k_rule_on_every_entry_point(self, k):
+        entries = (
+            DriveProfile.parametric_resonance,
+            lambda k: parametric_resonance_epsilon(k, 1.0),
+            lambda k: FigureConfig(k=k),
+        )
+        for entry in entries:
+            with pytest.raises(ValueError, match=r"requires k in \(-0\.5, 0\.5\), got"):
+                entry(k)
 
 
 class TestHermite:

@@ -535,6 +535,24 @@ class TestTransformWebProperties:
         assert abs(mdf_from_density(rho, X, mu, nu) - state_tomogram(*state)(X, mu, nu)) <= 1e-8
 
 
+class TestWignerLegProperty:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(alpha=st.complex_numbers(max_magnitude=1.0), force=st.floats(-0.8, 0.8),
+           t=st.floats(0.3, 6.0), angle=st.floats(0.0, math.pi), scale=st.floats(0.5, 2.0))
+    def test_projection_of_driven_coherent_wigner(self, alpha, force, t, angle, scale):
+        # a driven coherent state of the unit oscillator keeps the vacuum
+        # width: W = 2 exp(-(q - q0)^2 - (p - p0)^2) around its mean (q0, p0)
+        flow = driven_state(t, force)
+        q0, p0 = mean_X(alpha, *flow, 1.0, 0.0), mean_X(alpha, *flow, 0.0, 1.0)
+        axis = np.linspace(-7.0, 7.0, 401)
+        wigner = WignerGrid(7.0, 2.0 * np.exp(-np.add.outer((axis - q0) ** 2, (axis - p0) ** 2)))
+        mu, nu = scale * math.cos(angle), scale * math.sin(angle)
+        mean, sigma = mean_X(alpha, *flow, mu, nu), math.sqrt(variance_X(flow[0], flow[1], mu, nu))
+        for X in mean + sigma * np.linspace(-3.5, 3.5, 8):
+            exact = coherent_mdf(alpha, *flow, X, mu, nu)
+            assert abs(mdf_from_wigner(wigner, X, mu, nu) - exact) <= 1e-6
+
+
 def direct_projection(W, X, mu, nu):
     """Radon projection with scipy's own prefilter on every call."""
     s2 = mu * mu + nu * nu
