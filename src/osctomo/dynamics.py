@@ -51,11 +51,15 @@ __all__ = [
     "hermite",
     "hermite_gauss",
     "TOL_WRONSKIAN",
+    "MAX_STEPS",
     "MAX_HERMITE_ORDER",
 ]
 
 #: Default ceiling on the Wronskian drift accepted from the integrator.
 TOL_WRONSKIAN = 1e-6
+
+#: Most RK4 steps :func:`solve_epsilon` takes (about 170 bytes each, so ~340 MB).
+MAX_STEPS = 2_000_000
 
 #: Largest Hermite order served by :func:`hermite` / :func:`hermite_gauss`.
 MAX_HERMITE_ORDER = 200
@@ -220,6 +224,8 @@ def solve_epsilon(
 
     Raises
     ------
+    ValueError
+        t_end or step out of range, or more than MAX_STEPS steps.
     EvaluationError
         omega_sq returned a non-finite value somewhere on the grid.
     WronskianDriftError
@@ -229,6 +235,11 @@ def solve_epsilon(
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not 0.0 < step <= t_end:
         raise ValueError(f"step must satisfy 0 < step <= t_end, got step={step!r}")
+    if t_end / step > MAX_STEPS + 0.5:  # round(t_end / step) > MAX_STEPS, before allocating
+        raise ValueError(
+            f"t_end / step = {t_end / step:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}; "
+            "use a shorter t_end or a larger step"
+        )
 
     n = max(1, round(t_end / step))
     h = t_end / n
@@ -236,16 +247,18 @@ def solve_epsilon(
 
     w_full = np.asarray(_on_grid(profile.omega_sq, t, "omega_sq"), dtype=float)
     w_half = np.asarray(_on_grid(profile.omega_sq, t[:-1] + 0.5 * h, "omega_sq"), dtype=float)
-    transfer = _transfer_matrices(w_full, w_half, h)
-    eps = np.empty(n + 1, dtype=complex)
-    eps_dot = np.empty(n + 1, dtype=complex)
-    eps[0], eps_dot[0] = 1.0 + 0.0j, 1.0j
-    eps.real[1:], eps.imag[1:] = 1.0 + transfer[0, 0], transfer[0, 1]
-    eps_dot.real[1:], eps_dot.imag[1:] = transfer[1, 0], 1.0 + transfer[1, 1]
-
-    traj = EpsilonTrajectory(t, eps, eps_dot, profile)
-    if not traj.max_wronskian_drift <= tol_wronskian:  # a NaN drift fails too
-        raise WronskianDriftError(traj.max_wronskian_drift, tol_wronskian)
+    # a product that overflows ends in inf/NaN, which the Wronskian check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        transfer = _transfer_matrices(w_full, w_half, h)
+        eps = np.empty(n + 1, dtype=complex)
+        eps_dot = np.empty(n + 1, dtype=complex)
+        eps[0], eps_dot[0] = 1.0 + 0.0j, 1.0j
+        eps.real[1:], eps.imag[1:] = 1.0 + transfer[0, 0], transfer[0, 1]
+        eps_dot.real[1:], eps_dot.imag[1:] = transfer[1, 0], 1.0 + transfer[1, 1]
+        traj = EpsilonTrajectory(t, eps, eps_dot, profile)
+        drift = traj.max_wronskian_drift
+    if not drift <= tol_wronskian:  # a NaN drift fails too
+        raise WronskianDriftError(drift, tol_wronskian)
     return traj
 
 
@@ -482,7 +495,8 @@ def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:
     """The recurrence of :func:`hermite_gauss` in three rotating buffers,
     without four fresh temporaries per step."""
     u_prev = np.multiply(-0.5, y)
-    u_prev *= y
+    with np.errstate(over="ignore"):  # |y| > 1e154: -y^2/2 is -inf, and exp gives the 0
+        u_prev *= y
     np.exp(u_prev, out=u_prev)
     u_prev *= np.pi ** -0.25
     if n == 0:

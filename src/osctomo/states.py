@@ -106,9 +106,9 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
     diff = np.asarray(X, dtype=float) - m
     # the allocating operations in place on one full-size array (1 element for scalars)
     out = np.atleast_1d(diff)
-    np.square(out, out=out)
-    np.negative(out, out=out)
-    out /= s
+    with np.errstate(over="ignore"):  # an exponent past -1e308 is -inf, and exp gives the 0
+        np.square(out, out=out)
+        out /= -s  # the sign is exact, so this is -(diff^2) / s bit for bit
     np.exp(out, out=out)
     out /= np.sqrt(np.pi * s)
     return out if np.ndim(diff) else out[0]

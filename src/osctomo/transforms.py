@@ -23,12 +23,13 @@ Three transforms are provided:
   is Gaussian-enveloped, so plain rules converge fast once the windows
   cover the mass).  The Y nodes of each mu row are uniform, Y_k = lo +
   k dY, so with k = S a + b, S = ceil(sqrt(K)), the phase factorises as
-  e^{1j (lo + S a dY)} e^{1j b dY}: a row takes about 2 sqrt(K)
-  exponentials and one batched product of the samples, viewed as an
-  A x S block, with the cos/sin table of b dY, instead of K complex
-  exponentials.  On a grid, diagonal d (nu = d h) shares one Y integral,
-  and (X + X')/2 = z_j + d h / 2 splits the mu phase, so all diagonals
-  come out of one matrix product E @ cols, E = exp(-1j outer(z, mu)),
+  e^{1j (lo + S a dY)} e^{1j b dY}: a row takes three exponentials,
+  running products of them for the two phase tables, and one batched
+  product of the samples, viewed in place as an A x S block, with the
+  table of b dY, instead of K complex exponentials.  On a grid, diagonal
+  d (nu = d h) shares one Y integral, and (X + X')/2 = z_j + d h / 2
+  splits the mu phase, so all diagonals come out of one matrix product
+  E @ cols, E = exp(-1j outer(z, mu)),
   cols[:, d] = G_d(mu) e^{-1j d h mu / 2} times the mu weights / 2 pi;
 
 * Wigner -> tomogram: after the k-integral is done analytically the
@@ -288,10 +289,15 @@ def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndar
 
     Trapezoidal rule on the uniform nodes Y_k = lo + k dY of each mu row.
     With k = S a + b and S = ceil(sqrt(K)) the phase factorises,
-    e^{1j Y_k} = e^{1j (lo + S a dY)} e^{1j b dY}, so a row costs about
-    2 sqrt(K) exponentials: the end-halved, zero-padded samples, viewed as
-    an A x S block, meet the cos/sin table of b dY in one batched product,
-    and a length-A sum against the table of lo + S a dY finishes the row.
+    e^{1j Y_k} = e^{1j (lo + S a dY)} e^{1j b dY}, so a row costs three
+    exponentials, e^{1j dY}, e^{1j S dY} and e^{1j lo}, whose running
+    products are the tables of b dY and of lo + S a dY.  The first A S
+    samples, viewed in place as an A x S block, meet the b table in one
+    batched product (real samples against the [cos, sin] pairs of the
+    complex table, viewed as floats), and a length-A sum against the a
+    table finishes the block.  The K - A S < S samples past it add one
+    short product, and the trapezoid's halved ends are subtracted as
+    (w_0 e^{1j lo} + w_{K-1} e^{1j hi}) / 2.
     """
     mu = np.linspace(-quad.mu_max, quad.mu_max, quad.mu_count)
     if nu == 0.0 and not np.all(mu):
@@ -306,18 +312,31 @@ def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndar
     dy = (hi - lo) / (K - 1)
     y = np.multiply.outer(dy, np.arange(K, dtype=float))
     y += lo[:, None]
-    vals = w(y, mu[:, None], nu)
+    vals = np.broadcast_to(w(y, mu[:, None], nu), y.shape)
 
     S = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
-    A = -(-K // S)
-    block = np.zeros((rows, A * S), dtype=np.result_type(vals))
-    block[:, :K] = vals
-    block[:, [0, K - 1]] *= 0.5
-    b_phase = np.multiply.outer(dy, np.arange(S))
-    inner = block.reshape(rows, A, S) @ np.stack([np.cos(b_phase), np.sin(b_phase)], axis=2)
-    inner = inner[..., 0] + 1j * inner[..., 1]
-    a_phase = lo[:, None] + np.multiply.outer(S * dy, np.arange(A))
-    return mu, dy * np.einsum("ma,ma->m", inner, np.exp(1j * a_phase))
+    A, tail = divmod(K, S)
+    b_table = _powers(np.ones(rows), np.exp(1j * dy), S)  # e^{1j b dY}
+    a_table = _powers(np.exp(1j * lo), np.exp(1j * S * dy), A + 1)  # e^{1j (lo + S a dY)}
+    block = vals[:, : A * S].reshape(rows, A, S)
+    if np.iscomplexobj(vals):
+        inner = (block @ b_table[:, :, None])[..., 0]
+    else:  # real samples meet the [cos, sin] pairs of the complex table
+        inner = (block @ b_table.view(float).reshape(rows, S, 2)).view(complex)[..., 0]
+    g = np.einsum("ma,ma->m", inner, a_table[:, :A])
+    if tail:
+        g += a_table[:, A] * np.einsum("mb,mb->m", vals[:, A * S :], b_table[:, :tail])
+    a_last, b_last = divmod(K - 1, S)  # trapezoid: halve the two end samples
+    g -= 0.5 * (vals[:, 0] * a_table[:, 0] + vals[:, K - 1] * a_table[:, a_last] * b_table[:, b_last])
+    return mu, dy * g
+
+
+def _powers(start: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
+    """start * ratio**j for j < count, row by row, as running products."""
+    table = np.empty((start.size, count), dtype=complex)
+    table[:, 0] = start
+    table[:, 1:] = ratio[:, None]
+    return np.multiply.accumulate(table, axis=1, out=table)
 
 
 def _density_point(w, X: float, Xp: float, quad: QuadratureSpec) -> complex:

@@ -126,6 +126,31 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "drive integral" in err
 
+    def test_too_many_steps_is_usage_error(self, capsys):
+        code, out, err = run(["eval", "epsilon", "profile=free", "t=1e7"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "MAX_STEPS" in err
+
+    def test_overflowing_flow_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", "epsilon", "profile=constant:1e150", "t=1"], capsys)
+        assert (code, out) == (2, "")
+        assert "Wronskian drift nan" in err
+
+    @pytest.mark.parametrize(
+        "op, value",
+        [(["coherent_mdf", "alpha=0"], "0"), (["fock_mdf", "n=2"], "0"),
+         (["cross_mdf", "n=1", "m=2"], "0+0j")],
+        ids=["coherent_mdf", "fock_mdf", "cross_mdf"],
+    )
+    def test_far_shifted_tomogram_underflows_without_warnings(self, capsys, op, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", *op, "X=0", "mu=1", "nu=0.5", "t=1", "force=1e300"],
+                                 capsys)
+        assert (code, out.strip(), err) == (0, value, "")
+
     @pytest.mark.parametrize("op", [["frame_map"], ["coherent_mdf", "alpha=0.5+0.5j"]])
     def test_zero_frame_is_usage_error(self, capsys, op):
         code, out, err = run(["eval", *op, "profile=constant:1", "t=0.7", "X=0.2", "mu=0", "nu=0"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from osctomo import (
     parametric_resonance_epsilon,
     solve_epsilon,
 )
+from osctomo import dynamics
 from osctomo.dynamics import _on_grid, _simpson
 from osctomo.figures import FigureConfig
 
@@ -105,6 +107,25 @@ class TestSolveEpsilon:
             eps, eps_dot = constant_traj(t)
             assert abs(eps - np.exp(1j * t)) < 1e-12
             assert abs(eps_dot - 1j * np.exp(1j * t)) < 1e-12
+
+    def test_too_many_steps_rejected_before_allocating(self):
+        # 1e10 steps would ask for ~75 GiB; the check comes before any grid
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            solve_epsilon(DriveProfile.free(), 1e7, 1e-3)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            solve_epsilon(DriveProfile.free(), 1.0, 1e-300)
+
+    def test_step_limit_is_on_the_rounded_count(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+        assert len(solve_epsilon(DriveProfile.free(), 0.1004, 1e-3).t) == 101
+        with pytest.raises(ValueError, match="MAX_STEPS = 100"):
+            solve_epsilon(DriveProfile.free(), 0.1006, 1e-3)
+
+    def test_overflowing_flow_reports_the_drift_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WronskianDriftError, match="nan"):
+                solve_epsilon(DriveProfile.constant(1e150), 1.0, 1e-3)
 
     def test_argument_validation(self):
         profile = DriveProfile.constant(1.0)

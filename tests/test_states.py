@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestInPlaceClosedForms:
             for X, mu, nu in self.inputs():
                 got = fock_mdf(n, *self.STATE, X, mu, nu)
                 assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, nu))
+
+    @pytest.mark.parametrize("X", [1e200, np.array([-3e160, 1e300])], ids=["scalar", "array"])
+    def test_far_tails_underflow_to_zero_without_warnings(self, X):
+        # past |X| ~ 1e154 the square in the exponent overflows to inf, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            want = allocating_coherent_mdf(0.5, *self.STATE, X, 0.6, 0.8)
+            want_fock = allocating_fock_mdf(2, *self.STATE, X, 0.6, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.same(coherent_mdf(0.5, *self.STATE, X, 0.6, 0.8), want)
+            assert self.same(fock_mdf(2, *self.STATE, X, 0.6, 0.8), want_fock)
+            assert np.all(cross_mdf(1, 2, *self.STATE, X, 0.6, 0.8) == 0.0)
+        assert np.all(want == 0.0) and np.all(want_fock == 0.0)
 
 
 def allocating_coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):

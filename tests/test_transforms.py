@@ -255,15 +255,20 @@ PARENT_STATES = {
 
 class TestFactorisedQuadrature:
     """The factorised Y phase and the one-product mu integral reproduce the
-    per-node formulation to roundoff, whatever the padding of K nodes into
-    ceil(sqrt(K)) columns (9: square, 97: prime, 500: even, 501: odd)."""
+    per-node formulation to roundoff, for real and complex (cross01)
+    samples, whatever the split of K nodes into A rows of S = ceil(sqrt(K))
+    plus a tail of K - A S: 2 (A = 1, no tail), 3 (A = 1 and a tail),
+    4 (A = 2, no tail), 5 (A = 1, tail 2), 9 (square), 97 (prime),
+    500 (even), 501 (odd) and 2401 (the refined default spec, no tail)."""
+
+    Y_COUNTS = [2, 3, 4, 5, 9, 97, 500, 501, 2401]
 
     @staticmethod
     def spec(window, y_count):
         y_window = gaussian_window(VACUUM, 0.7 + 0.3j) if window == "tracking" else (-40.0, 40.0)
         return QuadratureSpec(mu_max=12.0, mu_count=48, y_window=y_window, y_count=y_count)
 
-    @pytest.mark.parametrize("y_count", [9, 97, 500, 501])
+    @pytest.mark.parametrize("y_count", Y_COUNTS)
     @pytest.mark.parametrize("window", ["tracking", "fixed"])
     @pytest.mark.parametrize("state", sorted(PARENT_STATES))
     def test_point_matches_per_node_form(self, state, window, y_count):
@@ -272,9 +277,9 @@ class TestFactorisedQuadrature:
             new = density_from_mdf(w, X, Xp, quad)
             assert abs(new - parent_density_point(w, X, Xp, quad)) <= 1e-13
 
-    @pytest.mark.parametrize("y_count", [9, 97, 500, 501])
+    @pytest.mark.parametrize("y_count", Y_COUNTS)
     @pytest.mark.parametrize("window", ["tracking", "fixed"])
-    @pytest.mark.parametrize("state", ["coherent", "fock3"])
+    @pytest.mark.parametrize("state", sorted(PARENT_STATES))
     def test_grid_matches_per_diagonal_form(self, state, window, y_count, monkeypatch):
         # starved specs fail the grid's trace check, so compare the raw values
         monkeypatch.setattr(transforms, "DensityGrid", lambda extent, values: values)
