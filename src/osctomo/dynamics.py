@@ -208,9 +208,10 @@ def solve_epsilon(
     (eps, eps_dot); all of them are formed at once from omega_sq sampled
     on the grid, and their running products are the transfer matrices
     M(t_k) = P_{k-1}...P_0, with (eps, eps_dot)(t_k) = M(t_k) (1, 1j).
-    The products are taken recursively in blocks of 8 steps, on arrays
-    that hold each matrix entry as one row over all steps, so the work in
-    Python is about 8 log_8(n) iterations (about 40 at n = 2e4) instead of
+    The products are taken recursively in blocks of 8 steps, each level
+    laid out so that every numpy call reads and writes contiguous rows.
+    A level costs 8 compositions of three numpy calls, so the work in
+    Python is about 8 log_8(n) compositions (40 at n = 2e4) instead of
     one per step.
 
     Parameters
@@ -290,9 +291,10 @@ def _transfer_matrices(w_full: np.ndarray, w_half: np.ndarray, h: float) -> np.n
     P_k is the RK4 step on (eps, eps_dot) for eps_dot' = -w eps, with
     w = omega_sq at the step's start (w0), midpoint (wh) and end (w1): the
     four stages of the scalar scheme, expanded in closed form.  The steps
-    are stored entries first, as their difference from the identity
-    A_k = P_k - 1, and :func:`_prefix_products` multiplies them in that
-    form, so the 1 + small sums are rounded once, by the caller.
+    are stored entries first (steps[i, j] is entry (i, j) of every step,
+    one contiguous row) as their difference from the identity
+    A_k = P_k - 1; :func:`_prefix_products` multiplies them in that form,
+    so the 1 + small sums are rounded once, by the caller.
     Multiplying the rounded P_k themselves repeats one rounding error in
     every step of a constant profile (Wronskian drift ~5e-12 at t = 20
     for omega = 1.7, against ~3e-15 this way).
@@ -311,32 +313,41 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     """Running products of (2, 2, n) differences from the identity.
 
     Column k of the result is (1 + A_k)...(1 + A_0) - 1.  The steps are cut
-    into blocks of _BLOCK (zero padded: the padding is the identity and is
-    never returned); the prefix products inside every block are taken one
-    position at a time over all blocks at once, the block totals recurse,
-    and every in-block product is combined with its block start in one
-    broadcast product.  That is about _BLOCK * log_BLOCK(n) Python
-    iterations of a few numpy calls each, instead of one per step.
+    into blocks of _BLOCK and laid out position-major, in one copy:
+    blocks[:, :, p, a] is step _BLOCK * a + p, and the last block is zero
+    padded (the padding is the identity and is never returned).  Then
+      - the prefix products inside every block are taken one position p
+        at a time, each a contiguous row over all blocks;
+      - the block totals blocks[:, :, -1], contiguous too, recurse, unless
+        there is only one block;
+      - every in-block product is combined with its block start in one
+        broadcast composition;
+    and one more copy lays the level back in step order.  A level costs
+    _BLOCK compositions, so about _BLOCK * log_BLOCK(n) in all.
     """
     n = steps.shape[-1]
     if n == 1:
         return steps
-    count = -(-n // _BLOCK)
-    blocks = np.zeros((2, 2, count, _BLOCK))
-    blocks.reshape(2, 2, -1)[..., :n] = steps
+    count, rest = divmod(n, _BLOCK)
+    blocks = np.zeros((2, 2, _BLOCK, count + (rest > 0)))
+    whole = steps[..., : count * _BLOCK].reshape(2, 2, count, _BLOCK)
+    blocks[..., :count] = whole.transpose(0, 1, 3, 2)
+    blocks[:, :, :rest, -1] = steps[..., count * _BLOCK :]
     for p in range(1, _BLOCK):
-        blocks[..., p] = _compose(blocks[..., p], blocks[..., p - 1])
-    starts = _prefix_products(blocks[..., -1])
-    blocks[:, :, 1:] = _compose(blocks[:, :, 1:], starts[:, :, :-1, None])
-    return blocks.reshape(2, 2, -1)[..., :n]
+        blocks[:, :, p] = _compose(blocks[:, :, p], blocks[:, :, p - 1])
+    if blocks.shape[-1] > 1:
+        starts = _prefix_products(blocks[:, :, -1])
+        blocks[..., 1:] = _compose(blocks[..., 1:], starts[:, :, None, :-1])
+    return blocks.transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., :n]
 
 
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(1 + x)(1 + y) - 1 = x y + y + x for entries-first 2x2 differences
-    (broadcasting), summed in that order: at t = 100, omega = 1.7 the
-    Wronskian drift is 5e-15, against 6e-14 with x + y added first."""
-    out = x[:, :1] * y[0]
-    out += x[:, 1:] * y[1]
+    """(1 + x)(1 + y) - 1 = x y + y + x for entries-first 2x2 differences,
+    broadcast over the trailing axes: x y is one einsum, then y and x are
+    added in place, in that order.  At t = 100, omega = 1.7 that order
+    gives a Wronskian drift of 5e-15, against 6e-14 with x + y added
+    first."""
+    out = np.einsum("ij...,jk...->ik...", x, y)
     out += y
     out += x
     return out
@@ -463,18 +474,27 @@ def hermite(n: int, y):
     """Physicists' Hermite polynomial H_n(y) by three-term recurrence.
 
     H_0 = 1, H_1 = 2y, H_{n+1} = 2y H_n - 2n H_{n-1}.  Guarded at
-    n <= MAX_HERMITE_ORDER; for large orders combine with the Gaussian
-    weight through :func:`hermite_gauss` instead, since the bare
-    polynomial overflows double precision near n ~ 150.
+    n <= MAX_HERMITE_ORDER.  The bare polynomial overflows double
+    precision at large n or |y| (n = 3 at y = 1e200, n = 200 at y = 30);
+    a finite y whose H_n is not finite raises EvaluationError naming n and
+    y.  Combine with the Gaussian weight through :func:`hermite_gauss`
+    instead, which stays finite for all supported n and y.
     """
     n = _check_order(n)
     y = np.asarray(y, dtype=float)
     h_prev = np.ones_like(y)
     if n == 0:
         return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * y
-    for j in range(1, n):
-        h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 2.0 * y
+        for j in range(1, n):
+            h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h
+    overflowed = np.isfinite(y) & ~np.isfinite(h)
+    if overflowed.any():
+        raise EvaluationError(
+            f"H_{n}(y) overflows double precision at y = {y[overflowed][0]:g}; "
+            "use hermite_gauss for the weighted function"
+        )
     return h if h.ndim else float(h)
 
 

@@ -6,8 +6,9 @@ class OscTomoError(Exception):
 
 
 class EvaluationError(OscTomoError):
-    """A profile function returned a non-finite value, or the drive
-    integral over its finite values overflowed."""
+    """A profile function returned a non-finite value, the drive integral
+    over its finite values overflowed, or a Hermite polynomial overflowed
+    at a finite argument."""
 
 
 class WronskianDriftError(OscTomoError):

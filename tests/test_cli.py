@@ -138,6 +138,14 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "Wronskian drift nan" in err
 
+    @pytest.mark.parametrize("n, y", [("3", "1e200"), ("200", "30")])
+    def test_overflowing_hermite_exits_2(self, capsys, n, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", "hermite", f"n={n}", f"y={y}"], capsys)
+        assert (code, out) == (2, "")
+        assert f"H_{n}(y) overflows" in err and f"y = {float(y):g}" in err
+
     @pytest.mark.parametrize(
         "op, value",
         [(["coherent_mdf", "alpha=0"], "0"), (["fock_mdf", "n=2"], "0"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -159,6 +160,60 @@ class TestSolveEpsilon:
             free_traj(20.5)
         with pytest.raises(ValueError):
             free_traj(-0.1)
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4095, 4096, 4097, 20000]
+    )
+    @pytest.mark.parametrize("magnitude", [1e-3, 0.5])
+    def test_matches_strided_product(self, magnitude, n):
+        # sizes one below, at and one above whole blocks put padding at every
+        # level of the recursion; equal bits are likely but not asserted,
+        # since einsum kernels may differ between CPUs
+        steps = random_steps(np.random.default_rng(n), magnitude, n)
+        want = strided_prefix_products(steps)
+        got = dynamics._prefix_products(steps)
+        assert got.shape == want.shape == (2, 2, n)
+        scale = np.maximum(1.0, np.abs(1.0 + want).max(axis=(0, 1)))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def random_steps(rng, magnitude, n):
+    """n differences A_k = P_k - 1 with entries of about ``magnitude``: any
+    2x2 matrix at 1e-3, rotations by up to ``magnitude`` radians above that,
+    where products of general matrices would overflow within 20 000 steps."""
+    if magnitude < 0.1:
+        return rng.uniform(-magnitude, magnitude, (2, 2, n))
+    angle = rng.uniform(-magnitude, magnitude, n)
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c - 1.0, s], [-s, c - 1.0]])
+
+
+def strided_prefix_products(steps, block=8):
+    """The earlier layout of the product, the reference the position-major
+    one must match: blocks[..., a, p] is step block * a + p, so every
+    in-block scan reads one strided column, and a 2x2 composition takes
+    five numpy calls."""
+    n = steps.shape[-1]
+    if n == 1:
+        return steps
+    count = -(-n // block)
+    blocks = np.zeros((2, 2, count, block))
+    blocks.reshape(2, 2, -1)[..., :n] = steps
+    for p in range(1, block):
+        blocks[..., p] = strided_compose(blocks[..., p], blocks[..., p - 1])
+    starts = strided_prefix_products(blocks[..., -1], block)
+    blocks[:, :, 1:] = strided_compose(blocks[:, :, 1:], starts[:, :, :-1, None])
+    return blocks.reshape(2, 2, -1)[..., :n]
+
+
+def strided_compose(x, y):
+    out = x[:, :1] * y[0]
+    out += x[:, 1:] * y[1]
+    out += y
+    out += x
+    return out
 
 
 class TestBetaShift:
@@ -402,6 +457,22 @@ class TestHermite:
             hermite(201, 0.5)
         with pytest.raises(ValueError):
             hermite(-1, 0.5)
+
+    @pytest.mark.parametrize(
+        "n, y, shown",
+        [(3, 1e200, "1e+200"), (200, 30.0, "30"), (1, 1e308, "1e+308"), (5, [0.5, -1e100, 2.0], "-1e+100")],
+    )
+    def test_overflow_at_finite_y_raises_without_warnings(self, n, y, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=rf"H_{n}\(y\) overflows .* at y = {re.escape(shown)};"):
+                hermite(n, y)
+
+    def test_largest_finite_values_still_returned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(hermite(200, 1.0))
+            assert math.isfinite(hermite(3, 1e100))
 
 
 class TestHermiteGauss:
