@@ -18,22 +18,19 @@ The package provides
 * :mod:`osctomo.cli` -- the ``osctomo`` command line driver (``figure``,
   ``eval``, ``selftest``).
 
+``import osctomo`` loads only :mod:`osctomo.errors`.  Every other
+submodule is imported on first use: ``osctomo.coherent_mdf`` (or ``from
+osctomo import coherent_mdf``) imports :mod:`osctomo.states` then, and
+``osctomo.states`` itself works the same way.
+
 Dimensionless units throughout: hbar = m = 1, and omega = 1 for the
 constant-frequency oscillator.  All public functions are pure; grids and
 trajectories are immutable after construction, so everything is safe to
 evaluate concurrently.
 """
 
-from .dynamics import (
-    DriveProfile,
-    EpsilonTrajectory,
-    solve_epsilon,
-    beta_shift,
-    flow_at,
-    parametric_resonance_epsilon,
-    hermite,
-    hermite_gauss,
-)
+import importlib
+
 from .errors import (
     OscTomoError,
     EvaluationError,
@@ -45,45 +42,6 @@ from .errors import (
     UnsupportedOrderError,
     QuadratureConvergenceError,
     OutOfSupportWarning,
-)
-from .invariants import (
-    LinearInvariant,
-    LadderInvariant,
-    lambda_matrix,
-    delta_vector,
-    linear_invariant,
-    ladder_pair,
-    ladder_commutator,
-    invariant_from_ladder,
-)
-from .propagators import (
-    ClassicalPropagator,
-    fokker_planck_residual,
-    green_sho,
-    green_free,
-    green_driven,
-    quantum_propagator,
-    quantum_propagator_from_shift,
-)
-from .states import (
-    coherent_mdf,
-    mean_X,
-    variance_X,
-    coherent_mdf_fourier,
-    fourier_ladder_apply,
-    annihilation_eigencheck,
-    fock_mdf,
-    cross_mdf,
-    coherent_wavefunction,
-)
-from .transforms import (
-    DensityGrid,
-    WignerGrid,
-    QuadratureSpec,
-    mdf_from_density,
-    density_from_mdf,
-    density_grid_from_mdf,
-    mdf_from_wigner,
 )
 
 __version__ = "0.1.0"
@@ -140,3 +98,47 @@ __all__ = [
     "OutOfSupportWarning",
     "__version__",
 ]
+
+# Every public name outside errors, by the submodule that defines it.  The
+# submodule is imported on first access (PEP 562) and the name is looked up
+# on it each time, never copied here, so a patched submodule attribute is
+# what the package root returns too.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in {
+        "dynamics": (
+            "DriveProfile", "EpsilonTrajectory", "solve_epsilon", "beta_shift", "flow_at",
+            "parametric_resonance_epsilon", "hermite", "hermite_gauss",
+        ),
+        "invariants": (
+            "LinearInvariant", "LadderInvariant", "lambda_matrix", "delta_vector",
+            "linear_invariant", "ladder_pair", "ladder_commutator", "invariant_from_ladder",
+        ),
+        "propagators": (
+            "ClassicalPropagator", "fokker_planck_residual", "green_sho", "green_free",
+            "green_driven", "quantum_propagator", "quantum_propagator_from_shift",
+        ),
+        "states": (
+            "coherent_mdf", "mean_X", "variance_X", "coherent_mdf_fourier",
+            "fourier_ladder_apply", "annihilation_eigencheck", "fock_mdf", "cross_mdf",
+            "coherent_wavefunction",
+        ),
+        "transforms": (
+            "DensityGrid", "WignerGrid", "QuadratureSpec", "mdf_from_density",
+            "density_from_mdf", "density_grid_from_mdf", "mdf_from_wigner",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    if name in _SUBMODULE_OF:
+        return getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+    if name in _SUBMODULE_OF.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE_OF})

@@ -20,6 +20,11 @@ Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 columns t, omega_sq and optionally force, linearly interpolated); a
 constant force is supplied separately as ``force=<value>``.  Complex
 values accept either ``0.7+0.3j`` or ``0.7+0.3i``.
+
+Importing this module loads numpy and :mod:`osctomo.errors` only.  Each
+command imports what it runs when it runs: the parser and ``figure``
+:mod:`osctomo.figures`, ``eval`` the dynamics, states and propagators,
+``selftest`` the acceptance battery.
 """
 
 from __future__ import annotations
@@ -30,28 +35,14 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import figures, selftest
-from .dynamics import DriveProfile, _flow_step, flow_at, hermite, solve_epsilon
 from .errors import OscTomoError
-from .propagators import (
-    ClassicalPropagator,
-    green_driven,
-    green_free,
-    green_sho,
-    quantum_propagator,
-)
-from .states import (
-    _check_frame,
-    annihilation_eigencheck,
-    coherent_mdf,
-    cross_mdf,
-    fock_mdf,
-    mean_X,
-    variance_X,
-)
+
+if TYPE_CHECKING:
+    from .dynamics import DriveProfile
 
 __all__ = ["main"]
 
@@ -71,6 +62,8 @@ def _fmt(value) -> str:
 def _table_profile(path: str, data: np.ndarray, force) -> tuple[DriveProfile, tuple[float, float]]:
     """The profile interpolated from the table's rows, a given force in
     place of its force column, and the t range the rows cover."""
+    from .dynamics import DriveProfile
+
     if data.shape[1] not in (2, 3):
         raise ValueError(f"profile table {path!r} needs columns: t omega_sq [force]")
     if not np.isfinite(data).all():
@@ -89,6 +82,8 @@ def _parse_profile(
     spec: str, force_value: float | None
 ) -> tuple[DriveProfile, tuple[float, float]]:
     """The profile and the t range it is defined on (a table's rows, else all t)."""
+    from .dynamics import DriveProfile
+
     always = (-math.inf, math.inf)
     force = None if force_value in (None, 0.0) else (lambda t, c=force_value: c)
     head, _, arg = spec.partition(":")
@@ -141,6 +136,8 @@ class _EvalArgs:
 
     def frame(self) -> tuple[float, float]:
         """The tomographic frame (mu, nu), checked before any flow is solved."""
+        from .states import _check_frame
+
         mu, nu = self.get("mu"), self.get("nu")
         _check_frame(mu, nu)
         return mu, nu
@@ -163,6 +160,12 @@ class _EvalArgs:
         """profile_and_time and the ODE step, None (flow_at's default) if not given."""
         return (*self.profile_and_time(), self.get("step") if "step" in self.values else None)
 
+    def flow(self) -> tuple[complex, complex, complex]:
+        """flow_at(*flow_args()): (eps, eps_dot, beta) at t."""
+        from .dynamics import flow_at
+
+        return flow_at(*self.flow_args())
+
     def check_consumed(self):
         unused = set(self.values) - self.used
         if unused:
@@ -170,80 +173,106 @@ class _EvalArgs:
 
 
 def _op_epsilon(args):
-    return flow_at(*args.flow_args())[:2]
+    return args.flow()[:2]
 
 
 def _op_wronskian(args):
+    from .dynamics import _flow_step, solve_epsilon
+
     profile, t, step = args.flow_args()
     step = _flow_step(t, step)
     return (solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf).max_wronskian_drift,)
 
 
 def _op_beta(args):
-    return flow_at(*args.flow_args())[2:]
+    return args.flow()[2:]
 
 
 def _op_frame_map(args):
+    from .propagators import ClassicalPropagator
+
     mu, nu = args.frame()
     return ClassicalPropagator.from_profile(*args.flow_args()).frame_map(args.get("X"), mu, nu)
 
 
 def _op_coherent_mdf(args):
+    from .states import coherent_mdf
+
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    return (coherent_mdf(alpha, *flow_at(*args.flow_args()), args.get("X"), mu, nu),)
+    return (coherent_mdf(alpha, *args.flow(), args.get("X"), mu, nu),)
 
 
 def _op_fock_mdf(args):
+    from .states import fock_mdf
+
     n = args.get("n", int)
     mu, nu = args.frame()
-    return (fock_mdf(n, *flow_at(*args.flow_args()), args.get("X"), mu, nu),)
+    return (fock_mdf(n, *args.flow(), args.get("X"), mu, nu),)
 
 
 def _op_cross_mdf(args):
+    from .states import cross_mdf
+
     n, m = args.get("n", int), args.get("m", int)
     mu, nu = args.frame()
-    return (complex(cross_mdf(n, m, *flow_at(*args.flow_args()), args.get("X"), mu, nu)),)
+    return (complex(cross_mdf(n, m, *args.flow(), args.get("X"), mu, nu)),)
 
 
 def _op_mean(args):
+    from .states import mean_X
+
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    return (mean_X(alpha, *flow_at(*args.flow_args()), mu, nu),)
+    return (mean_X(alpha, *args.flow(), mu, nu),)
 
 
 def _op_variance(args):
+    from .states import variance_X
+
     mu, nu = args.frame()
-    eps, eps_dot, _ = flow_at(*args.flow_args())
+    eps, eps_dot, _ = args.flow()
     return (variance_X(eps, eps_dot, mu, nu),)
 
 
 def _op_eigencheck(args):
+    from .states import annihilation_eigencheck
+
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    flow = flow_at(*args.flow_args())
+    flow = args.flow()
     k, h = args.get("k"), args.get("h", float, "1e-4")
     return (annihilation_eigencheck(alpha, *flow, mu, nu, k, h),)
 
 
 def _op_hermite(args):
+    from .dynamics import hermite
+
     return (hermite(args.get("n", int), args.get("y")),)
 
 
 def _op_green_sho(args):
+    from .propagators import green_sho
+
     return (green_sho(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_free(args):
+    from .propagators import green_free
+
     return (green_free(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_driven(args):
+    from .propagators import green_driven
+
     profile, t = args.profile_and_time()
     return (green_driven(args.get("X"), args.get("Z"), t, profile),)
 
 
 def _op_quantum_propagator(args):
+    from .propagators import quantum_propagator
+
     profile, t = args.profile_and_time()
     points = (args.get(key) for key in ("X", "Xp", "Z", "Zp"))
     return (quantum_propagator(*points, t, profile),)
@@ -290,6 +319,8 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_figure(ns) -> int:
+    from . import figures
+
     overrides: dict = {}
     if ns.config:
         overrides.update(_read_config(ns.config))
@@ -304,6 +335,8 @@ def _cmd_figure(ns) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
+    from . import figures
+
     parser = _Parser(prog="osctomo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,6 +363,8 @@ def main(argv=None) -> int:
             return _cmd_figure(ns)
         if ns.command == "eval":
             return _cmd_eval(ns)
+        from . import selftest
+
         return selftest.run_all()
     except OscTomoError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)

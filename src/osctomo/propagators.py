@@ -101,9 +101,12 @@ class ClassicalPropagator:
         """The unique source point (X', mu', nu') the delta kernel fires at.
 
         Computed from N' = N Lambda^{-1}, X' = X + N Lambda^{-1} Delta and
-        verified against the explicit eps-form; disagreement beyond 1e-10
-        raises ConsistencyError.
+        verified against the explicit eps-form; disagreement beyond 1e-10,
+        or a NaN one, raises ConsistencyError.  Non-finite X, mu or nu and
+        the frame (0, 0) raise ValueError.
         """
+        if not all(map(math.isfinite, (X, mu, nu))):
+            raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
         _check_frame(mu, nu)
         lam, delta = self.inv.lam, self.inv.delta
         lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
@@ -115,7 +118,7 @@ class ClassicalPropagator:
         mu_e, nu_e = r.real, r.imag
         x_e = X + _SQRT2 * (self.beta * r.conjugate()).real
         scale = max(1.0, abs(X), abs(mu), abs(nu))
-        if max(abs(x_p - x_e), abs(mu_p - mu_e), abs(nu_p - nu_e)) > _MAP_TOL * scale:
+        if not max(abs(x_p - x_e), abs(mu_p - mu_e), abs(nu_p - nu_e)) <= _MAP_TOL * scale:
             raise ConsistencyError(
                 "Lambda^-1 form and eps form of the frame map disagree: "
                 f"({x_p}, {mu_p}, {nu_p}) vs ({x_e}, {mu_e}, {nu_e})"

@@ -218,8 +218,10 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
     The grid truncation must be chosen so |rho| is negligible (< 1e-10) at
     the boundary.  Hermitian input makes the result real; an imaginary
     residue above 1e-6 raises ConsistencyError.  nu = 0 is rejected: the
-    kernel is singular there.
+    kernel is singular there.  Non-finite X, mu or nu raise ValueError.
     """
+    if not all(map(math.isfinite, (X, mu, nu))):
+        raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
     if abs(nu) < _NU_TOL:
         raise FrameUnsupportedError(
             "nu = 0 frames are not supported by the density-matrix kernel"

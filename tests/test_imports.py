@@ -1,0 +1,90 @@
+"""The package root resolves its names lazily, and each CLI command imports
+only the modules it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import osctomo
+from osctomo import states
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def modules_after(code, cwd):
+    """sys.modules names after a fresh interpreter runs `code` (stdout discarded)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+class TestLazyRoot:
+    @pytest.mark.parametrize("name", sorted(set(osctomo.__all__) - {"__version__"}))
+    def test_name_is_its_submodule_attribute(self, name):
+        value = getattr(osctomo, name)
+        assert value.__module__.startswith("osctomo.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_patched_submodule_attribute_shows_through_the_root(self, monkeypatch):
+        def sentinel():
+            pass
+
+        monkeypatch.setattr(states, "coherent_mdf", sentinel)
+        assert osctomo.coherent_mdf is sentinel
+
+    def test_dir_lists_every_public_name(self):
+        assert set(osctomo.__all__) <= set(dir(osctomo))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            osctomo.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from osctomo import *", namespace)
+        assert len(osctomo.__all__) == 50
+        assert {name: namespace[name] for name in osctomo.__all__} == {
+            name: getattr(osctomo, name) for name in osctomo.__all__
+        }
+
+
+def package_modules(modules):
+    return {name for name in modules if name == "osctomo" or name.startswith("osctomo.")}
+
+
+def test_cli_import_loads_errors_and_numpy_only(tmp_path):
+    modules = modules_after("import osctomo, osctomo.cli", tmp_path)
+    assert package_modules(modules) == {"osctomo", "osctomo.cli", "osctomo.errors"}
+    assert "numpy" in modules
+
+
+def test_eval_loads_neither_selftest_nor_transforms(tmp_path):
+    modules = modules_after(
+        "from osctomo import cli; assert cli.main(['eval', 'hermite', 'n=2', 'y=0.5']) == 0", tmp_path
+    )
+    assert "osctomo.dynamics" in modules
+    assert not {"osctomo.selftest", "osctomo.transforms"} & modules
+
+
+def test_figure_loads_only_figures_and_what_it_uses(tmp_path):
+    modules = modules_after(
+        "from osctomo import cli; "
+        "assert [cli.main(['figure', '--id', str(i)]) for i in range(1, 7)] == [0] * 6",
+        tmp_path,
+    )
+    assert "osctomo.figures" in modules
+    unused = {"osctomo.selftest", "osctomo.transforms", "osctomo.propagators", "osctomo.invariants"}
+    assert not unused & modules

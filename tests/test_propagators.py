@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from helpers import SQRT2, driven_state
 from osctomo import (
     CausticError,
     ClassicalPropagator,
+    ConsistencyError,
     DriveProfile,
     beta_shift,
     coherent_mdf,
@@ -60,6 +63,27 @@ class TestFrameMap:
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
             propagator_at(1.0).frame_map(0.3, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["X", "mu", "nu"])
+    def test_non_finite_arguments_rejected(self, slot, value):
+        args = [0.3, 1.0, 0.5]
+        args[slot] = value
+        prop = ClassicalPropagator.from_epsilon(1.0, 1.0j, 0.0)
+        w0 = lambda X, mu, nu: coherent_mdf(0.3, 1.0, 1.0j, 0.0, X, mu, nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, no nan passed through
+            with pytest.raises(ValueError, match="finite"):
+                prop.frame_map(*args)
+            with pytest.raises(ValueError, match="finite"):
+                prop.evolve(w0, *args)
+
+    def test_nan_disagreement_is_a_consistency_error(self):
+        # a NaN in the eps form compares False with any tolerance
+        prop = ClassicalPropagator.from_epsilon(1.0, 1.0j, 0.0)
+        prop = dataclasses.replace(prop, beta=complex(math.nan))
+        with pytest.raises(ConsistencyError, match="disagree"):
+            prop.frame_map(0.3, 1.0, 0.5)
 
     def test_matrix_and_epsilon_forms_agree_on_random_inputs(self):
         # frame_map raises ConsistencyError whenever its Lambda^-1 form and

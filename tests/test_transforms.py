@@ -153,6 +153,16 @@ class TestMdfFromDensity:
         with pytest.raises(FrameUnsupportedError):
             mdf_from_density(vacuum_density, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["X", "mu", "nu"])
+    def test_non_finite_arguments_rejected(self, vacuum_density, slot, value):
+        args = [0.3, 1.0, 0.5]
+        args[slot] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning, no nan, no silent 0.0
+            with pytest.raises(ValueError, match="finite"):
+                mdf_from_density(vacuum_density, *args)
+
     @pytest.mark.parametrize("state", ["vacuum", "coherent", "fock"])
     def test_rank_one_matches_double_trapezoid(self, state):
         psi = {
