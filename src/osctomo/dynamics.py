@@ -58,7 +58,7 @@ __all__ = [
 #: Default ceiling on the Wronskian drift accepted from the integrator.
 TOL_WRONSKIAN = 1e-6
 
-#: Most RK4 steps :func:`solve_epsilon` takes (about 170 bytes each, so ~340 MB).
+#: Most RK4 steps :func:`solve_epsilon` takes (a peak of about 116 bytes each, so ~230 MB).
 MAX_STEPS = 2_000_000
 
 #: Largest Hermite order served by :func:`hermite` / :func:`hermite_gauss`.
@@ -212,7 +212,13 @@ def solve_epsilon(
     laid out so that every numpy call reads and writes contiguous rows.
     A level costs 8 compositions of three numpy calls, so the work in
     Python is about 8 log_8(n) compositions (40 at n = 2e4) instead of
-    one per step.
+    one per step.  All of it runs in one buffer allocated per call: the
+    steps are formed in it in step order, copied once into position-major
+    blocks (row p of a level holds the p-th step of every block),
+    multiplied in place level by level, and written into eps and eps_dot
+    through strided views.  Besides the buffer, only t, the two samples
+    of omega_sq (released before the products) and the result have the
+    grid's length; the peak is about 116 bytes per step.
 
     Parameters
     ----------
@@ -246,17 +252,10 @@ def solve_epsilon(
     h = t_end / n
     t = np.linspace(0.0, t_end, n + 1)
 
-    w_full = np.asarray(_on_grid(profile.omega_sq, t, "omega_sq"), dtype=float)
-    w_half = np.asarray(_on_grid(profile.omega_sq, t[:-1] + 0.5 * h, "omega_sq"), dtype=float)
     # a product that overflows ends in inf/NaN, which the Wronskian check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        transfer = _transfer_matrices(w_full, w_half, h)
-        eps = np.empty(n + 1, dtype=complex)
-        eps_dot = np.empty(n + 1, dtype=complex)
-        eps[0], eps_dot[0] = 1.0 + 0.0j, 1.0j
-        eps.real[1:], eps.imag[1:] = 1.0 + transfer[0, 0], transfer[0, 1]
-        eps_dot.real[1:], eps_dot.imag[1:] = transfer[1, 0], 1.0 + transfer[1, 1]
-        traj = EpsilonTrajectory(t, eps, eps_dot, profile)
+        flow = _flow(profile.omega_sq, t, h)
+        traj = EpsilonTrajectory(t, flow[0, : n + 1], flow[1, : n + 1], profile)
         drift = traj.max_wronskian_drift
     if not drift <= tol_wronskian:  # a NaN drift fails too
         raise WronskianDriftError(drift, tol_wronskian)
@@ -285,72 +284,184 @@ def _on_grid(fn: Callable, t: np.ndarray, name: str = "profile value") -> np.nda
     return values if values.ndim else np.full(t.shape, values)
 
 
-def _transfer_matrices(w_full: np.ndarray, w_half: np.ndarray, h: float) -> np.ndarray:
-    """M(t_k) - 1 for M(t_k) = P_{k-1}...P_0, k = 1..n, as a (2, 2, n) array.
+def _workspace(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Views into one buffer for the product of n steps: the blocks of every
+    level, each (2, 2, _BLOCK, columns), and the spare part the compositions
+    write to.
 
-    P_k is the RK4 step on (eps, eps_dot) for eps_dot' = -w eps, with
-    w = omega_sq at the step's start (w0), midpoint (wh) and end (w1): the
-    four stages of the scalar scheme, expanded in closed form.  The steps
-    are stored entries first (steps[i, j] is entry (i, j) of every step,
-    one contiguous row) as their difference from the identity
-    A_k = P_k - 1; :func:`_prefix_products` multiplies them in that form,
-    so the 1 + small sums are rounded once, by the caller.
-    Multiplying the rounded P_k themselves repeats one rounding error in
-    every step of a constant profile (Wronskian drift ~5e-12 at t = 20
-    for omega = 1.7, against ~3e-15 this way).
+    Level 0 holds the steps, blocks[:, :, p, a] being step _BLOCK * a + p;
+    every higher level holds the totals of all blocks but the last of the
+    level below.  A level with more than one block gets zero-padded columns
+    up to 1 + _BLOCK * m, so that those totals fill m whole blocks above it
+    and blocks 1.. line up with them as an (m, _BLOCK) grid of starts.  The
+    spare part holds 4 + 4 * _BLOCK numbers per level-0 column: first the
+    steps in step order, then a row of a scan or of starts in its first
+    4 per column, and the output of one composition over a whole level
+    in its end.
+
+    A solve allocates this one large block, not a fresh array per level
+    and per composition, so that a stream of solves keeps reusing the same
+    heap pages instead of faulting fresh ones in each time (glibc's malloc
+    returns freed heap to the system only past about twice the largest
+    block it has freed).
     """
-    w0, wh, w1 = w_full[:-1], w_half, w_full[1:]
+    columns = [-(-n // _BLOCK)]
+    while columns[-1] > 1:
+        m = -(-(columns[-1] - 1) // _BLOCK)
+        columns[-1] = _BLOCK * m + 1
+        columns.append(m)
+    sizes = [4 * _BLOCK * c for c in columns]
+    buffer = np.empty(sum(sizes) + (4 + 4 * _BLOCK) * columns[0])
+    levels, start = [], 0
+    for size in sizes:
+        levels.append(buffer[start : start + size].reshape(2, 2, _BLOCK, -1))
+        start += size
+    return levels, buffer[start:]
+
+
+def _position_major(steps: np.ndarray) -> np.ndarray:
+    """View of (2, 2, _BLOCK * c) step-order entries as (2, 2, _BLOCK, c) blocks."""
+    return steps.reshape(2, 2, -1, _BLOCK).transpose(0, 1, 3, 2)
+
+
+def _flow(omega_sq: Callable, t: np.ndarray, h: float) -> np.ndarray:
+    """(eps, eps_dot) at every node of t, and at padding nodes after it, as
+    the two rows of a complex array: the running products of the RK4 steps,
+    taken in one workspace that is released on return."""
+    n = len(t) - 1
+    levels, spare = _workspace(n)
+    steps = spare[: 4 * n].reshape(2, 2, n)
+    _rk4_steps(omega_sq, t, h, steps, levels[0].reshape(-1))
+    _lay_out(steps, levels[0])
+    _block_products(levels, spare)
+    # (eps, eps_dot)(t_k) = M(t_k) (1, 1j), so the real and imaginary parts
+    # of flow[i] are entries (i, 0) and (i, 1) of M(t_k)
+    blocks = levels[0]
+    flow = np.empty((2, blocks[0, 0].size + 1), dtype=complex)
+    flow[:, 0] = 1.0, 1.0j
+    matrices = flow.view(float).reshape(2, -1, 2)[:, 1:]
+    for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        entry = matrices[i, :, k].reshape(-1, _BLOCK)
+        if i == k:
+            np.add(blocks[i, k].T, 1.0, out=entry)
+        else:
+            np.copyto(entry, blocks[i, k].T)
+    return flow
+
+
+def _rk4_steps(
+    omega_sq: Callable, t: np.ndarray, h: float, out: np.ndarray, sums: np.ndarray
+) -> None:
+    """The RK4 steps on the grid t into out, a (2, 2, len(t) - 1) array;
+    the first 2 * (len(t) - 1) numbers of sums hold partial sums.
+
+    Step k is written as its difference from the identity, A_k = P_k - 1,
+    where P_k is the RK4 step on (eps, eps_dot) for eps_dot' = -w eps with
+    w = omega_sq at the step's start (w0), midpoint (wh) and end (w1): the
+    four stages of the scalar scheme, expanded in closed form.  The
+    products are taken in that form, so the 1 + small sums are rounded
+    once, at the end.  Multiplying the rounded P_k themselves repeats one
+    rounding error in every step of a constant profile (Wronskian drift
+    ~5e-12 at t = 20 for omega = 1.7, against ~3e-15 this way).  The
+    samples of omega_sq are released on return.
+    """
+    w_full = np.asarray(_on_grid(omega_sq, t, "omega_sq"), dtype=float)
+    wh = np.asarray(_on_grid(omega_sq, t[:-1] + 0.5 * h, "omega_sq"), dtype=float)
+    w0, w1 = w_full[:-1], w_full[1:]
+    a, b = sums[: 2 * len(wh)].reshape(2, -1)
     h2 = h * h
-    steps = np.empty((2, 2, len(w_half)))
-    steps[0, 0] = -h2 / 6.0 * (w0 + 2.0 * wh) + h2 * h2 / 24.0 * w0 * wh
-    steps[0, 1] = h - h2 * h / 6.0 * wh
-    steps[1, 0] = -h / 6.0 * (w0 + 4.0 * wh + w1) + h2 * h / 12.0 * wh * (w0 + w1)
-    steps[1, 1] = -h2 / 6.0 * (2.0 * wh + w1) + h2 * h2 / 24.0 * wh * w1
-    return _prefix_products(steps)
+    # A00 = -h^2/6 (w0 + 2 wh) + h^4/24 w0 wh
+    np.multiply(2.0, wh, out=a)
+    a += w0
+    a *= -h2 / 6.0
+    np.multiply(h2 * h2 / 24.0, w0, out=b)
+    b *= wh
+    np.add(a, b, out=out[0, 0])
+    # A01 = h - h^3/6 wh
+    np.multiply(h2 * h / 6.0, wh, out=a)
+    np.subtract(h, a, out=out[0, 1])
+    # A10 = -h/6 (w0 + 4 wh + w1) + h^3/12 wh (w0 + w1)
+    np.multiply(4.0, wh, out=a)
+    a += w0
+    a += w1
+    a *= -h / 6.0
+    np.multiply(h2 * h / 12.0, wh, out=b)
+    np.add(w0, w1, out=out[1, 0])
+    b *= out[1, 0]
+    np.add(a, b, out=out[1, 0])
+    # A11 = -h^2/6 (2 wh + w1) + h^4/24 wh w1
+    np.multiply(2.0, wh, out=a)
+    a += w1
+    a *= -h2 / 6.0
+    np.multiply(h2 * h2 / 24.0, wh, out=b)
+    b *= w1
+    np.add(a, b, out=out[1, 1])
+
+
+def _lay_out(steps: np.ndarray, blocks: np.ndarray) -> None:
+    """Copy (2, 2, n) steps into the level-0 blocks, blocks[:, :, p, a]
+    being step _BLOCK * a + p, and zero the padding after them: identity
+    steps, so that no uninitialised number enters a product."""
+    count, rest = divmod(steps.shape[-1], _BLOCK)
+    cut = count * _BLOCK
+    blocks[..., :count] = _position_major(steps[..., :cut])
+    blocks[:, :, :rest, count : count + 1] = steps[..., cut:, None]
+    blocks[:, :, rest:, count : count + 1] = 0.0
+    blocks[..., count + 1 :] = 0.0
+
+
+def _block_products(levels: list[np.ndarray], spare: np.ndarray) -> None:
+    """Turn the steps in levels[0] into their running products, in place,
+    as differences from the identity: entry k becomes
+    (1 + A_k)...(1 + A_0) - 1.
+
+    levels and spare are the views :func:`_workspace` returns.  In turn:
+      - the products inside every block are taken one position p at a
+        time, each a contiguous row over all blocks;
+      - the block totals are copied into the level above, which recurses,
+        unless there is only one block;
+      - the finished products above, the starts of blocks 1.., are laid
+        out in step order in spare, and every later block is combined with
+        its start in one broadcast composition.
+    A level costs _BLOCK compositions, so about _BLOCK * log_BLOCK(n) in all.
+    """
+    blocks = levels[0]
+    columns = blocks.shape[-1]
+    row = spare[: 4 * columns].reshape(2, 2, columns)
+    for p in range(1, _BLOCK):
+        _compose(blocks[:, :, p], blocks[:, :, p - 1], row)
+    if columns > 1:
+        m = (columns - 1) // _BLOCK
+        totals = levels[1]
+        totals[..., :m] = _position_major(blocks[:, :, -1, :-1])
+        totals[..., m:] = 0.0
+        _block_products(levels[1:], spare)
+        starts = spare[: 4 * (columns - 1)].reshape(2, 2, 1, -1)
+        _position_major(starts[:, :, 0])[...] = totals[..., :m]
+        later = blocks[..., 1:]
+        _compose(later, starts, spare[-later.size :].reshape(later.shape))
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Running products of (2, 2, n) differences from the identity.
-
-    Column k of the result is (1 + A_k)...(1 + A_0) - 1.  The steps are cut
-    into blocks of _BLOCK and laid out position-major, in one copy:
-    blocks[:, :, p, a] is step _BLOCK * a + p, and the last block is zero
-    padded (the padding is the identity and is never returned).  Then
-      - the prefix products inside every block are taken one position p
-        at a time, each a contiguous row over all blocks;
-      - the block totals blocks[:, :, -1], contiguous too, recurse, unless
-        there is only one block;
-      - every in-block product is combined with its block start in one
-        broadcast composition;
-    and one more copy lays the level back in step order.  A level costs
-    _BLOCK compositions, so about _BLOCK * log_BLOCK(n) in all.
-    """
+    """Running products of (2, 2, n) differences from the identity, through
+    the workspace of :func:`solve_epsilon`: column k of the result is
+    (1 + A_k)...(1 + A_0) - 1."""
     n = steps.shape[-1]
-    if n == 1:
-        return steps
-    count, rest = divmod(n, _BLOCK)
-    blocks = np.zeros((2, 2, _BLOCK, count + (rest > 0)))
-    whole = steps[..., : count * _BLOCK].reshape(2, 2, count, _BLOCK)
-    blocks[..., :count] = whole.transpose(0, 1, 3, 2)
-    blocks[:, :, :rest, -1] = steps[..., count * _BLOCK :]
-    for p in range(1, _BLOCK):
-        blocks[:, :, p] = _compose(blocks[:, :, p], blocks[:, :, p - 1])
-    if blocks.shape[-1] > 1:
-        starts = _prefix_products(blocks[:, :, -1])
-        blocks[..., 1:] = _compose(blocks[..., 1:], starts[:, :, None, :-1])
-    return blocks.transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., :n]
+    levels, spare = _workspace(n)
+    _lay_out(steps, levels[0])
+    _block_products(levels, spare)
+    return levels[0].transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., :n]
 
 
-def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(1 + x)(1 + y) - 1 = x y + y + x for entries-first 2x2 differences,
-    broadcast over the trailing axes: x y is one einsum, then y and x are
-    added in place, in that order.  At t = 100, omega = 1.7 that order
-    gives a Wronskian drift of 5e-15, against 6e-14 with x + y added
-    first."""
-    out = np.einsum("ij...,jk...->ik...", x, y)
-    out += y
-    out += x
-    return out
+def _compose(x: np.ndarray, y: np.ndarray, spare: np.ndarray) -> None:
+    """x becomes (1 + x)(1 + y) - 1 = (x y + y) + x, for entries-first 2x2
+    differences broadcast over the trailing axes; spare, of x's shape and
+    sharing memory with neither, holds x y + y.  Adding y before x matters:
+    at t = 100, omega = 1.7 that order gives a Wronskian drift of 5e-15,
+    against 6e-14 with x + y added first."""
+    np.einsum("ij...,jk...->ik...", x, y, out=spare)
+    spare += y
+    x += spare
 
 
 def _simpson(values: np.ndarray, h: float):

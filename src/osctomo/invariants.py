@@ -77,8 +77,10 @@ class LinearInvariant:
             raise ConsistencyError(f"Lambda {lam.tolist()} or Delta {delta.tolist()} is not finite")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "delta", delta)
-        if abs(self.det - 1.0) > DET_TOL:
-            raise ConsistencyError(f"det Lambda = {self.det!r} deviates from 1 beyond {DET_TOL}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = self.det
+        if not abs(det - 1.0) <= DET_TOL:  # a det that overflows to inf or NaN fails too
+            raise ConsistencyError(f"det Lambda = {det!r} deviates from 1 beyond {DET_TOL}")
 
     @property
     def det(self) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -161,6 +162,25 @@ class TestSolveEpsilon:
         with pytest.raises(ValueError):
             free_traj(-0.1)
 
+    def test_peak_memory_per_step(self):
+        # the steps and their products share one buffer: ~116 B/step at
+        # t = 20, h = 1e-3 (t, eps and eps_dot, which the trajectory
+        # keeps, are 40 of them)
+        profile = DriveProfile.constant(1.7)
+        solve_epsilon(profile, 20.0, 1e-3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve_epsilon(profile, 20.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / 20_000 <= 128
+
 
 class TestPrefixProducts:
     @pytest.mark.parametrize(
@@ -177,6 +197,49 @@ class TestPrefixProducts:
         assert got.shape == want.shape == (2, 2, n)
         scale = np.maximum(1.0, np.abs(1.0 + want).max(axis=(0, 1)))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+class TestSolveMatchesStridedProduct:
+    @pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65, 4095, 4096, 4097, 20000])
+    @pytest.mark.parametrize(
+        "profile",
+        [DriveProfile.constant(1.3), DriveProfile.parametric_resonance(0.3)],
+        ids=["constant", "modulated"],
+    )
+    def test_flow_is_the_strided_product_of_the_rk4_steps(self, profile, n):
+        # the workspace layout of solve_epsilon against the earlier strided
+        # one, on the same RK4 steps, with padding at every level
+        t_end = 20.0 * min(1.0, n / 2000)
+        traj = solve_epsilon(profile, t_end, t_end / n)
+        m = strided_prefix_products(rk4_steps(profile, t_end, n))
+        m[0, 0] += 1.0
+        m[1, 1] += 1.0
+        scale = np.maximum(1.0, np.abs(m).max(axis=(0, 1)))
+        for got, want in ((traj.eps, m[0, 0] + 1j * m[0, 1]), (traj.eps_dot, m[1, 0] + 1j * m[1, 1])):
+            assert np.all(np.abs(got[1:] - want) <= 1e-14 * scale)
+
+
+def rk4_steps(profile, t_end, n):
+    """The differences A_k = P_k - 1 of the RK4 steps on (eps, eps_dot), in
+    the closed form of the four stages, from omega_sq at each step's start,
+    midpoint and end."""
+    h = t_end / n
+    t = np.linspace(0.0, t_end, n + 1)
+    w_full = _on_grid(profile.omega_sq, t)
+    w0, wh, w1 = w_full[:-1], _on_grid(profile.omega_sq, t[:-1] + 0.5 * h), w_full[1:]
+    h2 = h * h
+    return np.array(
+        [
+            [
+                -h2 / 6.0 * (w0 + 2.0 * wh) + h2 * h2 / 24.0 * w0 * wh,
+                h - h2 * h / 6.0 * wh,
+            ],
+            [
+                -h / 6.0 * (w0 + 4.0 * wh + w1) + h2 * h / 12.0 * wh * (w0 + w1),
+                -h2 / 6.0 * (2.0 * wh + w1) + h2 * h2 / 24.0 * wh * w1,
+            ],
+        ]
+    )
 
 
 def random_steps(rng, magnitude, n):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ class TestLambdaMatrix:
     def test_determinant_guard(self):
         with pytest.raises(ConsistencyError):
             LinearInvariant(np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "eps, eps_dot, det",
+        [(1e200, 1e200j, "inf"), (1e200 + 1e200j, 1e200 + 1e200j, "nan")],
+        ids=["det-overflows-to-inf", "det-is-inf-minus-inf"],
+    )
+    def test_overflowing_determinant_rejected_without_warnings(self, eps, eps_dot, det):
+        # finite entries whose det Lambda is not finite: inf fails the
+        # tolerance, and a NaN must fail it too instead of passing unseen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError, match=f"det Lambda = {det}"):
+                ClassicalPropagator.from_epsilon(eps, eps_dot, 0.0)
 
 
     @pytest.mark.parametrize(
