@@ -554,7 +554,10 @@ def parametric_resonance_epsilon(k: float, t):
 
     and the returned eps_dot is the exact time derivative of that
     expression (not the derivative of the true solution).  At k = 0 this
-    reduces to exp(1j t).  k must lie in (-0.5, 0.5) (ValueError).
+    reduces to exp(1j t).  k must lie in (-0.5, 0.5) (ValueError).  cosh
+    and sinh of kt/4 overflow double precision once |kt/4| exceeds ~710
+    (k = 0.3 at t = 1e4); a finite t where eps or eps_dot is not finite
+    raises EvaluationError naming k and that t.
 
     The squared modulus of the approximation is
     ``|eps|^2 = cosh(kt/2) - sinh(kt/2) sin(2t)``; the 1/|r| envelope seen
@@ -563,10 +566,17 @@ def parametric_resonance_epsilon(k: float, t):
     """
     k = _resonance_k(k)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    ch, sh = np.cosh(k * t / 4.0), np.sinh(k * t / 4.0)
-    fwd, bwd = np.exp(1j * t), np.exp(-1j * t)
-    eps = ch * fwd - 1j * sh * bwd
-    eps_dot = (1j * ch + (k / 4.0) * sh) * fwd - (sh + 1j * (k / 4.0) * ch) * bwd
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(k * t / 4.0), np.sinh(k * t / 4.0)
+        fwd, bwd = np.exp(1j * t), np.exp(-1j * t)
+        eps = ch * fwd - 1j * sh * bwd
+        eps_dot = (1j * ch + (k / 4.0) * sh) * fwd - (sh + 1j * (k / 4.0) * ch) * bwd
+    overflowed = np.isfinite(t) & ~(np.isfinite(eps) & np.isfinite(eps_dot))
+    if overflowed.any():
+        raise EvaluationError(
+            f"the resonance closed form at k = {k:g} overflows double precision "
+            f"at t = {np.extract(overflowed, t)[0]:g}"
+        )
     if np.ndim(eps):
         return eps, eps_dot
     return complex(eps), complex(eps_dot)

@@ -7,8 +7,8 @@ class OscTomoError(Exception):
 
 class EvaluationError(OscTomoError):
     """A profile function returned a non-finite value, the drive integral
-    over its finite values overflowed, or a Hermite polynomial overflowed
-    at a finite argument."""
+    over its finite values overflowed, or a Hermite polynomial or the
+    weak-resonance closed form overflowed at a finite argument."""
 
 
 class WronskianDriftError(OscTomoError):

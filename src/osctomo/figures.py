@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_in_place
 from .dynamics import _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
 from .states import fock_mdf
@@ -261,7 +262,11 @@ _FIG_TITLES = {
 def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple[Path, Path]:
     """Compute, validate and write ``fig<N>.csv`` and ``fig<N>.gp``.
 
-    Identical configuration yields byte-identical CSV output.
+    Identical configuration yields byte-identical CSV output.  Existing
+    files are overwritten in place, not truncated first: each keeps its
+    inode, its mode and, for a symlink, its target, and a write that is
+    interrupted leaves the old file's tail after the new bytes instead of
+    a short file.
     """
     cfg = cfg or FigureConfig()
     columns, first, second, values = figure_table(fig_id, cfg)
@@ -287,9 +292,10 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
         args[0::2] = ["%.12g" % b] * len(first)
         args[1::2] = row
         lines.append(template % tuple(args))
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_in_place(csv_path, "\n".join(lines) + "\n")
 
-    gp_path.write_text(
+    write_in_place(
+        gp_path,
         "\n".join(
             [
                 f"# gnuplot surface script for fig{fig_id}.csv",
@@ -303,6 +309,6 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
                 f'splot "fig{fig_id}.csv" using 1:2:3 with lines notitle',
             ]
         )
-        + "\n"
+        + "\n",
     )
     return csv_path, gp_path

@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,6 +98,12 @@ class ClassicalPropagator:
         """Solve the auxiliary dynamics up to t (see :func:`flow_at`) and build the propagator."""
         return cls.from_epsilon(*flow_at(profile, t, step), t)
 
+    @cached_property
+    def _lam_inv(self) -> np.ndarray:
+        """Lambda^{-1}, the adjugate over det Lambda, formed once per propagator."""
+        lam = self.inv.lam
+        return np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
+
     def frame_map(self, X: float, mu: float, nu: float) -> tuple[float, float, float]:
         """The unique source point (X', mu', nu') the delta kernel fires at.
 
@@ -108,11 +115,9 @@ class ClassicalPropagator:
         if not all(map(math.isfinite, (X, mu, nu))):
             raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
         _check_frame(mu, nu)
-        lam, delta = self.inv.lam, self.inv.delta
-        lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
-        n_prime = np.array([nu, mu]) @ lam_inv
+        n_prime = np.array([nu, mu]) @ self._lam_inv
         nu_p, mu_p = float(n_prime[0]), float(n_prime[1])
-        x_p = float(X + n_prime @ delta)
+        x_p = float(X + n_prime @ self.inv.delta)
 
         r = self.eps_dot * nu + self.eps * mu
         mu_e, nu_e = r.real, r.imag

@@ -66,6 +66,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._files import write_in_place
 from .errors import (
     ConsistencyError,
     DegenerateFrameError,
@@ -127,11 +128,12 @@ class _UniformGrid:
 
     def save(self, path) -> None:
         """Plain-text format: '# L=<real> n=<int>' then the rows of values,
-        complex entries written as 're im' pairs."""
-        with open(path, "w") as fh:
-            fh.write(f"# L={self.extent:.17g} n={self.n}\n")
-            for row in np.ascontiguousarray(self.values).view(float):
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        complex entries written as 're im' pairs.  An existing file is
+        overwritten in place, as figures are."""
+        lines = [f"# L={self.extent:.17g} n={self.n}\n"]
+        for row in np.ascontiguousarray(self.values).view(float):
+            lines.append(" ".join(f"{v:.17g}" for v in row) + "\n")
+        write_in_place(path, "".join(lines))
 
     @classmethod
     def load(cls, path):

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -405,6 +407,90 @@ class TestFigure:
         )
         assert code == 1
         assert "resolution" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["--id", "1", "--t-max", "1e4", "--t-count", "3"], ["--id", "5", "--t-fixed", "1e4"]],
+        ids=["surface", "sweep"],
+    )
+    def test_overflowing_resonance_closed_form_exits_2(self, capsys, tmp_path, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["figure", *overrides, "--k", "0.3", "--out", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert "k = 0.3 overflows double precision at t = 10000" in err
+        assert not any(tmp_path.iterdir())
+
+
+SMALL_GRID = ["--t-count", "21", "--x-count", "41", "--mu-count", "21"]
+
+
+def written_figure(capsys, out_dir, fig_id, *overrides):
+    """CSV and .gp bytes after one `figure` run per override list, all into out_dir."""
+    for extra in overrides:
+        assert run(["figure", "--id", str(fig_id), "--out", str(out_dir), *extra], capsys)[0] == 0
+    return [(out_dir / f"fig{fig_id}.{ext}").read_bytes() for ext in ("csv", "gp")]
+
+
+class TestFigureOverwrite:
+    """Figures are overwritten in place and cut to length: what a rewrite leaves
+    is what a write into a fresh directory leaves."""
+
+    @pytest.mark.parametrize("fig_id", figures.FIGURE_IDS)
+    @pytest.mark.parametrize(
+        "before, after", [([], SMALL_GRID), (SMALL_GRID, [])], ids=["shrink", "grow"]
+    )
+    def test_rewrite_equals_fresh_write(self, capsys, tmp_path, fig_id, before, after):
+        rewritten = written_figure(capsys, tmp_path / "rewritten", fig_id, before, after)
+        assert rewritten == written_figure(capsys, tmp_path / "fresh", fig_id, after)
+
+    @pytest.mark.parametrize(
+        "fig_id, overrides, code",
+        [
+            (4, ["--t-count", "7", "--x-count", "9", "--mu-count", "5"], 1),
+            (1, ["--k", "0.3", "--t-max", "1e4", "--t-count", "3"], 2),
+        ],
+        ids=["unresolved-zeros", "overflow"],
+    )
+    def test_failed_figure_leaves_existing_files_unchanged(self, capsys, tmp_path, fig_id, overrides, code):
+        before = written_figure(capsys, tmp_path, fig_id, SMALL_GRID)
+        assert run(["figure", "--id", str(fig_id), "--out", str(tmp_path), *overrides], capsys)[0] == code
+        assert written_figure(capsys, tmp_path, fig_id) == before
+
+    def test_surface_failing_validation_leaves_existing_files_unchanged(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        before = written_figure(capsys, tmp_path, 1, SMALL_GRID)
+
+        def negative_table(fig_id, cfg):
+            columns, first, second, values = figure_table(fig_id, cfg)
+            return columns, first, second, -values
+
+        monkeypatch.setattr(figures, "figure_table", negative_table)
+        code, _, err = run(["figure", "--id", "1", "--out", str(tmp_path)], capsys)
+        assert code == 2 and "negative tomogram values" in err
+        assert written_figure(capsys, tmp_path, 1) == before
+
+    def test_existing_file_keeps_its_inode_and_mode(self, capsys, tmp_path):
+        written_figure(capsys, tmp_path, 1, [])
+        csv_path = tmp_path / "fig1.csv"
+        csv_path.chmod(0o640)
+        inode = csv_path.stat().st_ino
+        written_figure(capsys, tmp_path, 1, SMALL_GRID)
+        assert (csv_path.stat().st_ino, stat.S_IMODE(csv_path.stat().st_mode)) == (inode, 0o640)
+
+    def test_symlinked_figure_stays_a_link_to_the_new_bytes(self, capsys, tmp_path):
+        target = tmp_path / "kept" / "surface.csv"
+        target.parent.mkdir()
+        target.write_text("stale\n" * 200_000)  # longer than the figure: a kept tail would show
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "fig1.csv").symlink_to(target)
+        written = written_figure(capsys, out_dir, 1, SMALL_GRID)
+        assert (out_dir / "fig1.csv").is_symlink()
+        assert os.readlink(out_dir / "fig1.csv") == str(target)
+        assert target.read_bytes() == written[0]
+        assert written == written_figure(capsys, tmp_path / "fresh", 1, SMALL_GRID)
 
 
 def rowwise_table(fig_id, cfg):

@@ -496,6 +496,24 @@ class TestParametricResonance:
             with pytest.raises(ValueError, match=r"requires k in \(-0\.5, 0\.5\), got"):
                 entry(k)
 
+    @pytest.mark.parametrize(
+        "k, t, shown",
+        [(0.3, 1e4, "10000"), (-0.3, 1e4, "10000"), (0.3, [1.0, 5e3, 1e4, 2e4], "10000"),
+         (0.01, 3e5, "300000")],
+    )
+    def test_overflow_at_finite_t_raises_without_warnings(self, k, t, shown):
+        # cosh(kt/4) overflows once |kt/4| passes ~710
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=rf"at k = {k:g} overflows .* at t = {shown}$"):
+                parametric_resonance_epsilon(k, t)
+
+    def test_largest_finite_values_still_returned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps, eps_dot = parametric_resonance_epsilon(0.3, np.array([0.0, 9400.0]))
+        assert np.all(np.isfinite(eps)) and np.all(np.isfinite(eps_dot))
+
 
 class TestHermite:
     def test_base_cases(self):

@@ -97,6 +97,31 @@ class TestFrameMap:
                 continue
             prop.frame_map(X, mu, nu)
 
+    def test_cached_inverse_matches_a_per_point_inverse(self):
+        # Lambda^-1 is formed once per propagator; every point must map bit for bit
+        # as with the inverse built afresh at that point
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            prop = propagator_at(rng.uniform(0.05, 6.0), force=rng.uniform(-1.0, 1.0))
+            lam, det, delta = prop.inv.lam, prop.inv.det, prop.inv.delta
+            for X, mu, nu in rng.normal(scale=2.0, size=(10, 3)).tolist():
+                lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / det
+                n_prime = np.array([nu, mu]) @ lam_inv
+                expected = (float(X + n_prime @ delta), float(n_prime[1]), float(n_prime[0]))
+                assert prop.frame_map(X, mu, nu) == expected
+
+    def test_replaced_fields_are_checked_after_the_inverse_is_cached(self):
+        prop = propagator_at(1.3)
+        prop.frame_map(0.3, 1.0, 0.5)  # forms Lambda^-1 and keeps it on prop
+        for changed in (
+            dataclasses.replace(prop, beta=prop.beta + 0.1),
+            dataclasses.replace(prop, beta=complex(math.nan)),
+            dataclasses.replace(prop, inv=propagator_at(2.0).inv),
+        ):
+            with pytest.raises(ConsistencyError, match="disagree"):
+                changed.frame_map(0.3, 1.0, 0.5)
+        assert prop.frame_map(0.3, 1.0, 0.5) == propagator_at(1.3).frame_map(0.3, 1.0, 0.5)
+
     def test_linear_part_has_unit_determinant(self):
         prop = propagator_at(2.2)
         base = prop.frame_map(0.0, 0.0, 1.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -59,6 +60,10 @@ def vacuum_quad(mu_count=160, y_count=501):
     return QuadratureSpec(
         mu_max=12.0, mu_count=mu_count, y_window=gaussian_window(VACUUM), y_count=y_count
     )
+
+
+# the two-point density of the save golden test
+TWO_POINT = DensityGrid(1.0, np.array([[0.25, 0.125 + 0.5j], [0.125 - 0.5j, 0.75]]))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +127,31 @@ class TestGrids:
             "# L=1 n=2\n1.6707963267948966 1.4707963267948965\n"
             "1.5707963267948966 1.5707963267948966\n"
         )
+
+    @pytest.mark.parametrize("order", ["shrink", "grow"])
+    def test_save_over_an_existing_file_equals_a_fresh_save(self, vacuum_density, tmp_path, order):
+        # save overwrites in place and cuts the file to length, so no stale tail survives
+        first, second = (vacuum_density, TWO_POINT) if order == "shrink" else (TWO_POINT, vacuum_density)
+        path, fresh = tmp_path / "rho.txt", tmp_path / "fresh.txt"
+        first.save(path)
+        second.save(path)
+        second.save(fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_save_to_devnull(self):
+        TWO_POINT.save(os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_save_to_a_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        TWO_POINT.save(fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == ["# L=1 n=2\n0.25 0 0.125 0.5\n0.125 -0.5 0.75 0\n"]
 
 
 class TestMdfFromDensity:
