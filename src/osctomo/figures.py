@@ -49,6 +49,7 @@ __all__ = [
     "time_independence_residual",
     "GAUSSIAN_FIT_TOL",
     "T_INDEPENDENCE_TOL",
+    "MAX_FIGURE_POINTS",
 ]
 
 GAUSSIAN_FIT_TOL = 1e-8
@@ -60,6 +61,9 @@ _TINY = np.finfo(float).tiny
 _LOG_UNDERFLOW = math.log(_TINY) + GAUSSIAN_FIT_TOL
 
 FIGURE_IDS = (1, 2, 3, 4, 5, 6)
+
+#: Most points of one figure surface (a peak of about 101 bytes each, so ~200 MB).
+MAX_FIGURE_POINTS = 2_000_000
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -98,8 +102,17 @@ class FigureConfig:
                 raise ValueError(f"{name} must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError("x_max - x_min must be finite")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        points = max(self.x_count * self.t_count, self.x_count * self.mu_count,
+                     self.t_count * self.mu_count)
+        if points > MAX_FIGURE_POINTS:  # before any grid is allocated
+            raise ValueError(
+                f"a figure surface of {points} points exceeds MAX_FIGURE_POINTS = "
+                f"{MAX_FIGURE_POINTS}; use smaller counts"
+            )
 
     @classmethod
     def _types(cls) -> dict:  # option -> int or float, its default's type
@@ -160,7 +173,9 @@ def gaussian_slice_residual(x: np.ndarray, values: np.ndarray) -> float:
     naming the slice.
     """
     rows = np.atleast_2d(values)
-    design = np.vander(x, 3)
+    # an x beyond 2**500 is scaled down by a power of two, exactly, so that x**2 cannot overflow
+    shift = max(0, int(np.frexp(np.max(np.abs(x)))[1]) - 500)
+    design = np.vander(np.ldexp(x, -shift), 3)
     usable = np.isfinite(rows) & (rows >= _TINY)
     whole = usable.all(axis=1)
     worst = 0.0
@@ -284,15 +299,12 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
         "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"
         % (columns[0], first[0], first[-1], len(first), columns[1], len(second)),
         ",".join(columns),
+        "",
     ]
-    # one % per slice: each first value is formatted once into the template
-    template = "\n".join("%.12g,%%s,%%.12g" % a for a in first.tolist())
-    args = [None] * (2 * len(first))
-    for b, row in zip(second.tolist(), values.tolist()):
-        args[0::2] = ["%.12g" % b] * len(first)
-        args[1::2] = row
-        lines.append(template % tuple(args))
-    write_in_place(csv_path, "\n".join(lines) + "\n")
+    # loaded here, not at import: the parser imports this module for every command
+    from ._csvbody import csv_rows
+
+    write_in_place(csv_path, "".join(["\n".join(lines), *csv_rows(first, second, values)]))
 
     write_in_place(
         gp_path,

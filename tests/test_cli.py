@@ -1,11 +1,15 @@
 import math
 import os
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from osctomo import _csvbody
 from osctomo import (
     ClassicalPropagator,
     DriveProfile,
@@ -641,6 +645,96 @@ class TestFigureWriteAndChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             figures.write_figure(fig_id, tmp_path, cfg)
+
+
+def formatted(values):
+    """Each value through the CSV formatter, its field's NULs dropped."""
+    fields = _csvbody.format_g12(np.asarray(values, dtype=float))
+    return [bytes(field[field != 0]).decode("ascii") for field in fields]
+
+
+def edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 16)])
+    edges = [
+        9.999999999995e-5, 0.0001, 999999999999.5, 99999999999.95,
+        5e-324, 2.2250738585072014e-308, 0.0, -0.0, np.finfo(float).max,
+    ]
+    decimals = [i / 10**j for i in range(1, 1000) for j in range(0, 18)]
+    return [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf), *edges, *decimals]
+
+
+class TestCsvFormatter:
+    """The array formatter writes exactly the bytes of Python's "%.12g"."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), st.just(-0.0)),
+        min_size=1, max_size=64,
+    ))
+    def test_non_negative_values_match_percent_g(self, values):
+        assert formatted(values) == ["%.12g" % v for v in values]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float_matches_percent_g(self, values):
+        assert formatted(values) == ["%.12g" % v for v in values]
+
+    def test_edge_values_match_percent_g(self):
+        values = edge_values()
+        assert formatted(values) == ["%.12g" % v for v in values]
+        negative = [-v for v in values]
+        assert formatted(negative) == ["%.12g" % v for v in negative]
+
+    def test_rows_match_pointwise_formatting(self):
+        rng = np.random.default_rng(20)
+        first = np.concatenate([[-0.0, 0.0, 1e-300], rng.standard_normal(37) * 10.0 ** rng.integers(-6, 14, 37)])
+        second = np.concatenate([[0.0, 2.5e-6, 300.0], rng.random(50) * 10.0 ** rng.integers(-3, 3, 50)])
+        values = rng.random((second.size, first.size)) * 10.0 ** rng.integers(-320, 5, (second.size, first.size))
+        values[::7, ::3] = 0.0
+        expected = "".join(f"{a:.12g},{b:.12g},{values[j, i]:.12g}\n"
+                           for j, b in enumerate(second) for i, a in enumerate(first))
+        assert "".join(_csvbody.csv_rows(first, second, values)) == expected
+
+
+class TestFigureLimits:
+    def test_overflowing_x_width_is_usage_error(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["figure", "--id", "1", "--x-min=-1e308", "--x-max=1e308",
+                                  "--out", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "x_max - x_min must be finite" in err
+        assert not (tmp_path / "fig1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fig_id, x_min, x_max", [(1, "-1e200", "-1e199"), (5, "-1e155", "1e155")], ids=["far", "wide"]
+    )
+    def test_fit_on_huge_x_fails_without_overflow(self, capsys, tmp_path, fig_id, x_min, x_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fit's x**2 must not overflow
+            code, out, err = run(["figure", "--id", str(fig_id), f"--x-min={x_min}", f"--x-max={x_max}",
+                                  "--out", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"figure {fig_id}: ground-state slice 0: fewer than 3 values above underflow" in err
+
+    def test_figure_above_max_points_is_rejected_before_allocating(self):
+        count = figures.MAX_FIGURE_POINTS // 2 + 1  # 2 * count points, just above the cap
+        tracemalloc.start()
+        try:
+            for counts in ((count, 2, 2), (2, count, 2), (2, 2, count)):
+                with pytest.raises(ValueError, match="exceeds MAX_FIGURE_POINTS"):
+                    FigureConfig(**dict(zip(("x_count", "t_count", "mu_count"), counts)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        FigureConfig(x_count=2, t_count=count - 1, mu_count=2)
+
+    def test_figure_above_max_points_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(["figure", "--id", "1", "--t-count", "30000", "--x-count", "30000",
+                              "--out", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "MAX_FIGURE_POINTS" in err
 
 
 class TestFigureFourZeroResolution:

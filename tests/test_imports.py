@@ -88,3 +88,12 @@ def test_figure_loads_only_figures_and_what_it_uses(tmp_path):
     assert "osctomo.figures" in modules
     unused = {"osctomo.selftest", "osctomo.transforms", "osctomo.propagators", "osctomo.invariants"}
     assert not unused & modules
+
+
+def test_only_a_written_figure_loads_the_csv_formatter(tmp_path):
+    evaluated = modules_after(
+        "from osctomo import cli; assert cli.main(['eval', 'hermite', 'n=2', 'y=0.5']) == 0", tmp_path
+    )
+    assert "osctomo.figures" in evaluated and "osctomo._csvbody" not in evaluated
+    written = modules_after("from osctomo import cli; assert cli.main(['figure', '--id', '1']) == 0", tmp_path)
+    assert "osctomo._csvbody" in written
