@@ -69,6 +69,8 @@ class LinearInvariant:
     t: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t!r}")
         lam = np.asarray(self.lam, dtype=float)
         delta = np.asarray(self.delta, dtype=float)
         if lam.shape != (2, 2) or delta.shape != (2,):

@@ -19,7 +19,10 @@ The same map has an explicit form in terms of (eps, eps_dot, beta):
     mu' = Re r,  nu' = Im r,  X' = X + sqrt(2) Re(beta conj(r)),
     r = eps_dot nu + eps mu;
 
-both representations are evaluated and must agree.
+both representations are evaluated at every point and must agree.  The
+map is one array computation: ClassicalPropagator.frame_map and evolve
+take X, mu and nu of any shapes that broadcast, so a whole tomogram
+surface evolves in one call, and floats give floats.
 
 The quantum Green function is one Van Vleck kernel of the same flow, with
 m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2) Re(eps
@@ -34,7 +37,8 @@ oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2) integral
 of e^{is} f(s) over [0, t], by the one Simpson rule of the drive that
 beta_shift also uses.  The density-matrix propagator K = G(X,Z)
 conj(G(X',Z')) is independent of the phase convention.  Focal points
-(m12 = 0) raise CausticError.
+(m12 = 0) raise CausticError; a non-finite argument raises ValueError
+naming it.  The Green functions take floats.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class ClassicalPropagator:
     """Affine pullback map on (X, mu, nu) representing the delta kernel.
 
     Holds both the invariant data and the raw (eps, eps_dot, beta) so the
-    two representations of the map can be checked against each other on
-    every evaluation.
+    two representations of the map can be checked against each other at
+    every point it maps.
     """
 
     eps: complex
@@ -104,38 +108,73 @@ class ClassicalPropagator:
         lam = self.inv.lam
         return np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
 
-    def frame_map(self, X: float, mu: float, nu: float) -> tuple[float, float, float]:
+    @cached_property
+    def _eps_form(self) -> np.ndarray:
+        """The eps form as one real matrix: (X, nu, mu) @ it = (X', nu', mu').
+
+        mu' + 1j nu' = r = eps_dot nu + eps mu, and
+        X' - X = sqrt(2) Re(beta conj(r)) = sqrt(2) (Re beta Re r + Im beta Im r).
+        """
+        eps, eps_dot, beta = self.eps, self.eps_dot, self.beta
+        shift = lambda c: _SQRT2 * (beta.real * c.real + beta.imag * c.imag)
+        return np.array([
+            [1.0, 0.0, 0.0],
+            [shift(eps_dot), eps_dot.imag, eps_dot.real],
+            [shift(eps), eps.imag, eps.real],
+        ])
+
+    def frame_map(self, X, mu, nu):
         """The unique source point (X', mu', nu') the delta kernel fires at.
 
-        Computed from N' = N Lambda^{-1}, X' = X + N Lambda^{-1} Delta and
-        verified against the explicit eps-form; disagreement beyond 1e-10,
-        or a NaN one, raises ConsistencyError.  Non-finite X, mu or nu and
-        the frame (0, 0) raise ValueError.
+        X, mu and nu are floats or numpy arrays that broadcast together.
+        Scalars (0-d arrays too) give a tuple of three floats; otherwise
+        X', mu' and nu' are arrays of the broadcast shape.  The points are
+        mapped as N' = N Lambda^{-1}, X' = X + N' Delta, with N = (nu, mu),
+        each bit for bit as on its own, and each is checked against the
+        explicit eps form: a disagreement beyond 1e-10 max(1, |X|, |mu|,
+        |nu|), or a NaN one, as where an image leaves the double range,
+        raises ConsistencyError, with no RuntimeWarning.  A non-finite X,
+        mu or nu, or a zero frame (the rule of the CLI and the transforms),
+        at any point raises ValueError, as the scalar call there does.
         """
-        if not all(map(math.isfinite, (X, mu, nu))):
+        pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
+        pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
+        if np.count_nonzero(np.isfinite(pts)) != pts.size:
+            X, nu, mu = pts[~np.isfinite(pts).all(axis=-1)][0].tolist()
             raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
-        _check_frame(mu, nu)
-        n_prime = np.array([nu, mu]) @ self._lam_inv
-        nu_p, mu_p = float(n_prime[0]), float(n_prime[1])
-        x_p = float(X + n_prime @ self.inv.delta)
+        # a point whose image leaves the double range gets inf or NaN on a
+        # route, and fails the check below instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_frame(mu, nu)
+            out = np.empty_like(pts)  # rows (X', nu', mu')
+            n_p = np.matmul(pts[..., 1:], self._lam_inv, out=out[..., 1:])
+            # vecdot takes each row's N' Delta with the dot kernel of a 1-D @;
+            # a matrix-vector n_p @ Delta would round some points differently
+            np.add(pts[..., 0], np.vecdot(n_p, self.inv.delta), out=out[..., 0])
 
-        r = self.eps_dot * nu + self.eps * mu
-        mu_e, nu_e = r.real, r.imag
-        x_e = X + _SQRT2 * (self.beta * r.conjugate()).real
-        scale = max(1.0, abs(X), abs(mu), abs(nu))
-        if not max(abs(x_p - x_e), abs(mu_p - mu_e), abs(nu_p - nu_e)) <= _MAP_TOL * scale:
+            eps_form = pts @ self._eps_form
+            tol = _MAP_TOL * np.maximum.reduce(np.abs(pts), axis=-1, keepdims=True, initial=1.0)
+            agree = np.abs(out - eps_form) <= tol  # False where a route is NaN
+        if np.count_nonzero(agree) != agree.size:
+            at = ~agree.all(axis=-1)
+            (x_p, nu_p, mu_p), (x_e, nu_e, mu_e) = out[at][0].tolist(), eps_form[at][0].tolist()
             raise ConsistencyError(
                 "Lambda^-1 form and eps form of the frame map disagree: "
                 f"({x_p}, {mu_p}, {nu_p}) vs ({x_e}, {mu_e}, {nu_e})"
             )
-        return x_p, mu_p, nu_p
+        if out.ndim == 1:
+            x_p, nu_p, mu_p = out.tolist()
+            return x_p, mu_p, nu_p
+        return out[..., 0], out[..., 2], out[..., 1]
 
-    def evolve(
-        self, w0: Callable[[float, float, float], float], X: float, mu: float, nu: float
-    ) -> float:
+    def evolve(self, w0: Callable, X, mu, nu):
         """Evolved tomogram value w(X, mu, nu, t) = w0(frame_map(X, mu, nu)).
 
         The delta kernel integrates out exactly; no quadrature is involved.
+        X, mu and nu broadcast as in :meth:`frame_map`: floats call w0 on
+        floats, arrays call it once on arrays of the broadcast shape, so w0
+        must then accept arrays, as the closed-form tomograms of
+        :mod:`osctomo.states` do.
         """
         return w0(*self.frame_map(X, mu, nu))
 
@@ -152,8 +191,8 @@ def fokker_planck_residual(
     at ``point = (X, mu, nu, t)`` with step h in every direction.  For an
     exact solution the residual is O(h^2).
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     X, mu, nu, t = point
     d_t = (w(X, mu, nu, t + h) - w(X, mu, nu, t - h)) / (2.0 * h)
     d_nu = (w(X, mu, nu + h, t) - w(X, mu, nu - h, t)) / (2.0 * h)
@@ -162,9 +201,18 @@ def fokker_planck_residual(
     return d_t - mu * d_nu + profile.omega_sq(t) * nu * d_mu + profile.force(t) * nu * d_X
 
 
+def _finite(**values) -> None:
+    """ValueError naming the first of the real or complex values that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _green(eps: complex, eps_dot: complex, beta: complex, label: str):
     """G(X, Z, phase) of the flow (eps, eps_dot, beta): the module's Van
-    Vleck kernel, checked for a focal point once, when it is built."""
+    Vleck kernel, checked for a finite flow and a focal point once, when it
+    is built.  Its arguments are checked by the public functions."""
+    _finite(eps=eps, eps_dot=eps_dot, beta=beta)
     m11, m12, m22 = eps.real, eps.imag, eps_dot.imag
     if abs(m12) < CAUSTIC_TOL:
         raise CausticError(f"{label} is singular at a focal point (|Im eps| < {CAUSTIC_TOL})")
@@ -184,6 +232,7 @@ def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
+    _finite(X=X, Z=Z, t=t, phase=phase)
     eps = cmath.exp(1j * t)
     return _green(eps, 1j * eps, 0j, "oscillator Green function")(X, Z, phase)
 
@@ -193,16 +242,16 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
+    _finite(X=X, Z=Z, t=t, phase=phase)
     return _green(complex(1.0, t), 1j, 0j, "free Green function")(X, Z, phase)
 
 
 def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
     """(e^{it}, i e^{it}, beta) of a unit-frequency profile, beta by the
     drive quadrature of beta_shift on a grid of step ~_DEFAULT_STEP from 0
-    to t (t < 0 too, but finite); omega_sq, sampled there, must be 1 (else
-    ValueError, or EvaluationError where it is not finite)."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    to t (t < 0 too, but finite: the callers check it); omega_sq, sampled
+    there, must be 1 (else ValueError, or EvaluationError where it is not
+    finite)."""
     n = max(2, 2 * max(1, round(abs(t) / (2.0 * _DEFAULT_STEP))))
     s = np.linspace(0.0, t, n + 1)
     off = np.abs(_on_grid(profile.omega_sq, s, "omega_sq") - 1.0)
@@ -223,6 +272,7 @@ def green_driven(
     ``profile`` must have omega_sq = 1 (ValueError otherwise); the modulus
     is force-independent.
     """
+    _finite(X=X, Z=Z, t=t, phase=phase)
     return _green(*_unit_flow(profile, t), "driven Green function")(X, Z, phase)
 
 
@@ -235,6 +285,7 @@ def quantum_propagator(
     conj(G) with opposite signs and cancels exactly.  ``profile`` must
     have omega_sq = 1, as for :func:`green_driven`.
     """
+    _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
     green = _green(*_unit_flow(profile, t), "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
@@ -254,6 +305,7 @@ def quantum_propagator_from_shift(
 
     multiplying the force-free oscillator propagator.
     """
+    _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, beta=beta)
     k_sho = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate()
     s = math.sin(t)
     beta = complex(beta)

@@ -49,9 +49,14 @@ _SQRT2 = math.sqrt(2.0)
 _R_TOL = 1e-12
 
 
-def _check_frame(mu: float, nu: float) -> None:
-    """ValueError for (0, 0), or a frame so small that mu^2 + nu^2 is 0."""
-    if mu * mu + nu * nu == 0.0:
+def _check_frame(mu, nu) -> None:
+    """ValueError for (0, 0), or a frame so small that mu^2 + nu^2 is 0.
+
+    mu and nu are floats or arrays that broadcast; one such frame among
+    them raises.  A square past the double range is inf, so no zero frame;
+    on numpy values it warns unless the caller ignores overflow.
+    """
+    if np.count_nonzero(mu * mu + nu * nu == 0.0):
         raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
 
 
@@ -151,8 +156,8 @@ def fourier_ladder_apply(
     the tomogram-native statement of coherence in the one space where the
     inverse X-derivative is algebraic.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     d_y = (wk(y + h, z) - wk(y - h, z)) / (2.0 * h)
     d_z = (wk(y, z + h) - wk(y, z - h)) / (2.0 * h)
     return 0.5j * (eps * y + eps_dot * z) * wk(y, z) + eps_dot * d_y - eps * d_z
@@ -166,8 +171,8 @@ def annihilation_eigencheck(alpha, eps, eps_dot, beta, mu, nu, k, h) -> complex:
     exact residual is zero, so the returned value is O(h^2).
     """
     k = float(k)
-    if k == 0.0:
-        raise ValueError("k must be nonzero (the scaled variables divide by k)")
+    if not (math.isfinite(k) and k != 0.0):
+        raise ValueError(f"k must be finite and nonzero (the scaled variables divide by k), got {k!r}")
 
     def wk(y: float, z: float) -> complex:
         return complex(

@@ -149,3 +149,14 @@ class TestProfileStart:
             inv = linear_invariant(traj.eps[0], traj.eps_dot[0], 0.0)
             np.testing.assert_array_equal(inv.lam, np.eye(2))
             np.testing.assert_array_equal(inv.delta, np.zeros(2))
+
+
+class TestInvariantTime:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            linear_invariant(1.0, 1.0j, 0.0, t=t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            ClassicalPropagator.from_epsilon(1.0, 1.0j, 0.0, t=t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            LinearInvariant(np.eye(2), np.zeros(2), t)

@@ -423,3 +423,158 @@ class TestClassicalPropagatorProperties:
         pa, pb, pc = (ClassicalPropagator.from_profile(profile, t) for t in (t1, t2, t1 + t2))
         composed = pa.frame_map(*pb.frame_map(*point))
         assert composed == pytest.approx(pc.frame_map(*point), rel=1e-9, abs=1e-9)
+
+
+frame_shapes = st.sampled_from([((), (5,), (5,)), ((7,), (), ()), ((3, 1), (1, 4), (4,)), ((2, 3, 2), (3, 1), (2,))])
+
+
+class TestFrameMapOnArrays:
+    """One frame_map body for every shape: arrays map bit for bit as their points do."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), shapes=frame_shapes,
+           seed=st.integers(0, 2**32 - 1))
+    def test_arrays_match_the_per_point_calls_bitwise(self, case, t, shapes, seed):
+        prop = ClassicalPropagator.from_profile(case[0], t)
+        rng = np.random.default_rng(seed)
+        X, mu, nu = (rng.normal(scale=2.0, size=shape) for shape in shapes)
+        shape = np.broadcast_shapes(*shapes)
+        mapped = prop.frame_map(X, mu, nu)
+        assert all(isinstance(v, np.ndarray) and v.shape == shape for v in mapped)
+        points = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (X, mu, nu)))
+        per_point = np.array([prop.frame_map(*point) for point in points])
+        assert np.array_equal(np.stack([v.ravel() for v in mapped], axis=-1), per_point)
+
+    def test_zero_dimensional_input_gives_floats(self):
+        prop = propagator_at(1.3)
+        mapped = prop.frame_map(np.float64(0.3), np.array(1.0), 0.5)
+        assert all(type(v) is float for v in mapped)
+        assert mapped == prop.frame_map(0.3, 1.0, 0.5)
+
+    def test_x_slice_with_a_scalar_frame(self):
+        prop = propagator_at(2.2)
+        X = np.linspace(-3.0, 3.0, 11)
+        x_p, mu_p, nu_p = prop.frame_map(X, 0.6, 0.8)
+        assert x_p.shape == mu_p.shape == nu_p.shape == (11,)
+        _, mu_0, nu_0 = prop.frame_map(0.0, 0.6, 0.8)
+        assert np.all(mu_p == mu_0) and np.all(nu_p == nu_0)
+        assert x_p.tolist() == [prop.frame_map(x, 0.6, 0.8)[0] for x in X.tolist()]
+
+    def test_frame_grid_from_a_column_and_a_row(self):
+        prop = propagator_at(0.9)
+        mu, nu = np.linspace(-1.0, 1.0, 4)[:, None], np.linspace(0.5, 2.0, 3)[None, :]
+        mapped = prop.frame_map(0.4, mu, nu)
+        assert all(v.shape == (4, 3) for v in mapped)
+        for i, j in np.ndindex(4, 3):
+            assert tuple(float(v[i, j]) for v in mapped) == prop.frame_map(0.4, mu[i, 0], nu[0, j])
+
+    @pytest.mark.parametrize(
+        "slots, value",
+        [((slot,), value) for slot in (0, 1, 2) for value in (math.nan, math.inf, -math.inf)]
+        + [((1, 2), 0.0)],
+        ids=[f"{name}-{value}" for name in ("X", "mu", "nu") for value in ("nan", "inf", "-inf")]
+        + ["zero-frame"],
+    )
+    def test_one_bad_element_raises_the_scalar_error(self, slots, value):
+        prop = propagator_at(1.3)
+        args = [np.linspace(-1.0, 1.0, 6), np.full(6, 0.6), np.full(6, 0.8)]
+        for slot in slots:
+            args[slot][4] = value
+        with pytest.raises(ValueError) as scalar:
+            prop.frame_map(*(float(a[4]) for a in args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as array:
+                prop.frame_map(*args)
+            with pytest.raises(ValueError):
+                prop.evolve(lambda X, mu, nu: coherent_mdf(0.3, 1.0, 1.0j, 0.0, X, mu, nu), *args)
+        assert str(array.value) == str(scalar.value)
+
+    def test_nan_eps_route_at_one_element_is_a_consistency_error(self):
+        # the one point whose image leaves the double range maps to inf on
+        # both routes, so their difference is NaN there and finite elsewhere
+        prop = propagator_at(math.pi / 4.0, force=0.0)
+        X, mu, nu = np.zeros(5), np.full(5, 0.6), np.full(5, 0.8)
+        mu[2] = nu[2] = 1.5e308
+        prop.frame_map(X[:2], mu[:2], nu[:2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ConsistencyError, match="disagree"):
+                prop.frame_map(X, mu, nu)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                prop.frame_map(0.0, 1.5e308, 1.5e308)
+
+    def test_huge_frames_map_without_warnings(self):
+        prop = propagator_at(1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero-frame test squares mu and nu
+            mapped = prop.frame_map(np.zeros(2), np.array([1e200, 0.6]), np.array([0.0, 0.8]))
+        assert np.all(np.isfinite(mapped))
+
+    @pytest.mark.parametrize(
+        "w0",
+        [
+            lambda x, mu, nu: fock_mdf(2, 1.0, 1.0j, 0.0, x, mu, nu),
+            lambda x, mu, nu: coherent_mdf(0.7 + 0.3j, 1.0, 1.0j, 0.0, x, mu, nu),
+        ],
+        ids=["fock2", "coherent"],
+    )
+    def test_evolve_on_arrays_is_w0_at_the_mapped_arrays(self, w0):
+        prop = propagator_at(3.0)
+        X = np.linspace(-12.0, 12.0, 2401)[:, None]
+        angle = np.array([0.0, 0.8, 2.1])
+        mu, nu = np.cos(angle), np.sin(angle)
+        vals = prop.evolve(w0, X, mu, nu)
+        assert vals.shape == (2401, 3)
+        assert np.array_equal(vals, w0(*prop.frame_map(X, mu, nu)))
+        assert np.all(np.abs(np.trapezoid(vals, X[:, 0], axis=0) - 1.0) < 1e-6)
+        for k in (0, 1200, 2400):
+            for j in range(3):
+                point = prop.evolve(w0, float(X[k, 0]), float(mu[j]), float(nu[j]))
+                assert vals[k, j] == pytest.approx(point, rel=1e-14, abs=1e-300)
+
+
+class TestGreenNonFinite:
+    """Every Green function names a non-finite argument instead of returning nan."""
+
+    P = DriveProfile.constant(1.0, lambda t: 1.0)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: green_sho(0.1, 0.1, math.nan), "t"),
+            (lambda: green_sho(math.inf, 0.1, 1.0), "X"),
+            (lambda: green_sho(0.1, 0.1, 1.0, phase=math.nan), "phase"),
+            (lambda: green_free(0.1, 0.1, math.inf), "t"),
+            (lambda: green_free(0.1, -math.inf, 1.0), "Z"),
+            (lambda: green_driven(math.nan, 0.1, 1.0, TestGreenNonFinite.P), "X"),
+            (lambda: green_driven(0.1, 0.1, 1.0, TestGreenNonFinite.P, math.inf), "phase"),
+            (lambda: quantum_propagator(0.1, 0.2, math.inf, 0.3, 1.0, TestGreenNonFinite.P), "Z"),
+            (lambda: quantum_propagator(0.1, math.nan, 0.2, 0.3, 1.0, TestGreenNonFinite.P), "Xp"),
+            (lambda: quantum_propagator_from_shift(0.1, 0.2, 0.3, 0.4, math.nan, 0.1), "t"),
+            (lambda: quantum_propagator_from_shift(0.1, 0.2, 0.3, 0.4, 1.0, complex(math.nan)), "beta"),
+            (lambda: quantum_propagator_from_shift(0.1, 0.2, 0.3, math.inf, 1.0, 0.1j), "Zp"),
+        ],
+        ids=["sho-t", "sho-X", "sho-phase", "free-t", "free-Z", "driven-X", "driven-phase",
+             "propagator-Z", "propagator-Xp", "shift-t", "shift-beta", "shift-Zp"],
+    )
+    def test_non_finite_argument_named(self, call, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                call()
+
+    def test_kernel_rejects_a_non_finite_flow(self):
+        from osctomo.propagators import _green
+
+        for flow, name in (((complex(math.nan), 1j, 0j), "eps"), ((1 + 1j, 1j, complex(math.inf)), "beta")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                _green(*flow, "test kernel")
+
+
+class TestResidualStep:
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, h):
+        w = lambda X, mu, nu, t: 1.0
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            fokker_planck_residual(w, DriveProfile.constant(1.0), (0.1, 0.2, 0.3, 0.4), h)

@@ -409,3 +409,51 @@ class TestClosedFormProperties:
         X = np.linspace(-5.0, 5.0, 11)
         w_nm, w_mn = cross_mdf(n, m, *state, X, mu, nu), cross_mdf(m, n, *state, X, mu, nu)
         assert np.array_equal(w_nm, np.conj(w_mn))
+
+
+class TestLadderGuards:
+    WK = staticmethod(lambda y, z: complex(coherent_mdf_fourier(1.0, 0.3, *VACUUM, y, z)))
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            fourier_ladder_apply(self.WK, 1.0, 1.0j, 0.3, 0.4, h)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            annihilation_eigencheck(0.3, *VACUUM, 0.6, 0.8, 1.0, h)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0])
+    def test_scale_must_be_finite_and_nonzero(self, k):
+        with pytest.raises(ValueError, match="k must be finite and nonzero"):
+            annihilation_eigencheck(0.3, *VACUUM, 0.6, 0.8, k, 1e-3)
+
+
+class TestFrameRule:
+    """The one zero-frame rule, shared by the CLI, transforms and the propagator."""
+
+    def test_arrays_with_one_zero_frame_raise(self):
+        from osctomo.states import _check_frame
+
+        _check_frame(np.array([1.0, 0.0]), np.array([0.0, 0.5]))
+        for mu, nu in ((np.array([1.0, 0.0]), np.array([0.5, 0.0])), (np.zeros((2, 1)), np.array([0.0, 1.0]))):
+            with pytest.raises(ValueError, match=r"\(0, 0\)"):
+                _check_frame(mu, nu)
+
+    def test_tiny_frames_follow_the_scalar_rule(self):
+        from osctomo.states import _check_frame
+
+        for mu in (1e-170, -1e-163):  # mu^2 underflows to 0
+            with pytest.raises(ValueError, match=r"\(0, 0\)"):
+                _check_frame(mu, 0.0)
+            with pytest.raises(ValueError, match=r"\(0, 0\)"):
+                _check_frame(np.array([1.0, mu]), np.array([0.0, 0.0]))
+        _check_frame(1e-160, 0.0)
+        _check_frame(np.array([1e-160]), np.array([0.0]))
+
+    def test_huge_frames_pass(self):
+        from osctomo.states import _check_frame
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_frame(1e200, 1e300)  # float squares overflow to inf silently
+            with np.errstate(over="ignore"):
+                _check_frame(np.array([1e200, 0.0]), np.array([0.0, -1e300]))
