@@ -18,10 +18,14 @@ The package provides
 * :mod:`osctomo.cli` -- the ``osctomo`` command line driver (``figure``,
   ``eval``, ``selftest``).
 
-``import osctomo`` loads only :mod:`osctomo.errors`.  Every other
-submodule is imported on first use: ``osctomo.coherent_mdf`` (or ``from
-osctomo import coherent_mdf``) imports :mod:`osctomo.states` then, and
-``osctomo.states`` itself works the same way.
+``import osctomo`` loads only :mod:`osctomo.errors`, whose exceptions it
+re-exports.  Every other public name is listed once, in a table of the
+submodule that defines it, and ``__all__`` is built from that table and
+``errors.__all__``.  The submodule is imported on first use:
+``osctomo.coherent_mdf`` (or ``from osctomo import coherent_mdf``) imports
+:mod:`osctomo.states` then, and ``osctomo.states`` itself works the same
+way.  The command line driver reaches the library through these same
+names.
 
 Dimensionless units throughout: hbar = m = 1, and omega = 1 for the
 constant-frequency oscillator.  All public functions are pure; grids and
@@ -31,78 +35,16 @@ evaluate concurrently.
 
 import importlib
 
-from .errors import (
-    OscTomoError,
-    EvaluationError,
-    WronskianDriftError,
-    ConsistencyError,
-    DegenerateFrameError,
-    CausticError,
-    FrameUnsupportedError,
-    UnsupportedOrderError,
-    QuadratureConvergenceError,
-    OutOfSupportWarning,
-)
+from . import errors
+from .errors import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DriveProfile",
-    "EpsilonTrajectory",
-    "solve_epsilon",
-    "beta_shift",
-    "flow_at",
-    "parametric_resonance_epsilon",
-    "hermite",
-    "hermite_gauss",
-    "LinearInvariant",
-    "LadderInvariant",
-    "lambda_matrix",
-    "delta_vector",
-    "linear_invariant",
-    "ladder_pair",
-    "ladder_commutator",
-    "invariant_from_ladder",
-    "ClassicalPropagator",
-    "fokker_planck_residual",
-    "green_sho",
-    "green_free",
-    "green_driven",
-    "quantum_propagator",
-    "quantum_propagator_from_shift",
-    "coherent_mdf",
-    "mean_X",
-    "variance_X",
-    "coherent_mdf_fourier",
-    "fourier_ladder_apply",
-    "annihilation_eigencheck",
-    "fock_mdf",
-    "cross_mdf",
-    "coherent_wavefunction",
-    "DensityGrid",
-    "WignerGrid",
-    "QuadratureSpec",
-    "mdf_from_density",
-    "density_from_mdf",
-    "density_grid_from_mdf",
-    "mdf_from_wigner",
-    "OscTomoError",
-    "EvaluationError",
-    "WronskianDriftError",
-    "ConsistencyError",
-    "DegenerateFrameError",
-    "CausticError",
-    "FrameUnsupportedError",
-    "UnsupportedOrderError",
-    "QuadratureConvergenceError",
-    "OutOfSupportWarning",
-    "__version__",
-]
-
-# Every public name outside errors, by the submodule that defines it.  The
-# submodule is imported on first access (PEP 562) and the name is looked up
-# on it each time, never copied here, so a patched submodule attribute is
-# what the package root returns too.
+# The one record of where each public name lives: every public name outside
+# errors, by the submodule that defines it.  The submodule is imported on
+# first access (PEP 562) and the name is looked up on it each time, never
+# copied here, so a patched submodule attribute is what the package root
+# returns too.
 _SUBMODULE_OF = {
     name: module
     for module, names in {
@@ -130,6 +72,8 @@ _SUBMODULE_OF = {
     }.items()
     for name in names
 }
+
+__all__ = [*_SUBMODULE_OF, *errors.__all__, "__version__"]
 
 
 def __getattr__(name):

@@ -23,8 +23,11 @@ values accept either ``0.7+0.3j`` or ``0.7+0.3i``.
 
 Importing this module loads numpy and :mod:`osctomo.errors` only.  Each
 command imports what it runs when it runs: the parser and ``figure``
-:mod:`osctomo.figures`, ``eval`` the dynamics, states and propagators,
-``selftest`` the acceptance battery.
+:mod:`osctomo.figures`, ``selftest`` the acceptance battery, and ``eval``
+calls the library through the package root (``osctomo.flow_at``,
+``osctomo.coherent_mdf``, ...), whose first use of a name imports the
+submodule that defines it, so the CLI keeps no second record of where
+each name lives.
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+import osctomo
+
 from .errors import OscTomoError
 
 if TYPE_CHECKING:
-    from .dynamics import DriveProfile
+    from . import dynamics
 
 __all__ = ["main"]
 
@@ -59,11 +64,11 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _table_profile(path: str, data: np.ndarray, force) -> tuple[DriveProfile, tuple[float, float]]:
+def _table_profile(
+    path: str, data: np.ndarray, force
+) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
     """The profile interpolated from the table's rows, a given force in
     place of its force column, and the t range the rows cover."""
-    from .dynamics import DriveProfile
-
     if data.shape[1] not in (2, 3):
         raise ValueError(f"profile table {path!r} needs columns: t omega_sq [force]")
     if not np.isfinite(data).all():
@@ -72,7 +77,7 @@ def _table_profile(path: str, data: np.ndarray, force) -> tuple[DriveProfile, tu
     if not np.all(np.diff(ts) > 0):
         raise ValueError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
-    profile = DriveProfile.custom(
+    profile = osctomo.DriveProfile.custom(
         lambda t: np.interp(t, ts, w2), force or (lambda t: np.interp(t, ts, f))
     )
     return profile, (float(ts[0]), float(ts[-1]))
@@ -80,20 +85,18 @@ def _table_profile(path: str, data: np.ndarray, force) -> tuple[DriveProfile, tu
 
 def _parse_profile(
     spec: str, force_value: float | None
-) -> tuple[DriveProfile, tuple[float, float]]:
+) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
     """The profile and the t range it is defined on (a table's rows, else all t)."""
-    from .dynamics import DriveProfile
-
     always = (-math.inf, math.inf)
     force = None if force_value in (None, 0.0) else (lambda t, c=force_value: c)
     head, _, arg = spec.partition(":")
     try:
         if head == "constant":
-            return DriveProfile.constant(float(arg or 1.0), force), always
+            return osctomo.DriveProfile.constant(float(arg or 1.0), force), always
         if head == "free":
-            return DriveProfile.free(force), always
+            return osctomo.DriveProfile.free(force), always
         if head == "resonance":
-            return DriveProfile.parametric_resonance(float(arg or 0.01), force), always
+            return osctomo.DriveProfile.parametric_resonance(float(arg or 0.01), force), always
         if head == "table":
             data = np.loadtxt(arg, comments="#", ndmin=2)
     except (ValueError, OSError) as exc:
@@ -136,13 +139,11 @@ class _EvalArgs:
 
     def frame(self) -> tuple[float, float]:
         """The tomographic frame (mu, nu), checked before any flow is solved."""
-        from .states import _check_frame
-
         mu, nu = self.get("mu"), self.get("nu")
-        _check_frame(mu, nu)
+        osctomo.states._check_frame(mu, nu)
         return mu, nu
 
-    def profile_and_time(self) -> tuple[DriveProfile, float]:
+    def profile_and_time(self) -> tuple[dynamics.DriveProfile, float]:
         """The drive profile and the time t; the flow runs over [0, t], so a
         table profile must cover that interval instead of being extrapolated."""
         spec = self.get("profile", str, "constant:1")
@@ -156,15 +157,13 @@ class _EvalArgs:
             )
         return profile, t
 
-    def flow_args(self) -> tuple[DriveProfile, float, float | None]:
+    def flow_args(self) -> tuple[dynamics.DriveProfile, float, float | None]:
         """profile_and_time and the ODE step, None (flow_at's default) if not given."""
         return (*self.profile_and_time(), self.get("step") if "step" in self.values else None)
 
     def flow(self) -> tuple[complex, complex, complex]:
         """flow_at(*flow_args()): (eps, eps_dot, beta) at t."""
-        from .dynamics import flow_at
-
-        return flow_at(*self.flow_args())
+        return osctomo.flow_at(*self.flow_args())
 
     def check_consumed(self):
         unused = set(self.values) - self.used
@@ -177,11 +176,10 @@ def _op_epsilon(args):
 
 
 def _op_wronskian(args):
-    from .dynamics import _flow_step, solve_epsilon
-
     profile, t, step = args.flow_args()
-    step = _flow_step(t, step)
-    return (solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf).max_wronskian_drift,)
+    step = osctomo.dynamics._flow_step(t, step)
+    traj = osctomo.solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
+    return (traj.max_wronskian_drift,)
 
 
 def _op_beta(args):
@@ -189,93 +187,70 @@ def _op_beta(args):
 
 
 def _op_frame_map(args):
-    from .propagators import ClassicalPropagator
-
     mu, nu = args.frame()
-    return ClassicalPropagator.from_profile(*args.flow_args()).frame_map(args.get("X"), mu, nu)
+    prop = osctomo.ClassicalPropagator.from_profile(*args.flow_args())
+    return prop.frame_map(args.get("X"), mu, nu)
 
 
 def _op_coherent_mdf(args):
-    from .states import coherent_mdf
-
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    return (coherent_mdf(alpha, *args.flow(), args.get("X"), mu, nu),)
+    return (osctomo.coherent_mdf(alpha, *args.flow(), args.get("X"), mu, nu),)
 
 
 def _op_fock_mdf(args):
-    from .states import fock_mdf
-
     n = args.get("n", int)
     mu, nu = args.frame()
-    return (fock_mdf(n, *args.flow(), args.get("X"), mu, nu),)
+    return (osctomo.fock_mdf(n, *args.flow(), args.get("X"), mu, nu),)
 
 
 def _op_cross_mdf(args):
-    from .states import cross_mdf
-
     n, m = args.get("n", int), args.get("m", int)
     mu, nu = args.frame()
-    return (complex(cross_mdf(n, m, *args.flow(), args.get("X"), mu, nu)),)
+    return (complex(osctomo.cross_mdf(n, m, *args.flow(), args.get("X"), mu, nu)),)
 
 
 def _op_mean(args):
-    from .states import mean_X
-
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
-    return (mean_X(alpha, *args.flow(), mu, nu),)
+    return (osctomo.mean_X(alpha, *args.flow(), mu, nu),)
 
 
 def _op_variance(args):
-    from .states import variance_X
-
     mu, nu = args.frame()
     eps, eps_dot, _ = args.flow()
-    return (variance_X(eps, eps_dot, mu, nu),)
+    return (osctomo.variance_X(eps, eps_dot, mu, nu),)
 
 
 def _op_eigencheck(args):
-    from .states import annihilation_eigencheck
-
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     flow = args.flow()
     k, h = args.get("k"), args.get("h", float, "1e-4")
-    return (annihilation_eigencheck(alpha, *flow, mu, nu, k, h),)
+    return (osctomo.annihilation_eigencheck(alpha, *flow, mu, nu, k, h),)
 
 
 def _op_hermite(args):
-    from .dynamics import hermite
-
-    return (hermite(args.get("n", int), args.get("y")),)
+    return (osctomo.hermite(args.get("n", int), args.get("y")),)
 
 
 def _op_green_sho(args):
-    from .propagators import green_sho
-
-    return (green_sho(args.get("X"), args.get("Z"), args.get("t")),)
+    return (osctomo.green_sho(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_free(args):
-    from .propagators import green_free
-
-    return (green_free(args.get("X"), args.get("Z"), args.get("t")),)
+    return (osctomo.green_free(args.get("X"), args.get("Z"), args.get("t")),)
 
 
 def _op_green_driven(args):
-    from .propagators import green_driven
-
     profile, t = args.profile_and_time()
-    return (green_driven(args.get("X"), args.get("Z"), t, profile),)
+    return (osctomo.green_driven(args.get("X"), args.get("Z"), t, profile),)
 
 
 def _op_quantum_propagator(args):
-    from .propagators import quantum_propagator
-
     profile, t = args.profile_and_time()
     points = (args.get(key) for key in ("X", "Xp", "Z", "Zp"))
-    return (quantum_propagator(*points, t, profile),)
+    return (osctomo.quantum_propagator(*points, t, profile),)
 
 
 _OPERATIONS = {

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OscTomoError",
+    "EvaluationError",
+    "WronskianDriftError",
+    "ConsistencyError",
+    "DegenerateFrameError",
+    "CausticError",
+    "FrameUnsupportedError",
+    "UnsupportedOrderError",
+    "QuadratureConvergenceError",
+    "OutOfSupportWarning",
+]
+
 
 class OscTomoError(Exception):
     """Base class for all library-specific errors."""
@@ -7,8 +20,9 @@ class OscTomoError(Exception):
 
 class EvaluationError(OscTomoError):
     """A profile function returned a non-finite value, the drive integral
-    over its finite values overflowed, or a Hermite polynomial or the
-    weak-resonance closed form overflowed at a finite argument."""
+    over its finite values overflowed, or a Hermite polynomial, the
+    weak-resonance closed form or a Green function's phase overflowed at
+    a finite argument."""
 
 
 class WronskianDriftError(OscTomoError):

@@ -17,12 +17,16 @@ mollified delta).  With N = (nu, mu) and the invariant data
 The same map has an explicit form in terms of (eps, eps_dot, beta):
 
     mu' = Re r,  nu' = Im r,  X' = X + sqrt(2) Re(beta conj(r)),
-    r = eps_dot nu + eps mu;
+    r = eps_dot nu + eps mu,
 
-both representations are evaluated at every point and must agree.  The
-map is one array computation: ClassicalPropagator.frame_map and evolve
-take X, mu and nu of any shapes that broadcast, so a whole tomogram
-surface evolves in one call, and floats give floats.
+exact when the Wronskian D = Im(conj(eps) eps_dot) = det Lambda is 1.
+Both representations are evaluated at every point and must agree, the
+eps form divided by D as Lambda^{-1} is by det Lambda: the check compares
+the two forms of one map, and det Lambda itself is gated once, by
+LinearInvariant at DET_TOL = 1e-8.  The map is one array computation:
+ClassicalPropagator.frame_map and evolve take X, mu and nu of any shapes
+that broadcast, so a whole tomogram surface evolves in one call, and
+floats give floats.
 
 The quantum Green function is one Van Vleck kernel of the same flow, with
 m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2) Re(eps
@@ -38,7 +42,8 @@ of e^{is} f(s) over [0, t], by the one Simpson rule of the drive that
 beta_shift also uses.  The density-matrix propagator K = G(X,Z)
 conj(G(X',Z')) is independent of the phase convention.  Focal points
 (m12 = 0) raise CausticError; a non-finite argument raises ValueError
-naming it.  The Green functions take floats.
+naming it, and a finite (X, Z) whose phase overflows raises
+EvaluationError naming X and Z.  The Green functions take floats.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _on_grid, flow_at
-from .errors import CausticError, ConsistencyError
+from .errors import CausticError, ConsistencyError, EvaluationError
 from .invariants import LinearInvariant, linear_invariant
-from .states import _check_frame
+from .states import _check_point, _finite
 
 __all__ = [
     "ClassicalPropagator",
@@ -112,16 +117,23 @@ class ClassicalPropagator:
     def _eps_form(self) -> np.ndarray:
         """The eps form as one real matrix: (X, nu, mu) @ it = (X', nu', mu').
 
-        mu' + 1j nu' = r = eps_dot nu + eps mu, and
-        X' - X = sqrt(2) Re(beta conj(r)) = sqrt(2) (Re beta Re r + Im beta Im r).
+        mu' + 1j nu' = r / D and X' - X = sqrt(2) Re(beta conj(r)) / D, where
+        r = eps_dot nu + eps mu, Re(beta conj(r)) = Re beta Re r + Im beta Im r
+        and D = Im(conj(eps) eps_dot) is det Lambda computed from eps.  So
+        the two forms agree to roundoff whatever det Lambda is, which
+        LinearInvariant gates.  A D of 0 gives inf or NaN rows, which
+        frame_map reports as a disagreement.
         """
         eps, eps_dot, beta = self.eps, self.eps_dot, self.beta
         shift = lambda c: _SQRT2 * (beta.real * c.real + beta.imag * c.imag)
-        return np.array([
+        form = np.array([
             [1.0, 0.0, 0.0],
             [shift(eps_dot), eps_dot.imag, eps_dot.real],
             [shift(eps), eps.imag, eps.real],
         ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            form[1:] /= (eps.conjugate() * eps_dot).imag
+        return form
 
     def frame_map(self, X, mu, nu):
         """The unique source point (X', mu', nu') the delta kernel fires at.
@@ -131,21 +143,22 @@ class ClassicalPropagator:
         X', mu' and nu' are arrays of the broadcast shape.  The points are
         mapped as N' = N Lambda^{-1}, X' = X + N' Delta, with N = (nu, mu),
         each bit for bit as on its own, and each is checked against the
-        explicit eps form: a disagreement beyond 1e-10 max(1, |X|, |mu|,
-        |nu|), or a NaN one, as where an image leaves the double range,
-        raises ConsistencyError, with no RuntimeWarning.  A non-finite X,
-        mu or nu, or a zero frame (the rule of the CLI and the transforms),
-        at any point raises ValueError, as the scalar call there does.
+        explicit eps form, divided by the eps-side determinant
+        Im(conj(eps) eps_dot) as Lambda^{-1} is by det Lambda: the check
+        compares the two forms of one map and does not gate det Lambda
+        again.  A disagreement beyond 1e-10 max(1, |X|, |mu|, |nu|), or a
+        NaN one, as where an image leaves the double range, raises
+        ConsistencyError, with no RuntimeWarning.  A non-finite X, mu or
+        nu, or a zero frame (the rule of the CLI and the transforms,
+        states._check_point), at any point raises ValueError, as the
+        scalar call there does.
         """
         pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
         pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
-        if np.count_nonzero(np.isfinite(pts)) != pts.size:
-            X, nu, mu = pts[~np.isfinite(pts).all(axis=-1)][0].tolist()
-            raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
         # a point whose image leaves the double range gets inf or NaN on a
         # route, and fails the check below instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_frame(mu, nu)
+            _check_point(X, mu, nu)
             out = np.empty_like(pts)  # rows (X', nu', mu')
             n_p = np.matmul(pts[..., 1:], self._lam_inv, out=out[..., 1:])
             # vecdot takes each row's N' Delta with the dot kernel of a 1-D @;
@@ -201,13 +214,6 @@ def fokker_planck_residual(
     return d_t - mu * d_nu + profile.omega_sq(t) * nu * d_mu + profile.force(t) * nu * d_X
 
 
-def _finite(**values) -> None:
-    """ValueError naming the first of the real or complex values that is not finite."""
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _green(eps: complex, eps_dot: complex, beta: complex, label: str):
     """G(X, Z, phase) of the flow (eps, eps_dot, beta): the module's Van
     Vleck kernel, checked for a finite flow and a focal point once, when it
@@ -221,7 +227,10 @@ def _green(eps: complex, eps_dot: complex, beta: complex, label: str):
     lin_x, amp = m12 * dp - m22 * dq, 1.0 / cmath.sqrt(2.0 * math.pi * m12)
 
     def green(X: float, Z: float, phase: float) -> complex:
+        X, Z, phase = float(X), float(Z), float(phase)  # a numpy scalar would warn on overflow
         expo = ((m22 * X * X - 2.0 * X * Z + m11 * Z * Z) / 2.0 + lin_x * X + dq * Z) / m12
+        if not math.isfinite(expo + phase):
+            raise EvaluationError(f"{label} phase overflows at (X, Z) = ({X!r}, {Z!r})")
         return amp * cmath.exp(1j * (expo + phase))
 
     return green

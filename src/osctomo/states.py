@@ -25,6 +25,7 @@ Hermite-Gauss profile.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
@@ -47,6 +48,34 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _R_TOL = 1e-12
+
+
+def _finite(**values) -> None:
+    """ValueError naming the first of the real or complex values that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_point(X, mu, nu) -> None:
+    """The one rule for a tomographic point: ValueError naming the first
+    point (X, mu, nu) with a coordinate that is not finite, then the rule
+    of :func:`_check_frame`.
+
+    X, mu and nu are floats or arrays that broadcast; the first bad point
+    in C order is named with float coordinates, so a float call and an
+    array holding that point give the same message.  Finite floats skip
+    the array calls, which would cost a one-point caller several times
+    the check itself.
+    """
+    floats = isinstance(X, float) and isinstance(mu, float) and isinstance(nu, float)
+    if not (floats and math.isfinite(X) and math.isfinite(mu) and math.isfinite(nu)):
+        finite = np.isfinite(X) & np.isfinite(mu) & np.isfinite(nu)
+        if np.count_nonzero(finite) != finite.size:
+            first = np.argmin(finite)  # flat index of the first False
+            X, mu, nu = (float(np.broadcast_to(v, finite.shape).flat[first]) for v in (X, mu, nu))
+            raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
+    _check_frame(mu, nu)
 
 
 def _check_frame(mu, nu) -> None:

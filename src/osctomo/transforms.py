@@ -59,6 +59,7 @@ make its construction-time checks or its coefficients stale.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -74,7 +75,7 @@ from .errors import (
     OutOfSupportWarning,
     QuadratureConvergenceError,
 )
-from .states import _check_frame
+from .states import _check_point, _finite
 
 __all__ = [
     "DensityGrid",
@@ -91,12 +92,23 @@ _TRACE_TOL = 1e-4
 _IMAG_RESIDUE_TOL = 1e-6
 _NU_TOL = 1e-12
 _CONVERGENCE_TOL = 1e-3
+_MAX_EXTENT = sys.float_info.max / 2.0  # the axis width 2 extent stays finite
+
+
+def _check_grid(extent, n) -> None:
+    """ValueError unless 0 < extent <= _MAX_EXTENT and n >= 2: the rule for
+    every uniform grid axis linspace(-extent, extent, n)."""
+    if not 0.0 < extent <= _MAX_EXTENT:
+        raise ValueError(f"extent must be positive with 2*extent finite, got {extent!r}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
 
 
 @dataclass(frozen=True)
 class _UniformGrid:
     """Values on a uniform square grid, ``axis = linspace(-extent, extent, n)``.
 
+    ``extent`` must be positive with ``2 * extent`` finite (ValueError).
     Subclasses set ``_dtype`` and add their own invariant check in
     ``__post_init__`` after calling this one.  ``values`` is stored as a
     read-only view; it shares memory with the array passed in when no
@@ -110,6 +122,7 @@ class _UniformGrid:
         values = np.asarray(self.values, dtype=self._dtype)
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
             raise ValueError("values must be a square grid with at least 2 points per axis")
+        _check_grid(self.extent, values.shape[0])
         values = values.view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -176,6 +189,7 @@ class DensityGrid(_UniformGrid):
     @classmethod
     def from_wavefunction(cls, psi: Callable[[np.ndarray], np.ndarray], extent: float, n: int):
         """Pure-state grid rho = psi(Z) conj(psi(Z')) from a wavefunction."""
+        _check_grid(extent, n)
         z = np.linspace(-extent, extent, n)
         vals = np.asarray(psi(z), dtype=complex)
         return cls(extent, np.outer(vals, vals.conj()))
@@ -220,10 +234,10 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
     The grid truncation must be chosen so |rho| is negligible (< 1e-10) at
     the boundary.  Hermitian input makes the result real; an imaginary
     residue above 1e-6 raises ConsistencyError.  nu = 0 is rejected: the
-    kernel is singular there.  Non-finite X, mu or nu raise ValueError.
+    kernel is singular there.  Non-finite X, mu or nu and the frame
+    (0, 0) raise ValueError (:func:`osctomo.states._check_point`).
     """
-    if not all(map(math.isfinite, (X, mu, nu))):
-        raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
+    _check_point(X, mu, nu)
     if abs(nu) < _NU_TOL:
         raise FrameUnsupportedError(
             "nu = 0 frames are not supported by the density-matrix kernel"
@@ -361,8 +375,10 @@ def density_from_mdf(
     ``w(Y, mu, nu)`` must accept numpy arrays in its first two arguments
     and decay rapidly in Y.  With ``check_convergence`` the quadrature is
     repeated at doubled node counts and a change above 1e-3 raises
-    QuadratureConvergenceError.
+    QuadratureConvergenceError.  A non-finite X or Xp raises ValueError
+    naming it.
     """
+    _finite(X=X, Xp=Xp)
     quad = quad or QuadratureSpec()
     val = _density_point(w, X, Xp, quad)
     if check_convergence:
@@ -386,8 +402,10 @@ def density_grid_from_mdf(
     e^{-1j z_j mu} e^{-1j d h mu / 2}, so every diagonal's mu integral
     comes out of one matrix product of exp(-1j outer(z, mu)) with the
     stacked per-diagonal columns.  The upper triangle follows from
-    Hermiticity.
+    Hermiticity.  An extent that is not positive with 2 extent finite, or
+    n < 2, raises ValueError before the tomogram is sampled.
     """
+    _check_grid(extent, n)
     quad = quad or QuadratureSpec()
     z = np.linspace(-extent, extent, n)
     h = z[1] - z[0]
@@ -421,11 +439,10 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     at most a quarter grid spacing apart) and divides by
     2 pi sqrt(mu^2 + nu^2).  If the line misses the sampled square an
     OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
-    nu and the frame (0, 0) raise ValueError.
+    nu and the frame (0, 0) raise ValueError
+    (:func:`osctomo.states._check_point`).
     """
-    if not all(map(math.isfinite, (X, mu, nu))):
-        raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
-    _check_frame(mu, nu)
+    _check_point(X, mu, nu)
     s2 = mu * mu + nu * nu
     s = math.sqrt(s2)
     q0, p0 = mu * X / s2, nu * X / s2

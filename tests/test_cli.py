@@ -304,6 +304,44 @@ def with_override(args, override):
     return [a for a in args if a.partition("=")[0] != key] + [override]
 
 
+class TestEvalChecks:
+    """What eval accepts and reports follows the library's one copy of each check."""
+
+    def test_frame_map_accepts_the_flow_epsilon_accepts(self, capsys):
+        # det Lambda is off 1 by ~7e-10 here: inside DET_TOL, so the map is computed
+        args = ["profile=constant:8", "t=200"]
+        assert run(["eval", "epsilon", *args], capsys)[0] == 0
+        code, out, err = run(["eval", "frame_map", *args, "X=0.3", "mu=1", "nu=0.5"], capsys)
+        prop = ClassicalPropagator.from_profile(DriveProfile.constant(8.0), 200.0)
+        assert (code, err) == (0, "")
+        assert out == " ".join(map(cli._fmt, prop.frame_map(0.3, 1.0, 0.5))) + "\n"
+
+    @pytest.mark.parametrize(
+        "op, shown",
+        [
+            (["green_sho", "X=1e200", "Z=0", "t=1"], "(1e+200, 0.0)"),
+            (["green_free", "X=0.1", "Z=1e155", "t=1"], "(0.1, 1e+155)"),
+            (["quantum_propagator", "X=1e200", "Xp=0", "Z=0", "Zp=0", "t=1"], "(1e+200, 0.0)"),
+        ],
+        ids=["green_sho", "green_free", "quantum_propagator"],
+    )
+    def test_green_phase_overflow_exits_2(self, capsys, op, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", *op], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical invariant failure:") and f"(X, Z) = {shown}" in err
+
+    def test_eval_calls_the_library_through_the_package_root(self, capsys, monkeypatch):
+        from osctomo import states
+
+        monkeypatch.setattr(states, "coherent_mdf", lambda *args: 0.125)
+        code, out, _ = run(
+            ["eval", "coherent_mdf", "alpha=0", "t=0", "X=0", "mu=1", "nu=0"], capsys
+        )
+        assert (code, out) == (0, "0.125\n")
+
+
 class TestLibraryErrorsAreUsageErrors:
     def test_every_operation_is_covered(self):
         assert set(EVAL_CASES) == set(cli._OPERATIONS)

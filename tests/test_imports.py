@@ -61,6 +61,29 @@ class TestLazyRoot:
         }
 
 
+class TestNameTable:
+    """The root's table of name -> submodule is the one record of where each
+    public name lives; __all__ is built from it and errors.__all__."""
+
+    def test_each_name_is_public_in_its_submodule(self):
+        for name, module in osctomo._SUBMODULE_OF.items():
+            assert name in importlib.import_module(f"osctomo.{module}").__all__
+
+    def test_errors_all_lists_every_exception_type(self):
+        from osctomo import errors
+
+        defined = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and value.__module__ == errors.__name__}
+        assert set(errors.__all__) == defined
+        assert {name: getattr(osctomo, name) for name in errors.__all__} == {
+            name: getattr(errors, name) for name in errors.__all__
+        }
+
+    def test_all_names_each_public_name_once(self):
+        assert len(set(osctomo.__all__)) == len(osctomo.__all__) == 50
+        assert osctomo.__all__[-1] == "__version__"
+
+
 def package_modules(modules):
     return {name for name in modules if name == "osctomo" or name.startswith("osctomo.")}
 

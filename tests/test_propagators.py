@@ -14,6 +14,7 @@ from osctomo import (
     ClassicalPropagator,
     ConsistencyError,
     DriveProfile,
+    EvaluationError,
     beta_shift,
     coherent_mdf,
     flow_at,
@@ -22,6 +23,7 @@ from osctomo import (
     green_driven,
     green_free,
     green_sho,
+    linear_invariant,
     quantum_propagator,
     quantum_propagator_from_shift,
     solve_epsilon,
@@ -130,6 +132,54 @@ class TestFrameMap:
         a11, a12 = col_nu[2] - base[2], col_mu[2] - base[2]
         a21, a22 = col_nu[1] - base[1], col_mu[1] - base[1]
         assert abs(a11 * a22 - a12 * a21 - 1.0) < 1e-12
+
+
+class TestFrameMapFormCheck:
+    """The two-route check compares the two forms of the map; det Lambda is
+    gated once, by LinearInvariant at DET_TOL."""
+
+    BETA = 0.2 - 0.1j
+
+    @pytest.mark.parametrize("s", [1.0 + 5e-10, 1.0 + 4e-9])
+    def test_det_inside_the_tolerance_maps(self, s):
+        # det Lambda = s^2 is off 1 by 1e-9 and 8e-9, inside DET_TOL
+        prop = ClassicalPropagator.from_epsilon(s, s * 1j, self.BETA)
+        X, mu, nu = np.linspace(-2.0, 2.0, 5), np.full(5, 1.0), np.full(5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapped = prop.frame_map(X, mu, nu)
+            scalar = prop.frame_map(0.3, 1.0, 0.5)
+        # Lambda = s I, so the linear part is N Lambda^-1 = N / s
+        assert np.array_equal(mapped[1], mu / s) and np.array_equal(mapped[2], nu / s)
+        assert scalar[1:] == (1.0 / s, 0.5 / s)
+
+    def test_det_beyond_the_tolerance_still_raises(self):
+        s = 1.0 + 1e-8
+        with pytest.raises(ConsistencyError, match="det Lambda"):
+            ClassicalPropagator.from_epsilon(s, s * 1j, self.BETA)
+
+    def test_replaced_inv_or_beta_still_disagrees(self):
+        s = 1.0 + 4e-9
+        prop = ClassicalPropagator.from_epsilon(s, s * 1j, self.BETA)
+        prop.frame_map(0.3, 1.0, 0.5)
+        for changed in (
+            dataclasses.replace(prop, beta=prop.beta + 1e-6),
+            dataclasses.replace(prop, inv=propagator_at(0.4).inv),
+        ):
+            with pytest.raises(ConsistencyError, match="disagree"):
+                changed.frame_map(0.3, 1.0, 0.5)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                changed.frame_map(np.zeros(3), 1.0, np.array([0.5, 1.0, 2.0]))
+
+    def test_zero_eps_side_determinant_disagrees_without_warnings(self):
+        # a hand-built propagator: a valid invariant, but Im(conj(eps) eps_dot) = 0
+        prop = ClassicalPropagator(1.0 + 0j, 1.0 + 0j, 0j, 0.0, linear_invariant(1.0, 1j, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError, match="disagree"):
+                prop.frame_map(0.3, 1.0, 0.5)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                prop.frame_map(np.zeros(2), 1.0, np.array([0.0, 0.5]))
 
 
 class TestEvolve:
@@ -570,6 +620,41 @@ class TestGreenNonFinite:
         for flow, name in (((complex(math.nan), 1j, 0j), "eps"), ((1 + 1j, 1j, complex(math.inf)), "beta")):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 _green(*flow, "test kernel")
+
+
+class TestGreenOverflow:
+    """A finite argument whose phase overflows raises EvaluationError naming
+    X and Z, instead of returning nan+nanj, and no RuntimeWarning escapes."""
+
+    P = DriveProfile.constant(1.0, lambda t: 1.0)
+
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: green_sho(1e200, 0.1, 1.0), "(1e+200, 0.1)"),
+            (lambda: green_sho(1e200, 1e200, 1.0), "(1e+200, 1e+200)"),
+            (lambda: green_free(0.1, 1e155, 1.0), "(0.1, 1e+155)"),
+            (lambda: green_driven(1e200, 0.0, 1.0, TestGreenOverflow.P), "(1e+200, 0.0)"),
+            (lambda: quantum_propagator(1e200, 0.0, 0.0, 0.0, 1.0, TestGreenOverflow.P), "(1e+200, 0.0)"),
+            (lambda: quantum_propagator(0.0, 0.0, 0.0, -1e200, 1.0, TestGreenOverflow.P), "(0.0, -1e+200)"),
+            (lambda: quantum_propagator_from_shift(1e200, 0.0, 0.0, 0.0, 1.0, 0.1j), "(1e+200, 0.0)"),
+            (lambda: green_sho(0.0, 1e154, 1.0, phase=1.7e308), "(0.0, 1e+154)"),
+            (lambda: green_sho(np.float64(1e200), np.float64(0.1), 1.0), "(1e+200, 0.1)"),
+        ],
+        ids=["sho", "sho-nan", "free", "driven", "propagator", "propagator-Zp", "shift", "sho-phase",
+             "sho-numpy-scalars"],
+    )
+    def test_phase_overflow_raises(self, call, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"phase overflows at \(X, Z\)") as err:
+                call()
+        assert shown in str(err.value)
+
+    def test_large_finite_phase_still_evaluates(self):
+        # the phase m22 X^2 / (2 m12) is finite here: the value keeps its modulus
+        g = green_sho(1e150, 0.0, 1.0)
+        assert abs(g) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * math.sin(1.0)), rel=1e-12)
 
 
 class TestResidualStep:

@@ -457,3 +457,53 @@ class TestFrameRule:
             _check_frame(1e200, 1e300)  # float squares overflow to inf silently
             with np.errstate(over="ignore"):
                 _check_frame(np.array([1e200, 0.0]), np.array([0.0, -1e300]))
+
+
+class TestPointRule:
+    """One rule for a tomographic point (X, mu, nu), shared by frame_map and
+    the two tomogram transforms."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["X", "mu", "nu"])
+    def test_float_and_array_name_the_same_point(self, slot, value):
+        from osctomo.states import _check_point
+
+        args = [np.linspace(-1.0, 1.0, 6), np.full(6, 0.6), np.full(6, 0.8)]
+        args[slot][4] = value
+        point = [float(a[4]) for a in args]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as scalar:
+                _check_point(*point)
+            with pytest.raises(ValueError) as array:
+                _check_point(*args)
+        assert str(scalar.value) == str(array.value) == (
+            f"(X, mu, nu) = ({point[0]}, {point[1]}, {point[2]}) must be finite"
+        )
+
+    def test_first_bad_point_of_the_broadcast_in_c_order(self):
+        from osctomo.states import _check_point
+
+        X, nu = np.array([[0.5, math.nan, 1.5]]), np.array([[0.8], [math.inf]])
+        with pytest.raises(ValueError, match=r"^\(X, mu, nu\) = \(nan, 1.0, 0.8\) must be finite$"):
+            _check_point(X, 1.0, nu)
+        X[0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^\(X, mu, nu\) = \(0.5, 1.0, inf\) must be finite$"):
+            _check_point(X, 1.0, nu)
+
+    def test_numpy_scalars_and_ints_follow_the_float_rule(self):
+        from osctomo.states import _check_point
+
+        _check_point(np.float64(0.3), 1, np.array(0.5))
+        with pytest.raises(ValueError, match=r"^\(X, mu, nu\) = \(0.0, nan, 1.0\) must be finite$"):
+            _check_point(0, np.float64(math.nan), 1)
+
+    def test_zero_frame_after_finite_coordinates(self):
+        from osctomo.states import _check_point
+
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            _check_point(0.3, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            _check_point(np.zeros(3), np.array([1.0, 0.0, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="finite"):  # a bad coordinate is named first
+            _check_point(math.nan, 0.0, 0.0)

@@ -154,6 +154,44 @@ class TestGrids:
         assert received == ["# L=1 n=2\n0.25 0 0.125 0.5\n0.125 -0.5 0.75 0\n"]
 
 
+def never_sampled(*args):
+    raise AssertionError("sampled before the grid arguments were checked")
+
+
+class TestGridArguments:
+    """Bad grid arguments raise a ValueError naming the argument, before any
+    quadrature, and no RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -2.0, 1e308])
+    def test_extent_must_be_positive_with_a_finite_width(self, extent):
+        values = np.eye(5, dtype=complex) / 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (
+                lambda: DensityGrid(extent, values),
+                lambda: WignerGrid(extent, values.real),
+                lambda: DensityGrid.from_wavefunction(never_sampled, extent, 5),
+                lambda: density_grid_from_mdf(never_sampled, extent, 5),
+            ):
+                with pytest.raises(ValueError, match="^extent must be positive"):
+                    build()
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_density_grid_needs_two_points(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 2"):
+            density_grid_from_mdf(never_sampled, 6.0, n)
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec(y_window=(-10.0, 10.0)), None], ids=["fixed", "default"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_density_element_needs_finite_points(self, quad, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^X must be finite, got {value}"):
+                density_from_mdf(never_sampled, value, 0.0, quad)
+            with pytest.raises(ValueError, match=f"^Xp must be finite, got {value}"):
+                density_from_mdf(never_sampled, 0.0, value, quad)
+
+
 class TestMdfFromDensity:
     def test_vacuum_matches_closed_form(self, vacuum_density):
         for X in np.linspace(-4.0, 4.0, 9):
@@ -182,6 +220,10 @@ class TestMdfFromDensity:
     def test_nu_zero_rejected(self, vacuum_density):
         with pytest.raises(FrameUnsupportedError):
             mdf_from_density(vacuum_density, 0.0, 1.0, 0.0)
+
+    def test_zero_frame_follows_the_point_rule(self, vacuum_density):
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            mdf_from_density(vacuum_density, 0.3, 0.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, 1, 2], ids=["X", "mu", "nu"])
