@@ -12,6 +12,8 @@ rounding the array arithmetic cannot settle (see :func:`format_g12`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 # The tables have one row per decimal exponent X = -325..309, at X + 325,
@@ -142,10 +144,14 @@ def _left_justified(fields: np.ndarray) -> np.ndarray:
     return text
 
 
-def csv_rows(first: np.ndarray, second: np.ndarray, values: np.ndarray) -> list[str]:
+def csv_rows(first: np.ndarray, second: np.ndarray, values: np.ndarray) -> Iterator[str]:
     """The rows ``"%.12g,%.12g,%.12g\\n" % (a, b, values[j, i])`` for
     ``a = first[i]``, ``b = second[j]``, ``i`` varying fastest, as text in
     blocks of whole slices.
+
+    A generator: each block is yielded as soon as it is formatted, in one
+    row buffer that every block reuses, so a writer that streams the
+    blocks holds one block of text at a time, never the whole body.
     """
     fields = format_g12(np.concatenate([first, second]))
     a, b = _left_justified(fields[: first.size]), _left_justified(fields[first.size :])
@@ -159,7 +165,6 @@ def csv_rows(first: np.ndarray, second: np.ndarray, values: np.ndarray) -> list[
     a_words, b_words = a_words.view(np.uint64), b_words.view(np.uint64)
     per_block = min(second.size, max(1, _BLOCK_VALUES // first.size))
     rows = np.empty((per_block * first.size, width + 4), np.uint64)
-    blocks = []
     for j in range(0, second.size, per_block):
         n = min(per_block, second.size - j)
         block = rows[: n * first.size]
@@ -170,5 +175,4 @@ def csv_rows(first: np.ndarray, second: np.ndarray, values: np.ndarray) -> list[
         text = block.view(np.uint8)
         text[:, 8 * width] = ord(",")
         text[:, -1] = ord("\n")
-        blocks.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-    return blocks
+        yield text.tobytes().translate(None, b"\0").decode("ascii")

@@ -28,6 +28,7 @@ and at k = 0 the frame-(1,0) surface must be independent of time to 1e-12.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -62,7 +63,7 @@ _LOG_UNDERFLOW = math.log(_TINY) + GAUSSIAN_FIT_TOL
 
 FIGURE_IDS = (1, 2, 3, 4, 5, 6)
 
-#: Most points of one figure surface (a peak of about 101 bytes each, so ~200 MB).
+#: Most points of one figure surface (a peak of at most ~56 bytes each, so ~112 MB).
 MAX_FIGURE_POINTS = 2_000_000
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -277,9 +278,12 @@ _FIG_TITLES = {
 def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple[Path, Path]:
     """Compute, validate and write ``fig<N>.csv`` and ``fig<N>.gp``.
 
-    Identical configuration yields byte-identical CSV output.  Existing
-    files are overwritten in place, not truncated first: each keeps its
-    inode, its mode and, for a symlink, its target, and a write that is
+    Identical configuration yields byte-identical CSV output.  The surface
+    is validated before either file is opened, so a figure that fails
+    leaves existing files untouched; the CSV body is then streamed to disk
+    block by block as it is formatted, never held whole.  Existing files
+    are overwritten in place, not truncated first: each keeps its inode,
+    its mode and, for a symlink, its target, and a write that is
     interrupted leaves the old file's tail after the new bytes instead of
     a short file.
     """
@@ -304,23 +308,18 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
     # loaded here, not at import: the parser imports this module for every command
     from ._csvbody import csv_rows
 
-    write_in_place(csv_path, "".join(["\n".join(lines), *csv_rows(first, second, values)]))
+    write_in_place(csv_path, itertools.chain(["\n".join(lines)], csv_rows(first, second, values)))
 
-    write_in_place(
-        gp_path,
-        "\n".join(
-            [
-                f"# gnuplot surface script for fig{fig_id}.csv",
-                'set datafile separator ","',
-                "set key autotitle columnhead",
-                f"set dgrid3d {len(second)},{len(first)}",
-                "set hidden3d",
-                f'set xlabel "{columns[0]}"',
-                f'set ylabel "{columns[1]}"',
-                'set zlabel "w"',
-                f'splot "fig{fig_id}.csv" using 1:2:3 with lines notitle',
-            ]
-        )
-        + "\n",
-    )
+    script = [
+        f"# gnuplot surface script for fig{fig_id}.csv",
+        'set datafile separator ","',
+        "set key autotitle columnhead",
+        f"set dgrid3d {len(second)},{len(first)}",
+        "set hidden3d",
+        f'set xlabel "{columns[0]}"',
+        f'set ylabel "{columns[1]}"',
+        'set zlabel "w"',
+        f'splot "fig{fig_id}.csv" using 1:2:3 with lines notitle',
+    ]
+    write_in_place(gp_path, ["\n".join(script) + "\n"])
     return csv_path, gp_path

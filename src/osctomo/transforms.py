@@ -142,11 +142,14 @@ class _UniformGrid:
     def save(self, path) -> None:
         """Plain-text format: '# L=<real> n=<int>' then the rows of values,
         complex entries written as 're im' pairs.  An existing file is
-        overwritten in place, as figures are."""
-        lines = [f"# L={self.extent:.17g} n={self.n}\n"]
-        for row in np.ascontiguousarray(self.values).view(float):
-            lines.append(" ".join(f"{v:.17g}" for v in row) + "\n")
-        write_in_place(path, "".join(lines))
+        overwritten in place, as figures are, and streamed one line at a
+        time, so the text is never held whole."""
+        write_in_place(path, self._text_lines())
+
+    def _text_lines(self):
+        yield f"# L={self.extent:.17g} n={self.n}\n"
+        for row in self.values:
+            yield " ".join(f"{v:.17g}" for v in np.ascontiguousarray(row).view(float)) + "\n"
 
     @classmethod
     def load(cls, path):
@@ -235,12 +238,21 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
     the boundary.  Hermitian input makes the result real; an imaginary
     residue above 1e-6 raises ConsistencyError.  nu = 0 is rejected: the
     kernel is singular there.  Non-finite X, mu or nu and the frame
-    (0, 0) raise ValueError (:func:`osctomo.states._check_point`).
+    (0, 0) raise ValueError (:func:`osctomo.states._check_point`), and so
+    does a point whose kernel phase (mu Z^2/2 - X Z)/nu overflows on the
+    grid, checked at its ends |Z| = extent before any sampling.
     """
     _check_point(X, mu, nu)
     if abs(nu) < _NU_TOL:
         raise FrameUnsupportedError(
             "nu = 0 frames are not supported by the density-matrix kernel"
+        )
+    X, mu, nu, reach = float(X), float(mu), float(nu), float(rho.extent)
+    # the largest |phase| on the grid, by the kernel's own operations at Z = +-extent
+    if not math.isfinite((abs(mu) * reach * reach / 2.0 + abs(X) * reach) / abs(nu)):
+        raise ValueError(
+            f"(X, mu, nu) = ({X}, {mu}, {nu}): the kernel phase (mu Z^2/2 - X Z)/nu "
+            f"overflows on the grid |Z| <= {reach}"
         )
     z = rho.axis
     v = _trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
@@ -376,10 +388,17 @@ def density_from_mdf(
     and decay rapidly in Y.  With ``check_convergence`` the quadrature is
     repeated at doubled node counts and a change above 1e-3 raises
     QuadratureConvergenceError.  A non-finite X or Xp raises ValueError
-    naming it.
+    naming it, and so do an X and Xp whose nu = X - Xp, or whose mu phase
+    mu (X + Xp) / 2 on the mu grid, overflows.
     """
     _finite(X=X, Xp=Xp)
     quad = quad or QuadratureSpec()
+    X, Xp = float(X), float(Xp)
+    if not (math.isfinite(X - Xp) and math.isfinite(quad.mu_max * (X + Xp))):
+        raise ValueError(
+            f"(X, Xp) = ({X}, {Xp}): X - Xp or mu_max (X + Xp) overflows, "
+            f"with mu_max = {quad.mu_max}"
+        )
     val = _density_point(w, X, Xp, quad)
     if check_convergence:
         refined = _density_point(w, X, Xp, quad.refined())
@@ -402,11 +421,16 @@ def density_grid_from_mdf(
     e^{-1j z_j mu} e^{-1j d h mu / 2}, so every diagonal's mu integral
     comes out of one matrix product of exp(-1j outer(z, mu)) with the
     stacked per-diagonal columns.  The upper triangle follows from
-    Hermiticity.  An extent that is not positive with 2 extent finite, or
-    n < 2, raises ValueError before the tomogram is sampled.
+    Hermiticity.  An extent that is not positive with 2 extent finite,
+    n < 2, or an extent whose mu phases, up to mu_max extent, overflow,
+    raises ValueError before the tomogram is sampled.
     """
     _check_grid(extent, n)
     quad = quad or QuadratureSpec()
+    if not math.isfinite(quad.mu_max * float(extent)):
+        raise ValueError(
+            f"extent {extent!r} with mu_max = {quad.mu_max}: the mu phases overflow"
+        )
     z = np.linspace(-extent, extent, n)
     h = z[1] - z[0]
     cols = np.empty((quad.mu_count, n), dtype=complex)
@@ -440,10 +464,13 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     2 pi sqrt(mu^2 + nu^2).  If the line misses the sampled square an
     OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
     nu and the frame (0, 0) raise ValueError
-    (:func:`osctomo.states._check_point`).
+    (:func:`osctomo.states._check_point`), and so does a frame whose
+    mu^2 + nu^2 overflows.
     """
     _check_point(X, mu, nu)
     s2 = mu * mu + nu * nu
+    if s2 == math.inf:
+        raise ValueError(f"frame (mu, nu) = ({mu}, {nu}) is too large: mu^2 + nu^2 overflows")
     s = math.sqrt(s2)
     q0, p0 = mu * X / s2, nu * X / s2
     dq, dp = -nu / s, mu / s

@@ -734,6 +734,42 @@ class TestCsvFormatter:
         assert "".join(_csvbody.csv_rows(first, second, values)) == expected
 
 
+# above _csvbody._BLOCK_VALUES values on every figure, so each CSV body is written in several blocks
+MULTI_BLOCK = FigureConfig(t_count=83, x_count=161, mu_count=71)
+
+
+class TestStreamedFigureWrite:
+    """The CSV body goes to disk block by block, as the bytes of Python's "%.12g"."""
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, 5, 6])
+    def test_multi_block_csv_equals_percent_g_rows(self, tmp_path, fig_id):
+        columns, first, second, values = figure_table(fig_id, MULTI_BLOCK)
+        assert len(list(_csvbody.csv_rows(first, second, values))) > 1
+        csv_path, _ = figures.write_figure(fig_id, tmp_path, MULTI_BLOCK)
+        header = [
+            f"# osctomo figure {fig_id}: {figures._FIG_TITLES[fig_id]}",
+            "# profile: parametric resonance k=%.12g, force=0, "
+            "epsilon from the closed-form resonance approximation" % MULTI_BLOCK.k,
+            "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"
+            % (columns[0], first[0], first[-1], len(first), columns[1], len(second)),
+            ",".join(columns),
+        ]
+        rows = ["%.12g,%.12g,%.12g" % (a, b, v)
+                for b, row in zip(second.tolist(), values.tolist()) for a, v in zip(first.tolist(), row)]
+        assert csv_path.read_text().split("\n") == [*header, *rows, ""]
+
+    def test_peak_memory_per_point(self, tmp_path):
+        # the CSV text is never held whole: the peak is the surface and its validation
+        points = 400 * 500
+        tracemalloc.start()
+        try:
+            figures.write_figure(1, tmp_path, FigureConfig(t_count=400, x_count=500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * points
+
+
 class TestFigureLimits:
     def test_overflowing_x_width_is_usage_error(self, capsys, tmp_path):
         with warnings.catch_warnings():

@@ -1,9 +1,11 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -154,6 +156,23 @@ class TestGrids:
         assert received == ["# L=1 n=2\n0.25 0 0.125 0.5\n0.125 -0.5 0.75 0\n"]
 
 
+class TestGridSaveStreams:
+    def test_save_holds_less_than_the_file(self, tmp_path):
+        # the lines are streamed to the file, never joined: the peak stays below the text's size
+        rho = DensityGrid.from_wavefunction(
+            lambda z: coherent_wavefunction(0.3 + 0.2j, *VACUUM, z), 9.0, 361
+        )
+        path = tmp_path / "rho.txt"
+        tracemalloc.start()
+        try:
+            rho.save(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        assert np.array_equal(DensityGrid.load(path).values, rho.values)
+
+
 def never_sampled(*args):
     raise AssertionError("sampled before the grid arguments were checked")
 
@@ -180,6 +199,23 @@ class TestGridArguments:
     def test_density_grid_needs_two_points(self, n):
         with pytest.raises(ValueError, match="^n must be at least 2"):
             density_grid_from_mdf(never_sampled, 6.0, n)
+
+    @pytest.mark.parametrize("X, Xp, quad", [
+        (1e308, 1e308, QuadratureSpec(y_window=(-10.0, 10.0))),  # X + Xp is inf
+        (1e308, -1e308, QuadratureSpec(y_window=(-10.0, 10.0))),  # nu = X - Xp is inf
+        (1e300, 1e300, QuadratureSpec(mu_max=1e10)),  # mu (X + Xp) is inf on the mu grid
+    ])
+    def test_density_element_whose_nu_or_mu_phase_overflows(self, X, Xp, quad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"(X, Xp) = ({X}, {Xp}): X - Xp or mu_max (X + Xp) overflows")):
+                density_from_mdf(never_sampled, X, Xp, quad)
+
+    def test_density_grid_whose_mu_phases_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the mu phases overflow"):
+                density_grid_from_mdf(never_sampled, 1e300, 3, QuadratureSpec(mu_max=1e10))
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(y_window=(-10.0, 10.0)), None], ids=["fixed", "default"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -233,6 +269,14 @@ class TestMdfFromDensity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no warning, no nan, no silent 0.0
             with pytest.raises(ValueError, match="finite"):
+                mdf_from_density(vacuum_density, *args)
+
+    @pytest.mark.parametrize("args", [(1e308, 1.0, 1.0), (0.0, 1e308, 1.0), (1e300, 1.0, 1e-11)])
+    def test_overflowing_kernel_phase_rejected(self, vacuum_density, args):
+        # finite arguments whose phase (mu Z^2/2 - X Z)/nu overflows at the grid's ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kernel phase .* overflows on the grid"):
                 mdf_from_density(vacuum_density, *args)
 
     @pytest.mark.parametrize("state", ["vacuum", "coherent", "fock"])
@@ -520,6 +564,16 @@ class TestMdfFromWigner:
             warnings.simplefilter("error")  # no warning, no silent 0.0
             with pytest.raises(ValueError, match="finite"):
                 mdf_from_wigner(vacuum_wigner, *args)
+
+    @pytest.mark.parametrize("frame", [(1e200, 1e200), (-1e200, 0.0), (0.0, 1.5e154)])
+    def test_frame_whose_norm_overflows_rejected(self, frame):
+        q = np.linspace(-6.0, 6.0, 101)
+        grid = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(q * q, q * q)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^frame \(mu, nu\) = .* mu\^2 \+ nu\^2 overflows"):
+                mdf_from_wigner(grid, 0.0, *frame)
+        assert "_prefiltered" not in vars(grid)  # rejected before any sampling
 
     def test_cached_coefficients_equal_prefiltered_call(self, vacuum_wigner):
         q = np.linspace(-6.0, 6.0, 401)
