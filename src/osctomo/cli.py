@@ -2,18 +2,22 @@
 
 Three subcommands::
 
-    osctomo figure --id N [--out DIR] [grid/profile overrides | --config FILE]
+    osctomo figure --id N [--out DIR] [--config FILE] [grid/profile overrides]
     osctomo eval OPERATION key=value [key=value ...]
     osctomo selftest
 
 ``figure`` writes ``figN.csv`` (with a structural validation pass) and a
-companion gnuplot script.  ``eval`` exposes the library operations for
-scripted use and prints the values they return with 12 significant
-digits.  ``selftest`` runs the acceptance battery.  Exit codes: 0
-success, 1 usage error, 2 numerical-invariant failure.  The library
-validates its own input, and a ValueError it raises is a usage error,
-as is an OSError on a path the user gave; both are converted once in
-:func:`main`, and the CLI keeps no copy of the library's rules.
+companion gnuplot script.  Its nine options, the fields of
+``FigureConfig``, are key=value entries: the ``--config`` file's first,
+then the flags given, so a flag overrides the file.  ``eval`` exposes
+the library operations for scripted use and prints the values they
+return with 12 significant digits; both commands read their key=value
+entries by one typed reader, so a value of the wrong type names its key.
+``selftest`` runs the acceptance battery.  Exit codes: 0 success, 1
+usage error, 2 numerical-invariant failure.  The library validates its
+own input, and a ValueError it raises is a usage error, as is an OSError
+on a path the user gave; both are converted once in :func:`main`, and
+the CLI keeps no copy of the library's rules.
 
 Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 ``free``, ``resonance:<k>`` or ``table:<path>`` (whitespace-separated
@@ -109,8 +113,9 @@ def _parse_profile(
 _KINDS = {float: "a real number", int: "an integer", complex: "a complex number"}
 
 
-class _EvalArgs:
-    """key=value argument bag with one typed reader and usage errors."""
+class _Args:
+    """key=value argument bag with one typed reader and usage errors; a
+    later entry for a key replaces an earlier one."""
 
     def __init__(self, pairs):
         self.values = {}
@@ -273,15 +278,15 @@ _OPERATIONS = {
 
 
 def _cmd_eval(ns) -> int:
-    args = _EvalArgs(ns.args)
+    args = _Args(ns.args)
     values = _OPERATIONS[ns.operation](args)
     args.check_consumed()
     print(" ".join(map(_fmt, values)))
     return 0
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+def _read_config(path: str) -> list[str]:
+    pairs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -289,22 +294,19 @@ def _read_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
-    return values
+        pairs.append(f"{key.strip()}={value.strip()}")
+    return pairs
 
 
 def _cmd_figure(ns) -> int:
     from . import figures
 
-    overrides: dict = {}
-    if ns.config:
-        overrides.update(_read_config(ns.config))
-    for key in figures.FigureConfig._types():
-        flag = getattr(ns, key)
-        if flag is not None:
-            overrides[key] = flag
-    cfg = figures.FigureConfig.from_mapping(overrides)
-    print(*figures.write_figure(ns.id, ns.out, cfg), sep="\n")
+    kinds = figures.FigureConfig._types()
+    flags = [f"{key}={getattr(ns, key)}" for key in kinds if getattr(ns, key) is not None]
+    args = _Args([*(_read_config(ns.config) if ns.config else ()), *flags])  # flags win
+    options = {key: args.get(key, kind) for key, kind in kinds.items() if key in args.values}
+    args.check_consumed()
+    print(*figures.write_figure(ns.id, ns.out, figures.FigureConfig(**options)), sep="\n")
     return 0
 
 
@@ -319,8 +321,8 @@ def _build_parser() -> _Parser:
     fig.add_argument("--id", type=int, required=True, choices=figures.FIGURE_IDS)
     fig.add_argument("--out", default=".", help="output directory")
     fig.add_argument("--config", default=None, help="key=value file with grid overrides")
-    for key, kind in figures.FigureConfig._types().items():
-        fig.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, default=None)
+    for key in figures.FigureConfig._types():
+        fig.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
     ev = sub.add_parser("eval", help="evaluate a library operation")
     ev.add_argument("operation", choices=sorted(_OPERATIONS))

@@ -21,8 +21,8 @@ class OscTomoError(Exception):
 class EvaluationError(OscTomoError):
     """A profile function returned a non-finite value, the drive integral
     over its finite values overflowed, or a Hermite polynomial, the
-    weak-resonance closed form or a Green function's phase overflowed at
-    a finite argument."""
+    weak-resonance closed form, a Green function's phase or a coherent
+    frame's |r|^2 overflowed at a finite argument."""
 
 
 class WronskianDriftError(OscTomoError):

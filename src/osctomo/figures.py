@@ -14,8 +14,9 @@ zero force, and eps from the closed-form approximation of
 Each figure is written as a plain CSV (comment header recording the
 configuration, then a column-name row, then rows of three values) plus a
 gnuplot script for a quick surface rendering.  Grid extents and counts
-are package choices, recorded in the CSV header; they are not part of
-any published reference.
+are package choices, the fields of :class:`FigureConfig` (``osctomo
+figure`` takes them from its flags or a ``--config`` file), recorded in
+the CSV header; they are not part of any published reference.
 
 Every surface is validated structurally before any file is written: all
 values must be finite and non-negative; w_0 slices along x must be exact
@@ -38,7 +39,7 @@ import numpy as np
 from ._files import write_in_place
 from .dynamics import _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
-from .states import fock_mdf
+from .states import _frame_r, fock_mdf
 
 __all__ = [
     "FigureConfig",
@@ -61,27 +62,27 @@ ZERO_MINIMUM_REL = 0.05
 _TINY = np.finfo(float).tiny
 _LOG_UNDERFLOW = math.log(_TINY) + GAUSSIAN_FIT_TOL
 
-FIGURE_IDS = (1, 2, 3, 4, 5, 6)
-
 #: Most points of one figure surface (a peak of at most ~56 bytes each, so ~112 MB).
 MAX_FIGURE_POINTS = 2_000_000
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: figure id -> (Fock n, frame or None for the optical sweep)
+#: figure id -> (Fock n, frame or None for the optical sweep, its two coordinates)
 _FIGURES = {
-    1: (0, (1.0, 0.0)),
-    2: (0, (_INV_SQRT2, _INV_SQRT2)),
-    3: (0, (0.0, 1.0)),
-    4: (2, (_INV_SQRT2, _INV_SQRT2)),
-    5: (0, None),
-    6: (0, None),
+    1: (0, (1.0, 0.0), ("x", "t")),
+    2: (0, (_INV_SQRT2, _INV_SQRT2), ("x", "t")),
+    3: (0, (0.0, 1.0), ("x", "t")),
+    4: (2, (_INV_SQRT2, _INV_SQRT2), ("x", "t")),
+    5: (0, None, ("x", "mu")),
+    6: (0, None, ("t", "mu")),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 @dataclass(frozen=True)
 class FigureConfig:
-    """Grid/profile choices for the figures."""
+    """Grid/profile choices for the figures.  ``osctomo figure`` reads each
+    field as a key=value entry of the type of its default."""
 
     k: float = 0.01
     t_max: float = 10.0
@@ -119,14 +120,6 @@ class FigureConfig:
     def _types(cls) -> dict:  # option -> int or float, its default's type
         return {f.name: type(f.default) for f in fields(cls)}
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "FigureConfig":
-        types = cls._types()
-        unknown = set(mapping) - set(types)
-        if unknown:
-            raise ValueError(f"unknown figure option(s): {', '.join(sorted(unknown))}")
-        return cls(**{k: types[k](v) for k, v in mapping.items()})
-
 
 def _sweep_mu(cfg: FigureConfig) -> np.ndarray:
     # open interval (0, 1): drop both endpoints of a uniform subdivision
@@ -143,25 +136,22 @@ def figure_table(fig_id: int, cfg: FigureConfig | None = None):
     cfg = cfg or FigureConfig()
     if fig_id not in _FIGURES:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id!r}")
-    n, frame = _FIGURES[fig_id]
+    n, frame, coords = _FIGURES[fig_id]
+    columns = (*coords, "value")
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
     t = np.linspace(0.0, cfg.t_max, cfg.t_count)
 
-    # figure 5 sweeps the frame at the single time t_fixed
-    eps, eps_dot = parametric_resonance_epsilon(cfg.k, cfg.t_fixed if fig_id == 5 else t)
+    # a sweep along x holds the time at t_fixed
+    sweep_x = frame is None and coords[0] == "x"
+    eps, eps_dot = parametric_resonance_epsilon(cfg.k, cfg.t_fixed if sweep_x else t)
     if frame is not None:
-        mu, nu = frame
-        values = fock_mdf(n, eps[:, None], eps_dot[:, None], 0.0, x, mu, nu)
-        return ("x", "t", "value"), x, t, values
+        return columns, x, t, fock_mdf(n, eps[:, None], eps_dot[:, None], 0.0, x, *frame)
 
     mus = _sweep_mu(cfg)
     nus = np.sqrt(1.0 - mus**2)
-    if fig_id == 5:
-        values = fock_mdf(n, eps, eps_dot, 0.0, x, mus[:, None], nus[:, None])
-        return ("x", "mu", "value"), x, mus, values
-
-    values = fock_mdf(n, eps, eps_dot, 0.0, cfg.x_fixed, mus[:, None], nus[:, None])
-    return ("t", "mu", "value"), t, mus, values
+    if sweep_x:
+        return columns, x, mus, fock_mdf(n, eps, eps_dot, 0.0, x, mus[:, None], nus[:, None])
+    return columns, t, mus, fock_mdf(n, eps, eps_dot, 0.0, cfg.x_fixed, mus[:, None], nus[:, None])
 
 
 def gaussian_slice_residual(x: np.ndarray, values: np.ndarray) -> float:
@@ -221,11 +211,12 @@ def time_independence_residual(values: np.ndarray) -> float:
 
 
 def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
+    n, frame, coords = _FIGURES[fig_id]
     if not np.all(np.isfinite(values)):
         raise ConsistencyError(f"figure {fig_id}: non-finite tomogram values")
     if np.any(values < 0):
         raise ConsistencyError(f"figure {fig_id}: negative tomogram values")
-    if fig_id in (1, 2, 3, 5):
+    if n == 0 and coords[0] == "x":
         try:
             residual = gaussian_slice_residual(first, values)
         except ConsistencyError as exc:
@@ -235,26 +226,25 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
                 f"figure {fig_id}: ground-state slice deviates from a Gaussian "
                 f"(log-parabola residual {residual:.3e} > {GAUSSIAN_FIT_TOL})"
             )
-    if fig_id == 4:
+    if n == 2:
         zeros = count_near_zero_minima(values)
         bad = np.flatnonzero(zeros != 2)
         if bad.size:
             i = bad[0]
             # w_2 = hermite_gauss(2, x/|r|)^2 / |r| is below the cut on a width `needed`
             # around each zero x = +-|r|/sqrt(2): a coarser x grid can step over it
-            eps, eps_dot = parametric_resonance_epsilon(cfg.k, second[i])
-            abs_r = abs(eps + eps_dot) * _INV_SQRT2  # frame (1/sqrt2, 1/sqrt2)
+            abs_r = abs(_frame_r(*parametric_resonance_epsilon(cfg.k, second[i]), *frame))
             y = np.linspace(0.0, math.sqrt(2.5), 100_001)  # w_2 peaks at Y^2 = 5/2
             profile = hermite_gauss(2, y) ** 2
             needed = np.count_nonzero(profile < ZERO_MINIMUM_REL * profile[-1]) * y[1] * abs_r
             zero, spacing = abs_r * _INV_SQRT2, first[1] - first[0]
             if spacing > needed or not first[0] <= -zero < zero <= first[-1]:
                 raise ValueError(
-                    f"figure 4: slice t = {second[i]:g} needs an x spacing of at most {needed:.3g} "
+                    f"figure {fig_id}: slice t = {second[i]:g} needs an x spacing of at most {needed:.3g} "
                     f"on a range covering its zeros x = +-{zero:.3g}; the grid has {spacing:.3g} "
                     f"on [{first[0]:g}, {first[-1]:g}]")
             raise ConsistencyError(
-                f"figure 4: slice t = {second[i]:g} shows {zeros[i]} interior "
+                f"figure {fig_id}: slice t = {second[i]:g} shows {zeros[i]} interior "
                 "zeros, expected the 2 of the second Hermite polynomial"
             )
     if fig_id == 1 and cfg.k == 0.0:

@@ -104,7 +104,7 @@ class LadderInvariant:
 
 
 def _to_real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
+    if not abs(value.imag) <= IMAG_RESIDUE_TOL:  # a NaN residue fails too
         raise ConsistencyError(
             f"{what} has imaginary residue {value.imag:.3e} above {IMAG_RESIDUE_TOL}"
         )

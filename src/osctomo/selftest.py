@@ -299,10 +299,11 @@ def _check_figures():
     _, _, _, v0 = figures.figure_table(1, cfg0)
     res_time = figures.time_independence_residual(v0)
 
-    ok = res_gauss <= 1e-8 and zero_counts == {2} and res_time <= 1e-12
+    fit_tol, time_tol = figures.GAUSSIAN_FIT_TOL, figures.T_INDEPENDENCE_TOL
+    ok = res_gauss <= fit_tol and zero_counts == {2} and res_time <= time_tol
     return ok, (
-        f"gaussian fit {res_gauss:.3e} <= 1e-08, fig4 zeros {sorted(zero_counts)} == [2], "
-        f"k=0 time variation {res_time:.3e} <= 1e-12"
+        f"gaussian fit {res_gauss:.3e} <= {fit_tol:.0e}, fig4 zeros {sorted(zero_counts)} == [2], "
+        f"k=0 time variation {res_time:.3e} <= {time_tol:.0e}"
     )
 
 

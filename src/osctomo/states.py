@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import hermite_gauss
-from .errors import DegenerateFrameError
+from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
     "coherent_mdf",
@@ -48,6 +49,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _R_TOL = 1e-12
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
 
 
 def _finite(**values) -> None:
@@ -99,11 +101,30 @@ def _frame_r(eps: complex, eps_dot: complex, mu, nu):
     return r
 
 
+def _coherent_mean(alpha, beta, r):
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]."""
+    return _SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
+
+
 def _coherent_moments(alpha, eps, eps_dot, beta, mu, nu):
-    """The coherent tomogram's mean <X> and |r|^2 = 2 Var X."""
+    """The coherent tomogram's mean <X> and |r|^2 = 2 Var X.
+
+    A frame whose |r|^2 overflows raises EvaluationError naming the first
+    such (mu, nu) in C order, with float coordinates.  |r| is compared
+    before squaring, so no RuntimeWarning escapes, and a float frame's
+    comparison is a numpy bool tested without an array call.
+    """
     r = _frame_r(eps, eps_dot, mu, nu)
-    gamma = complex(alpha) - complex(beta)
-    return _SQRT2 * np.real(gamma * np.conj(r)), np.abs(r) ** 2
+    abs_r = np.abs(r)
+    over = abs_r > _SQRT_MAX
+    if np.count_nonzero(over) if over.ndim else over:
+        first = np.argmax(over)  # flat index of the first True
+        mu, nu = (float(np.broadcast_to(v, over.shape).flat[first]) for v in (mu, nu))
+        raise EvaluationError(
+            f"frame (mu, nu) = ({mu}, {nu}): |r|^2 = |eps_dot nu + eps mu|^2 overflows "
+            "double precision"
+        )
+    return _coherent_mean(alpha, beta, r), abs_r**2
 
 
 def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
@@ -122,8 +143,9 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
 
 
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]."""
-    return _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)[0]
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; it needs no |r|^2, so a frame
+    whose |r|^2 overflows keeps its mean."""
+    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, mu, nu))
 
 
 def variance_X(eps, eps_dot, mu, nu):

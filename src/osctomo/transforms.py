@@ -180,10 +180,10 @@ class DensityGrid(_UniformGrid):
     def __post_init__(self):
         super().__post_init__()
         herm = np.max(np.abs(self.values - self.values.conj().T))
-        if herm > _HERMITICITY_TOL:
+        if not herm <= _HERMITICITY_TOL:  # a NaN residue fails too
             raise ConsistencyError(f"density grid not Hermitian: residue {herm:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ConsistencyError(f"density grid trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
 
     def trace(self) -> float:
@@ -210,7 +210,7 @@ class WignerGrid(_UniformGrid):
     def __post_init__(self):
         super().__post_init__()
         norm = self.normalisation()
-        if abs(norm - 1.0) > _TRACE_TOL:
+        if not abs(norm - 1.0) <= _TRACE_TOL:
             raise ConsistencyError(
                 f"Wigner normalisation {norm!r} deviates from 1 beyond {_TRACE_TOL}"
             )
@@ -236,11 +236,14 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
 
     The grid truncation must be chosen so |rho| is negligible (< 1e-10) at
     the boundary.  Hermitian input makes the result real; an imaginary
-    residue above 1e-6 raises ConsistencyError.  nu = 0 is rejected: the
-    kernel is singular there.  Non-finite X, mu or nu and the frame
-    (0, 0) raise ValueError (:func:`osctomo.states._check_point`), and so
-    does a point whose kernel phase (mu Z^2/2 - X Z)/nu overflows on the
-    grid, checked at its ends |Z| = extent before any sampling.
+    residue above 1e-6 (or NaN) raises ConsistencyError.  nu = 0 is
+    rejected: the kernel is singular there.  Non-finite X, mu or nu and
+    the frame (0, 0) raise ValueError (:func:`osctomo.states._check_point`),
+    and so does a point whose kernel phase (mu Z^2/2 - X Z)/nu is
+    undersampled: its slope (mu Z - X)/nu, largest at the grid's ends
+    |Z| = extent, must advance it by at most pi per node.  An overflowing
+    phase advances it by inf, so this one rule, checked before any
+    sampling, also rejects it.
     """
     _check_point(X, mu, nu)
     if abs(nu) < _NU_TOL:
@@ -248,16 +251,18 @@ def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
             "nu = 0 frames are not supported by the density-matrix kernel"
         )
     X, mu, nu, reach = float(X), float(mu), float(nu), float(rho.extent)
-    # the largest |phase| on the grid, by the kernel's own operations at Z = +-extent
-    if not math.isfinite((abs(mu) * reach * reach / 2.0 + abs(X) * reach) / abs(nu)):
+    # the largest phase step between nodes, at Z = +-extent; Python floats overflow to inf
+    advance = (abs(mu) * reach + abs(X)) * float(rho.spacing) / abs(nu)
+    if not advance <= math.pi:
         raise ValueError(
             f"(X, mu, nu) = ({X}, {mu}, {nu}): the kernel phase (mu Z^2/2 - X Z)/nu "
-            f"overflows on the grid |Z| <= {reach}"
+            f"advances {advance:.3g} rad per node, above pi: it is undersampled or "
+            f"overflows on the grid |Z| <= {reach} of spacing {rho.spacing:.3g}"
         )
     z = rho.axis
     v = _trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
     val = complex(v @ (rho.values @ v.conj())) / (2.0 * np.pi * abs(nu))
-    if abs(val.imag) > _IMAG_RESIDUE_TOL:
+    if not abs(val.imag) <= _IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"imaginary residue {val.imag:.3e} above {_IMAG_RESIDUE_TOL}")
     return val.real
 
@@ -267,8 +272,10 @@ _Y_WINDOW_QUADRATURE = 10.0  # largest optical quadrature the default Y window c
 
 def _default_y_window(mu, nu):
     """Y in +-10 hypot(mu, nu): w(l X, l mu, l nu) = w(X, mu, nu) / |l|, so
-    this covers the same optical-quadrature mass in every frame."""
-    half = _Y_WINDOW_QUADRATURE * np.hypot(mu, nu)
+    this covers the same optical-quadrature mass in every frame.  A bound
+    past the double range is inf, which :func:`_check_y_window` rejects."""
+    with np.errstate(over="ignore"):
+        half = _Y_WINDOW_QUADRATURE * np.hypot(mu, nu)
     return -half, half
 
 
@@ -285,8 +292,9 @@ class QuadratureSpec:
     lands exactly on 0: a node at mu = 0 on a diagonal element (nu = 0)
     is the frame (0, 0) and raises DegenerateFrameError.  Construction
     rejects node counts below 2, a non-finite or non-positive ``mu_max``
-    and a fixed window that is not finite with lo < hi (ValueError); a
-    callable window is checked on every use.
+    and a fixed window that is not finite with lo < hi and a finite width
+    hi - lo (ValueError); a callable window, the default among them, is
+    checked on every use, before the tomogram is sampled.
     """
 
     mu_max: float = 12.0
@@ -310,8 +318,11 @@ class QuadratureSpec:
 
 
 def _check_y_window(lo, hi) -> None:
-    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
-        raise ValueError("y_window bounds must be finite with lo < hi")
+    with np.errstate(all="ignore"):  # a width past the double range is inf, inf - inf NaN
+        width = np.subtract(hi, lo)
+    # a finite width needs both bounds finite
+    if not np.all((lo < hi) & np.isfinite(width)):
+        raise ValueError("y_window bounds must be finite with lo < hi and a finite width hi - lo")
 
 
 def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +413,7 @@ def density_from_mdf(
     val = _density_point(w, X, Xp, quad)
     if check_convergence:
         refined = _density_point(w, X, Xp, quad.refined())
-        if abs(refined - val) > _CONVERGENCE_TOL:
+        if not abs(refined - val) <= _CONVERGENCE_TOL:
             raise QuadratureConvergenceError(
                 f"refinement moved rho({X}, {Xp}) by {abs(refined - val):.3e}"
             )

@@ -132,6 +132,23 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "drive integral" in err
 
+    @pytest.mark.parametrize(
+        "op", [["variance_X"], ["coherent_mdf", "alpha=0", "X=1e200"]], ids=["variance_X", "coherent_mdf"]
+    )
+    def test_overflowing_coherent_variance_exits_2(self, capsys, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", *op, "profile=constant:1", "t=1", "mu=1", "nu=1e200"], capsys)
+        assert (code, out) == (2, "")
+        assert "frame (mu, nu) = (1.0, 1e+200): |r|^2" in err and "overflows" in err
+
+    def test_mean_of_a_frame_whose_variance_overflows_stays_finite(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the mean needs no |r|^2, and squares none
+            code, out, err = run(["eval", "mean_X", "alpha=0.5", "profile=constant:1", "t=1",
+                                  "mu=1", "nu=1e200"], capsys)
+        assert (code, out, err) == (0, "-5.95009839529e+199\n", "")
+
     def test_too_many_steps_is_usage_error(self, capsys):
         code, out, err = run(["eval", "epsilon", "profile=free", "t=1e7"], capsys)
         assert (code, out) == (1, "")
@@ -425,6 +442,23 @@ class TestFigure:
         )
         assert code == 1
         assert "t_count" in err
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("t_count", "1.5", "an integer"), ("k", "abc", "a real number"), ("x_min", "nan", "finite")],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, capsys, tmp_path, source, key, value, kind):
+        if source == "config":
+            config = tmp_path / "fig.cfg"
+            config.write_text(f"{key} = {value}\n")
+            option = ["--config", str(config)]
+        else:
+            option = [f"--{key.replace('_', '-')}={value}"]
+        code, out, err = run(["figure", "--id", "1", "--out", str(tmp_path), *option], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument {key}={value!r} is not {kind}\n"
+        assert not (tmp_path / "fig1.csv").exists()
 
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.cfg"

@@ -8,6 +8,7 @@ import pytest
 from osctomo import (
     ClassicalPropagator,
     ConsistencyError,
+    LadderInvariant,
     LinearInvariant,
     delta_vector,
     invariant_from_ladder,
@@ -141,6 +142,13 @@ class TestLadderPair:
             direct = linear_invariant(eps, eps_dot, beta)
             np.testing.assert_allclose(from_ladder.lam, direct.lam, atol=1e-10)
             np.testing.assert_allclose(from_ladder.delta, direct.delta, atol=1e-10)
+
+
+    def test_nan_coefficient_fails_the_imaginary_residue_gate(self):
+        a, adag = ladder_pair(1.0, 1.0j, 0.0)
+        bad = LadderInvariant(complex(math.nan, 0.0), a.cq, a.c0)
+        with pytest.raises(ConsistencyError, match="p-coefficient has imaginary residue nan"):
+            invariant_from_ladder(bad, adag)
 
 
 class TestProfileStart:

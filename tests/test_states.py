@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from helpers import SQRT2, driven_state
 from osctomo import (
     DegenerateFrameError,
     DriveProfile,
+    EvaluationError,
     annihilation_eigencheck,
     coherent_mdf,
     coherent_mdf_fourier,
@@ -172,6 +175,47 @@ class TestMoments:
                 var_q = np.trapezoid((X - mean_q) ** 2 * w, X)
                 assert abs(mean_q - mean_X(alpha, eps, eps_dot, beta, mu, nu)) < 1e-8
                 assert abs(var_q - variance_X(eps, eps_dot, mu, nu)) < 1e-8
+
+
+class TestMomentOverflow:
+    """A frame whose |r|^2 overflows raises EvaluationError naming it, with no
+    RuntimeWarning; the mean needs no |r|^2 and keeps its finite value."""
+
+    CALLS = {
+        "variance_X": lambda mu, nu: variance_X(1.0, 1j, mu, nu),
+        "coherent_mdf": lambda mu, nu: coherent_mdf(0.0, *VACUUM, 0.3, mu, nu),
+        "coherent_mdf_fourier": lambda mu, nu: coherent_mdf_fourier(0.5, 0.0, *VACUUM, mu, nu),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_overflowing_frame_raises(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=re.escape("frame (mu, nu) = (1.0, 1e+200): |r|^2")):
+                self.CALLS[name](1.0, 1e200)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_array_names_its_first_overflowing_frame(self, name):
+        mu, nu = np.array([[1.0], [2.0]]), np.array([0.5, 1e300, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=re.escape("frame (mu, nu) = (1.0, 1e+300): |r|^2")):
+                self.CALLS[name](mu, nu)
+
+    def test_largest_frame_whose_square_is_finite(self):
+        largest = math.sqrt(sys.float_info.max)
+        assert variance_X(1.0, 1j, largest, 0.0) == 0.5 * largest**2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="overflows"):
+                variance_X(1.0, 1j, math.nextafter(largest, math.inf), 0.0)
+
+    def test_mean_needs_no_square(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_X(0.5, *VACUUM, 1.0, 1e200) == SQRT2 * 0.5
+            assert mean_X(0.5, *VACUUM, np.array([1.0, 1.0]), np.array([0.5, 1e200])).tolist() == [
+                SQRT2 * 0.5, SQRT2 * 0.5]
 
 
 class TestFourierForm:

@@ -22,6 +22,7 @@ from osctomo import (
     ConsistencyError,
     DegenerateFrameError,
     DensityGrid,
+    EvaluationError,
     FrameUnsupportedError,
     OutOfSupportWarning,
     QuadratureConvergenceError,
@@ -217,6 +218,28 @@ class TestGridArguments:
             with pytest.raises(ValueError, match="the mu phases overflow"):
                 density_grid_from_mdf(never_sampled, 1e300, 3, QuadratureSpec(mu_max=1e10))
 
+    @pytest.mark.parametrize("X", [1e307, 5e306], ids=["bound-overflows", "width-overflows"])
+    def test_default_y_window_that_overflows(self, X):
+        # 10 hypot(mu, nu) with nu = 2 X, or the width 20 hypot(mu, nu), is past the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="y_window bounds must be finite with lo < hi and a finite width"):
+                density_from_mdf(never_sampled, X, -X)
+
+    def test_fixed_y_window_whose_width_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="a finite width hi - lo"):
+                QuadratureSpec(y_window=(-1e308, 1e308))
+
+    def test_density_grid_whose_coherent_slices_overflow(self):
+        # the nu = 5e306 diagonal keeps a finite window, and its tomogram's |r|^2 overflows
+        w = lambda Y, mu, nu: coherent_mdf(0.0, *VACUUM, Y, mu, nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"\|r\|\^2 = .* overflows"):
+                density_grid_from_mdf(w, 5e306, 3)
+
     @pytest.mark.parametrize("quad", [QuadratureSpec(y_window=(-10.0, 10.0)), None], ids=["fixed", "default"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_density_element_needs_finite_points(self, quad, value):
@@ -279,6 +302,16 @@ class TestMdfFromDensity:
             with pytest.raises(ValueError, match="kernel phase .* overflows on the grid"):
                 mdf_from_density(vacuum_density, *args)
 
+    def test_undersampled_kernel_phase_rejected(self):
+        # spacing h = 0.05: the phase advances (0.6 * 9 + |X|) h / 0.8 per node at |Z| = 9,
+        # pi at |X| = 16 pi - 5.4 = 44.87
+        rho = DensityGrid.from_wavefunction(lambda x: coherent_wavefunction(0.0, *VACUUM, x), 9.0, 361)
+        for X in (200.0, 45.0, -45.0):
+            with pytest.raises(ValueError, match="kernel phase .* per node, above pi"):
+                mdf_from_density(rho, X, 0.6, 0.8)
+        for X in (44.8, -44.8, 3.0, 0.0):  # resolved points keep their values bit for bit
+            assert mdf_from_density(rho, X, 0.6, 0.8) == rank_one_mdf(rho, X, 0.6, 0.8)
+
     @pytest.mark.parametrize("state", ["vacuum", "coherent", "fock"])
     def test_rank_one_matches_double_trapezoid(self, state):
         psi = {
@@ -293,6 +326,13 @@ class TestMdfFromDensity:
             scale = rng.uniform(0.5, 2.0)
             X, mu, nu = rng.uniform(-4.0, 4.0), scale * math.cos(angle), scale * math.sin(angle)
             assert abs(mdf_from_density(rho, X, mu, nu) - double_trapezoid_mdf(rho, X, mu, nu)) <= 1e-13
+
+
+def rank_one_mdf(rho, X, mu, nu):
+    """mdf_from_density's own evaluation, without its argument checks."""
+    z = rho.axis
+    v = transforms._trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
+    return (complex(v @ (rho.values @ v.conj())) / (2.0 * np.pi * abs(nu))).real
 
 
 def double_trapezoid_mdf(rho, X, mu, nu):
@@ -451,6 +491,41 @@ class TestQuadratureSpecValidation:
             density_from_mdf(vacuum_w, 0.0, 0.0, quad)
         with pytest.raises(ValueError):
             density_grid_from_mdf(vacuum_w, 3.0, 5, quad)
+
+
+class TestNanGates:
+    """A NaN fails each tolerance gate instead of passing its comparison."""
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_density_grid_with_a_nan_entry_rejected(self, entry):
+        values = TWO_POINT.values.copy()
+        values[entry] = np.nan
+        with pytest.raises(ConsistencyError, match="not Hermitian: residue nan"):
+            DensityGrid(1.0, values)
+
+    def test_nan_trace_rejected(self):
+        class NanTrace(DensityGrid):
+            def trace(self):
+                return math.nan
+
+        with pytest.raises(ConsistencyError, match="trace nan deviates"):
+            NanTrace(1.0, TWO_POINT.values)
+
+    def test_nan_wigner_grid_rejected(self):
+        with pytest.raises(ConsistencyError, match="normalisation nan deviates"):
+            WignerGrid(5.0, np.full((11, 11), np.nan))
+
+    def test_nan_imaginary_residue_rejected(self):
+        values = TWO_POINT.values.copy()
+        rho = DensityGrid(1.0, values)
+        values[0, 1] = np.nan  # the grid shares this array's memory
+        with pytest.raises(ConsistencyError, match="imaginary residue nan"):
+            mdf_from_density(rho, 0.3, 0.6, 0.8)
+
+    def test_nan_refinement_change_rejected(self):
+        quad = QuadratureSpec(mu_count=40, y_count=101)
+        with pytest.raises(QuadratureConvergenceError, match="by nan"):
+            density_from_mdf(lambda Y, mu, nu: np.nan, 0.1, 0.2, quad, check_convergence=True)
 
 
 class TestDefaultWindow:
