@@ -129,13 +129,18 @@ class _Args:
     def get(self, key, kind=float, default=None):
         """The value of ``key`` (``default`` if absent) as ``kind``: str, or a
         finite float, an int, or a finite complex written ``0.7+0.3j`` or
-        ``0.7+0.3i``."""
+        ``0.7+0.3i`` (only a final ``i`` is the imaginary unit, so ``inf``
+        stays a number)."""
         self.used.add(key)
         raw = self.values.get(key, default)
         if raw is None:
             raise ValueError(f"missing required argument {key}=...")
+        text = raw
+        if kind is complex:
+            text = raw.replace(" ", "")
+            text = text[:-1] + "j" if text.endswith("i") else text
         try:
-            value = kind(raw.replace("i", "j").replace(" ", "") if kind is complex else raw)
+            value = kind(text)
         except ValueError as exc:
             raise ValueError(f"argument {key}={raw!r} is not {_KINDS[kind]}") from exc
         if kind in (float, complex) and not cmath.isfinite(value):

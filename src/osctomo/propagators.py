@@ -20,13 +20,13 @@ The same map has an explicit form in terms of (eps, eps_dot, beta):
     r = eps_dot nu + eps mu,
 
 exact when the Wronskian D = Im(conj(eps) eps_dot) = det Lambda is 1.
-Both representations are evaluated at every point and must agree, the
-eps form divided by D as Lambda^{-1} is by det Lambda: the check compares
-the two forms of one map, and det Lambda itself is gated once, by
-LinearInvariant at DET_TOL = 1e-8.  The map is one array computation:
-ClassicalPropagator.frame_map and evolve take X, mu and nu of any shapes
-that broadcast, so a whole tomogram surface evolves in one call, and
-floats give floats.
+The two representations are compared once per propagator, as matrices,
+where Lambda^{-1} is formed, the eps form divided by D as Lambda^{-1} is
+by det Lambda: the check compares the two forms of one map, and det
+Lambda itself is gated once, by LinearInvariant at DET_TOL = 1e-8.  The
+map is one array computation: ClassicalPropagator.frame_map and evolve
+take X, mu and nu of any shapes that broadcast, so a whole tomogram
+surface evolves in one call, and floats give floats.
 
 The quantum Green function is one Van Vleck kernel of the same flow, with
 m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2) Re(eps
@@ -85,8 +85,8 @@ class ClassicalPropagator:
     """Affine pullback map on (X, mu, nu) representing the delta kernel.
 
     Holds both the invariant data and the raw (eps, eps_dot, beta) so the
-    two representations of the map can be checked against each other at
-    every point it maps.
+    two representations of the map can be checked against each other,
+    once per propagator.
     """
 
     eps: complex
@@ -109,31 +109,34 @@ class ClassicalPropagator:
 
     @cached_property
     def _lam_inv(self) -> np.ndarray:
-        """Lambda^{-1}, the adjugate over det Lambda, formed once per propagator."""
-        lam = self.inv.lam
-        return np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
+        """Lambda^{-1}, the adjugate over det Lambda, formed and checked once
+        per propagator.
 
-    @cached_property
-    def _eps_form(self) -> np.ndarray:
-        """The eps form as one real matrix: (X, nu, mu) @ it = (X', nu', mu').
-
-        mu' + 1j nu' = r / D and X' - X = sqrt(2) Re(beta conj(r)) / D, where
-        r = eps_dot nu + eps mu, Re(beta conj(r)) = Re beta Re r + Im beta Im r
-        and D = Im(conj(eps) eps_dot) is det Lambda computed from eps.  So
-        the two forms agree to roundoff whatever det Lambda is, which
-        LinearInvariant gates.  A D of 0 gives inf or NaN rows, which
-        frame_map reports as a disagreement.
+        Both forms of the map take the rows (nu, mu) to (X' - X, nu', mu'):
+        the Lambda form is [Lambda^{-1} Delta | Lambda^{-1}], the eps form
+        has rows [sqrt(2) Re(beta conj c), Im c, Re c] / D for c = eps_dot,
+        eps, and D = Im(conj(eps) eps_dot), det Lambda computed from eps.
+        So they agree to roundoff whatever det Lambda is, which
+        LinearInvariant gates; entries off by more than 1e-10 max(1, the
+        largest |entry| of the Lambda form), or a NaN one, as from a D of 0,
+        raise ConsistencyError.  Raising, the property caches nothing.
         """
+        lam = self.inv.lam
+        lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / self.inv.det
         eps, eps_dot, beta = self.eps, self.eps_dot, self.beta
-        shift = lambda c: _SQRT2 * (beta.real * c.real + beta.imag * c.imag)
-        form = np.array([
-            [1.0, 0.0, 0.0],
-            [shift(eps_dot), eps_dot.imag, eps_dot.real],
-            [shift(eps), eps.imag, eps.real],
+        eps_form = np.array([
+            [_SQRT2 * (beta * c.conjugate()).real, c.imag, c.real] for c in (eps_dot, eps)
         ])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            form[1:] /= (eps.conjugate() * eps_dot).imag
-        return form
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam_form = np.column_stack([lam_inv @ self.inv.delta, lam_inv])
+            eps_form /= (eps.conjugate() * eps_dot).imag
+            err = np.max(np.abs(lam_form - eps_form))
+        if not err <= _MAP_TOL * max(1.0, np.max(np.abs(lam_form))):
+            raise ConsistencyError(
+                "Lambda^-1 form and eps form of the frame map disagree: "
+                f"{lam_form.tolist()} vs {eps_form.tolist()}"
+            )
+        return lam_inv
 
     def frame_map(self, X, mu, nu):
         """The unique source point (X', mu', nu') the delta kernel fires at.
@@ -142,21 +145,19 @@ class ClassicalPropagator:
         Scalars (0-d arrays too) give a tuple of three floats; otherwise
         X', mu' and nu' are arrays of the broadcast shape.  The points are
         mapped as N' = N Lambda^{-1}, X' = X + N' Delta, with N = (nu, mu),
-        each bit for bit as on its own, and each is checked against the
-        explicit eps form, divided by the eps-side determinant
-        Im(conj(eps) eps_dot) as Lambda^{-1} is by det Lambda: the check
-        compares the two forms of one map and does not gate det Lambda
-        again.  A disagreement beyond 1e-10 max(1, |X|, |mu|, |nu|), or a
-        NaN one, as where an image leaves the double range, raises
-        ConsistencyError, with no RuntimeWarning.  A non-finite X, mu or
-        nu, or a zero frame (the rule of the CLI and the transforms,
-        states._check_point), at any point raises ValueError, as the
-        scalar call there does.
+        each bit for bit as on its own.  The two forms of the map are
+        compared once per propagator, as matrices, where Lambda^{-1} is
+        formed; a propagator whose forms disagree raises ConsistencyError
+        at every call.  A point whose image leaves the double range raises
+        ConsistencyError naming it, with no RuntimeWarning.  A non-finite
+        X, mu or nu, or a zero frame (the rule of the CLI and the
+        transforms, states._check_point), at any point raises ValueError,
+        as the scalar call there does.
         """
         pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
         pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
-        # a point whose image leaves the double range gets inf or NaN on a
-        # route, and fails the check below instead of warning
+        # a point whose image leaves the double range gets inf or NaN,
+        # and fails the check below instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
             _check_point(X, mu, nu)
             out = np.empty_like(pts)  # rows (X', nu', mu')
@@ -164,16 +165,12 @@ class ClassicalPropagator:
             # vecdot takes each row's N' Delta with the dot kernel of a 1-D @;
             # a matrix-vector n_p @ Delta would round some points differently
             np.add(pts[..., 0], np.vecdot(n_p, self.inv.delta), out=out[..., 0])
-
-            eps_form = pts @ self._eps_form
-            tol = _MAP_TOL * np.maximum.reduce(np.abs(pts), axis=-1, keepdims=True, initial=1.0)
-            agree = np.abs(out - eps_form) <= tol  # False where a route is NaN
-        if np.count_nonzero(agree) != agree.size:
-            at = ~agree.all(axis=-1)
-            (x_p, nu_p, mu_p), (x_e, nu_e, mu_e) = out[at][0].tolist(), eps_form[at][0].tolist()
+        finite = np.isfinite(out)
+        if np.count_nonzero(finite) != finite.size:
+            x, nu_0, mu_0 = pts[~finite.all(axis=-1)][0].tolist()
             raise ConsistencyError(
-                "Lambda^-1 form and eps form of the frame map disagree: "
-                f"({x_p}, {mu_p}, {nu_p}) vs ({x_e}, {mu_e}, {nu_e})"
+                f"frame map image of (X, mu, nu) = ({x}, {mu_0}, {nu_0}) is not finite, "
+                "so the two forms of the map disagree there"
             )
         if out.ndim == 1:
             x_p, nu_p, mu_p = out.tolist()

@@ -155,10 +155,14 @@ class _UniformGrid:
     def load(cls, path):
         with open(path) as fh:
             header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing '# L=<real> n=<int>' header")
-        fields = dict(tok.split("=") for tok in header[1:].split())
-        extent, n = float(fields["L"]), int(fields["n"])
+        tokens = header[1:].split() if header.startswith("#") else []
+        fields = dict(tok.partition("=")[::2] for tok in tokens)
+        try:
+            extent, n = float(fields["L"]), int(fields["n"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: expected a '# L=<real> n=<int>' header, got {header!r}"
+            ) from exc
         raw = np.loadtxt(path, comments="#")
         width = 2 * n if cls._dtype is complex else n
         if raw.shape != (n, width):

@@ -324,6 +324,26 @@ def with_override(args, override):
 class TestEvalChecks:
     """What eval accepts and reports follows the library's one copy of each check."""
 
+    @pytest.mark.parametrize("t", ["7", "8", "9"])
+    def test_frame_map_of_the_inverted_forced_oscillator(self, capsys, tmp_path, t):
+        # images of ~1e3 whose two forms agree to roundoff of that size
+        table = tmp_path / "inverted.txt"
+        table.write_text("0 -1 1\n10 -1 1\n")
+        code, out, err = run(["eval", "frame_map", f"profile=table:{table}", f"t={t}",
+                              "X=0.3", "mu=1", "nu=0.5"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.split()) == 3
+
+    @pytest.mark.parametrize("alpha", ["inf", "0.5-infj", "0.5-infi"])
+    def test_only_a_final_i_is_the_imaginary_unit(self, capsys, alpha):
+        # the i of inf stays, so an infinite value is not finite, not malformed
+        args = ["coherent_mdf", "profile=constant:1", "t=1", "X=0", "mu=1", "nu=0.5"]
+        code, out, err = run(["eval", *args, f"alpha={alpha}"], capsys)
+        assert (code, out) == (1, "")
+        assert "not finite" in err
+        with_i = run(["eval", *args, "alpha=0.7+0.3i"], capsys)
+        assert with_i[0] == 0 and with_i == run(["eval", *args, "alpha=0.7+0.3j"], capsys)
+
     def test_frame_map_accepts_the_flow_epsilon_accepts(self, capsys):
         # det Lambda is off 1 by ~7e-10 here: inside DET_TOL, so the map is computed
         args = ["profile=constant:8", "t=200"]

@@ -181,6 +181,37 @@ class TestFrameMapFormCheck:
             with pytest.raises(ConsistencyError, match="disagree"):
                 prop.frame_map(np.zeros(2), 1.0, np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("t", [7.0, 8.0, 9.0])
+    def test_inverted_forced_oscillator_maps_within_the_size_of_the_map(self, t):
+        # omega_sq = -1 grows the map like e^t; the forms agree to roundoff
+        # of that size, which a tolerance of 1e-10 max(1, |X|, |mu|, |nu|) missed
+        profile = DriveProfile.custom(lambda s: np.full_like(s, -1.0), lambda s: np.full_like(s, 1.0))
+        prop = ClassicalPropagator.from_profile(profile, t)
+        eps, eps_dot, beta = prop.eps, prop.eps_dot, prop.beta
+        d = (eps.conjugate() * eps_dot).imag
+
+        def eps_form(X, mu, nu):
+            r = (eps_dot * nu + eps * mu) / d
+            return np.array([X + SQRT2 * (beta * np.conj(r)).real, r.real, r.imag])
+
+        image = np.array(prop.frame_map(0.3, 1.0, 0.5))
+        assert np.all(np.abs(image - eps_form(0.3, 1.0, 0.5)) <= 1e-12 * np.max(np.abs(image)))
+        X, mu, nu = np.random.default_rng(41).normal(size=(3, 20))
+        image = np.array(prop.frame_map(X, mu, nu))
+        assert np.all(np.abs(image - eps_form(X, mu, nu)) <= 1e-12 * np.max(np.abs(image)))
+
+    def test_fault_orthogonal_to_the_mapped_frame_disagrees(self):
+        # beta off by 1e-6j moves only the image of frames with nu != 0; at
+        # the frame (mu, nu) = (1, 0) the images of both forms coincide
+        prop = ClassicalPropagator.from_epsilon(1.0, 1.0j, 0.0)
+        changed = dataclasses.replace(prop, beta=prop.beta + 1e-6j)
+        X = np.linspace(-1.0, 1.0, 4)
+        for _ in range(2):  # a check that raises caches nothing
+            with pytest.raises(ConsistencyError, match="disagree"):
+                changed.frame_map(0.3, 1.0, 0.0)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                changed.frame_map(X, np.ones(4), np.zeros(4))
+
 
 class TestEvolve:
     def test_identity_at_t0(self):

@@ -141,6 +141,15 @@ class TestGrids:
         second.save(fresh)
         assert path.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("header", ["# L=3", "# L=3 n"])
+    @pytest.mark.parametrize("cls", [DensityGrid, WignerGrid])
+    def test_load_names_the_file_on_a_bad_header(self, tmp_path, cls, header):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"{header}\n0.5 0 0 0\n0 0 0.5 0\n")
+        with pytest.raises(ValueError) as info:
+            cls.load(path)
+        assert str(path) in str(info.value) and "'# L=<real> n=<int>'" in str(info.value)
+
     def test_save_to_devnull(self):
         TWO_POINT.save(os.devnull)
 
