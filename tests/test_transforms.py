@@ -524,6 +524,22 @@ class TestNanGates:
         with pytest.raises(ConsistencyError, match="normalisation nan deviates"):
             WignerGrid(5.0, np.full((11, 11), np.nan))
 
+    # a NaN in the last of three row bands still fails: the band maxima and the
+    # row integrals are reduced with numpy, which keeps a NaN
+    @pytest.mark.parametrize("entry", [(132, 130), (130, 132), (132, 132)],
+                             ids=["lower", "upper", "diagonal"])
+    def test_nan_in_the_last_band_of_a_density_grid_rejected(self, entry):
+        values = multi_band_density().values.copy()
+        values[entry] = np.nan
+        with pytest.raises(ConsistencyError, match="not Hermitian: residue nan"):
+            DensityGrid(8.0, values)
+
+    def test_nan_in_the_last_band_of_a_wigner_grid_rejected(self):
+        values = multi_band_wigner().values.copy()
+        values[132, 5] = np.nan
+        with pytest.raises(ConsistencyError, match="normalisation nan deviates"):
+            WignerGrid(8.0, values)
+
     def test_nan_imaginary_residue_rejected(self):
         values = TWO_POINT.values.copy()
         rho = DensityGrid(1.0, values)
@@ -535,6 +551,87 @@ class TestNanGates:
         quad = QuadratureSpec(mu_count=40, y_count=101)
         with pytest.raises(QuadratureConvergenceError, match="by nan"):
             density_from_mdf(lambda Y, mu, nu: np.nan, 0.1, 0.2, quad, check_convergence=True)
+
+
+def multi_band_density():
+    """A valid 133-point density grid: three row bands of the grid checks."""
+    return DensityGrid.from_wavefunction(lambda z: coherent_wavefunction(0.5, *VACUUM, z), 8.0, 133)
+
+
+def multi_band_wigner():
+    q = np.linspace(-8.0, 8.0, 133)
+    return WignerGrid(8.0, 2.0 * np.exp(-np.add.outer(q * q, q * q)))
+
+
+def unbanded_residue(values):
+    """The Hermiticity residue as one full-size expression."""
+    return np.max(np.abs(values - values.conj().T))
+
+
+def unbanded_normalisation(values, dx):
+    """The Wigner normalisation as one nested trapezoid over the whole grid."""
+    inner = np.trapezoid(values, dx=dx, axis=1)
+    return float(np.trapezoid(inner, dx=dx) / (2.0 * np.pi))
+
+
+class TestBandedGridChecks:
+    """The grid checks work one band of rows at a time and return, bit for
+    bit, what the full-size expressions return."""
+
+    SIZES = [2, 63, 64, 65, 361, 401]
+    PLACES = ["first", "middle", "last"]
+
+    @staticmethod
+    def row_in(place, n, rng):
+        bands = range(0, n, transforms._BAND_ROWS)
+        start = {"first": bands[0], "middle": bands[len(bands) // 2], "last": bands[-1]}[place]
+        return int(rng.integers(start, min(start + transforms._BAND_ROWS, n)))
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_residue_equals_the_full_size_expression(self, n, place):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        values = (a + a.conj().T) / 2.0
+        assert transforms._hermiticity_residue(values) == unbanded_residue(values)
+        for _ in range(3):
+            row, col = self.row_in(place, n, rng), int(rng.integers(n))
+            values[row, col] += complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-14, 0)
+            assert transforms._hermiticity_residue(values) == unbanded_residue(values)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_normalisation_equals_the_full_size_expression(self, n, place):
+        rng = np.random.default_rng(n)
+        values = rng.random((n, n))
+        values[self.row_in(place, n, rng)] *= 1e3
+        extent = float(rng.uniform(1.0, 10.0))
+        dx = 2.0 * extent / (n - 1)
+        values /= unbanded_normalisation(values, dx)
+        grid = WignerGrid(extent, values)
+        assert grid.normalisation() == unbanded_normalisation(grid.values, dx)
+
+    def test_the_density_check_uses_the_residue(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_hermiticity_residue", lambda values: np.float64(0.5))
+        with pytest.raises(ConsistencyError, match="residue 5.000e-01"):
+            DensityGrid(1.0, TWO_POINT.values)
+
+    @pytest.mark.parametrize("cls", [DensityGrid, WignerGrid])
+    def test_checking_a_grid_holds_a_small_share_of_it(self, cls):
+        # the full-size expressions held 2.0x (density) and 1.0x (Wigner) the grid
+        z = np.linspace(-8.0, 8.0, 1001)
+        if cls is DensityGrid:
+            psi = coherent_wavefunction(0.5, *VACUUM, z)
+            values = np.outer(psi, psi.conj())
+        else:
+            values = 2.0 * np.exp(-np.add.outer(z * z, z * z))
+        tracemalloc.start()
+        try:
+            cls(8.0, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * values.nbytes
 
 
 class TestDefaultWindow:
