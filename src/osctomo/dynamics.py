@@ -25,6 +25,8 @@ evaluated from.  It owns the flow's input rule (t finite and >= 0,
 0 < step <= t) and raises ValueError for input that breaks it.  Every
 profile callable is sampled on a grid through one helper, which raises
 EvaluationError on a non-finite omega_sq or force.
+Hermite orders and the package's grid counts pass one integer rule,
+:func:`_integer`: a whole number (3.0 counts as 3), else ValueError.
 
 Sign conventions and orderings used by the rest of the package are
 documented in :mod:`osctomo.invariants`.
@@ -227,12 +229,14 @@ def solve_epsilon(
     t_end, step : float
         Final time (finite, > 0) and requested step (0 < step <= t_end).
     tol_wronskian : float
-        Maximum accepted drift |W(t) - 2j| over the grid.
+        Maximum accepted drift |W(t) - 2j| over the grid: >= 0, and inf
+        accepts any finite drift.
 
     Raises
     ------
     ValueError
-        t_end or step out of range, or more than MAX_STEPS steps.
+        t_end or step out of range, more than MAX_STEPS steps, or a NaN or
+        negative tol_wronskian.
     EvaluationError
         omega_sq returned a non-finite value somewhere on the grid.
     WronskianDriftError
@@ -247,6 +251,8 @@ def solve_epsilon(
             f"t_end / step = {t_end / step:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}; "
             "use a shorter t_end or a larger step"
         )
+    if not tol_wronskian >= 0.0:  # a NaN fails too
+        raise ValueError(f"tol_wronskian must be non-negative, got {tol_wronskian!r}")
 
     n = max(1, round(t_end / step))
     h = t_end / n
@@ -654,12 +660,18 @@ def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:
     return u
 
 
+def _integer(name: str, value, least: int) -> int:
+    """An integral real value >= least as int (3.0 as 3); else ValueError naming it."""
+    try:
+        if int(value) == value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, a complex
+        pass
+    raise ValueError(f"{name} must be at least {least} and a whole number, got {value!r}")
+
+
 def _check_order(n) -> int:
-    if int(n) != n or n < 0:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _integer("order", n, 0)
     if n > MAX_HERMITE_ORDER:
-        raise UnsupportedOrderError(
-            f"order {n} above supported maximum {MAX_HERMITE_ORDER}"
-        )
+        raise UnsupportedOrderError(f"order {n} above supported maximum {MAX_HERMITE_ORDER}")
     return n

@@ -16,7 +16,8 @@ configuration, then a column-name row, then rows of three values) plus a
 gnuplot script for a quick surface rendering.  Grid extents and counts
 are package choices, the fields of :class:`FigureConfig` (``osctomo
 figure`` takes them from its flags or a ``--config`` file), recorded in
-the CSV header; they are not part of any published reference.
+the CSV header; they are not part of any published reference.  The
+counts are whole numbers >= 2 (3.0 counts as 3).
 
 Every surface is validated structurally before any file is written: all
 values must be finite and non-negative; w_0 slices along x must be exact
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_in_place
-from .dynamics import _resonance_k, hermite_gauss, parametric_resonance_epsilon
+from .dynamics import _integer, _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
 from .states import _frame_r, fock_mdf
 
@@ -67,14 +68,14 @@ MAX_FIGURE_POINTS = 2_000_000
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: figure id -> (Fock n, frame or None for the optical sweep, its two coordinates)
+#: figure id -> (Fock n, frame or None for the optical sweep, its two coordinates, title)
 _FIGURES = {
-    1: (0, (1.0, 0.0), ("x", "t")),
-    2: (0, (_INV_SQRT2, _INV_SQRT2), ("x", "t")),
-    3: (0, (0.0, 1.0), ("x", "t")),
-    4: (2, (_INV_SQRT2, _INV_SQRT2), ("x", "t")),
-    5: (0, None, ("x", "mu")),
-    6: (0, None, ("t", "mu")),
+    1: (0, (1.0, 0.0), ("x", "t"), "w_0(x, t), frame mu=1 nu=0"),
+    2: (0, (_INV_SQRT2, _INV_SQRT2), ("x", "t"), "w_0(x, t), frame mu=nu=1/sqrt(2)"),
+    3: (0, (0.0, 1.0), ("x", "t"), "w_0(x, t), frame mu=0 nu=1"),
+    4: (2, (_INV_SQRT2, _INV_SQRT2), ("x", "t"), "w_2(x, t), frame mu=nu=1/sqrt(2)"),
+    5: (0, None, ("x", "mu"), "w_0(x, t_fixed), optical sweep mu in (0, 1)"),
+    6: (0, None, ("t", "mu"), "w_0(x_fixed, t), optical sweep mu in (0, 1)"),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -97,10 +98,9 @@ class FigureConfig:
     def __post_init__(self):
         _resonance_k(self.k)
         for name, kind in self._types().items():
-            value = getattr(self, name)
-            if kind is int and (int(value) != value or value < 2):
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-            if kind is float and not np.isfinite(value):
+            if kind is int:
+                object.__setattr__(self, name, _integer(name, getattr(self, name), 2))
+            elif not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
@@ -136,7 +136,7 @@ def figure_table(fig_id: int, cfg: FigureConfig | None = None):
     cfg = cfg or FigureConfig()
     if fig_id not in _FIGURES:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id!r}")
-    n, frame, coords = _FIGURES[fig_id]
+    n, frame, coords, _ = _FIGURES[fig_id]
     columns = (*coords, "value")
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
     t = np.linspace(0.0, cfg.t_max, cfg.t_count)
@@ -211,7 +211,7 @@ def time_independence_residual(values: np.ndarray) -> float:
 
 
 def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
-    n, frame, coords = _FIGURES[fig_id]
+    n, frame, coords, _ = _FIGURES[fig_id]
     if not np.all(np.isfinite(values)):
         raise ConsistencyError(f"figure {fig_id}: non-finite tomogram values")
     if np.any(values < 0):
@@ -255,16 +255,6 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
             )
 
 
-_FIG_TITLES = {
-    1: "w_0(x, t), frame mu=1 nu=0",
-    2: "w_0(x, t), frame mu=nu=1/sqrt(2)",
-    3: "w_0(x, t), frame mu=0 nu=1",
-    4: "w_2(x, t), frame mu=nu=1/sqrt(2)",
-    5: "w_0(x, t_fixed), optical sweep mu in (0, 1)",
-    6: "w_0(x_fixed, t), optical sweep mu in (0, 1)",
-}
-
-
 def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple[Path, Path]:
     """Compute, validate and write ``fig<N>.csv`` and ``fig<N>.gp``.
 
@@ -287,7 +277,7 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
     gp_path = out_dir / f"fig{fig_id}.gp"
 
     lines = [
-        f"# osctomo figure {fig_id}: {_FIG_TITLES[fig_id]}",
+        f"# osctomo figure {fig_id}: {_FIGURES[fig_id][-1]}",
         "# profile: parametric resonance k=%.12g, force=0, "
         "epsilon from the closed-form resonance approximation" % cfg.k,
         "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"

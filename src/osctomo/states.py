@@ -102,7 +102,9 @@ def _frame_r(eps: complex, eps_dot: complex, mu, nu):
 
 
 def _coherent_mean(alpha, beta, r):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]."""
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; ValueError naming a label,
+    alpha or beta, that is not finite."""
+    _finite(alpha=alpha, beta=beta)
     return _SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
 
 
@@ -273,8 +275,10 @@ def coherent_wavefunction(alpha, eps, eps_dot, beta, x):
 
     with gamma = alpha - beta and the free global phase fixed to zero.
     The tomogram and density matrix built from psi are blind to that
-    choice.
+    choice.  A non-finite alpha, eps, eps_dot or beta raises ValueError
+    naming it.
     """
+    _finite(alpha=alpha, eps=eps, eps_dot=eps_dot, beta=beta)
     eps, eps_dot = complex(eps), complex(eps_dot)
     if abs(eps) < _R_TOL:
         raise DegenerateFrameError("eps = 0; wavefunction gauge is degenerate")

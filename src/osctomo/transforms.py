@@ -59,6 +59,8 @@ temporary: at n = 2001 (a 61 MB density grid) checking holds ~4 MB instead
 of ~128 MB and takes ~31 ms instead of ~94 ms, and a fresh process building
 the grid with ``from_wavefunction`` peaks at ~94 MB of RSS instead of ~212
 (2-core Xeon).
+Grid sizes ``n`` and :class:`QuadratureSpec`'s node counts are whole
+numbers >= 2 (41.0 counts as 41), else ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from typing import Callable
 import numpy as np
 
 from ._files import write_in_place
+from .dynamics import _integer
 from .errors import (
     ConsistencyError,
     DegenerateFrameError,
@@ -101,13 +104,12 @@ _MAX_EXTENT = sys.float_info.max / 2.0  # the axis width 2 extent stays finite
 _BAND_ROWS = 64  # rows per band of a grid check: a few MB of temporaries at n = 2001
 
 
-def _check_grid(extent, n) -> None:
-    """ValueError unless 0 < extent <= _MAX_EXTENT and n >= 2: the rule for
-    every uniform grid axis linspace(-extent, extent, n)."""
+def _check_grid(extent, n) -> int:
+    """n as an int; ValueError unless 0 < extent <= _MAX_EXTENT and n is a
+    whole number >= 2: the rule for every axis linspace(-extent, extent, n)."""
     if not 0.0 < extent <= _MAX_EXTENT:
         raise ValueError(f"extent must be positive with 2*extent finite, got {extent!r}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
+    return _integer("n", n, 2)
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,8 @@ class _UniformGrid:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=self._dtype)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
-            raise ValueError("values must be a square grid with at least 2 points per axis")
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError("values must be a square grid")
         _check_grid(self.extent, values.shape[0])
         values = values.view()
         values.flags.writeable = False
@@ -215,7 +217,7 @@ class DensityGrid(_UniformGrid):
     @classmethod
     def from_wavefunction(cls, psi: Callable[[np.ndarray], np.ndarray], extent: float, n: int):
         """Pure-state grid rho = psi(Z) conj(psi(Z')) from a wavefunction."""
-        _check_grid(extent, n)
+        n = _check_grid(extent, n)
         z = np.linspace(-extent, extent, n)
         vals = np.asarray(psi(z), dtype=complex)
         return cls(extent, np.outer(vals, vals.conj()))
@@ -320,7 +322,8 @@ class QuadratureSpec:
     frame.  ``mu_count`` defaults to an even value so the mu grid never
     lands exactly on 0: a node at mu = 0 on a diagonal element (nu = 0)
     is the frame (0, 0) and raises DegenerateFrameError.  Construction
-    rejects node counts below 2, a non-finite or non-positive ``mu_max``
+    stores ``mu_count=240.0`` as 240 and rejects a count that is not a
+    whole number >= 2, a non-finite or non-positive ``mu_max``
     and a fixed window that is not finite with lo < hi and a finite width
     hi - lo (ValueError); a callable window, the default among them, is
     checked on every use, before the tomogram is sampled.
@@ -332,10 +335,8 @@ class QuadratureSpec:
     y_count: int = 1201
 
     def __post_init__(self):
-        if self.mu_count < 2 or self.y_count < 2:
-            raise ValueError(
-                f"mu_count and y_count must be at least 2, got {self.mu_count} and {self.y_count}"
-            )
+        for name in ("mu_count", "y_count"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 2))
         if not (math.isfinite(self.mu_max) and self.mu_max > 0):
             raise ValueError(f"mu_max must be finite and positive, got {self.mu_max!r}")
         if not callable(self.y_window):
@@ -461,11 +462,11 @@ def density_grid_from_mdf(
     e^{-1j z_j mu} e^{-1j d h mu / 2}, so every diagonal's mu integral
     comes out of one matrix product of exp(-1j outer(z, mu)) with the
     stacked per-diagonal columns.  The upper triangle follows from
-    Hermiticity.  An extent that is not positive with 2 extent finite,
-    n < 2, or an extent whose mu phases, up to mu_max extent, overflow,
-    raises ValueError before the tomogram is sampled.
+    Hermiticity.  An extent or n outside the grid rule (a positive extent
+    with 2 extent finite, a whole n >= 2), or an extent whose mu phases,
+    up to mu_max extent, overflow, raises ValueError before sampling.
     """
-    _check_grid(extent, n)
+    n = _check_grid(extent, n)
     quad = quad or QuadratureSpec()
     if not math.isfinite(quad.mu_max * float(extent)):
         raise ValueError(

@@ -643,12 +643,20 @@ class TestFigureTables:
         _, _, _, values = figure_table(fig_id, cfg)
         assert np.array_equal(values, rowwise_table(fig_id, cfg))
 
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, 5, 6])
+    def test_integral_float_counts_build_the_int_table(self, fig_id):
+        floats = FigureConfig(t_count=3.0, x_count=np.float64(41.0), mu_count=5.0)
+        whole = FigureConfig(t_count=3, x_count=41, mu_count=5)
+        assert floats == whole and type(floats.t_count) is int
+        (columns, *arrays), (want_columns, *want) = figure_table(fig_id, floats), figure_table(fig_id, whole)
+        assert columns == want_columns and all(map(np.array_equal, arrays, want))
+
 
 def pointwise_csv(fig_id, cfg):
     """The CSV text as one f-string per point on numpy scalars: the reference formatter."""
     columns, first, second, values = figure_table(fig_id, cfg)
     lines = [
-        f"# osctomo figure {fig_id}: {figures._FIG_TITLES[fig_id]}",
+        f"# osctomo figure {fig_id}: {figures._FIGURES[fig_id][-1]}",
         "# profile: parametric resonance k=%.12g, force=0, "
         "epsilon from the closed-form resonance approximation" % cfg.k,
         "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"
@@ -801,7 +809,7 @@ class TestStreamedFigureWrite:
         assert len(list(_csvbody.csv_rows(first, second, values))) > 1
         csv_path, _ = figures.write_figure(fig_id, tmp_path, MULTI_BLOCK)
         header = [
-            f"# osctomo figure {fig_id}: {figures._FIG_TITLES[fig_id]}",
+            f"# osctomo figure {fig_id}: {figures._FIGURES[fig_id][-1]}",
             "# profile: parametric resonance k=%.12g, force=0, "
             "epsilon from the closed-form resonance approximation" % MULTI_BLOCK.k,
             "# grid: %s in [%.12g, %.12g] (%d points), %s over %d points"
@@ -857,6 +865,12 @@ class TestFigureLimits:
             tracemalloc.stop()
         assert peak < 1 << 20
         FigureConfig(x_count=2, t_count=count - 1, mu_count=2)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize("name", ["t_count", "x_count", "mu_count"])
+    def test_count_must_be_a_whole_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 2 and a whole number"):
+            FigureConfig(**{name: value})
 
     def test_figure_above_max_points_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(["figure", "--id", "1", "--t-count", "30000", "--x-count", "30000",

@@ -117,6 +117,18 @@ class TestSolveEpsilon:
         with pytest.raises(ValueError, match="MAX_STEPS"):
             solve_epsilon(DriveProfile.free(), 1.0, 1e-300)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_rejected_before_allocating(self, tol):
+        # a malformed argument, not a drift: checked before the ~2.3 MB of 2e4 steps
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^tol_wronskian must be non-negative"):
+                solve_epsilon(DriveProfile.free(), 20.0, 1e-3, tol_wronskian=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
     def test_step_limit_is_on_the_rounded_count(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
         assert len(solve_epsilon(DriveProfile.free(), 0.1004, 1e-3).t) == 101
@@ -538,6 +550,12 @@ class TestHermite:
             hermite(201, 0.5)
         with pytest.raises(ValueError):
             hermite(-1, 0.5)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize("fn", [hermite, hermite_gauss])
+    def test_order_must_be_a_whole_number(self, fn, n):
+        with pytest.raises(ValueError, match="^order must be at least 0 and a whole number"):
+            fn(n, 0.5)
 
     @pytest.mark.parametrize(
         "n, y, shown",

@@ -324,6 +324,11 @@ class TestFockMdf:
             w = fock_mdf(n, *state, X, 0.6, 0.8)
             assert abs(np.trapezoid(w, X) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5])
+    def test_order_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="^order must be at least 0 and a whole number"):
+            fock_mdf(n, *VACUUM, 0.3, 1.0, 0.0)
+
     def test_high_order_finite(self):
         X = np.linspace(-40.0, 40.0, 501)
         w = fock_mdf(200, *driven_state(1.0), X, 1.0, 0.4)
@@ -469,6 +474,39 @@ class TestLadderGuards:
     def test_scale_must_be_finite_and_nonzero(self, k):
         with pytest.raises(ValueError, match="k must be finite and nonzero"):
             annihilation_eigencheck(0.3, *VACUUM, 0.6, 0.8, k, 1e-3)
+
+
+class TestCoherentLabels:
+    """A non-finite alpha or beta, and for the wavefunction eps or eps_dot
+    too, raises ValueError naming it, with no RuntimeWarning."""
+
+    CALLS = {
+        "coherent_mdf": lambda a, e, ed, b: coherent_mdf(a, e, ed, b, 0.3, 0.6, 0.8),
+        "mean_X": lambda a, e, ed, b: mean_X(a, e, ed, b, 0.6, 0.8),
+        "coherent_mdf_fourier": lambda a, e, ed, b: coherent_mdf_fourier(0.5, a, e, ed, b, 0.6, 0.8),
+        "annihilation_eigencheck": lambda a, e, ed, b: annihilation_eigencheck(a, e, ed, b, 0.6, 0.8, 1.0, 1e-3),
+        "coherent_wavefunction": lambda a, e, ed, b: coherent_wavefunction(a, e, ed, b, 0.3),
+    }
+
+    @staticmethod
+    def raises_naming(call, label, value):
+        labels = dict(zip(("alpha", "eps", "eps_dot", "beta"), (0.3 - 0.2j, *VACUUM)))
+        labels[label] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{label} must be finite"):
+                call(*labels.values())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
+    @pytest.mark.parametrize("label", ["alpha", "beta"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_non_finite_label_named(self, name, label, value):
+        self.raises_naming(self.CALLS[name], label, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.nan, 1.0)])
+    @pytest.mark.parametrize("label", ["eps", "eps_dot"])
+    def test_wavefunction_needs_a_finite_flow(self, label, value):
+        self.raises_naming(self.CALLS["coherent_wavefunction"], label, value)
 
 
 class TestFrameRule:

@@ -205,10 +205,25 @@ class TestGridArguments:
                 with pytest.raises(ValueError, match="^extent must be positive"):
                     build()
 
-    @pytest.mark.parametrize("n", [1, 0, -3])
+    @pytest.mark.parametrize("n", [1, 0, -3, 41.5, math.inf, math.nan])
     def test_density_grid_needs_two_points(self, n):
         with pytest.raises(ValueError, match="^n must be at least 2"):
             density_grid_from_mdf(never_sampled, 6.0, n)
+
+    @pytest.mark.parametrize("n", [41.5, math.inf, math.nan])
+    def test_wavefunction_grid_size_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 2 and a whole number"):
+            DensityGrid.from_wavefunction(never_sampled, 6.0, n)
+
+    def test_integral_float_sizes_build_the_int_grids(self):
+        def psi(x):
+            return coherent_wavefunction(0.3, *VACUUM, x)
+
+        assert np.array_equal(DensityGrid.from_wavefunction(psi, 6.0, 41.0).values,
+                              DensityGrid.from_wavefunction(psi, 6.0, 41).values)
+        quad = vacuum_quad(mu_count=40, y_count=101)
+        assert np.array_equal(density_grid_from_mdf(vacuum_w, 6.0, 41.0, quad).values,
+                              density_grid_from_mdf(vacuum_w, 6.0, 41, quad).values)
 
     @pytest.mark.parametrize("X, Xp, quad", [
         (1e308, 1e308, QuadratureSpec(y_window=(-10.0, 10.0))),  # X + Xp is inf
@@ -484,6 +499,17 @@ class TestQuadratureSpecValidation:
     def test_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["mu_count", "y_count"])
+    def test_count_that_is_not_a_whole_number_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 2 and a whole number"):
+            QuadratureSpec(**{name: value})
+
+    def test_integral_float_counts_are_the_int_spec(self):
+        spec = QuadratureSpec(mu_count=240.0, y_count=np.float64(1201.0))
+        assert spec == QuadratureSpec() and type(spec.mu_count) is type(spec.y_count) is int
+        assert density_from_mdf(vacuum_w, 0.5, -0.3, spec) == density_from_mdf(vacuum_w, 0.5, -0.3)
 
     @pytest.mark.parametrize(
         "bad_window",
