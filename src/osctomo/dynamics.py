@@ -27,6 +27,9 @@ profile callable is sampled on a grid through one helper, which raises
 EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
 :func:`_integer`: a whole number (3.0 counts as 3), else ValueError.
+Every check that names the offending sample of an array argument, here
+and in the states and propagators, names the first one in C order
+through :func:`_raise_first`.
 
 Sign conventions and orderings used by the rest of the package are
 documented in :mod:`osctomo.invariants`.
@@ -286,8 +289,17 @@ def _on_grid(fn: Callable, t: np.ndarray, name: str = "profile value") -> np.nda
         values = np.array([fn(ti) for ti in t])
     finite = np.isfinite(values)
     if not finite.all():
-        raise EvaluationError(f"{name} non-finite at t = {(t[~finite] if finite.ndim else t)[0]:g}")
+        _raise_first(EvaluationError, f"{name} non-finite at t = {{:g}}", ~finite, t)
     return values if values.ndim else np.full(t.shape, values)
+
+
+def _raise_first(error: type[Exception], message: str, bad, *values):
+    """Raise error(message.format(...)) with the values, as floats (complex for
+    complex values), at the first True of bad in C order over their broadcast,
+    so a float and an array holding it read alike."""
+    bad, *values = np.broadcast_arrays(bad, *values)
+    i = np.argmax(bad)  # flat index of the first True
+    raise error(message.format(*((complex if np.iscomplexobj(v) else float)(v.flat[i]) for v in values)))
 
 
 def _workspace(n: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -560,10 +572,11 @@ def parametric_resonance_epsilon(k: float, t):
 
     and the returned eps_dot is the exact time derivative of that
     expression (not the derivative of the true solution).  At k = 0 this
-    reduces to exp(1j t).  k must lie in (-0.5, 0.5) (ValueError).  cosh
-    and sinh of kt/4 overflow double precision once |kt/4| exceeds ~710
-    (k = 0.3 at t = 1e4); a finite t where eps or eps_dot is not finite
-    raises EvaluationError naming k and that t.
+    reduces to exp(1j t).  k must lie in (-0.5, 0.5), and t be finite
+    (ValueError naming the first non-finite t).  cosh and sinh of kt/4
+    overflow double precision once |kt/4| exceeds ~710 (k = 0.3 at
+    t = 1e4); a t where eps or eps_dot is not finite raises
+    EvaluationError naming k and that t.
 
     The squared modulus of the approximation is
     ``|eps|^2 = cosh(kt/2) - sinh(kt/2) sin(2t)``; the 1/|r| envelope seen
@@ -572,17 +585,18 @@ def parametric_resonance_epsilon(k: float, t):
     """
     k = _resonance_k(k)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    finite = np.isfinite(t)
+    if not finite.all():
+        _raise_first(ValueError, "t must be finite, got {!r}", ~finite, t)
     with np.errstate(over="ignore", invalid="ignore"):
         ch, sh = np.cosh(k * t / 4.0), np.sinh(k * t / 4.0)
         fwd, bwd = np.exp(1j * t), np.exp(-1j * t)
         eps = ch * fwd - 1j * sh * bwd
         eps_dot = (1j * ch + (k / 4.0) * sh) * fwd - (sh + 1j * (k / 4.0) * ch) * bwd
-    overflowed = np.isfinite(t) & ~(np.isfinite(eps) & np.isfinite(eps_dot))
+    overflowed = ~(np.isfinite(eps) & np.isfinite(eps_dot))
     if overflowed.any():
-        raise EvaluationError(
-            f"the resonance closed form at k = {k:g} overflows double precision "
-            f"at t = {np.extract(overflowed, t)[0]:g}"
-        )
+        _raise_first(EvaluationError, f"the resonance closed form at k = {k:g} overflows "
+                     "double precision at t = {:g}", overflowed, t)
     if np.ndim(eps):
         return eps, eps_dot
     return complex(eps), complex(eps_dot)
@@ -618,10 +632,8 @@ def hermite(n: int, y):
             h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h
     overflowed = np.isfinite(y) & ~np.isfinite(h)
     if overflowed.any():
-        raise EvaluationError(
-            f"H_{n}(y) overflows double precision at y = {y[overflowed][0]:g}; "
-            "use hermite_gauss for the weighted function"
-        )
+        _raise_first(EvaluationError, f"H_{n}(y) overflows double precision at y = {{:g}}; "
+                     "use hermite_gauss for the weighted function", overflowed, y)
     return h if h.ndim else float(h)
 
 
@@ -630,7 +642,8 @@ def hermite_gauss(n: int, y):
 
     Evaluated with a scaled recurrence that keeps every intermediate on
     the order of one, so it stays finite for all supported n and y.  A
-    scalar y runs the array recurrence on a 1-element array.
+    scalar y runs the array recurrence on a 1-element array.  y is not
+    checked: a NaN in it gives NaN where it stands.
     """
     n = _check_order(n)
     y = np.asarray(y, dtype=float)

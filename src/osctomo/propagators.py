@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _on_grid, flow_at
+from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _on_grid, _raise_first, flow_at
 from .errors import CausticError, ConsistencyError, EvaluationError
 from .invariants import LinearInvariant, linear_invariant
 from .states import _check_point, _finite
@@ -167,11 +167,8 @@ class ClassicalPropagator:
             np.add(pts[..., 0], np.vecdot(n_p, self.inv.delta), out=out[..., 0])
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != finite.size:
-            x, nu_0, mu_0 = pts[~finite.all(axis=-1)][0].tolist()
-            raise ConsistencyError(
-                f"frame map image of (X, mu, nu) = ({x}, {mu_0}, {nu_0}) is not finite, "
-                "so the two forms of the map disagree there"
-            )
+            _raise_first(ConsistencyError, "frame map image of (X, mu, nu) = ({}, {}, {}) is not finite, "
+                         "so the two forms of the map disagree there", ~finite.all(axis=-1), X, mu, nu)
         if out.ndim == 1:
             x_p, nu_p, mu_p = out.tolist()
             return x_p, mu_p, nu_p

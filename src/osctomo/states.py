@@ -21,6 +21,13 @@ The coherent tomogram is the normal density with
 the Fock tomogram is w_n = hermite_gauss(n, Y)^2 / |r|, and the cross
 terms carry the unit phases (r*/|r|)^n (r/|r|)^m on top of the same
 Hermite-Gauss profile.
+
+Every closed form takes r from one kernel, which holds the flow and the
+frame to the package's rules: a non-finite eps, eps_dot, beta, mu or nu
+(or alpha) raises ValueError naming it, an array argument its first such
+entry in C order, and the frame (0, 0) raises the zero-frame ValueError
+of the CLI, the transforms and the propagator.  The sample array X is
+not checked: a NaN in it gives NaN where it stands.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import hermite_gauss
+from .dynamics import _raise_first, hermite_gauss
 from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
@@ -53,10 +60,13 @@ _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is fini
 
 
 def _finite(**values) -> None:
-    """ValueError naming the first of the real or complex values that is not finite."""
+    """ValueError naming the first real or complex value, or array entry, that is not finite."""
     for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, (float, complex, int)) or not np.ndim(value):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        elif not (finite := np.isfinite(value)).all():
+            _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~finite, value)
 
 
 def _check_point(X, mu, nu) -> None:
@@ -74,9 +84,7 @@ def _check_point(X, mu, nu) -> None:
     if not (floats and math.isfinite(X) and math.isfinite(mu) and math.isfinite(nu)):
         finite = np.isfinite(X) & np.isfinite(mu) & np.isfinite(nu)
         if np.count_nonzero(finite) != finite.size:
-            first = np.argmin(finite)  # flat index of the first False
-            X, mu, nu = (float(np.broadcast_to(v, finite.shape).flat[first]) for v in (X, mu, nu))
-            raise ValueError(f"(X, mu, nu) = ({X}, {mu}, {nu}) must be finite")
+            _raise_first(ValueError, "(X, mu, nu) = ({}, {}, {}) must be finite", ~finite, X, mu, nu)
     _check_frame(mu, nu)
 
 
@@ -91,7 +99,21 @@ def _check_frame(mu, nu) -> None:
         raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
 
 
-def _frame_r(eps: complex, eps_dot: complex, mu, nu):
+def _frame_r(eps, eps_dot, beta, mu, nu):
+    """r = eps_dot*nu + eps*mu of a flow and a frame, under the package's
+    rules for both: a non-finite eps, eps_dot, beta, mu or nu raises
+    ValueError naming it (an array its first such entry), the frame (0, 0)
+    raises the ValueError of :func:`_check_frame`, and a vanishing r
+    DegenerateFrameError.  Float frames skip np.errstate and the float
+    conversion, which would cost a one-point caller about as much as the
+    checks themselves.
+    """
+    _finite(eps=eps, eps_dot=eps_dot, beta=beta, mu=mu, nu=nu)
+    if type(mu) is float and type(nu) is float:
+        _check_frame(mu, nu)
+    else:
+        with np.errstate(over="ignore"):  # a square past the double range is no zero frame
+            _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
     r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
     if np.any(np.abs(r) < _R_TOL):
         raise DegenerateFrameError(
@@ -102,9 +124,9 @@ def _frame_r(eps: complex, eps_dot: complex, mu, nu):
 
 
 def _coherent_mean(alpha, beta, r):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; ValueError naming a label,
-    alpha or beta, that is not finite."""
-    _finite(alpha=alpha, beta=beta)
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)] of the r from :func:`_frame_r`,
+    which has checked beta; ValueError if alpha is not finite."""
+    _finite(alpha=alpha)
     return _SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
 
 
@@ -116,16 +138,12 @@ def _coherent_moments(alpha, eps, eps_dot, beta, mu, nu):
     before squaring, so no RuntimeWarning escapes, and a float frame's
     comparison is a numpy bool tested without an array call.
     """
-    r = _frame_r(eps, eps_dot, mu, nu)
+    r = _frame_r(eps, eps_dot, beta, mu, nu)
     abs_r = np.abs(r)
     over = abs_r > _SQRT_MAX
     if np.count_nonzero(over) if over.ndim else over:
-        first = np.argmax(over)  # flat index of the first True
-        mu, nu = (float(np.broadcast_to(v, over.shape).flat[first]) for v in (mu, nu))
-        raise EvaluationError(
-            f"frame (mu, nu) = ({mu}, {nu}): |r|^2 = |eps_dot nu + eps mu|^2 overflows "
-            "double precision"
-        )
+        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 "
+                     "overflows double precision", over, mu, nu)
     return _coherent_mean(alpha, beta, r), abs_r**2
 
 
@@ -135,7 +153,7 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
     ``r`` broadcasts with mu/nu and ``Y`` with X and r; Y is 0-d when all
     three are scalars.
     """
-    r = _frame_r(eps, eps_dot, mu, nu)
+    r = _frame_r(eps, eps_dot, beta, mu, nu)
     abs_r = np.abs(r)
     X = np.asarray(X, dtype=float)
     Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
@@ -147,7 +165,7 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
     """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; it needs no |r|^2, so a frame
     whose |r|^2 overflows keeps its mean."""
-    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, mu, nu))
+    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, beta, mu, nu))
 
 
 def variance_X(eps, eps_dot, mu, nu):

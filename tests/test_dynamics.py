@@ -526,6 +526,34 @@ class TestParametricResonance:
             eps, eps_dot = parametric_resonance_epsilon(0.3, np.array([0.0, 9400.0]))
         assert np.all(np.isfinite(eps)) and np.all(np.isfinite(eps_dot))
 
+    @pytest.mark.parametrize(
+        "t, shown", [(math.nan, "nan"), (-math.inf, "-inf"), ([0.0, 1.0, math.inf, math.nan], "inf")]
+    )
+    def test_non_finite_t_named(self, t, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^t must be finite, got {shown}$"):
+                parametric_resonance_epsilon(0.1, t)
+
+
+class TestRaiseFirst:
+    """The one rule for naming the offending sample of an array argument."""
+
+    def test_first_true_of_the_broadcast_in_c_order(self):
+        bad = np.array([[False, False, True], [False, True, True]])
+        x, y = np.array([[1.0], [2.0]]), np.array([10, 20, 30])
+        with pytest.raises(RuntimeError, match=r"^\(1.0, 30.0\)$"):
+            dynamics._raise_first(RuntimeError, "({}, {})", bad, x, y)
+
+    def test_scalar_mask_names_the_first_sample(self):
+        with pytest.raises(ValueError, match=r"^at 0.5$"):
+            dynamics._raise_first(ValueError, "at {}", np.True_, np.array([0.5, 1.5]))
+
+    def test_complex_values_stay_complex(self):
+        z = np.array([1 + 1j, complex(math.nan, 2.0)])
+        with pytest.raises(ValueError, match=r"^got \(nan\+2j\)$"):
+            dynamics._raise_first(ValueError, "got {!r}", ~np.isfinite(z), z)
+
 
 class TestHermite:
     def test_base_cases(self):

@@ -477,29 +477,39 @@ class TestLadderGuards:
 
 
 class TestCoherentLabels:
-    """A non-finite alpha or beta, and for the wavefunction eps or eps_dot
-    too, raises ValueError naming it, with no RuntimeWarning."""
+    """A non-finite alpha, eps, eps_dot, beta, mu or nu raises ValueError
+    naming it, with no RuntimeWarning, in every closed form that takes it,
+    and so does the frame (0, 0): the closed forms follow the package's
+    flow and frame rules."""
 
     CALLS = {
-        "coherent_mdf": lambda a, e, ed, b: coherent_mdf(a, e, ed, b, 0.3, 0.6, 0.8),
-        "mean_X": lambda a, e, ed, b: mean_X(a, e, ed, b, 0.6, 0.8),
-        "coherent_mdf_fourier": lambda a, e, ed, b: coherent_mdf_fourier(0.5, a, e, ed, b, 0.6, 0.8),
-        "annihilation_eigencheck": lambda a, e, ed, b: annihilation_eigencheck(a, e, ed, b, 0.6, 0.8, 1.0, 1e-3),
-        "coherent_wavefunction": lambda a, e, ed, b: coherent_wavefunction(a, e, ed, b, 0.3),
+        "coherent_mdf": lambda a, e, ed, b, mu, nu: coherent_mdf(a, e, ed, b, 0.3, mu, nu),
+        "mean_X": lambda a, e, ed, b, mu, nu: mean_X(a, e, ed, b, mu, nu),
+        "coherent_mdf_fourier": lambda a, e, ed, b, mu, nu: coherent_mdf_fourier(0.5, a, e, ed, b, mu, nu),
+        "annihilation_eigencheck": lambda a, e, ed, b, mu, nu: annihilation_eigencheck(a, e, ed, b, mu, nu, 1.0, 1e-3),
+        "coherent_wavefunction": lambda a, e, ed, b, mu, nu: coherent_wavefunction(a, e, ed, b, 0.3),
+        "fock_mdf": lambda a, e, ed, b, mu, nu: fock_mdf(2, e, ed, b, 0.3, mu, nu),
+        "cross_mdf": lambda a, e, ed, b, mu, nu: cross_mdf(1, 2, e, ed, b, 0.3, mu, nu),
+        "variance_X": lambda a, e, ed, b, mu, nu: variance_X(e, ed, mu, nu),
     }
+    COHERENT = sorted(set(CALLS) - {"fock_mdf", "cross_mdf", "variance_X"})  # the calls taking alpha
+    TOMOGRAMS = sorted(set(CALLS) - {"coherent_wavefunction"})  # the calls taking a frame
 
     @staticmethod
-    def raises_naming(call, label, value):
-        labels = dict(zip(("alpha", "eps", "eps_dot", "beta"), (0.3 - 0.2j, *VACUUM)))
-        labels[label] = value
+    def raises(call, pattern, **changed):
+        args = dict(alpha=0.3 - 0.2j, eps=1.0, eps_dot=1.0j, beta=0.0, mu=0.6, nu=0.8) | changed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{label} must be finite"):
-                call(*labels.values())
+            with pytest.raises(ValueError, match=pattern):
+                call(*args.values())
+
+    @classmethod
+    def raises_naming(cls, call, label, value):
+        cls.raises(call, f"^{label} must be finite", **{label: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
     @pytest.mark.parametrize("label", ["alpha", "beta"])
-    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("name", COHERENT)
     def test_non_finite_label_named(self, name, label, value):
         self.raises_naming(self.CALLS[name], label, value)
 
@@ -508,9 +518,45 @@ class TestCoherentLabels:
     def test_wavefunction_needs_a_finite_flow(self, label, value):
         self.raises_naming(self.CALLS["coherent_wavefunction"], label, value)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, complex(0.5, math.nan)])
+    @pytest.mark.parametrize("label", ["eps", "eps_dot"])
+    @pytest.mark.parametrize("name", TOMOGRAMS)
+    def test_tomograms_need_a_finite_flow(self, name, label, value):
+        self.raises_naming(self.CALLS[name], label, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["fock_mdf", "cross_mdf"])
+    def test_fock_forms_need_a_finite_shift(self, name, value):
+        self.raises_naming(self.CALLS[name], "beta", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("label", ["mu", "nu"])
+    @pytest.mark.parametrize("name", TOMOGRAMS)
+    def test_non_finite_frame_named(self, name, label, value):
+        self.raises(self.CALLS[name], f"^{label} must be finite, got {value}$", **{label: value})
+
+    @pytest.mark.parametrize("name", TOMOGRAMS)
+    def test_zero_frame_is_the_frame_rule(self, name):
+        self.raises(self.CALLS[name], r"^frame \(mu, nu\) = \(0, 0\) is not a valid", mu=0.0, nu=0.0)
+
+    @pytest.mark.parametrize("name", ["coherent_mdf", "mean_X", "variance_X", "fock_mdf", "cross_mdf"])
+    def test_array_frames_name_the_first_bad_entry(self, name):
+        mu = np.array([[0.6, 0.6, math.inf], [0.6, math.nan, 0.6]])
+        self.raises(self.CALLS[name], r"^mu must be finite, got inf$", mu=mu, nu=np.full(3, 0.8))
+        self.raises(self.CALLS[name], r"\(0, 0\)", mu=np.array([[1.0], [0.0]]), nu=np.array([0.5, 0.0]))
+
+    def test_array_flow_names_its_first_bad_entry(self):
+        # figure_table's call: eps and eps_dot columns broadcast against the x row
+        eps = np.array([1.0, complex(math.inf, 0.0), complex(math.nan, 1.0)])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^eps must be finite, got \(inf\+0j\)$"):
+                fock_mdf(2, eps, 1.0j, 0.0, np.linspace(-1.0, 1.0, 5), 0.6, 0.8)
+
 
 class TestFrameRule:
-    """The one zero-frame rule, shared by the CLI, transforms and the propagator."""
+    """The one zero-frame rule, shared by the CLI, the transforms, the
+    propagator and the closed-form tomograms."""
 
     def test_arrays_with_one_zero_frame_raise(self):
         from osctomo.states import _check_frame
