@@ -22,11 +22,12 @@ the Fock tomogram is w_n = hermite_gauss(n, Y)^2 / |r|, and the cross
 terms carry the unit phases (r*/|r|)^n (r/|r|)^m on top of the same
 Hermite-Gauss profile.
 
-Every closed form takes r from one kernel, which holds the flow and the
-frame to the package's rules: a non-finite eps, eps_dot, beta, mu or nu
-(or alpha) raises ValueError naming it, an array argument its first such
-entry in C order, and the frame (0, 0) raises the zero-frame ValueError
-of the CLI, the transforms and the propagator.  The sample array X is
+Every closed form takes r from one kernel, which holds eps, eps_dot and
+the frame to the package's rules, and checks beta (and alpha) beside it:
+a non-finite eps, eps_dot, beta, mu or nu (or alpha) raises ValueError
+naming it, an array argument its first such entry in C order, and the
+frame (0, 0) raises the zero-frame ValueError of the CLI, the transforms
+and the propagator.  The sample array X is
 not checked: a NaN in it gives NaN where it stands.
 """
 
@@ -99,21 +100,16 @@ def _check_frame(mu, nu) -> None:
         raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
 
 
-def _frame_r(eps, eps_dot, beta, mu, nu):
+def _frame_r(eps, eps_dot, mu, nu):
     """r = eps_dot*nu + eps*mu of a flow and a frame, under the package's
-    rules for both: a non-finite eps, eps_dot, beta, mu or nu raises
-    ValueError naming it (an array its first such entry), the frame (0, 0)
-    raises the ValueError of :func:`_check_frame`, and a vanishing r
-    DegenerateFrameError.  Float frames skip np.errstate and the float
-    conversion, which would cost a one-point caller about as much as the
-    checks themselves.
+    rules for both: a non-finite eps, eps_dot, mu or nu raises ValueError
+    naming it (an array its first such entry), the frame (0, 0) raises the
+    ValueError of :func:`_check_frame`, and a vanishing r
+    DegenerateFrameError.
     """
-    _finite(eps=eps, eps_dot=eps_dot, beta=beta, mu=mu, nu=nu)
-    if type(mu) is float and type(nu) is float:
-        _check_frame(mu, nu)
-    else:
-        with np.errstate(over="ignore"):  # a square past the double range is no zero frame
-            _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
+    _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu)
+    with np.errstate(over="ignore"):  # a square past the double range is no zero frame
+        _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
     r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
     if np.any(np.abs(r) < _R_TOL):
         raise DegenerateFrameError(
@@ -124,9 +120,9 @@ def _frame_r(eps, eps_dot, beta, mu, nu):
 
 
 def _coherent_mean(alpha, beta, r):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)] of the r from :func:`_frame_r`,
-    which has checked beta; ValueError if alpha is not finite."""
-    _finite(alpha=alpha)
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; ValueError naming a label,
+    alpha or beta, that is not finite."""
+    _finite(alpha=alpha, beta=beta)
     return _SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
 
 
@@ -138,7 +134,7 @@ def _coherent_moments(alpha, eps, eps_dot, beta, mu, nu):
     before squaring, so no RuntimeWarning escapes, and a float frame's
     comparison is a numpy bool tested without an array call.
     """
-    r = _frame_r(eps, eps_dot, beta, mu, nu)
+    r = _frame_r(eps, eps_dot, mu, nu)
     abs_r = np.abs(r)
     over = abs_r > _SQRT_MAX
     if np.count_nonzero(over) if over.ndim else over:
@@ -151,9 +147,10 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
     """(r, |r|, Y) of the Fock and cross tomograms, Y in one full-size array.
 
     ``r`` broadcasts with mu/nu and ``Y`` with X and r; Y is 0-d when all
-    three are scalars.
+    three are scalars.  ValueError if beta is not finite.
     """
-    r = _frame_r(eps, eps_dot, beta, mu, nu)
+    _finite(beta=beta)
+    r = _frame_r(eps, eps_dot, mu, nu)
     abs_r = np.abs(r)
     X = np.asarray(X, dtype=float)
     Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
@@ -165,7 +162,7 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
     """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; it needs no |r|^2, so a frame
     whose |r|^2 overflows keeps its mean."""
-    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, beta, mu, nu))
+    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, mu, nu))
 
 
 def variance_X(eps, eps_dot, mu, nu):
