@@ -154,12 +154,12 @@ class ClassicalPropagator:
         transforms, states._check_point), at any point raises ValueError,
         as the scalar call there does.
         """
-        pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
-        pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
         # a point whose image leaves the double range gets inf or NaN,
         # and fails the check below instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_point(X, mu, nu)
+            X, mu, nu = _check_point(X, mu, nu)
+            pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
+            pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
             out = np.empty_like(pts)  # rows (X', nu', mu')
             n_p = np.matmul(pts[..., 1:], self._lam_inv, out=out[..., 1:])
             # vecdot takes each row's N' Delta with the dot kernel of a 1-D @;

@@ -60,33 +60,50 @@ _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
 
 
+def _float(name: str, value):
+    """value, with a Python int as a float: numpy makes an int past the
+    int64 range an object array, and one past the double range raises
+    ValueError naming it here."""
+    if not isinstance(value, int):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int past the double range") from None
+
+
 def _finite(**values) -> None:
-    """ValueError naming the first real or complex value, or array entry, that is not finite."""
+    """ValueError naming the first real or complex value, or array entry,
+    that is not finite, or a Python int past the double range."""
     for name, value in values.items():
-        if isinstance(value, (float, complex, int)) or not np.ndim(value):
+        value = _float(name, value)
+        if isinstance(value, (float, complex)) or not np.ndim(value):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         elif not (finite := np.isfinite(value)).all():
             _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~finite, value)
 
 
-def _check_point(X, mu, nu) -> None:
+def _check_point(X, mu, nu):
     """The one rule for a tomographic point: ValueError naming the first
     point (X, mu, nu) with a coordinate that is not finite, then the rule
-    of :func:`_check_frame`.
+    of :func:`_check_frame`; returns (X, mu, nu) with Python ints as floats.
 
     X, mu and nu are floats or arrays that broadcast; the first bad point
     in C order is named with float coordinates, so a float call and an
-    array holding that point give the same message.  Finite floats skip
-    the array calls, which would cost a one-point caller several times
-    the check itself.
+    array holding that point give the same message.  An int is checked as
+    the float it converts to, and one past the double range raises
+    ValueError naming it.  Finite floats skip the array calls, which would
+    cost a one-point caller several times the check itself.
     """
+    X, mu, nu = _float("X", X), _float("mu", mu), _float("nu", nu)
     floats = isinstance(X, float) and isinstance(mu, float) and isinstance(nu, float)
     if not (floats and math.isfinite(X) and math.isfinite(mu) and math.isfinite(nu)):
         finite = np.isfinite(X) & np.isfinite(mu) & np.isfinite(nu)
         if np.count_nonzero(finite) != finite.size:
             _raise_first(ValueError, "(X, mu, nu) = ({}, {}, {}) must be finite", ~finite, X, mu, nu)
     _check_frame(mu, nu)
+    return X, mu, nu
 
 
 def _check_frame(mu, nu) -> None:

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from helpers import SQRT2, driven_state
 from osctomo import (
+    ClassicalPropagator,
     DegenerateFrameError,
+    DensityGrid,
     DriveProfile,
     EvaluationError,
+    WignerGrid,
     annihilation_eigencheck,
     coherent_mdf,
     coherent_mdf_fourier,
@@ -23,6 +26,8 @@ from osctomo import (
     fock_mdf,
     fourier_ladder_apply,
     hermite_gauss,
+    mdf_from_density,
+    mdf_from_wigner,
     mean_X,
     variance_X,
 )
@@ -635,3 +640,60 @@ class TestPointRule:
             _check_point(np.zeros(3), np.array([1.0, 0.0, 1.0]), 0.0)
         with pytest.raises(ValueError, match="finite"):  # a bad coordinate is named first
             _check_point(math.nan, 0.0, 0.0)
+
+
+class TestHugeInts:
+    """A Python int is checked as the float it converts to: 10**200 gives
+    what 1e200 gives, a value or the same error, at every entry point of the
+    point and flow rules, and an int past the double range raises ValueError
+    naming it instead of numpy's TypeError or an OverflowError."""
+
+    AXIS = np.linspace(-6.0, 6.0, 61)
+    PROPAGATOR = ClassicalPropagator.from_epsilon(1, 1j, 0)
+    RHO = DensityGrid.from_wavefunction(lambda z: np.pi**-0.25 * np.exp(-z * z / 2.0), 6.0, 61)
+    WIGNER = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(AXIS**2, AXIS**2)))
+    CALLS = {
+        "frame_map": lambda v: TestHugeInts.PROPAGATOR.frame_map(0.3, v, 0.5),
+        "evolve": lambda v: TestHugeInts.PROPAGATOR.evolve(
+            lambda X, mu, nu: coherent_mdf(0.3, *VACUUM, X, mu, nu), 0.3, v, 0.5),
+        "mdf_from_density": lambda v: mdf_from_density(TestHugeInts.RHO, 0.3, v, 0.5),
+        "mdf_from_wigner": lambda v: mdf_from_wigner(TestHugeInts.WIGNER, 0, v, v),
+        "coherent_mdf": lambda v: coherent_mdf(0.3, 1, 1j, 0, 0.3, v, 0.5),
+    }
+
+    @staticmethod
+    def outcome(call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return call(value)
+            except Exception as exc:  # the error itself is the outcome compared
+                return type(exc), str(exc)
+
+    @pytest.mark.parametrize("exponent", [1, 200, 307])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_an_int_is_its_float(self, name, exponent):
+        call = self.CALLS[name]
+        assert self.outcome(call, 10**exponent) == self.outcome(call, float(10**exponent))
+
+    def test_an_int_maps_and_overflows_as_its_float(self):
+        assert self.PROPAGATOR.frame_map(0.3, 10**200, 0.5) == (0.3, 1e200, 0.5)
+        with pytest.raises(ValueError, match=r"mu\^2 \+ nu\^2 overflows"):
+            mdf_from_wigner(self.WIGNER, 0, 10**200, 10**200)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_an_int_past_the_double_range_is_named(self, name):
+        assert self.outcome(self.CALLS[name], 10**400) == (
+            ValueError, "mu must be finite, got an int past the double range")
+
+    def test_an_int_past_the_double_range_names_its_argument(self):
+        from osctomo.states import _check_point, _finite
+
+        for slot, name in enumerate(("X", "mu", "nu")):
+            point = [0.3, 0.6, 0.8]
+            point[slot] = -(10**400)
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got an int past"):
+                _check_point(*point)
+        with pytest.raises(ValueError, match="^beta must be finite, got an int past"):
+            _finite(alpha=0.3, beta=10**309)
+        assert _check_point(1, 10**200, True) == (1.0, 1e200, 1.0)

@@ -478,6 +478,128 @@ class TestFactorisedQuadrature:
         assert np.max(np.abs(new - parent_density_grid(w, 5.0, 17, quad))) <= 1e-13
 
 
+def raw_values(monkeypatch):
+    """Make density_grid_from_mdf return its raw values, unchecked: a cross
+    term's grid is not a density, and a starved spec fails the trace check."""
+    monkeypatch.setattr(transforms, "DensityGrid", lambda extent, values: values)
+
+
+BAND_STATES = PARENT_STATES | {
+    "cross12": lambda Y, mu, nu: cross_mdf(1, 2, *VACUUM, Y, mu, nu),
+}
+
+
+class TestSliceBands:
+    """A tomogram slice is sampled in bands of the fewest whole mu rows
+    holding _SLICE_VALUES samples, and every row comes out bit for bit as
+    from one band; the window is taken and checked once per slice, on the
+    whole mu grid, before any band is sampled."""
+
+    ROWS = 10  # rows per band once _SLICE_VALUES is lowered; 48 mu rows leave a last band of 8
+
+    def lower_the_bound(self, monkeypatch, y_count):
+        monkeypatch.setattr(transforms, "_SLICE_VALUES", (self.ROWS - 1) * y_count + y_count // 2)
+
+    @staticmethod
+    def counting(w, rows):
+        def counted(Y, mu, nu):
+            rows.append(Y.shape[0])
+            return w(Y, mu, nu)
+
+        return counted
+
+    @pytest.mark.parametrize("y_count", [501, 2401])  # 2401 = 49^2: no tail; 501: a tail
+    @pytest.mark.parametrize("window", ["tracking", "fixed"])
+    @pytest.mark.parametrize("state", sorted(BAND_STATES))
+    def test_bands_equal_one_band_bit_for_bit(self, state, window, y_count, monkeypatch):
+        raw_values(monkeypatch)
+        w, quad = BAND_STATES[state], TestFactorisedQuadrature.spec(window, y_count)
+        points = ((0.0, 0.0), (0.9, -0.4), (-1.3, 0.6))
+
+        def run():
+            elements = [density_from_mdf(w, X, Xp, q) for X, Xp in points for q in (quad, quad.refined())]
+            return np.array(elements), density_grid_from_mdf(w, 5.0, 17, quad)
+
+        one_band = run()
+        self.lower_the_bound(monkeypatch, y_count)
+        rows = []
+        density_from_mdf(self.counting(w, rows), 0.9, -0.4, quad)
+        assert rows == [10, 10, 10, 10, 8]
+        banded = run()
+        for a, b in zip(banded, one_band):
+            assert a.tobytes() == b.tobytes()
+
+    def test_window_called_once_per_slice(self, monkeypatch):
+        self.lower_the_bound(monkeypatch, 97)
+        calls, rows = [], []
+
+        def window(mu, nu):
+            calls.append(mu.size)
+            return -10.0, 10.0
+
+        quad = QuadratureSpec(mu_max=12.0, mu_count=48, y_window=window, y_count=97)
+        density_from_mdf(self.counting(vacuum_w, rows), 0.3, -0.2, quad, check_convergence=True)
+        # the refined slice, 193 samples a row, takes 5 rows a band and leaves one
+        assert calls == [48, 96] and rows == [10] * 4 + [8] + [5] * 19 + [1]
+        calls.clear()
+        raw_values(monkeypatch)
+        density_grid_from_mdf(vacuum_w, 3.0, 5, quad)
+        assert calls == [48] * 5
+
+    def test_bad_window_raises_before_sampling(self, monkeypatch):
+        # the NaN bound is in the last band only
+        self.lower_the_bound(monkeypatch, 97)
+        window = lambda mu, nu: (np.where(mu > 11.0, np.nan, -40.0), 40.0)
+        quad = QuadratureSpec(mu_max=12.0, mu_count=48, y_window=window, y_count=97)
+        rows = []
+        with pytest.raises(ValueError, match="y_window bounds"):
+            density_from_mdf(self.counting(vacuum_w, rows), 0.3, -0.2, quad)
+        with pytest.raises(ValueError, match="y_window bounds"):
+            density_grid_from_mdf(self.counting(vacuum_w, rows), 3.0, 5, quad)
+        assert rows == []
+
+    def test_refined_default_fock_element_holds_one_band(self):
+        # the refined default slice, 480 x 2401 samples, splits into bands of
+        # 219, 219 and 42 rows; as one piece it peaked at 44.0 MB
+        fock3 = lambda Y, mu, nu: fock_mdf(3, *VACUUM, Y, mu, nu)
+        rows = []
+        tracemalloc.start()
+        try:
+            density_from_mdf(self.counting(fock3, rows), 0.3, -0.2, check_convergence=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [240, 219, 219, 42]
+        assert peak <= 24 * 2**20
+
+
+class TestRowBandAssembly:
+    """density_grid_from_mdf assembles the grid 64 rows of the diagonal
+    product at a time, writing each row and its conjugate column."""
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 65, 130])
+    def test_grid_is_exactly_hermitian(self, n, monkeypatch):
+        # the diagonal keeps the rounding-level imaginary part of its sum
+        raw_values(monkeypatch)
+        quad = QuadratureSpec(mu_max=12.0, mu_count=48, y_window=(-40.0, 40.0), y_count=97)
+        w = PARENT_STATES["coherent"]
+        values = density_grid_from_mdf(w, 5.0, n, quad)
+        off = ~np.eye(n, dtype=bool)
+        assert np.all((values == values.conj().T)[off])
+
+    def test_assembly_holds_little_beside_the_grid(self):
+        # the tril_indices fill held 3.5x the grid (54.5 MB traced at n = 1001)
+        quad = QuadratureSpec(mu_count=60, y_window=(-10.0, 10.0), y_count=121)
+        w = lambda Y, mu, nu: coherent_mdf(0.5, *VACUUM, Y, mu, nu)
+        tracemalloc.start()
+        try:
+            grid = density_grid_from_mdf(w, 6.0, 1001, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * grid.values.nbytes
+
+
 class TestQuadratureSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
