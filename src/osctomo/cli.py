@@ -22,7 +22,8 @@ the CLI keeps no copy of the library's rules.
 Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 ``free``, ``resonance:<k>`` or ``table:<path>`` (whitespace-separated
 columns t, omega_sq and optionally force, linearly interpolated); a
-constant force is supplied separately as ``force=<value>``.  Complex
+constant force is supplied separately as ``force=<value>``, and a given
+one, 0 too, replaces a table's force column.  Complex
 values accept either ``0.7+0.3j`` or ``0.7+0.3i``.
 
 Importing this module loads numpy and :mod:`osctomo.errors` only.  Each
@@ -92,7 +93,7 @@ def _parse_profile(
 ) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
     """The profile and the t range it is defined on (a table's rows, else all t)."""
     always = (-math.inf, math.inf)
-    force = None if force_value in (None, 0.0) else (lambda t, c=force_value: c)
+    force = None if force_value is None else (lambda t, c=force_value: c)
     head, _, arg = spec.partition(":")
     try:
         if head == "constant":
@@ -157,7 +158,7 @@ class _Args:
         """The drive profile and the time t; the flow runs over [0, t], so a
         table profile must cover that interval instead of being extrapolated."""
         spec = self.get("profile", str, "constant:1")
-        force = self.get("force", float, "0")
+        force = self.get("force") if "force" in self.values else None  # a given 0 replaces a table's column
         profile, (t_first, t_last) = _parse_profile(spec, force)
         t = self.get("t")
         if not t_first <= min(0.0, t) <= max(0.0, t) <= t_last:

@@ -27,6 +27,10 @@ profile callable is sampled on a grid through one helper, which raises
 EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
 :func:`_integer`: a whole number (3.0 counts as 3), else ValueError.
+Every real or complex scalar argument of a public entry point passes one
+number rule, :func:`_float`: a Python int (a bool too) is the float it
+converts to, and one past the double range raises ValueError naming it;
+any other value, an array among them, is read as numpy reads it.
 Every check that names the offending sample of an array argument, here
 and in the states and propagators, names the first one in C order
 through :func:`_raise_first`.
@@ -104,7 +108,7 @@ class DriveProfile:
     def constant(cls, omega: float = 1.0, force: Callable[[float], float] | None = None):
         """Constant frequency omega (omega_sq = omega**2 for all t); omega and
         omega**2 must be finite (ValueError)."""
-        omega = float(omega)
+        omega = float(_float("omega", omega))
         if not math.isfinite(omega * omega):
             raise ValueError(f"omega and omega**2 must be finite, got omega={omega!r}")
         w2 = omega**2
@@ -180,7 +184,7 @@ class EpsilonTrajectory:
 
     def __call__(self, time: float) -> tuple[complex, complex]:
         """Interpolated (eps, eps_dot) at an arbitrary time in range."""
-        i, s = self._bracket(time)
+        i, s = self._bracket(_float("time", time))
         if s == 0.0:
             return complex(self.eps[i]), complex(self.eps_dot[i])
         h = self.step
@@ -245,6 +249,8 @@ def solve_epsilon(
     WronskianDriftError
         The integration quality invariant was violated.
     """
+    t_end, step = _float("t_end", t_end), _float("step", step)
+    tol_wronskian = _float("tol_wronskian", tol_wronskian)
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not 0.0 < step <= t_end:
@@ -514,6 +520,7 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
     nothing, and t < t_start gives minus the shift over [t, t_start].  Both
     endpoints must lie inside the trajectory range (ValueError).
     """
+    t, t_start = _float("t", t), _float("t_start", t_start)
     if t < t_start:
         return -beta_shift(traj, t_start, t)
     traj._bracket(t_start)
@@ -555,7 +562,8 @@ def flow_at(
     initial data (1, 1j, 0) is returned without solving.  A non-finite
     profile sample or drive integral raises EvaluationError.
     """
-    step = _flow_step(t, step)
+    t = _float("t", t)
+    step = _flow_step(t, _float("step", step))
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
     traj = solve_epsilon(profile, t, step)
@@ -584,7 +592,7 @@ def parametric_resonance_epsilon(k: float, t):
     route rather than from any further simplified expression.
     """
     k = _resonance_k(k)
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    t = np.asarray(_float("t", t), dtype=float)
     finite = np.isfinite(t)
     if not finite.all():
         _raise_first(ValueError, "t must be finite, got {!r}", ~finite, t)
@@ -605,7 +613,7 @@ def parametric_resonance_epsilon(k: float, t):
 def _resonance_k(k) -> float:
     """k as a float, inside the weak-modulation range (-0.5, 0.5) of the
     resonance profile and its closed form (else ValueError)."""
-    k = float(k)
+    k = float(_float("k", k))
     if not -0.5 < k < 0.5:
         raise ValueError(f"parametric resonance requires k in (-0.5, 0.5), got {k}")
     return k
@@ -622,7 +630,7 @@ def hermite(n: int, y):
     instead, which stays finite for all supported n and y.
     """
     n = _check_order(n)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(_float("y", y), dtype=float)
     h_prev = np.ones_like(y)
     if n == 0:
         return h_prev if h_prev.ndim else float(h_prev)
@@ -646,7 +654,7 @@ def hermite_gauss(n: int, y):
     checked: a NaN in it gives NaN where it stands.
     """
     n = _check_order(n)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(_float("y", y), dtype=float)
     u = _hermite_gauss_array(n, np.atleast_1d(y))
     return u if y.ndim else float(u[0])
 
@@ -681,6 +689,20 @@ def _integer(name: str, value, least: int) -> int:
     except (TypeError, ValueError, OverflowError):  # nan, inf, a complex
         pass
     raise ValueError(f"{name} must be at least {least} and a whole number, got {value!r}")
+
+
+def _float(name: str, value):
+    """The one rule for a real or complex scalar argument: a Python int (a
+    bool too) is the float it converts to, and one past the double range
+    raises ValueError naming it, where numpy would read an int past the
+    int64 range as an object array and float() raise OverflowError.  Any
+    other value, an array among them, is returned as it is."""
+    if not isinstance(value, int):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int past the double range") from None
 
 
 def _check_order(n) -> int:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_in_place
-from .dynamics import _integer, _resonance_k, hermite_gauss, parametric_resonance_epsilon
+from .dynamics import _float, _integer, _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
 from .states import _frame_r, fock_mdf
 
@@ -98,10 +98,12 @@ class FigureConfig:
     def __post_init__(self):
         _resonance_k(self.k)
         for name, kind in self._types().items():
+            value = getattr(self, name)
             if kind is int:
-                object.__setattr__(self, name, _integer(name, getattr(self, name), 2))
-            elif not np.isfinite(getattr(self, name)):
+                value = _integer(name, value, 2)
+            elif not np.isfinite(value := _float(name, value)):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if not np.isfinite(self.x_max - self.x_min):

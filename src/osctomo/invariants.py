@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _float
 from .errors import ConsistencyError
 
 __all__ = [
@@ -69,8 +70,9 @@ class LinearInvariant:
     t: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t!r}")
+        t = _float("t", self.t)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
         lam = np.asarray(self.lam, dtype=float)
         delta = np.asarray(self.delta, dtype=float)
         if lam.shape != (2, 2) or delta.shape != (2,):
@@ -79,6 +81,7 @@ class LinearInvariant:
             raise ConsistencyError(f"Lambda {lam.tolist()} or Delta {delta.tolist()} is not finite")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "t", t)
         with np.errstate(over="ignore", invalid="ignore"):
             det = self.det
         if not abs(det - 1.0) <= DET_TOL:  # a det that overflows to inf or NaN fails too
@@ -91,7 +94,7 @@ class LinearInvariant:
 
     def apply(self, p: float, q: float) -> np.ndarray:
         """Value of (I_p, I_q) on a classical phase-space point."""
-        return self.lam @ np.array([p, q], dtype=float) + self.delta
+        return self.lam @ np.array([_float("p", p), _float("q", q)], dtype=float) + self.delta
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def lambda_matrix(eps: complex, eps_dot: complex) -> np.ndarray:
     whose imaginary parts vanish identically; ``0.0 - Im eps`` keeps the
     +0.0 that form gives at Im eps = 0.
     """
-    eps, eps_dot = complex(eps), complex(eps_dot)
+    eps, eps_dot = complex(_float("eps", eps)), complex(_float("eps_dot", eps_dot))
     return np.array([[eps.real, -eps_dot.real], [0.0 - eps.imag, eps_dot.imag]])
 
 
@@ -130,7 +133,7 @@ def delta_vector(beta: complex) -> np.ndarray:
     I_p = (A - Adag)/(sqrt(2) 1j) and I_q = (A + Adag)/sqrt(2), and make
     I(t) constant along classical trajectories of the driven oscillator.
     """
-    beta = complex(beta)
+    beta = complex(_float("beta", beta))
     return np.array([_SQRT2 * beta.imag, _SQRT2 * beta.real])
 
 
@@ -145,7 +148,8 @@ def ladder_pair(eps: complex, eps_dot: complex, beta: complex) -> tuple[LadderIn
     A(0) is the usual annihilation operator a = (q + 1j p)/sqrt(2);
     A(t) is its evolution under the driven-oscillator Hamiltonian.
     """
-    eps, eps_dot, beta = complex(eps), complex(eps_dot), complex(beta)
+    eps, eps_dot = complex(_float("eps", eps)), complex(_float("eps_dot", eps_dot))
+    beta = complex(_float("beta", beta))
     a = LadderInvariant(1j * eps / _SQRT2, -1j * eps_dot / _SQRT2, beta)
     adag = LadderInvariant(
         -1j * eps.conjugate() / _SQRT2,

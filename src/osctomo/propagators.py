@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _on_grid, _raise_first, flow_at
+from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _float, _on_grid, _raise_first, flow_at
 from .errors import CausticError, ConsistencyError, EvaluationError
 from .invariants import LinearInvariant, linear_invariant
 from .states import _check_point, _finite
@@ -97,10 +97,9 @@ class ClassicalPropagator:
 
     @classmethod
     def from_epsilon(cls, eps: complex, eps_dot: complex, beta: complex, t: float = 0.0):
-        return cls(
-            complex(eps), complex(eps_dot), complex(beta), float(t),
-            linear_invariant(eps, eps_dot, beta, t),
-        )
+        # the invariant reads every argument by the number rule first
+        inv = linear_invariant(eps, eps_dot, beta, t)
+        return cls(complex(eps), complex(eps_dot), complex(beta), float(inv.t), inv)
 
     @classmethod
     def from_profile(cls, profile: DriveProfile, t: float, step: float | None = None):
@@ -198,9 +197,10 @@ def fokker_planck_residual(
     at ``point = (X, mu, nu, t)`` with step h in every direction.  For an
     exact solution the residual is O(h^2).
     """
+    h = _float("h", h)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")
-    X, mu, nu, t = point
+    X, mu, nu, t = (_float(name, value) for name, value in zip(("X", "mu", "nu", "t"), point))
     d_t = (w(X, mu, nu, t + h) - w(X, mu, nu, t - h)) / (2.0 * h)
     d_nu = (w(X, mu, nu + h, t) - w(X, mu, nu - h, t)) / (2.0 * h)
     d_mu = (w(X, mu + h, nu, t) - w(X, mu - h, nu, t)) / (2.0 * h)
@@ -235,7 +235,7 @@ def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
-    _finite(X=X, Z=Z, t=t, phase=phase)
+    X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
     eps = cmath.exp(1j * t)
     return _green(eps, 1j * eps, 0j, "oscillator Green function")(X, Z, phase)
 
@@ -245,7 +245,7 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
 
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
-    _finite(X=X, Z=Z, t=t, phase=phase)
+    X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
     return _green(complex(1.0, t), 1j, 0j, "free Green function")(X, Z, phase)
 
 
@@ -275,7 +275,7 @@ def green_driven(
     ``profile`` must have omega_sq = 1 (ValueError otherwise); the modulus
     is force-independent.
     """
-    _finite(X=X, Z=Z, t=t, phase=phase)
+    X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
     return _green(*_unit_flow(profile, t), "driven Green function")(X, Z, phase)
 
 
@@ -288,7 +288,7 @@ def quantum_propagator(
     conj(G) with opposite signs and cancels exactly.  ``profile`` must
     have omega_sq = 1, as for :func:`green_driven`.
     """
-    _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
+    X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
     green = _green(*_unit_flow(profile, t), "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
@@ -308,7 +308,7 @@ def quantum_propagator_from_shift(
 
     multiplying the force-free oscillator propagator.
     """
-    _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, beta=beta)
+    X, Xp, Z, Zp, t, beta = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, beta=beta)
     k_sho = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate()
     s = math.sin(t)
     beta = complex(beta)

@@ -28,7 +28,10 @@ a non-finite eps, eps_dot, beta, mu or nu (or alpha) raises ValueError
 naming it, an array argument its first such entry in C order, and the
 frame (0, 0) raises the zero-frame ValueError of the CLI, the transforms
 and the propagator.  The sample array X is
-not checked: a NaN in it gives NaN where it stands.
+not checked: a NaN in it gives NaN where it stands.  Every scalar
+argument, X among them, is read by the package's number rule
+(:func:`osctomo.dynamics._float`): a Python int is the float it converts
+to, and one past the double range raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _raise_first, hermite_gauss
+from .dynamics import _float, _raise_first, hermite_gauss
 from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
@@ -60,21 +63,11 @@ _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
 
 
-def _float(name: str, value):
-    """value, with a Python int as a float: numpy makes an int past the
-    int64 range an object array, and one past the double range raises
-    ValueError naming it here."""
-    if not isinstance(value, int):
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an int past the double range") from None
-
-
-def _finite(**values) -> None:
-    """ValueError naming the first real or complex value, or array entry,
-    that is not finite, or a Python int past the double range."""
+def _finite(**values) -> tuple:
+    """The values as the number rule, :func:`_float`, reads them; ValueError
+    naming the first real or complex value, or array entry, that is not
+    finite."""
+    read = []
     for name, value in values.items():
         value = _float(name, value)
         if isinstance(value, (float, complex)) or not np.ndim(value):
@@ -82,6 +75,8 @@ def _finite(**values) -> None:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         elif not (finite := np.isfinite(value)).all():
             _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~finite, value)
+        read.append(value)
+    return tuple(read)
 
 
 def _check_point(X, mu, nu):
@@ -91,10 +86,9 @@ def _check_point(X, mu, nu):
 
     X, mu and nu are floats or arrays that broadcast; the first bad point
     in C order is named with float coordinates, so a float call and an
-    array holding that point give the same message.  An int is checked as
-    the float it converts to, and one past the double range raises
-    ValueError naming it.  Finite floats skip the array calls, which would
-    cost a one-point caller several times the check itself.
+    array holding that point give the same message.  An int is read by the
+    number rule, :func:`_float`.  Finite floats skip the array calls, which
+    would cost a one-point caller several times the check itself.
     """
     X, mu, nu = _float("X", X), _float("mu", mu), _float("nu", nu)
     floats = isinstance(X, float) and isinstance(mu, float) and isinstance(nu, float)
@@ -169,7 +163,7 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
     _finite(beta=beta)
     r = _frame_r(eps, eps_dot, mu, nu)
     abs_r = np.abs(r)
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(_float("X", X), dtype=float)
     Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
     Y += 2.0 * np.real(np.conj(beta) * r)
     Y /= _SQRT2 * abs_r
@@ -193,7 +187,7 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
     Vectorised over X (and over mu/nu as long as r stays away from zero).
     """
     m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
-    diff = np.asarray(X, dtype=float) - m
+    diff = np.asarray(_float("X", X), dtype=float) - m
     # the allocating operations in place on one full-size array (1 element for scalars)
     out = np.atleast_1d(diff)
     with np.errstate(over="ignore"):  # an exponent past -1e308 is -inf, and exp gives the 0
@@ -216,7 +210,7 @@ def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
     coefficients are c = d = -1/4 with no cross term.
     """
     m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
-    k = np.asarray(k, dtype=float)
+    k = np.asarray(_float("k", k), dtype=float)
     out = np.exp(-0.25 * k * k * s - 1j * k * m)
     return out if out.ndim else complex(out)
 
@@ -241,6 +235,8 @@ def fourier_ladder_apply(
     the tomogram-native statement of coherence in the one space where the
     inverse X-derivative is algebraic.
     """
+    eps, eps_dot = _float("eps", eps), _float("eps_dot", eps_dot)
+    y, z, h = _float("y", y), _float("z", z), _float("h", h)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")
     d_y = (wk(y + h, z) - wk(y - h, z)) / (2.0 * h)
@@ -255,9 +251,10 @@ def annihilation_eigencheck(alpha, eps, eps_dot, beta, mu, nu, k, h) -> complex:
     point (y, z) = (k mu, k nu) with central differences of step h; the
     exact residual is zero, so the returned value is O(h^2).
     """
-    k = float(k)
+    k = float(_float("k", k))
     if not (math.isfinite(k) and k != 0.0):
         raise ValueError(f"k must be finite and nonzero (the scaled variables divide by k), got {k!r}")
+    eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
 
     def wk(y: float, z: float) -> complex:
         return complex(
@@ -310,7 +307,7 @@ def coherent_wavefunction(alpha, eps, eps_dot, beta, x):
     choice.  A non-finite alpha, eps, eps_dot or beta raises ValueError
     naming it.
     """
-    _finite(alpha=alpha, eps=eps, eps_dot=eps_dot, beta=beta)
+    alpha, eps, eps_dot, beta = _finite(alpha=alpha, eps=eps, eps_dot=eps_dot, beta=beta)
     eps, eps_dot = complex(eps), complex(eps_dot)
     if abs(eps) < _R_TOL:
         raise DegenerateFrameError("eps = 0; wavefunction gauge is degenerate")
@@ -318,6 +315,6 @@ def coherent_wavefunction(alpha, eps, eps_dot, beta, x):
     ae2 = abs(eps) ** 2
     real_comb = 2.0 * (gamma * eps.conjugate()).real  # gamma eps* + gamma* eps
     prefactor = (np.pi * ae2) ** -0.25 * math.exp(-(real_comb**2) / (4.0 * ae2))
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(_float("x", x), dtype=float)
     out = prefactor * np.exp(0.5j * x * x * eps_dot / eps + _SQRT2 * gamma * x / eps)
     return out if out.ndim else complex(out)

@@ -85,7 +85,7 @@ from typing import Callable
 import numpy as np
 
 from ._files import write_in_place
-from .dynamics import _integer
+from .dynamics import _float, _integer
 from .errors import (
     ConsistencyError,
     DegenerateFrameError,
@@ -121,12 +121,14 @@ _BAND_ROWS = 64  # rows per band of a grid check or assembly: a few MB of tempor
 _SLICE_VALUES = 1 << 19
 
 
-def _check_grid(extent, n) -> int:
-    """n as an int; ValueError unless 0 < extent <= _MAX_EXTENT and n is a
-    whole number >= 2: the rule for every axis linspace(-extent, extent, n)."""
+def _check_grid(extent, n) -> tuple[float, int]:
+    """(extent, n) read by the number and integer rules; ValueError unless
+    0 < extent <= _MAX_EXTENT and n is a whole number >= 2: the rule for
+    every axis linspace(-extent, extent, n)."""
+    extent = _float("extent", extent)
     if not 0.0 < extent <= _MAX_EXTENT:
         raise ValueError(f"extent must be positive with 2*extent finite, got {extent!r}")
-    return _integer("n", n, 2)
+    return extent, _integer("n", n, 2)
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,7 @@ class _UniformGrid:
         values = np.asarray(self.values, dtype=self._dtype)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("values must be a square grid")
-        _check_grid(self.extent, values.shape[0])
+        object.__setattr__(self, "extent", _check_grid(self.extent, values.shape[0])[0])
         values = values.view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -234,7 +236,7 @@ class DensityGrid(_UniformGrid):
     @classmethod
     def from_wavefunction(cls, psi: Callable[[np.ndarray], np.ndarray], extent: float, n: int):
         """Pure-state grid rho = psi(Z) conj(psi(Z')) from a wavefunction."""
-        n = _check_grid(extent, n)
+        extent, n = _check_grid(extent, n)
         z = np.linspace(-extent, extent, n)
         vals = np.asarray(psi(z), dtype=complex)
         return cls(extent, np.outer(vals, vals.conj()))
@@ -358,10 +360,13 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("mu_count", "y_count"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 2))
+        object.__setattr__(self, "mu_max", _float("mu_max", self.mu_max))
         if not (math.isfinite(self.mu_max) and self.mu_max > 0):
             raise ValueError(f"mu_max must be finite and positive, got {self.mu_max!r}")
         if not callable(self.y_window):
-            _check_y_window(*self.y_window)
+            window = tuple(_float("y_window", bound) for bound in self.y_window)
+            _check_y_window(*window)
+            object.__setattr__(self, "y_window", window)
 
     def refined(self) -> "QuadratureSpec":
         """Same windows with doubled node counts (for convergence checks)."""
@@ -512,7 +517,7 @@ def density_grid_from_mdf(
     n >= 2), or an extent whose mu phases, up to mu_max extent, overflow,
     raises ValueError before sampling.
     """
-    n = _check_grid(extent, n)
+    extent, n = _check_grid(extent, n)
     quad = quad or QuadratureSpec()
     if not math.isfinite(quad.mu_max * float(extent)):
         raise ValueError(

@@ -96,6 +96,22 @@ class TestEval:
         eps = complex(out.split()[0])
         assert eps == pytest.approx(np.exp(1.5j), abs=1e-9)
 
+    @pytest.mark.parametrize("force, column", [("0", "0"), ("0.0", "0"), ("-0.5", "-0.5"), ("2", "2")])
+    def test_a_given_force_replaces_the_table_column(self, capsys, tmp_path, force, column):
+        # zero too: an explicit force=0 switches off the table's force column
+        with_column, replaced = tmp_path / "forced.txt", tmp_path / "replaced.txt"
+        with_column.write_text("0 1 1\n5 1 1\n")
+        replaced.write_text(f"0 1 {column}\n5 1 {column}\n")
+        given = run(["eval", "beta", f"profile=table:{with_column}", "t=1", f"force={force}"], capsys)
+        assert given == run(["eval", "beta", f"profile=table:{replaced}", "t=1"], capsys)
+        assert given[0] == 0
+
+    def test_an_absent_force_keeps_the_table_column(self, capsys, tmp_path):
+        table = tmp_path / "forced.txt"
+        table.write_text("0 1 1\n5 1 1\n")
+        code, out, _ = run(["eval", "beta", f"profile=table:{table}", "t=1"], capsys)
+        assert code == 0 and abs(complex(out)) > 0.5
+
     def test_usage_errors(self, capsys):
         assert run(["eval", "no_such_op"], capsys)[0] == 1
         assert run(["eval", "coherent_mdf", "alpha=0"], capsys)[0] == 1  # missing args

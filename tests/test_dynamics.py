@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -10,18 +11,46 @@ from hypothesis import strategies as st
 
 from osctomo import (
     ClassicalPropagator,
+    DensityGrid,
     DriveProfile,
     EvaluationError,
+    LinearInvariant,
+    QuadratureSpec,
     UnsupportedOrderError,
+    WignerGrid,
     WronskianDriftError,
+    annihilation_eigencheck,
     beta_shift,
+    coherent_mdf,
+    coherent_mdf_fourier,
+    coherent_wavefunction,
+    cross_mdf,
+    delta_vector,
+    density_from_mdf,
+    density_grid_from_mdf,
     flow_at,
+    fock_mdf,
+    fokker_planck_residual,
+    fourier_ladder_apply,
+    green_driven,
+    green_free,
+    green_sho,
     hermite,
     hermite_gauss,
+    invariant_from_ladder,
+    ladder_pair,
+    lambda_matrix,
+    linear_invariant,
+    mdf_from_density,
+    mdf_from_wigner,
+    mean_X,
     parametric_resonance_epsilon,
+    quantum_propagator,
+    quantum_propagator_from_shift,
     solve_epsilon,
+    variance_X,
 )
-from osctomo import dynamics
+from osctomo import dynamics, states
 from osctomo.dynamics import _on_grid, _simpson
 from osctomo.figures import FigureConfig
 
@@ -629,6 +658,153 @@ class TestHermiteGauss:
             for y in scalars:
                 got, want = hermite_gauss(n, y), allocating_hermite_gauss(n, y)
                 assert type(got) is type(want) is float and got == want
+
+
+UNIT = DriveProfile.constant(1.0)
+TRAJ = solve_epsilon(UNIT, 2.0, 0.01)
+PROPAGATOR = ClassicalPropagator.from_epsilon(1.0, 1j, 0.0)
+RHO = DensityGrid.from_wavefunction(lambda z: np.pi**-0.25 * np.exp(-z * z / 2.0), 6.0, 61)
+WIGNER = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(RHO.axis**2, RHO.axis**2)))
+
+
+def vacuum_at(X, mu, nu, t):
+    return coherent_mdf(0.0, *flow_at(UNIT, t), X, mu, nu)
+
+
+def coherent_transform(y, z):
+    return coherent_mdf_fourier(1.0, 0.3, 1.0, 1j, 0.0, y, z)
+
+
+#: entry point (argument) -> the call with that argument set to the value
+ENTRY_POINTS = {
+    "DriveProfile.constant(omega)": lambda v: DriveProfile.constant(v).omega_sq(0.0),
+    "DriveProfile.parametric_resonance(k)": lambda v: DriveProfile.parametric_resonance(v).omega_sq(1.0),
+    "solve_epsilon(t_end)": lambda v: solve_epsilon(UNIT, v, 0.5).eps,
+    "solve_epsilon(step)": lambda v: solve_epsilon(UNIT, 1.0, v).eps,
+    "solve_epsilon(tol_wronskian)": lambda v: solve_epsilon(UNIT, 1.0, 0.01, v).eps,
+    "flow_at(t)": lambda v: flow_at(UNIT, v),
+    "flow_at(step)": lambda v: flow_at(UNIT, 1.0, v),
+    "parametric_resonance_epsilon(k)": lambda v: parametric_resonance_epsilon(v, 1.0),
+    "parametric_resonance_epsilon(t)": lambda v: parametric_resonance_epsilon(0.1, v),
+    "hermite(y)": lambda v: hermite(2, v),
+    "hermite_gauss(y)": lambda v: hermite_gauss(2, v),
+    "LinearInvariant(t)": lambda v: LinearInvariant(np.eye(2), np.zeros(2), v),
+    "lambda_matrix(eps)": lambda v: lambda_matrix(v, 1j),
+    "lambda_matrix(eps_dot)": lambda v: lambda_matrix(1.0, v),
+    "delta_vector(beta)": lambda v: delta_vector(v),
+    "linear_invariant(eps)": lambda v: linear_invariant(v, 1j, 0.0),
+    "linear_invariant(beta)": lambda v: linear_invariant(1.0, 1j, v),
+    "linear_invariant(t)": lambda v: linear_invariant(1.0, 1j, 0.0, v),
+    "ladder_pair(eps_dot)": lambda v: ladder_pair(1.0, v, 0.0),
+    "ladder_pair(beta)": lambda v: ladder_pair(1.0, 1j, v),
+    "ClassicalPropagator.from_epsilon(eps)": lambda v: ClassicalPropagator.from_epsilon(v, 1j, 0.0),
+    "ClassicalPropagator.from_epsilon(beta)": lambda v: ClassicalPropagator.from_epsilon(1.0, 1j, v),
+    "ClassicalPropagator.from_epsilon(t)": lambda v: ClassicalPropagator.from_epsilon(1.0, 1j, 0.0, v),
+    "fokker_planck_residual(h)": lambda v: fokker_planck_residual(vacuum_at, UNIT, (0.3, 0.6, 0.8, 1.0), v),
+    "fokker_planck_residual(X)": lambda v: fokker_planck_residual(vacuum_at, UNIT, (v, 0.6, 0.8, 1.0), 1e-3),
+    "fokker_planck_residual(t)": lambda v: fokker_planck_residual(vacuum_at, UNIT, (0.3, 0.6, 0.8, v), 1e-3),
+    "coherent_mdf(X)": lambda v: coherent_mdf(0.3, 1.0, 1j, 0.0, v, 0.6, 0.8),
+    "coherent_mdf(mu)": lambda v: coherent_mdf(0.3, 1, 1j, 0, 0.3, v, 0.5),
+    "coherent_mdf(beta)": lambda v: coherent_mdf(0.3, 1, 1j, v, 0.3, 0.6, 0.8),
+    "mean_X(beta)": lambda v: mean_X(0.3, 1.0, 1j, v, 0.6, 0.8),
+    "variance_X(eps_dot)": lambda v: variance_X(1.0, v, 0.6, 0.8),
+    "fock_mdf(X)": lambda v: fock_mdf(1, 1.0, 1j, 0.0, v, 0.6, 0.8),
+    "cross_mdf(X)": lambda v: cross_mdf(1, 2, 1.0, 1j, 0.0, v, 0.6, 0.8),
+    "coherent_mdf_fourier(k)": lambda v: coherent_mdf_fourier(v, 0.3, 1.0, 1j, 0.0, 0.6, 0.8),
+    "annihilation_eigencheck(alpha)": lambda v: annihilation_eigencheck(v, 1.0, 1j, 0.0, 0.6, 0.8, 1.0, 1e-4),
+    "annihilation_eigencheck(mu)": lambda v: annihilation_eigencheck(0.3, 1.0, 1j, 0.0, v, 0.8, 1.0, 1e-4),
+    "annihilation_eigencheck(k)": lambda v: annihilation_eigencheck(0.3, 1.0, 1j, 0.0, 0.6, 0.8, v, 1e-4),
+    "fourier_ladder_apply(eps)": lambda v: fourier_ladder_apply(coherent_transform, v, 1j, 0.6, 0.8, 1e-4),
+    "fourier_ladder_apply(y)": lambda v: fourier_ladder_apply(coherent_transform, 1.0, 1j, v, 0.8, 1e-4),
+    "fourier_ladder_apply(h)": lambda v: fourier_ladder_apply(coherent_transform, 1.0, 1j, 0.6, 0.8, v),
+    "coherent_wavefunction(eps)": lambda v: coherent_wavefunction(0.3, v, 1j, 0.0, 0.5),
+    "coherent_wavefunction(x)": lambda v: coherent_wavefunction(0.3, 1.0, 1j, 0.0, v),
+    "QuadratureSpec(mu_max)": lambda v: QuadratureSpec(mu_max=v),
+    "FigureConfig(k)": lambda v: FigureConfig(k=v),
+    "FigureConfig(t_max)": lambda v: FigureConfig(t_max=v),
+    "FigureConfig(x_min)": lambda v: FigureConfig(x_min=v),
+    "FigureConfig(x_max)": lambda v: FigureConfig(x_max=v),
+    "FigureConfig(t_fixed)": lambda v: FigureConfig(t_fixed=v),
+    "FigureConfig(x_fixed)": lambda v: FigureConfig(x_fixed=v),
+    "EpsilonTrajectory.__call__(time)": lambda v: TRAJ(v),
+    "beta_shift(t)": lambda v: beta_shift(TRAJ, v),
+    "beta_shift(t_start)": lambda v: beta_shift(TRAJ, 1.0, v),
+    "LinearInvariant.apply(p)": lambda v: linear_invariant(1.0, 1j, 0.0).apply(v, 0.5),
+    "green_driven(t)": lambda v: green_driven(0.1, 0.2, v, UNIT),
+    "quantum_propagator(t)": lambda v: quantum_propagator(0.1, 0.0, 0.2, 0.0, v, UNIT),
+    "quantum_propagator_from_shift(Z)": lambda v: quantum_propagator_from_shift(0.1, 0.0, v, 0.0, 1.0, 0.1),
+    "DensityGrid(extent)": lambda v: DensityGrid(v, np.eye(3)),
+    "WignerGrid(extent)": lambda v: WignerGrid(v, np.ones((3, 3))),
+    "DensityGrid.from_wavefunction(extent)": lambda v: DensityGrid.from_wavefunction(
+        lambda z: np.exp(-np.abs(z)), v, 5),
+    "density_grid_from_mdf(extent)": lambda v: density_grid_from_mdf(
+        lambda Y, mu, nu: coherent_mdf(0.0, 1.0, 1j, 0.0, Y, mu, nu), v, 3, QuadratureSpec(mu_count=4, y_count=5)),
+    "QuadratureSpec(y_window)": lambda v: QuadratureSpec(y_window=(-1.0, v)),
+    "ClassicalPropagator.from_profile(t)": lambda v: ClassicalPropagator.from_profile(UNIT, v),
+    "ClassicalPropagator.frame_map(mu)": lambda v: PROPAGATOR.frame_map(0.3, v, 0.5),
+    "ClassicalPropagator.evolve(mu)": lambda v: PROPAGATOR.evolve(
+        lambda X, mu, nu: coherent_mdf(0.3, 1.0, 1j, 0.0, X, mu, nu), 0.3, v, 0.5),
+    "invariant_from_ladder(t)": lambda v: invariant_from_ladder(*ladder_pair(1.0, 1j, 0.0), v),
+    "green_sho(t)": lambda v: green_sho(0.1, 0.2, v),
+    "green_free(Z)": lambda v: green_free(0.1, v, 1.0),
+    "mdf_from_density(mu)": lambda v: mdf_from_density(RHO, 0.3, v, 0.5),
+    "density_from_mdf(Xp)": lambda v: density_from_mdf(
+        lambda Y, mu, nu: coherent_mdf(0.0, 1.0, 1j, 0.0, Y, mu, nu), 0.3, v, QuadratureSpec(mu_count=4, y_count=5)),
+    "mdf_from_wigner(mu)": lambda v: mdf_from_wigner(WIGNER, 0, v, v),
+}
+
+
+def bits(value):
+    """value in a form that compares bit for bit: arrays by dtype, shape and
+    bytes, dataclasses field by field, anything else by type and repr."""
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(bits, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value), repr(value)
+
+
+class TestNumberRule:
+    """One number rule, dynamics._float, at every public entry point: a
+    Python int is the float it converts to, so 10**200 gives what 1e200
+    gives, bit for bit or the same error, and an int past the double range
+    raises ValueError naming its argument instead of an OverflowError or
+    numpy's TypeError."""
+
+    @staticmethod
+    def outcome(call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return bits(call(value))
+            except Exception as exc:  # the error itself is the outcome compared
+                return type(exc), str(exc)
+
+    @pytest.mark.parametrize("value", [10, 10**200, -(10**200), 10**307], ids=["10", "1e200", "-1e200", "1e307"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_an_int_is_the_float_it_converts_to(self, entry, value):
+        call = ENTRY_POINTS[entry]
+        assert self.outcome(call, value) == self.outcome(call, float(value))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_an_int_past_the_double_range_is_named(self, entry, sign):
+        name = re.search(r"\((\w+)\)$", entry)[1]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got an int past the double range$"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ENTRY_POINTS[entry](sign * 10**400)
+
+    def test_small_ints_and_bools_read_as_floats(self):
+        assert FigureConfig(k=0, t_max=10, x_min=-4, x_max=True).x_max == 1.0
+        assert repr(QuadratureSpec(mu_max=12).mu_max) == "12.0"
+        assert repr(LinearInvariant(np.eye(2), np.zeros(2), 3).t) == "3.0"
+        assert solve_epsilon(UNIT, 2, 0.001).eps.tobytes() == solve_epsilon(UNIT, 2.0, 0.001).eps.tobytes()
+
+    def test_one_definition(self):
+        assert states._float is dynamics._float
 
 
 def allocating_hermite_gauss(n, y):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SQRT2, driven_state
+from helpers import SQRT2, classical_profiles, driven_state
 from osctomo import (
     CausticError,
     ClassicalPropagator,
@@ -407,25 +407,6 @@ def unit_forces(draw):
     if draw(st.booleans()):
         return lambda t: c
     return lambda t: c * math.cos(w * t) + a
-
-
-TABLE_T = np.linspace(0.0, 8.0, 9)
-
-
-@st.composite
-def classical_profiles(draw):
-    """(profile, autonomous): constant omega_sq (negative included) with a
-    constant force, resonance or a table, the last two with a cos force."""
-    kind = draw(st.sampled_from(["constant", "resonance", "table"]))
-    c, w = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 2.0))
-    if kind == "constant":
-        w2 = draw(st.floats(-1.0, 4.0))
-        return DriveProfile.custom(lambda t: w2, lambda t: c), True
-    force = lambda t: c * np.cos(w * t)
-    if kind == "resonance":
-        return DriveProfile.parametric_resonance(draw(st.floats(-0.49, 0.49)), force), False
-    rows = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=9, max_size=9)))
-    return DriveProfile.custom(lambda t: np.interp(t, TABLE_T, rows), force), False
 
 
 frame_points = st.tuples(points, points, points).filter(lambda p: abs(p[1]) + abs(p[2]) >= 1e-2)

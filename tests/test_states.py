@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SQRT2, driven_state
+from helpers import SQRT2, classical_profiles, driven_state
 from osctomo import (
     ClassicalPropagator,
     DegenerateFrameError,
-    DensityGrid,
     DriveProfile,
     EvaluationError,
     WignerGrid,
@@ -26,7 +25,6 @@ from osctomo import (
     fock_mdf,
     fourier_ladder_apply,
     hermite_gauss,
-    mdf_from_density,
     mdf_from_wigner,
     mean_X,
     variance_X,
@@ -465,6 +463,60 @@ class TestClosedFormProperties:
         assert np.array_equal(w_nm, np.conj(w_mn))
 
 
+class TestClosedFormsUnderProfiles:
+    """Coherent and Fock tomograms at the flow of a non-constant profile
+    (flow_at's eps, eps_dot and beta) are normalised densities, and match
+    the classical propagator's pushforward of their t = 0 form.
+
+    The two routes evaluate one closed form at two frames: r directly, and
+    the frame map's (Re r, Im r) / det Lambda, whose Lambda^{-1} divides by
+    det Lambda, the solved flow's Wronskian, which is 1 only up to the
+    integrator's drift.  They also round r differently, an error that the
+    cancellation in eps_dot nu + eps mu amplifies by kappa =
+    (|eps| + |eps_dot|) / |r|, and the mean, shifted by alpha and beta, carries
+    it in proportion to 1 + |alpha| + |beta|.  So they agree within
+    C (u kappa + |det Lambda - 1|) (1 + |alpha| + |beta|) of the peak, u the
+    double epsilon; C = 100 covers the tomograms' slope over Y in [-12, 12]
+    for n <= 5 (the largest seen over 3000 random cases is 14).
+    """
+
+    @staticmethod
+    def routes(profile, t, mu, nu, tomogram, shift):
+        """The tomogram at the flow, on X spanning +-12 |r| about its mean,
+        beside the evolved t = 0 form and the bound they agree within."""
+        flow = eps, eps_dot, beta = flow_at(profile, t)
+        r = eps_dot * nu + eps * mu
+        X = SQRT2 * ((shift - beta) * r.conjugate()).real + abs(r) * np.linspace(-12.0, 12.0, 2001)
+        w = tomogram(*flow, X, mu, nu)
+        prop = ClassicalPropagator.from_profile(profile, t)
+        evolved = prop.evolve(lambda *point: tomogram(*VACUUM, *point), X, mu, nu)
+        drift = abs(prop.inv.det - 1.0)
+        kappa = (abs(eps) + abs(eps_dot)) / abs(r)
+        bound = 100.0 * (np.finfo(float).eps * kappa + drift) * (1.0 + abs(shift) + abs(beta)) * np.max(w)
+        return X, w, evolved, bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), theta=st.floats(-math.pi, math.pi),
+           alpha=st.complex_numbers(max_magnitude=3.0))
+    def test_coherent(self, case, t, theta, alpha):
+        mu, nu = math.cos(theta), math.sin(theta)
+        X, w, evolved, bound = self.routes(
+            case[0], t, mu, nu, lambda *args: coherent_mdf(alpha, *args), alpha)
+        assert np.all(w >= 0.0)
+        assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-6)
+        assert np.max(np.abs(w - evolved)) <= bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), theta=st.floats(-math.pi, math.pi),
+           n=st.integers(0, 5))
+    def test_fock(self, case, t, theta, n):
+        mu, nu = math.cos(theta), math.sin(theta)
+        X, w, evolved, bound = self.routes(case[0], t, mu, nu, lambda *args: fock_mdf(n, *args), 0.0)
+        assert np.all(w >= 0.0)
+        assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-6)
+        assert np.max(np.abs(w - evolved)) <= bound
+
+
 class TestLadderGuards:
     WK = staticmethod(lambda y, z: complex(coherent_mdf_fourier(1.0, 0.3, *VACUUM, y, z)))
 
@@ -643,48 +695,18 @@ class TestPointRule:
 
 
 class TestHugeInts:
-    """A Python int is checked as the float it converts to: 10**200 gives
-    what 1e200 gives, a value or the same error, at every entry point of the
-    point and flow rules, and an int past the double range raises ValueError
-    naming it instead of numpy's TypeError or an OverflowError."""
+    """The point and flow rules read a Python int by the number rule, whose
+    entry points test_dynamics.TestNumberRule runs: 10**200 maps and
+    overflows as 1e200, and an int past the double range is named."""
 
     AXIS = np.linspace(-6.0, 6.0, 61)
     PROPAGATOR = ClassicalPropagator.from_epsilon(1, 1j, 0)
-    RHO = DensityGrid.from_wavefunction(lambda z: np.pi**-0.25 * np.exp(-z * z / 2.0), 6.0, 61)
     WIGNER = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(AXIS**2, AXIS**2)))
-    CALLS = {
-        "frame_map": lambda v: TestHugeInts.PROPAGATOR.frame_map(0.3, v, 0.5),
-        "evolve": lambda v: TestHugeInts.PROPAGATOR.evolve(
-            lambda X, mu, nu: coherent_mdf(0.3, *VACUUM, X, mu, nu), 0.3, v, 0.5),
-        "mdf_from_density": lambda v: mdf_from_density(TestHugeInts.RHO, 0.3, v, 0.5),
-        "mdf_from_wigner": lambda v: mdf_from_wigner(TestHugeInts.WIGNER, 0, v, v),
-        "coherent_mdf": lambda v: coherent_mdf(0.3, 1, 1j, 0, 0.3, v, 0.5),
-    }
-
-    @staticmethod
-    def outcome(call, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                return call(value)
-            except Exception as exc:  # the error itself is the outcome compared
-                return type(exc), str(exc)
-
-    @pytest.mark.parametrize("exponent", [1, 200, 307])
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_an_int_is_its_float(self, name, exponent):
-        call = self.CALLS[name]
-        assert self.outcome(call, 10**exponent) == self.outcome(call, float(10**exponent))
 
     def test_an_int_maps_and_overflows_as_its_float(self):
         assert self.PROPAGATOR.frame_map(0.3, 10**200, 0.5) == (0.3, 1e200, 0.5)
         with pytest.raises(ValueError, match=r"mu\^2 \+ nu\^2 overflows"):
             mdf_from_wigner(self.WIGNER, 0, 10**200, 10**200)
-
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_an_int_past_the_double_range_is_named(self, name):
-        assert self.outcome(self.CALLS[name], 10**400) == (
-            ValueError, "mu must be finite, got an int past the double range")
 
     def test_an_int_past_the_double_range_names_its_argument(self):
         from osctomo.states import _check_point, _finite
