@@ -10,9 +10,13 @@ together with the drive shift
 
     beta(t) = -(1j / sqrt(2)) * integral_0^t eps(s) f(s) ds.
 
-Units are dimensionless (hbar = m = 1); for constant unit frequency the
-solution is ``eps(t) = exp(1j t)``.  The seeded initial conditions fix the
-Wronskian
+Units are dimensionless (hbar = m = 1).  For a constant frequency omega
+the solution has the closed form
+
+    eps(t) = cos(omega t) + 1j sin(omega t) / omega    (1 + 1j t at omega = 0),
+
+``exp(1j t)`` at omega = 1 (Husimi 1953; Malkin, Man'ko & Trifonov 1970).
+The seeded initial conditions fix the Wronskian
 
     eps' * conj(eps) - conj(eps') * eps = 2j
 
@@ -21,8 +25,14 @@ invariant monitored during integration.
 
 :func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0:
 the classical flow every tomogram, invariant and propagator downstream is
-evaluated from.  It owns the flow's input rule (t finite and >= 0,
-0 < step <= t) and raises ValueError for input that breaks it.  Every
+evaluated from.  Profiles made by :meth:`DriveProfile.constant` and
+:meth:`DriveProfile.free` take the closed form above, from one helper
+that the propagators' Green functions share; every other profile is
+integrated by the fixed-step RK4 of :func:`solve_epsilon`, and only those
+integrations are Wronskian-checked.  Both routes take beta by one Simpson
+rule of the drive, on at most MAX_STEPS steps.  flow_at owns the flow's
+input rule (t finite and >= 0, 0 < step <= t) and raises ValueError for
+input that breaks it.  Every
 profile callable is sampled on a grid through one helper, which raises
 EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
@@ -42,7 +52,7 @@ documented in :mod:`osctomo.invariants`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -103,6 +113,9 @@ class DriveProfile:
 
     omega_sq: Callable[[float], float]
     force: Callable[[float], float]
+    # |omega| of a constant or free profile, whose flow has a closed form
+    # (see flow_at); None for every other profile
+    _omega: float | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def constant(cls, omega: float = 1.0, force: Callable[[float], float] | None = None):
@@ -112,12 +125,17 @@ class DriveProfile:
         if not math.isfinite(omega * omega):
             raise ValueError(f"omega and omega**2 must be finite, got omega={omega!r}")
         w2 = omega**2
-        return cls(lambda t: w2, force or _zero_force)
+        return cls(lambda t: w2, force or _zero_force)._exact(abs(omega))
 
     @classmethod
     def free(cls, force: Callable[[float], float] | None = None):
         """Free motion, omega_sq = 0."""
-        return cls(lambda t: 0.0, force or _zero_force)
+        return cls(lambda t: 0.0, force or _zero_force)._exact(0.0)
+
+    def _exact(self, omega: float) -> DriveProfile:
+        """This profile, marked as the constant frequency omega >= 0."""
+        object.__setattr__(self, "_omega", omega)
+        return self
 
     @classmethod
     def parametric_resonance(cls, k: float, force: Callable[[float], float] | None = None):
@@ -255,11 +273,7 @@ def solve_epsilon(
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not 0.0 < step <= t_end:
         raise ValueError(f"step must satisfy 0 < step <= t_end, got step={step!r}")
-    if t_end / step > MAX_STEPS + 0.5:  # round(t_end / step) > MAX_STEPS, before allocating
-        raise ValueError(
-            f"t_end / step = {t_end / step:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}; "
-            "use a shorter t_end or a larger step"
-        )
+    _check_steps(t_end, step)
     if not tol_wronskian >= 0.0:  # a NaN fails too
         raise ValueError(f"tol_wronskian must be non-negative, got {tol_wronskian!r}")
 
@@ -275,6 +289,16 @@ def solve_epsilon(
     if not drift <= tol_wronskian:  # a NaN drift fails too
         raise WronskianDriftError(drift, tol_wronskian)
     return traj
+
+
+def _check_steps(span: float, step: float) -> None:
+    """ValueError if span / step rounds to more than MAX_STEPS steps: the one
+    step bound of the flow's grids, checked before any grid is allocated."""
+    if span / step > MAX_STEPS + 0.5:  # round(span / step) > MAX_STEPS
+        raise ValueError(
+            f"t_end / step = {span / step:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}; "
+            "use a shorter t_end or a larger step"
+        )
 
 
 def _on_grid(fn: Callable, t: np.ndarray, name: str = "profile value") -> np.ndarray:
@@ -555,20 +579,64 @@ def flow_at(
 ) -> tuple[complex, complex, complex]:
     """The classical flow (eps, eps_dot, beta) of ``profile`` at time t.
 
-    Solves the auxiliary equation forward from 0 up to t, interpolates eps
-    and eps_dot at t and integrates the drive shift.  t must be finite and
-    >= 0, and a given step 0 < step <= t, any step > 0 at t = 0
-    (ValueError); the default step is min(1e-3, t).  At t = 0 the seeded
-    initial data (1, 1j, 0) is returned without solving.  A non-finite
-    profile sample or drive integral raises EvaluationError.
+    A profile made by :meth:`DriveProfile.constant` or
+    :meth:`DriveProfile.free` takes its closed form,
+
+        eps = cos wt + 1j sin(wt) / w,   eps_dot = -w sin wt + 1j cos wt
+
+    (1 + 1j t and 1j at w = 0), and beta by Simpson's rule on that eps over
+    2 max(1, round(t / 2 step)) uniform steps from 0 to t; an overflowing
+    w t raises EvaluationError.  Every other profile is solved by RK4
+    (:func:`solve_epsilon`) from 0 up to t, eps and eps_dot interpolated at
+    t and the drive shift integrated by :func:`beta_shift`.  t must be
+    finite and >= 0, and a given step 0 < step <= t, any step > 0 at
+    t = 0 (ValueError); the default step is min(1e-3, t), and either way
+    t / step may round to at most MAX_STEPS steps (ValueError).  At t = 0
+    the seeded initial data (1, 1j, 0) is returned without solving.  A
+    non-finite profile sample or drive integral raises EvaluationError.
     """
     t = _float("t", t)
     step = _flow_step(t, _float("step", step))
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
+    if profile._omega is not None:
+        return _exact_flow(profile._omega, profile.force, _drive_grid(t, step))
     traj = solve_epsilon(profile, t, step)
     eps, eps_dot = traj(t)
     return eps, eps_dot, beta_shift(traj, t)
+
+
+def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):
+    """(eps, eps_dot) of the constant frequency omega >= 0 at t, any real t:
+    (cos wt + 1j sin(wt) / w, -w sin wt + 1j cos wt), and (1 + 1j t, 1j) at
+    w = 0.  The one formula of the oscillator's flow; t is a float with
+    math's cos and sin, so complex(cos t, sin t) is cmath.exp(1j t) bit for
+    bit at w = 1, or an array with numpy's."""
+    if omega == 0.0:
+        return 1.0 + 1j * t, 1j
+    c, s = cos(omega * t), sin(omega * t)
+    return c + 1j * (s / omega), 1j * c - omega * s
+
+
+def _drive_grid(t: float, step: float) -> np.ndarray:
+    """The nodes of the closed-form flows' drive quadrature: 2 max(1,
+    round(|t| / 2 step)) uniform steps from 0 to t (t < 0 too), after the
+    MAX_STEPS check of :func:`_check_steps`."""
+    _check_steps(abs(t), step)
+    return np.linspace(0.0, t, 2 * max(1, round(abs(t) / (2.0 * step))) + 1)
+
+
+def _exact_flow(omega: float, force: Callable, s: np.ndarray) -> tuple[complex, complex, complex]:
+    """(eps, eps_dot, beta) of the constant frequency omega >= 0 at t = s[-1],
+    beta = -(1j / sqrt 2) integral eps f over the nodes s of
+    :func:`_drive_grid`, f sampled there only.  An omega t that overflows
+    raises EvaluationError."""
+    t = float(s[-1])
+    if not math.isfinite(omega * t):
+        raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
+    eps, eps_dot = _oscillator(omega, t)
+    total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], force, t / (len(s) - 1))
+    return eps, eps_dot, complex(-1j / math.sqrt(2.0) * total)
 
 
 def parametric_resonance_epsilon(k: float, t):

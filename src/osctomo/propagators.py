@@ -35,14 +35,17 @@ conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
     G(X, Z, t) = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
                                           + (m12 dp - m22 dq) X + dq Z ] / m12 }.
 
-green_sho and green_free evaluate it at (e^{it}, i e^{it}, 0) and
+The flow is the closed form that flow_at takes for constant frequency,
+one formula (dynamics._oscillator) for every kernel here: green_sho and
+green_free evaluate it at omega = 1 and 0, (e^{it}, i e^{it}, 0) and
 (1 + it, i, 0); green_driven and quantum_propagator, the driven unit
 oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2) integral
-of e^{is} f(s) over [0, t], by the one Simpson rule of the drive that
-beta_shift also uses.  The density-matrix propagator K = G(X,Z)
-conj(G(X',Z')) is independent of the phase convention.  Focal points
-(m12 = 0) raise CausticError; a non-finite argument raises ValueError
-naming it, and a finite (X, Z) whose phase overflows raises
+of e^{is} f(s) over [0, t], by the one Simpson rule of the drive on the
+grid of step ~1e-3 that flow_at uses; a |t| / 1e-3 past MAX_STEPS raises
+ValueError before that grid is allocated.  The density-matrix propagator
+K = G(X,Z) conj(G(X',Z')) is independent of the phase convention.  Focal
+points (m12 = 0) raise CausticError; a non-finite argument raises
+ValueError naming it, and a finite (X, Z) whose phase overflows raises
 EvaluationError naming X and Z.  The Green functions take floats.
 """
 
@@ -56,7 +59,17 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _DEFAULT_STEP, DriveProfile, _drive_integral, _float, _on_grid, _raise_first, flow_at
+from .dynamics import (
+    _DEFAULT_STEP,
+    DriveProfile,
+    _drive_grid,
+    _exact_flow,
+    _float,
+    _on_grid,
+    _oscillator,
+    _raise_first,
+    flow_at,
+)
 from .errors import CausticError, ConsistencyError, EvaluationError
 from .invariants import LinearInvariant, linear_invariant
 from .states import _check_point, _finite
@@ -236,8 +249,7 @@ def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    eps = cmath.exp(1j * t)
-    return _green(eps, 1j * eps, 0j, "oscillator Green function")(X, Z, phase)
+    return _green(*_oscillator(1.0, t), 0j, "oscillator Green function")(X, Z, phase)
 
 
 def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
@@ -246,25 +258,21 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(complex(1.0, t), 1j, 0j, "free Green function")(X, Z, phase)
+    return _green(*_oscillator(0.0, t), 0j, "free Green function")(X, Z, phase)
 
 
 def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
-    """(e^{it}, i e^{it}, beta) of a unit-frequency profile, beta by the
-    drive quadrature of beta_shift on a grid of step ~_DEFAULT_STEP from 0
-    to t (t < 0 too, but finite: the callers check it); omega_sq, sampled
-    there, must be 1 (else ValueError, or EvaluationError where it is not
-    finite)."""
-    n = max(2, 2 * max(1, round(abs(t) / (2.0 * _DEFAULT_STEP))))
-    s = np.linspace(0.0, t, n + 1)
+    """(e^{it}, i e^{it}, beta) of a unit-frequency profile: the closed-form
+    flow of flow_at at omega = 1, for any finite t (the callers check it),
+    on the drive grid of step ~_DEFAULT_STEP from 0 to t, whose size
+    MAX_STEPS bounds (ValueError).  omega_sq, sampled there, must be 1
+    (else ValueError, or EvaluationError where it is not finite)."""
+    s = _drive_grid(t, _DEFAULT_STEP)
     off = np.abs(_on_grid(profile.omega_sq, s, "omega_sq") - 1.0)
     if not np.all(off <= _UNIT_TOL):
         raise ValueError("driven closed forms assume the unit-frequency oscillator "
                          f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
-    e_is = np.empty(n + 1, dtype=complex)
-    e_is.real, e_is.imag = np.cos(s), np.sin(s)
-    eps = cmath.exp(1j * t)
-    return eps, 1j * eps, complex(-1j / _SQRT2 * _drive_integral(s, e_is, profile.force, t / n))
+    return _exact_flow(1.0, profile.force, s)
 
 
 def green_driven(

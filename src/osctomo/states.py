@@ -305,16 +305,26 @@ def coherent_wavefunction(alpha, eps, eps_dot, beta, x):
     with gamma = alpha - beta and the free global phase fixed to zero.
     The tomogram and density matrix built from psi are blind to that
     choice.  A non-finite alpha, eps, eps_dot or beta raises ValueError
-    naming it.
+    naming it.  An eps whose |eps|^2 overflows, or a finite x where psi
+    does (x^2 past the double range among them), raises EvaluationError
+    naming it, the first such x of an array in C order, with no
+    RuntimeWarning; x is not checked otherwise, so a NaN in it gives NaN.
     """
     alpha, eps, eps_dot, beta = _finite(alpha=alpha, eps=eps, eps_dot=eps_dot, beta=beta)
     eps, eps_dot = complex(eps), complex(eps_dot)
     if abs(eps) < _R_TOL:
         raise DegenerateFrameError("eps = 0; wavefunction gauge is degenerate")
+    if abs(eps) > _SQRT_MAX:
+        raise EvaluationError(f"eps = {eps!r}: |eps|^2 overflows double precision")
     gamma = complex(alpha) - complex(beta)
     ae2 = abs(eps) ** 2
     real_comb = 2.0 * (gamma * eps.conjugate()).real  # gamma eps* + gamma* eps
     prefactor = (np.pi * ae2) ** -0.25 * math.exp(-(real_comb**2) / (4.0 * ae2))
     x = np.asarray(_float("x", x), dtype=float)
-    out = prefactor * np.exp(0.5j * x * x * eps_dot / eps + _SQRT2 * gamma * x / eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        out = prefactor * np.exp(0.5j * x * x * eps_dot / eps + _SQRT2 * gamma * x / eps)
+    overflowed = np.isfinite(x) & ~np.isfinite(out)
+    if np.count_nonzero(overflowed):
+        _raise_first(EvaluationError, "coherent wavefunction overflows double precision at x = {:g}",
+                     overflowed, x)
     return out if out.ndim else complex(out)

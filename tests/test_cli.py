@@ -170,12 +170,35 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err.startswith("usage error:") and "MAX_STEPS" in err
 
-    def test_overflowing_flow_exits_2(self, capsys):
+    def test_overflowing_flow_exits_2(self, capsys, tmp_path):
+        # omega_sq = 1e300 overflows the RK4 steps to NaN; a table profile is solved by RK4
+        table = tmp_path / "huge.txt"
+        table.write_text("0 1e300\n5 1e300\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning may escape either
-            code, out, err = run(["eval", "epsilon", "profile=constant:1e150", "t=1"], capsys)
+            code, out, err = run(["eval", "epsilon", f"profile=table:{table}", "t=1"], capsys)
         assert (code, out) == (2, "")
         assert "Wronskian drift nan" in err
+
+    def test_large_constant_frequency_takes_the_exact_flow(self, capsys):
+        # cos 1e150 + 1j sin(1e150) / 1e150, where the RK4 product overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", "epsilon", "profile=constant:1e150", "t=1"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "-0.723207235222+6.90631084532e-151j -6.90631084532e+149-0.723207235222j\n"
+
+    def test_constant_flow_is_the_closed_form_to_12_digits(self, capsys):
+        # cos 20 = 0.408082061813392..., which RK4 at step 1e-3 rounds to ...814
+        code, out, _ = run(["eval", "epsilon", "profile=constant:1", "t=20"], capsys)
+        assert (code, out) == (0, "0.408082061813+0.912945250728j -0.912945250728+0.408082061813j\n")
+
+    def test_driven_forms_beyond_max_steps_are_usage_errors(self, capsys):
+        # 1e10 drive-quadrature nodes would be ~75 GiB; the check comes first
+        for op in (["green_driven", "X=0.1", "Z=0.2"], ["quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2"]):
+            code, out, err = run(["eval", *op, "profile=constant:1", "t=1e7"], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error:") and "MAX_STEPS" in err
 
     @pytest.mark.parametrize("n, y", [("3", "1e200"), ("200", "30")])
     def test_overflowing_hermite_exits_2(self, capsys, n, y):
@@ -360,12 +383,16 @@ class TestEvalChecks:
         with_i = run(["eval", *args, "alpha=0.7+0.3i"], capsys)
         assert with_i[0] == 0 and with_i == run(["eval", *args, "alpha=0.7+0.3j"], capsys)
 
-    def test_frame_map_accepts_the_flow_epsilon_accepts(self, capsys):
-        # det Lambda is off 1 by ~7e-10 here: inside DET_TOL, so the map is computed
-        args = ["profile=constant:8", "t=200"]
+    def test_frame_map_accepts_the_flow_epsilon_accepts(self, capsys, tmp_path):
+        # the RK4 flow of omega = 8 (a table profile, so not the closed form) has
+        # det Lambda off 1 by ~7e-10 at t = 200: inside DET_TOL, so the map is computed
+        table = tmp_path / "omega8.txt"
+        table.write_text("0 64\n250 64\n")
+        args = [f"profile=table:{table}", "t=200"]
         assert run(["eval", "epsilon", *args], capsys)[0] == 0
         code, out, err = run(["eval", "frame_map", *args, "X=0.3", "mu=1", "nu=0.5"], capsys)
-        prop = ClassicalPropagator.from_profile(DriveProfile.constant(8.0), 200.0)
+        prop = ClassicalPropagator.from_profile(DriveProfile.custom(lambda t: 64.0), 200.0)
+        assert 1e-10 < abs(prop.inv.det - 1.0) < 1e-8
         assert (code, err) == (0, "")
         assert out == " ".join(map(cli._fmt, prop.frame_map(0.3, 1.0, 0.5))) + "\n"
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import re
@@ -500,6 +501,106 @@ class TestFlowAt:
             assert flow_at(profile, t) == flow_at(profile, t, min(1e-3, t))
 
 
+def exact_profile(omega, forced):
+    """DriveProfile.constant(omega), with the force cos(1.3 s) + 0.2 if forced."""
+    return DriveProfile.constant(omega, (lambda s: np.cos(1.3 * s) + 0.2) if forced else None)
+
+
+class TestExactFlow:
+    """Constant and free profiles take the closed-form flow; every other
+    profile is solved by RK4, which the closed form must agree with."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.0, 3.0), t=st.floats(0.0, 20.0), forced=st.booleans())
+    def test_matches_the_rk4_flow(self, omega, t, forced):
+        profile = exact_profile(omega, forced)
+        eps, eps_dot, beta = flow_at(profile, t)
+        if t == 0.0:
+            assert (eps, eps_dot, beta) == (1.0, 1j, 0.0)
+            return
+        # the same profile, unmarked, goes through the RK4 solve
+        traj = solve_epsilon(DriveProfile.custom(profile.omega_sq, profile.force), t, min(1e-3, t))
+        rk4_eps, rk4_eps_dot = traj(t)
+        rk4_beta = beta_shift(traj, t)
+        for got, want in ((eps, rk4_eps), (eps_dot, rk4_eps_dot), (beta, rk4_beta)):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.0, 3.0), t=st.floats(0.0, 20.0))
+    def test_wronskian_is_one_to_roundoff(self, omega, t):
+        eps, eps_dot, _ = flow_at(DriveProfile.constant(omega), t)
+        assert abs((eps.conjugate() * eps_dot).imag - 1.0) <= 2e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.0, 3.0), t=st.floats(0.0, 20.0), forced=st.booleans())
+    def test_sign_of_omega_and_free_motion_bit_for_bit(self, omega, t, forced):
+        flow = repr(flow_at(exact_profile(omega, forced), t))
+        assert repr(flow_at(exact_profile(-omega, forced), t)) == flow
+        force = exact_profile(0.0, forced).force
+        assert repr(flow_at(DriveProfile.constant(0.0, force), t)) == repr(flow_at(DriveProfile.free(force), t))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=st.floats(0.0, 20.0, exclude_min=True))
+    def test_unit_frequency_is_the_complex_exponential(self, t):
+        assert flow_at(DriveProfile.constant(1.0), t)[:2] == (cmath.exp(1j * t), 1j * cmath.exp(1j * t))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.0, 3.0), t=st.floats(0.0, 20.0), step=st.floats(1e-4, 1.0))
+    def test_force_sampled_only_within_zero_to_t(self, omega, t, step):
+        sampled = []
+
+        def force(s):
+            sampled.append(np.atleast_1d(s))
+            return np.sin(s) + 0.5
+
+        flow_at(DriveProfile.constant(omega, force), t, min(step, t) or None)
+        nodes = np.concatenate(sampled) if sampled else np.empty(0)
+        assert np.all((nodes >= 0.0) & (nodes <= t))
+        assert (nodes.size > 0) == (t > 0.0)
+
+    def test_no_rk4_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_epsilon called")
+
+        monkeypatch.setattr(dynamics, "solve_epsilon", refuse)
+        for profile in (DriveProfile.constant(1.7, math.cos), DriveProfile.free()):
+            assert flow_at(profile, 20.0) == flow_at(profile, 20.0)
+        with pytest.raises(AssertionError, match="solve_epsilon called"):
+            flow_at(DriveProfile.custom(lambda t: 1.0), 1.0)
+
+    def test_step_bound_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for t, step in ((1e7, None), (1.0, 1e-300)):
+                with pytest.raises(ValueError, match="MAX_STEPS"):
+                    flow_at(DriveProfile.constant(1.0, math.cos), t, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
+    def test_overflowing_phase_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="omega t of the flow overflows"):
+                flow_at(DriveProfile.constant(1e154), 1e300, 1e300)
+
+    def test_large_finite_frequency(self):
+        # the RK4 product overflows here (WronskianDriftError); the closed form does not
+        eps, eps_dot, beta = flow_at(DriveProfile.constant(1e150), 1.0)
+        assert (eps, eps_dot, beta) == (complex(math.cos(1e150), math.sin(1e150) / 1e150),
+                                        complex(-1e150 * math.sin(1e150), math.cos(1e150)), 0.0)
+
+    def test_records_omega_privately(self):
+        profile = DriveProfile.constant(-2.0)
+        assert profile._omega == 2.0 and DriveProfile.free()._omega == 0.0
+        assert "_omega" not in repr(profile)
+        assert DriveProfile.custom(lambda t: 4.0)._omega is None
+        assert DriveProfile.parametric_resonance(0.1)._omega is None
+        with pytest.raises(TypeError):
+            DriveProfile(lambda t: 1.0, lambda t: 0.0, 1.0)
+
+
 class TestParametricResonance:
     def test_t_zero(self):
         eps, _ = parametric_resonance_epsilon(0.3, 0.0)
@@ -802,6 +903,18 @@ class TestNumberRule:
         assert repr(QuadratureSpec(mu_max=12).mu_max) == "12.0"
         assert repr(LinearInvariant(np.eye(2), np.zeros(2), 3).t) == "3.0"
         assert solve_epsilon(UNIT, 2, 0.001).eps.tobytes() == solve_epsilon(UNIT, 2.0, 0.001).eps.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("coherent_wavefunction(eps)", r"eps = \(1e\+200\+0j\): \|eps\|\^2 overflows"),
+         ("coherent_wavefunction(x)", r"overflows double precision at x = 1e\+200$")],
+    )
+    def test_a_finite_value_whose_intermediate_overflows_is_named(self, entry, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            for value in (1e200, 10**200):
+                with pytest.raises(EvaluationError, match=message):
+                    ENTRY_POINTS[entry](value)
 
     def test_one_definition(self):
         assert states._float is dynamics._float

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,6 +352,20 @@ class TestGreenFunctions:
             green_driven(0.0, 0.0, 1.0, DriveProfile.parametric_resonance(0.01))
         with pytest.raises(ValueError):
             green_driven(0.0, 0.0, 1.0, DriveProfile.constant(2.0))
+
+    @pytest.mark.parametrize("t", [1e7, -1e7, 1e200])
+    def test_driven_forms_beyond_max_steps_raise_before_allocating(self, t):
+        # t = 1e7 would ask for 10^10 drive-quadrature nodes (~75 GiB each array)
+        profile = DriveProfile.constant(1.0, math.cos)
+        tracemalloc.start()
+        try:
+            for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
+                with pytest.raises(ValueError, match="MAX_STEPS"):
+                    kernel(0.1, 0.2, t, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_driven_non_finite_time_named(self, t):
