@@ -23,18 +23,16 @@ The seeded initial conditions fix the Wronskian
 for all times, and that conservation law is the one solution-quality
 invariant monitored during integration.
 
-:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0:
-the classical flow every tomogram, invariant and propagator downstream is
-evaluated from.  Profiles made by :meth:`DriveProfile.constant` and
-:meth:`DriveProfile.free` take the closed form above, from one helper
-that the propagators' Green functions share; every other profile is
-integrated by the fixed-step RK4 of :func:`solve_epsilon`, and only those
-integrations are Wronskian-checked.  Both routes take beta by one Simpson
-rule of the drive, on at most MAX_STEPS steps.  flow_at owns the flow's
-input rule (t finite and >= 0, 0 < step <= t) and raises ValueError for
-input that breaks it.  Every
-profile callable is sampled on a grid through one helper, which raises
-EvaluationError on a non-finite omega_sq or force.
+:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0,
+the classical flow every view downstream is evaluated from; one private
+function assembles it for flow_at and the four Green functions alike.
+Constant and free profiles take the closed form above; every other profile
+is integrated (and Wronskian-checked) by the RK4 of :func:`solve_epsilon`.
+beta is one Simpson rule of the drive on at most MAX_STEPS steps, and
+exactly 0, with no grid, for the zero force.  flow_at owns the flow's
+input rule (t finite and >= 0, 0 < step <= t, at most MAX_STEPS steps).
+Every profile callable is sampled on a grid through one helper, which
+raises EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
 :func:`_integer`: a whole number (3.0 counts as 3), else ValueError.
 Every real or complex scalar argument of a public entry point passes one
@@ -295,10 +293,8 @@ def _check_steps(span: float, step: float) -> None:
     """ValueError if span / step rounds to more than MAX_STEPS steps: the one
     step bound of the flow's grids, checked before any grid is allocated."""
     if span / step > MAX_STEPS + 0.5:  # round(span / step) > MAX_STEPS
-        raise ValueError(
-            f"t_end / step = {span / step:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}; "
-            "use a shorter t_end or a larger step"
-        )
+        raise ValueError(f"a span of {span:.12g} at step {step:.12g} is {span / step:.7g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
 
 
 def _on_grid(fn: Callable, t: np.ndarray, name: str = "profile value") -> np.ndarray:
@@ -564,13 +560,14 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
 
 
 def _flow_step(t: float, step: float | None) -> float:
-    """The ODE step of the flow over [0, t]: see :func:`flow_at` (_DEFAULT_STEP at t = 0)."""
+    """The ODE step of the flow over [0, t] within MAX_STEPS: see :func:`flow_at`."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
     if step is None:
-        return min(_DEFAULT_STEP, t) or _DEFAULT_STEP
-    if not (step > 0.0 and (t == 0.0 or step <= t)):
+        step = min(_DEFAULT_STEP, t) or _DEFAULT_STEP
+    elif not (step > 0.0 and (t == 0.0 or step <= t)):
         raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
+    _check_steps(t, step)
     return step
 
 
@@ -585,25 +582,21 @@ def flow_at(
         eps = cos wt + 1j sin(wt) / w,   eps_dot = -w sin wt + 1j cos wt
 
     (1 + 1j t and 1j at w = 0), and beta by Simpson's rule on that eps over
-    2 max(1, round(t / 2 step)) uniform steps from 0 to t; an overflowing
-    w t raises EvaluationError.  Every other profile is solved by RK4
-    (:func:`solve_epsilon`) from 0 up to t, eps and eps_dot interpolated at
-    t and the drive shift integrated by :func:`beta_shift`.  t must be
-    finite and >= 0, and a given step 0 < step <= t, any step > 0 at
-    t = 0 (ValueError); the default step is min(1e-3, t), and either way
-    t / step may round to at most MAX_STEPS steps (ValueError).  At t = 0
-    the seeded initial data (1, 1j, 0) is returned without solving.  A
+    2 max(1, round(t / 2 step)) uniform steps from 0 to t, or exactly 0 with
+    no grid for the zero force; an overflowing w t raises EvaluationError.
+    Every other profile is solved by RK4 (:func:`solve_epsilon`) from 0 up
+    to t, and beta integrated by :func:`beta_shift`.  The Green functions
+    read the same flow.  t must be finite and >= 0, and a given step
+    0 < step <= t, any step > 0 at t = 0 (ValueError); the default step is
+    min(1e-3, t), and t / step may round to at most MAX_STEPS steps
+    (ValueError).  At t = 0 the seeded (1, 1j, 0) is returned unsolved.  A
     non-finite profile sample or drive integral raises EvaluationError.
     """
     t = _float("t", t)
     step = _flow_step(t, _float("step", step))
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    if profile._omega is not None:
-        return _exact_flow(profile._omega, profile.force, _drive_grid(t, step))
-    traj = solve_epsilon(profile, t, step)
-    eps, eps_dot = traj(t)
-    return eps, eps_dot, beta_shift(traj, t)
+    return _flow_of(profile, t, step)
 
 
 def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):
@@ -626,17 +619,22 @@ def _drive_grid(t: float, step: float) -> np.ndarray:
     return np.linspace(0.0, t, 2 * max(1, round(abs(t) / (2.0 * step))) + 1)
 
 
-def _exact_flow(omega: float, force: Callable, s: np.ndarray) -> tuple[complex, complex, complex]:
-    """(eps, eps_dot, beta) of the constant frequency omega >= 0 at t = s[-1],
-    beta = -(1j / sqrt 2) integral eps f over the nodes s of
-    :func:`_drive_grid`, f sampled there only.  An omega t that overflows
-    raises EvaluationError."""
-    t = float(s[-1])
+def _flow_of(profile: DriveProfile, t: float, step: float = _DEFAULT_STEP) -> tuple[complex, complex, complex]:
+    """(eps, eps_dot, beta) of profile at t, the package's one assembly of the
+    flow: a constant or free profile's closed form at any real t, beta on
+    :func:`_drive_grid` (exactly 0, with no grid, for the zero force); RK4
+    for every other profile, t > 0 only.  See :func:`flow_at`."""
+    omega = profile._omega
+    if omega is None:
+        traj = solve_epsilon(profile, t, step)
+        return *traj(t), beta_shift(traj, t)
     if not math.isfinite(omega * t):
         raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
-    eps, eps_dot = _oscillator(omega, t)
-    total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], force, t / (len(s) - 1))
-    return eps, eps_dot, complex(-1j / math.sqrt(2.0) * total)
+    total = 0j
+    if profile.force is not _zero_force:
+        s = _drive_grid(t, step)
+        total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
+    return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
 
 
 def parametric_resonance_epsilon(k: float, t):

@@ -35,14 +35,13 @@ conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
     G(X, Z, t) = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
                                           + (m12 dp - m22 dq) X + dq Z ] / m12 }.
 
-The flow is the closed form that flow_at takes for constant frequency,
-one formula (dynamics._oscillator) for every kernel here: green_sho and
-green_free evaluate it at omega = 1 and 0, (e^{it}, i e^{it}, 0) and
-(1 + it, i, 0); green_driven and quantum_propagator, the driven unit
-oscillator, at (e^{it}, i e^{it}, beta) with beta = -(1j/sqrt 2) integral
-of e^{is} f(s) over [0, t], by the one Simpson rule of the drive on the
-grid of step ~1e-3 that flow_at uses; a |t| / 1e-3 past MAX_STEPS raises
-ValueError before that grid is allocated.  The density-matrix propagator
+Every kernel reads its flow from the one function flow_at reads, closed
+form at any real t: green_sho and green_free on the unforced constant(1)
+and free profiles, (e^{it}, i e^{it}, 0) and (1 + it, i, 0), beta exactly 0
+with no grid; green_driven and quantum_propagator check omega_sq = 1, then
+read constant(1, f), beta = -(1j/sqrt 2) integral of e^{is} f(s) over
+[0, t] on flow_at's drive grid of step ~1e-3, after that grid's MAX_STEPS
+check (ValueError), forced or not.  The density-matrix propagator
 K = G(X,Z) conj(G(X',Z')) is independent of the phase convention.  Focal
 points (m12 = 0) raise CausticError; a non-finite argument raises
 ValueError naming it, and a finite (X, Z) whose phase overflows raises
@@ -62,11 +61,11 @@ import numpy as np
 from .dynamics import (
     _DEFAULT_STEP,
     DriveProfile,
+    _check_steps,
     _drive_grid,
-    _exact_flow,
     _float,
+    _flow_of,
     _on_grid,
-    _oscillator,
     _raise_first,
     flow_at,
 )
@@ -91,6 +90,7 @@ CAUSTIC_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
 _UNIT_TOL = 1e-12  # largest |omega_sq - 1| the driven closed forms accept
+_UNIT, _FREE = DriveProfile.constant(1.0), DriveProfile.free()  # the unforced kernels' profiles
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_oscillator(1.0, t), 0j, "oscillator Green function")(X, Z, phase)
+    return _green(*_flow_of(_UNIT, t), "oscillator Green function")(X, Z, phase)
 
 
 def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
@@ -258,21 +258,22 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_oscillator(0.0, t), 0j, "free Green function")(X, Z, phase)
+    return _green(*_flow_of(_FREE, t), "free Green function")(X, Z, phase)
 
 
-def _unit_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
-    """(e^{it}, i e^{it}, beta) of a unit-frequency profile: the closed-form
-    flow of flow_at at omega = 1, for any finite t (the callers check it),
-    on the drive grid of step ~_DEFAULT_STEP from 0 to t, whose size
-    MAX_STEPS bounds (ValueError).  omega_sq, sampled there, must be 1
-    (else ValueError, or EvaluationError where it is not finite)."""
-    s = _drive_grid(t, _DEFAULT_STEP)
-    off = np.abs(_on_grid(profile.omega_sq, s, "omega_sq") - 1.0)
+def _unit_profile(profile: DriveProfile, t: float) -> DriveProfile:
+    """DriveProfile.constant(1.0, profile.force) once the driven forms' unit
+    rule holds: |t| / _DEFAULT_STEP within MAX_STEPS, and omega_sq = 1 to
+    _UNIT_TOL, read from a constant or free profile's omega, else sampled on
+    the drive grid from 0 to t (ValueError; EvaluationError if not finite)."""
+    _check_steps(abs(t), _DEFAULT_STEP)
+    omega = profile._omega
+    w2 = _on_grid(profile.omega_sq, _drive_grid(t, _DEFAULT_STEP), "omega_sq") if omega is None else omega**2
+    off = np.abs(w2 - 1.0)
     if not np.all(off <= _UNIT_TOL):
         raise ValueError("driven closed forms assume the unit-frequency oscillator "
                          f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
-    return _exact_flow(1.0, profile.force, s)
+    return DriveProfile.constant(1.0, profile.force)
 
 
 def green_driven(
@@ -284,7 +285,7 @@ def green_driven(
     is force-independent.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_unit_flow(profile, t), "driven Green function")(X, Z, phase)
+    return _green(*_flow_of(_unit_profile(profile, t), t), "driven Green function")(X, Z, phase)
 
 
 def quantum_propagator(
@@ -297,7 +298,7 @@ def quantum_propagator(
     have omega_sq = 1, as for :func:`green_driven`.
     """
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
-    green = _green(*_unit_flow(profile, t), "quantum propagator")
+    green = _green(*_flow_of(_unit_profile(profile, t), t), "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 

@@ -193,6 +193,12 @@ class TestEval:
         code, out, _ = run(["eval", "epsilon", "profile=constant:1", "t=20"], capsys)
         assert (code, out) == (0, "0.408082061813+0.912945250728j -0.912945250728+0.408082061813j\n")
 
+    def test_unforced_closed_forms_take_no_drive_grid(self, capsys):
+        # beta of the zero force is exactly 0, and green_sho keeps no step bound at large |t|
+        assert run(["eval", "beta", "profile=free", "t=20"], capsys) == (0, "0-0j\n", "")
+        out = "0.612014671945-0.0623280472411j\n"
+        assert run(["eval", "green_sho", "X=0.1", "Z=0.2", "t=1e7"], capsys) == (0, out, "")
+
     def test_driven_forms_beyond_max_steps_are_usage_errors(self, capsys):
         # 1e10 drive-quadrature nodes would be ~75 GiB; the check comes first
         for op in (["green_driven", "X=0.1", "Z=0.2"], ["quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2"]):

@@ -568,12 +568,30 @@ class TestExactFlow:
         with pytest.raises(AssertionError, match="solve_epsilon called"):
             flow_at(DriveProfile.custom(lambda t: 1.0), 1.0)
 
+    def test_unforced_flow_builds_no_drive_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_drive_grid called")
+
+        monkeypatch.setattr(dynamics, "_drive_grid", refuse)
+        for profile in (DriveProfile.constant(1.3), DriveProfile.constant(1.0), DriveProfile.free()):
+            for t in (1e-4, 0.37, 20.0):
+                beta = flow_at(profile, t)[2]
+                assert repr(beta) == repr(complex(0.0, -0.0))
+        with pytest.raises(AssertionError, match="_drive_grid called"):
+            flow_at(DriveProfile.constant(1.3, math.cos), 1.0)
+
+    def test_step_bound_message_names_no_t_end(self):
+        with pytest.raises(ValueError, match=f"MAX_STEPS = {dynamics.MAX_STEPS}$") as err:
+            flow_at(DriveProfile.free(), 1e7)
+        assert "t_end" not in str(err.value)
+
     def test_step_bound_before_allocating(self):
         tracemalloc.start()
         try:
-            for t, step in ((1e7, None), (1.0, 1e-300)):
-                with pytest.raises(ValueError, match="MAX_STEPS"):
-                    flow_at(DriveProfile.constant(1.0, math.cos), t, step)
+            for profile in (DriveProfile.constant(1.0, math.cos), DriveProfile.free()):
+                for t, step in ((1e7, None), (1.0, 1e-300)):
+                    with pytest.raises(ValueError, match="MAX_STEPS"):
+                        flow_at(profile, t, step)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

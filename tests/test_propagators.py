@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import SQRT2, classical_profiles, driven_state
@@ -367,6 +367,33 @@ class TestGreenFunctions:
             tracemalloc.stop()
         assert peak < 1 << 18
 
+    def test_step_bound_message_names_no_t_end(self):
+        # the driven forms' step is fixed, so the message names only the span and the step
+        for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
+            for profile in (DriveProfile.constant(1.0), DriveProfile.custom(lambda s: 1.0, math.cos)):
+                with pytest.raises(ValueError, match="MAX_STEPS = 2000000$") as err:
+                    kernel(0.1, 0.2, 1e7, profile)
+                assert "t_end" not in str(err.value) and "step 0.001" in str(err.value)
+
+    def test_one_drive_grid_per_call(self, monkeypatch):
+        from osctomo import dynamics, propagators
+
+        calls = []
+        for module in (dynamics, propagators):
+            grid = module._drive_grid
+            monkeypatch.setattr(module, "_drive_grid", lambda t, step, grid=grid: calls.append(t) or grid(t, step))
+        # the unit rule samples a custom profile on a grid; the flow builds one for a force
+        cases = [(DriveProfile.constant(1.0, math.cos), 1), (DriveProfile.constant(1.0), 0),
+                 (DriveProfile.custom(lambda s: 1.0), 1), (DriveProfile.custom(lambda s: 1.0, math.cos), 2)]
+        for profile, grids in cases:
+            calls.clear()
+            green_driven(0.3, -0.4, 2.0, profile)
+            assert len(calls) == grids
+        calls.clear()
+        green_sho(0.3, -0.4, 1e7)
+        green_free(0.3, -0.4, -1e7)
+        assert calls == []
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_driven_non_finite_time_named(self, t):
         for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
@@ -433,6 +460,8 @@ class TestGreenProperties:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(X=points, Z=points, t=st.floats(-20.0, 20.0), phase=phases)
+    @example(X=0.3, Z=-1.4, t=1e7, phase=0.2)
+    @example(X=-2.1, Z=0.8, t=-1e7, phase=-0.6)
     def test_sho_matches_seed_closed_form(self, X, Z, t, phase):
         assume(abs(math.sin(t)) >= 0.1)
         seed = seed_green_sho(X, Z, t, phase)
@@ -440,6 +469,8 @@ class TestGreenProperties:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(X=points, Z=points, t=st.floats(-20.0, 20.0), phase=phases)
+    @example(X=0.3, Z=-1.4, t=1e7, phase=0.2)
+    @example(X=-2.1, Z=0.8, t=-1e7, phase=-0.6)
     def test_free_matches_seed_closed_form(self, X, Z, t, phase):
         assume(abs(t) >= 0.1)
         seed = seed_green_free(X, Z, t, phase)
@@ -462,6 +493,17 @@ class TestGreenProperties:
         profile = DriveProfile.constant(1.0, force)
         k = quantum_propagator(X, Xp, Z, Zp, t, profile)
         assert abs(quantum_propagator(X, Xp, Z, Zp, t, profile, phase) - k) <= 1e-12 * abs(k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(force=unit_forces(), t=st.floats(0.0, 20.0, exclude_min=True), X=points, Z=points,
+           phase=phases)
+    def test_driven_is_the_kernel_of_flow_at(self, force, t, X, Z, phase):
+        from osctomo.propagators import _green
+
+        assume(abs(math.sin(t)) >= 0.1)
+        profile = DriveProfile.constant(1.0, force)
+        kernel = _green(*flow_at(profile, t), "driven Green function")
+        assert green_driven(X, Z, t, profile, phase) == kernel(X, Z, phase)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(force=unit_forces(), t=st.floats(0.1, 6.0), X=points, Z=points)
