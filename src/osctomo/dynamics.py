@@ -92,6 +92,11 @@ def _zero_force(t: float) -> float:
     return 0.0
 
 
+# beta of the zero force, -(1j / sqrt 2) times an integral of 0j: 0-0j, as
+# beta_shift's Simpson sum of zeros gives it
+_NO_SHIFT = complex(-1j / math.sqrt(2.0) * 0j)
+
+
 @dataclass(frozen=True)
 class DriveProfile:
     """Time dependence of the Hamiltonian H = p^2/2 + omega^2(t) q^2/2 - f(t) q.
@@ -582,10 +587,11 @@ def flow_at(
         eps = cos wt + 1j sin(wt) / w,   eps_dot = -w sin wt + 1j cos wt
 
     (1 + 1j t and 1j at w = 0), and beta by Simpson's rule on that eps over
-    2 max(1, round(t / 2 step)) uniform steps from 0 to t, or exactly 0 with
-    no grid for the zero force; an overflowing w t raises EvaluationError.
-    Every other profile is solved by RK4 (:func:`solve_epsilon`) from 0 up
-    to t, and beta integrated by :func:`beta_shift`.  The Green functions
+    2 max(1, round(t / 2 step)) uniform steps from 0 to t; an overflowing
+    w t raises EvaluationError.  Every other profile is solved by RK4
+    (:func:`solve_epsilon`) from 0 up to t, and beta integrated by
+    :func:`beta_shift`.  For the zero force beta is exactly 0 (0-0j), with
+    no drive grid, whatever the profile.  The Green functions
     read the same flow.  t must be finite and >= 0, and a given step
     0 < step <= t, any step > 0 at t = 0 (ValueError); the default step is
     min(1e-3, t), and t / step may round to at most MAX_STEPS steps
@@ -619,21 +625,25 @@ def _drive_grid(t: float, step: float) -> np.ndarray:
     return np.linspace(0.0, t, 2 * max(1, round(abs(t) / (2.0 * step))) + 1)
 
 
-def _flow_of(profile: DriveProfile, t: float, step: float = _DEFAULT_STEP) -> tuple[complex, complex, complex]:
+def _flow_of(
+    profile: DriveProfile, t: float, step: float = _DEFAULT_STEP, *, grid: np.ndarray | None = None
+) -> tuple[complex, complex, complex]:
     """(eps, eps_dot, beta) of profile at t, the package's one assembly of the
     flow: a constant or free profile's closed form at any real t, beta on
-    :func:`_drive_grid` (exactly 0, with no grid, for the zero force); RK4
-    for every other profile, t > 0 only.  See :func:`flow_at`."""
+    :func:`_drive_grid` (``grid``, if the caller built it already); RK4 for
+    every other profile, t > 0 only, beta by :func:`beta_shift`.  The zero
+    force gives beta exactly 0, 0-0j, with no grid.  See :func:`flow_at`."""
     omega = profile._omega
+    unforced = profile.force is _zero_force
     if omega is None:
         traj = solve_epsilon(profile, t, step)
-        return *traj(t), beta_shift(traj, t)
+        return *traj(t), _NO_SHIFT if unforced else beta_shift(traj, t)
     if not math.isfinite(omega * t):
         raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
-    total = 0j
-    if profile.force is not _zero_force:
-        s = _drive_grid(t, step)
-        total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
+    if unforced:
+        return *_oscillator(omega, t), _NO_SHIFT
+    s = _drive_grid(t, step) if grid is None else grid
+    total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
     return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
 
 

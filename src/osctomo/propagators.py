@@ -41,11 +41,12 @@ and free profiles, (e^{it}, i e^{it}, 0) and (1 + it, i, 0), beta exactly 0
 with no grid; green_driven and quantum_propagator check omega_sq = 1, then
 read constant(1, f), beta = -(1j/sqrt 2) integral of e^{is} f(s) over
 [0, t] on flow_at's drive grid of step ~1e-3, after that grid's MAX_STEPS
-check (ValueError), forced or not.  The density-matrix propagator
-K = G(X,Z) conj(G(X',Z')) is independent of the phase convention.  Focal
-points (m12 = 0) raise CausticError; a non-finite argument raises
-ValueError naming it, and a finite (X, Z) whose phase overflows raises
-EvaluationError naming X and Z.  The Green functions take floats.
+check (ValueError), forced or not; a profile whose omega_sq the check
+samples lends it that grid, so a call builds at most one.  The
+density-matrix propagator K = G(X,Z) conj(G(X',Z')) is independent of the
+phase convention.  Focal points (m12 = 0) raise CausticError; a non-finite
+argument raises ValueError naming it, and a finite (X, Z) whose phase
+overflows raises EvaluationError naming X and Z.  The Green functions take floats.
 """
 
 from __future__ import annotations
@@ -261,19 +262,25 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     return _green(*_flow_of(_FREE, t), "free Green function")(X, Z, phase)
 
 
-def _unit_profile(profile: DriveProfile, t: float) -> DriveProfile:
-    """DriveProfile.constant(1.0, profile.force) once the driven forms' unit
-    rule holds: |t| / _DEFAULT_STEP within MAX_STEPS, and omega_sq = 1 to
-    _UNIT_TOL, read from a constant or free profile's omega, else sampled on
-    the drive grid from 0 to t (ValueError; EvaluationError if not finite)."""
+def _driven_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
+    """The flow of DriveProfile.constant(1.0, profile.force) at t once the
+    driven forms' unit rule holds: |t| / _DEFAULT_STEP within MAX_STEPS, and
+    omega_sq = 1 to _UNIT_TOL, read from a constant or free profile's omega,
+    else sampled on the drive grid from 0 to t (ValueError; EvaluationError
+    if not finite).  A sampled profile's grid is the one the force's
+    integral runs on, so each call builds at most one drive grid."""
     _check_steps(abs(t), _DEFAULT_STEP)
-    omega = profile._omega
-    w2 = _on_grid(profile.omega_sq, _drive_grid(t, _DEFAULT_STEP), "omega_sq") if omega is None else omega**2
+    omega, grid = profile._omega, None
+    if omega is None:
+        grid = _drive_grid(t, _DEFAULT_STEP)
+        w2 = _on_grid(profile.omega_sq, grid, "omega_sq")
+    else:
+        w2 = omega**2
     off = np.abs(w2 - 1.0)
     if not np.all(off <= _UNIT_TOL):
         raise ValueError("driven closed forms assume the unit-frequency oscillator "
                          f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
-    return DriveProfile.constant(1.0, profile.force)
+    return _flow_of(DriveProfile.constant(1.0, profile.force), t, grid=grid)
 
 
 def green_driven(
@@ -285,7 +292,7 @@ def green_driven(
     is force-independent.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_flow_of(_unit_profile(profile, t), t), "driven Green function")(X, Z, phase)
+    return _green(*_driven_flow(profile, t), "driven Green function")(X, Z, phase)
 
 
 def quantum_propagator(
@@ -298,7 +305,7 @@ def quantum_propagator(
     have omega_sq = 1, as for :func:`green_driven`.
     """
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
-    green = _green(*_flow_of(_unit_profile(profile, t), t), "quantum propagator")
+    green = _green(*_driven_flow(profile, t), "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 

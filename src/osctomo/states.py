@@ -207,11 +207,20 @@ def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
 
     In the scaled variables (y, z) = (k mu, k nu) the quadratic part of
     the exponent at t = 0 reads -(y^2 + z^2)/4, i.e. the Gaussian ansatz
-    coefficients are c = d = -1/4 with no cross term.
+    coefficients are c = d = -1/4 with no cross term.  A finite k whose
+    exponent leaves the double range (k^2 past it among them) raises
+    EvaluationError naming it, the first such k of an array in C order,
+    with no RuntimeWarning.
     """
     m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
     k = np.asarray(_float("k", k), dtype=float)
-    out = np.exp(-0.25 * k * k * s - 1j * k * m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        exponent = -0.25 * k * k * s - 1j * k * m
+    overflowed = np.isfinite(k) & ~np.isfinite(exponent)
+    if np.count_nonzero(overflowed):
+        _raise_first(EvaluationError, "coherent characteristic function overflows double precision "
+                     "at k = {:g}", overflowed, k)
+    out = np.exp(exponent)
     return out if out.ndim else complex(out)
 
 
@@ -249,7 +258,9 @@ def annihilation_eigencheck(alpha, eps, eps_dot, beta, mu, nu, k, h) -> complex:
 
     Returns (ladder operator applied to w_k) - sqrt(2) gamma w_k at the
     point (y, z) = (k mu, k nu) with central differences of step h; the
-    exact residual is zero, so the returned value is O(h^2).
+    exact residual is zero, so the returned value is O(h^2).  A k whose
+    w_k overflows raises EvaluationError naming it, as
+    :func:`coherent_mdf_fourier` does.
     """
     k = float(_float("k", k))
     if not (math.isfinite(k) and k != 0.0):

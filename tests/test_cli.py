@@ -196,6 +196,8 @@ class TestEval:
     def test_unforced_closed_forms_take_no_drive_grid(self, capsys):
         # beta of the zero force is exactly 0, and green_sho keeps no step bound at large |t|
         assert run(["eval", "beta", "profile=free", "t=20"], capsys) == (0, "0-0j\n", "")
+        # and so is an RK4 profile's, with no drive grid either
+        assert run(["eval", "beta", "profile=resonance:0.3", "t=5"], capsys) == (0, "0-0j\n", "")
         out = "0.612014671945-0.0623280472411j\n"
         assert run(["eval", "green_sho", "X=0.1", "Z=0.2", "t=1e7"], capsys) == (0, out, "")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from osctomo import (
     ClassicalPropagator,
+    ConsistencyError,
     DensityGrid,
     DriveProfile,
     EvaluationError,
@@ -580,6 +581,21 @@ class TestExactFlow:
         with pytest.raises(AssertionError, match="_drive_grid called"):
             flow_at(DriveProfile.constant(1.3, math.cos), 1.0)
 
+    def test_unforced_rk4_flow_takes_no_drive_integral(self, monkeypatch):
+        # beta_shift's Simpson sum of zero samples is 0.0+0.0j, which -1j / sqrt 2
+        # takes to 0-0j: the same value and the same signed zeros, with no grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("beta_shift called")
+
+        monkeypatch.setattr(dynamics, "beta_shift", refuse)
+        profile = DriveProfile.parametric_resonance(0.3)
+        for t in (1e-4, 0.37, 5.0, 20.0):
+            eps, eps_dot, beta = flow_at(profile, t)
+            assert repr(beta) == repr(complex(0.0, -0.0))
+            assert (eps, eps_dot) == solve_epsilon(profile, t, min(1e-3, t))(t)
+        with pytest.raises(AssertionError, match="beta_shift called"):
+            flow_at(DriveProfile.parametric_resonance(0.3, math.cos), 1.0)
+
     def test_step_bound_message_names_no_t_end(self):
         with pytest.raises(ValueError, match=f"MAX_STEPS = {dynamics.MAX_STEPS}$") as err:
             flow_at(DriveProfile.free(), 1e7)
@@ -923,16 +939,28 @@ class TestNumberRule:
         assert solve_epsilon(UNIT, 2, 0.001).eps.tobytes() == solve_epsilon(UNIT, 2.0, 0.001).eps.tobytes()
 
     @pytest.mark.parametrize(
-        "entry, message",
-        [("coherent_wavefunction(eps)", r"eps = \(1e\+200\+0j\): \|eps\|\^2 overflows"),
-         ("coherent_wavefunction(x)", r"overflows double precision at x = 1e\+200$")],
+        "entry, error, message",
+        [("coherent_wavefunction(eps)", EvaluationError, r"eps = \(1e\+200\+0j\): \|eps\|\^2 overflows"),
+         ("coherent_wavefunction(x)", EvaluationError, r"overflows double precision at x = 1e\+200$"),
+         ("coherent_mdf_fourier(k)", EvaluationError, r"overflows double precision at k = 1e\+200$"),
+         ("annihilation_eigencheck(k)", EvaluationError, r"overflows double precision at k = 1e\+200$"),
+         ("WignerGrid(extent)", ConsistencyError, r"^Wigner normalisation inf deviates from 1")],
     )
-    def test_a_finite_value_whose_intermediate_overflows_is_named(self, entry, message):
+    def test_a_finite_value_whose_intermediate_overflows_is_named(self, entry, error, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning may escape either
             for value in (1e200, 10**200):
-                with pytest.raises(EvaluationError, match=message):
+                with pytest.raises(error, match=message):
                     ENTRY_POINTS[entry](value)
+
+    def test_an_array_names_its_first_k_whose_exponent_overflows(self):
+        k = np.array([[1.0, -3e160], [math.nan, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"at k = -3e\+160$"):
+                coherent_mdf_fourier(k, 0.3, 1.0, 1j, 0.0, 0.6, 0.8)
+            # a NaN k is not checked: it gives NaN, as before
+            assert np.isnan(coherent_mdf_fourier(np.array([math.nan, 2.0]), 0.3, 1.0, 1j, 0.0, 0.6, 0.8)[0])
 
     def test_one_definition(self):
         assert states._float is dynamics._float

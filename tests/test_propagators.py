@@ -382,13 +382,15 @@ class TestGreenFunctions:
         for module in (dynamics, propagators):
             grid = module._drive_grid
             monkeypatch.setattr(module, "_drive_grid", lambda t, step, grid=grid: calls.append(t) or grid(t, step))
-        # the unit rule samples a custom profile on a grid; the flow builds one for a force
+        # the unit rule samples a custom profile on a grid, and the force's integral
+        # runs on that grid; a constant profile's flow builds one for a force only
         cases = [(DriveProfile.constant(1.0, math.cos), 1), (DriveProfile.constant(1.0), 0),
-                 (DriveProfile.custom(lambda s: 1.0), 1), (DriveProfile.custom(lambda s: 1.0, math.cos), 2)]
+                 (DriveProfile.custom(lambda s: 1.0), 1), (DriveProfile.custom(lambda s: 1.0, math.cos), 1)]
         for profile, grids in cases:
-            calls.clear()
-            green_driven(0.3, -0.4, 2.0, profile)
-            assert len(calls) == grids
+            for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
+                calls.clear()
+                kernel(0.3, -0.4, 2.0, profile)
+                assert len(calls) == grids
         calls.clear()
         green_sho(0.3, -0.4, 1e7)
         green_free(0.3, -0.4, -1e7)

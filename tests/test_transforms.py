@@ -942,6 +942,68 @@ class TestMdfFromWigner:
             mdf_from_wigner(grids[i % 2], 0.1 * i, 0.6, 0.8)
         assert len(calls) == 2
 
+    def test_nodes_at_most_half_a_spacing_apart(self, monkeypatch):
+        import scipy.ndimage
+
+        coordinates = []
+
+        def recording_map_coordinates(values, coords, *args, **kwargs):
+            coordinates.append(np.array(coords))
+            return map_coordinates(values, coords, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.ndimage, "map_coordinates", recording_map_coordinates)
+        q = np.linspace(-6.0, 6.0, 161)
+        grid = WignerGrid(6.0, 2.0 * np.exp(-np.add.outer(q * q, q * q)))
+        rng = np.random.default_rng(5)
+        lines = [(0.0, 1.0, 0.0), (0.3, 0.0, 2.0), (5.9, 0.6, 0.8), (0.0, 1.0, 1.0)]
+        lines += [(rng.uniform(-6.0, 6.0), math.cos(a), math.sin(a)) for a in rng.uniform(0.0, math.pi, 40)]
+        for X, mu, nu in lines:
+            coordinates.clear()
+            mdf_from_wigner(grid, X, mu, nu)
+            assert len(coordinates) == 1  # one spline evaluation per projection
+            coords = coordinates[0]
+            assert coords.ndim == 2 and coords.shape[0] == 2
+            # the nodes run from edge to edge of the sampled square, equally spaced
+            for end in (coords[:, 0], coords[:, -1]):
+                assert min(abs(end).min(), abs(end - (grid.n - 1)).min()) <= 1e-9
+            gaps = np.hypot(*np.diff(coords, axis=1))  # in grid spacings
+            assert gaps.max() <= 0.5 + 1e-12
+            assert gaps.max() - gaps.min() <= 1e-9
+            chord = math.hypot(*(coords[:, -1] - coords[:, 0]))  # in grid spacings
+            assert coords.shape[1] <= max(129, 2 * math.ceil(chord + 1e-9) + 1)
+
+    @pytest.mark.parametrize("n", [81, 101, 201, 401])
+    @pytest.mark.parametrize("state", ["coherent", "coherent_far", "fock1", "fock2"])
+    def test_half_spacing_moves_little_beside_the_spline_error(self, state, n):
+        # nodes a quarter spacing apart change a projection by far less than the
+        # spline's own error against the exact tomogram
+        rng = np.random.default_rng(n)
+        if state.startswith("coherent"):
+            radius = 3.5 if state == "coherent_far" else 3.5 * math.sqrt(rng.uniform())
+            alpha = radius * np.exp(2j * math.pi * rng.uniform())
+            extent, q0, p0 = 10.0, SQRT2 * alpha.real, SQRT2 * alpha.imag
+            axis = np.linspace(-extent, extent, n)
+            values = 2.0 * np.exp(-np.add.outer((axis - q0) ** 2, (axis - p0) ** 2))
+            exact = lambda X, mu, nu: coherent_mdf(alpha, *VACUUM, X, mu, nu)
+        else:
+            m, alpha, extent = int(state[-1]), 0j, 7.0
+            axis = np.linspace(-extent, extent, n)
+            r2 = np.add.outer(axis * axis, axis * axis)
+            laguerre = {1: 1.0 - 2.0 * r2, 2: 1.0 - 4.0 * r2 + 2.0 * r2 * r2}[m]  # L_m(2 r^2)
+            values = 2.0 * (-1) ** m * laguerre * np.exp(-r2)
+            exact = lambda X, mu, nu: fock_mdf(m, *VACUUM, X, mu, nu)
+        grid = WignerGrid(extent, values)
+        moved, spline_error = 0.0, 0.0
+        for _ in range(32):
+            angle, scale = rng.uniform(0.0, math.pi), rng.uniform(0.5, 2.0)
+            mu, nu = scale * math.cos(angle), scale * math.sin(angle)
+            sigma = math.sqrt(variance_X(1.0, 1j, mu, nu))
+            X = mean_X(alpha, *VACUUM, mu, nu) + sigma * rng.uniform(-3.0, 3.0)
+            quarter = direct_projection(grid, X, mu, nu, apart=0.25)
+            moved = max(moved, abs(mdf_from_wigner(grid, X, mu, nu) - quarter))
+            spline_error = max(spline_error, abs(quarter - exact(X, mu, nu)))
+        assert moved <= 0.1 * spline_error
+
     def test_coefficients_read_only(self, vacuum_wigner):
         mdf_from_wigner(vacuum_wigner, 0.3, 0.6, 0.8)
         coefficients = vacuum_wigner._prefiltered
@@ -1023,8 +1085,10 @@ class TestWignerLegProperty:
             assert abs(mdf_from_wigner(wigner, X, mu, nu) - exact) <= 1e-6
 
 
-def direct_projection(W, X, mu, nu):
-    """Radon projection with scipy's own prefilter on every call."""
+def direct_projection(W, X, mu, nu, apart=0.5):
+    """Radon projection with scipy's own prefilter on every call, on nodes at
+    most ``apart`` grid spacings apart: mdf_from_wigner's rule at 0.5, and at
+    0.25 the quarter-spacing rule it replaced, kept as an accuracy reference."""
     s2 = mu * mu + nu * nu
     s = math.sqrt(s2)
     q0, p0, dq, dp = mu * X / s2, nu * X / s2, -nu / s, mu / s
@@ -1033,7 +1097,7 @@ def direct_projection(W, X, mu, nu):
         bounds = [((-W.extent - c) / d, (W.extent - c) / d) for c, d in ((q0, dq), (p0, dp))]
     lo = max(min(b) for b in bounds)
     hi = min(max(b) for b in bounds)
-    tau = np.linspace(lo, hi, max(129, 2 * math.ceil((hi - lo) / (0.5 * W.spacing)) + 1))
+    tau = np.linspace(lo, hi, max(129, 2 * math.ceil((hi - lo) / (2.0 * apart * W.spacing)) + 1))
     rows = (q0 + tau * dq + W.extent) / W.spacing
     cols = (p0 + tau * dp + W.extent) / W.spacing
     vals = map_coordinates(W.values, np.array([rows, cols]), order=3, mode="constant")
