@@ -599,10 +599,7 @@ def flow_at(
     non-finite profile sample or drive integral raises EvaluationError.
     """
     t = _float("t", t)
-    step = _flow_step(t, _float("step", step))
-    if t == 0.0:
-        return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    return _flow_of(profile, t, step)
+    return _flow_of(profile, t, _flow_step(t, _float("step", step)))
 
 
 def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):
@@ -626,23 +623,31 @@ def _drive_grid(t: float, step: float) -> np.ndarray:
 
 
 def _flow_of(
-    profile: DriveProfile, t: float, step: float = _DEFAULT_STEP, *, grid: np.ndarray | None = None
+    profile: DriveProfile, t: float, step: float | None = None
 ) -> tuple[complex, complex, complex]:
     """(eps, eps_dot, beta) of profile at t, the package's one assembly of the
-    flow: a constant or free profile's closed form at any real t, beta on
-    :func:`_drive_grid` (``grid``, if the caller built it already); RK4 for
-    every other profile, t > 0 only, beta by :func:`beta_shift`.  The zero
+    flow: the seeded (1, 1j, 0) at t = 0 for every profile; a constant or
+    free profile's closed form at any real t, beta on :func:`_drive_grid`;
+    RK4 for every other profile, t > 0 only (ValueError naming t), beta by
+    :func:`beta_shift`.  The default step is min(1e-3, |t|).  The zero
     force gives beta exactly 0, 0-0j, with no grid.  See :func:`flow_at`."""
+    if t == 0.0:
+        return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
+    if step is None:
+        step = min(_DEFAULT_STEP, abs(t))
     omega = profile._omega
     unforced = profile.force is _zero_force
     if omega is None:
+        if t < 0.0:
+            raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
+                             "so t must be >= 0")
         traj = solve_epsilon(profile, t, step)
         return *traj(t), _NO_SHIFT if unforced else beta_shift(traj, t)
     if not math.isfinite(omega * t):
         raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
     if unforced:
         return *_oscillator(omega, t), _NO_SHIFT
-    s = _drive_grid(t, step) if grid is None else grid
+    s = _drive_grid(t, step)
     total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
     return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
 

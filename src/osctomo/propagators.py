@@ -35,16 +35,18 @@ conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
     G(X, Z, t) = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
                                           + (m12 dp - m22 dq) X + dq Z ] / m12 }.
 
-Every kernel reads its flow from the one function flow_at reads, closed
-form at any real t: green_sho and green_free on the unforced constant(1)
-and free profiles, (e^{it}, i e^{it}, 0) and (1 + it, i, 0), beta exactly 0
-with no grid; green_driven and quantum_propagator check omega_sq = 1, then
-read constant(1, f), beta = -(1j/sqrt 2) integral of e^{is} f(s) over
-[0, t] on flow_at's drive grid of step ~1e-3, after that grid's MAX_STEPS
-check (ValueError), forced or not; a profile whose omega_sq the check
-samples lends it that grid, so a call builds at most one.  The
-density-matrix propagator K = G(X,Z) conj(G(X',Z')) is independent of the
-phase convention.  Focal points (m12 = 0) raise CausticError; a non-finite
+Every kernel reads its flow from the one function flow_at reads
+(Malkin, Man'ko & Trifonov 1970: the Green function of any quadratic
+Hamiltonian is this kernel of its flow).  green_sho and green_free read
+the unforced constant(1) and free profiles, (e^{it}, i e^{it}, 0) and
+(1 + it, i, 0) at any real t, beta exactly 0 with no grid.  green_driven
+and quantum_propagator read the profile they are given, after one bound,
+|t| / 1e-3 within MAX_STEPS (ValueError), forced or not: a constant or free
+profile's closed form at any real t, beta on a drive grid of step ~1e-3;
+any other profile by RK4 from 0 to t at flow_at's default step
+min(1e-3, t), so t < 0 is a ValueError there.  The density-matrix
+propagator K = G(X,Z) conj(G(X',Z')) is independent of the phase
+convention.  Focal points (m12 = 0) raise CausticError; a non-finite
 argument raises ValueError naming it, and a finite (X, Z) whose phase
 overflows raises EvaluationError naming X and Z.  The Green functions take floats.
 """
@@ -63,10 +65,8 @@ from .dynamics import (
     _DEFAULT_STEP,
     DriveProfile,
     _check_steps,
-    _drive_grid,
     _float,
     _flow_of,
-    _on_grid,
     _raise_first,
     flow_at,
 )
@@ -90,7 +90,6 @@ CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
-_UNIT_TOL = 1e-12  # largest |omega_sq - 1| the driven closed forms accept
 _UNIT, _FREE = DriveProfile.constant(1.0), DriveProfile.free()  # the unforced kernels' profiles
 
 
@@ -262,37 +261,27 @@ def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     return _green(*_flow_of(_FREE, t), "free Green function")(X, Z, phase)
 
 
-def _driven_flow(profile: DriveProfile, t: float) -> tuple[complex, complex, complex]:
-    """The flow of DriveProfile.constant(1.0, profile.force) at t once the
-    driven forms' unit rule holds: |t| / _DEFAULT_STEP within MAX_STEPS, and
-    omega_sq = 1 to _UNIT_TOL, read from a constant or free profile's omega,
-    else sampled on the drive grid from 0 to t (ValueError; EvaluationError
-    if not finite).  A sampled profile's grid is the one the force's
-    integral runs on, so each call builds at most one drive grid."""
+def _profile_green(profile: DriveProfile, t: float, label: str):
+    """The kernel of profile's flow at t, once |t| / 1e-3 is within MAX_STEPS
+    (ValueError, forced or not, before any grid is allocated)."""
     _check_steps(abs(t), _DEFAULT_STEP)
-    omega, grid = profile._omega, None
-    if omega is None:
-        grid = _drive_grid(t, _DEFAULT_STEP)
-        w2 = _on_grid(profile.omega_sq, grid, "omega_sq")
-    else:
-        w2 = omega**2
-    off = np.abs(w2 - 1.0)
-    if not np.all(off <= _UNIT_TOL):
-        raise ValueError("driven closed forms assume the unit-frequency oscillator "
-                         f"(omega_sq = 1); omega_sq is off 1 by {np.max(off):.3g}")
-    return _flow_of(DriveProfile.constant(1.0, profile.force), t, grid=grid)
+    return _green(*_flow_of(profile, t), label)
 
 
 def green_driven(
     X: float, Z: float, t: float, profile: DriveProfile, phase: float = 0.0
 ) -> complex:
-    """Green function of the driven unit-frequency oscillator.
+    """Green function of ``profile``'s Schroedinger equation: the kernel of
+    its flow (eps, eps_dot, beta) at t.
 
-    ``profile`` must have omega_sq = 1 (ValueError otherwise); the modulus
-    is force-independent.
+    A constant or free profile takes its closed form at any real t; any
+    other profile is solved by RK4 from 0, so t must be >= 0 (ValueError
+    naming t), and its kernel is that of :func:`flow_at` bit for bit.
+    |t| / 1e-3 may be at most MAX_STEPS (ValueError).  The modulus
+    (2 pi |Im eps|)^{-1/2} is force-independent.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_driven_flow(profile, t), "driven Green function")(X, Z, phase)
+    return _profile_green(profile, t, "driven Green function")(X, Z, phase)
 
 
 def quantum_propagator(
@@ -301,20 +290,21 @@ def quantum_propagator(
     """Density-matrix propagator K = G(X, Z, t) conj(G(Xp, Zp, t)).
 
     Independent of the free phase convention: ``phase`` enters G and
-    conj(G) with opposite signs and cancels exactly.  ``profile`` must
-    have omega_sq = 1, as for :func:`green_driven`.
+    conj(G) with opposite signs and cancels exactly.  G is the kernel of
+    ``profile``'s flow, with the rules of :func:`green_driven`.
     """
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
-    green = _green(*_driven_flow(profile, t), "quantum propagator")
+    green = _profile_green(profile, t, "quantum propagator")
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 
 def quantum_propagator_from_shift(
     X: float, Xp: float, Z: float, Zp: float, t: float, beta: complex
 ) -> complex:
-    """Driven propagator with the force folded into the shift beta.
+    """Driven unit-frequency propagator with the force folded into the shift beta.
 
-    Independent route to :func:`quantum_propagator`: the force enters only
+    The unit-frequency cross-check of :func:`quantum_propagator`, by an
+    independent route: the force enters only
     through beta(t) = -(1j/sqrt 2) integral eps f, via the factor
 
         exp{ -(1j/sqrt 2) [ beta e^{-1j t} (-1j D + E)

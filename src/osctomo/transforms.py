@@ -37,10 +37,9 @@ Three transforms are provided:
   formed and written into the grid 64 rows at a time, each row and its
   conjugate column, with no full-size temporary.  Every value is bit for
   bit the one-piece computation's.  The default spec's
-  refined Fock 3 element (480 x 2401 samples) peaks at ~20 MB traced
-  instead of ~44 MB, ~50 MB of RSS in a fresh process instead of ~74;
-  an n = 1001 grid (15.3 MB) is assembled holding ~1.1x the grid instead
-  of ~3.5x, in ~20 ms instead of ~35 (2-core Xeon);
+  refined Fock 3 element (480 x 2401 samples) peaks at ~20 MB traced,
+  ~50 MB of RSS in a fresh process; an n = 1001 grid (15.3 MB) is
+  assembled holding ~1.1x the grid, in ~20 ms (2-core Xeon);
 
 * Wigner -> tomogram: after the k-integral is done analytically the
   relation collapses to the normalised Radon projection
@@ -67,10 +66,9 @@ dtype and its own invariant check.  Grid values and a Wigner grid's
 spline coefficients are stored read-only, so code holding a grid cannot
 make its construction-time checks or its coefficients stale.  The checks
 read the grid one band of 64 rows at a time, never building a full-size
-temporary: at n = 2001 (a 61 MB density grid) checking holds ~4 MB instead
-of ~128 MB and takes ~31 ms instead of ~94 ms, and a fresh process building
-the grid with ``from_wavefunction`` peaks at ~94 MB of RSS instead of ~212
-(2-core Xeon).
+temporary: at n = 2001 (a 61 MB density grid) checking holds ~4 MB and
+takes ~31 ms, and a fresh process building the grid with
+``from_wavefunction`` peaks at ~94 MB of RSS (2-core Xeon).
 Grid sizes ``n`` and :class:`QuadratureSpec`'s node counts are whole
 numbers >= 2 (41.0 counts as 41), else ValueError naming the argument.
 """
@@ -479,8 +477,7 @@ def density_from_mdf(
     naming it, and so do an X and Xp whose nu = X - Xp, or whose mu phase
     mu (X + Xp) / 2 on the mu grid, overflows.  ``w`` is called on bands of
     ceil(2^19 / y_count) mu rows, so the default spec's refined Fock 3
-    element peaks at ~20 MB traced instead of the ~44 MB of one 480 x 2401
-    slice.
+    element (a 480 x 2401 slice) peaks at ~20 MB traced.
     """
     _finite(X=X, Xp=Xp)
     quad = quad or QuadratureSpec()
@@ -515,8 +512,8 @@ def density_grid_from_mdf(
     upper triangle follows from Hermiticity: each row is written
     conjugated, then as its column, so the diagonal is not conjugated.
     A call at n = 1001 (a 15.3 MB grid, mu_count 60, y_count 121) peaks
-    at ~19 MB traced instead of ~55 MB, and a fresh process making it at
-    ~50 MB of RSS instead of ~86 (2-core Xeon).  An extent or n outside
+    at ~19 MB traced, and a fresh process making it at ~50 MB of RSS
+    (2-core Xeon).  An extent or n outside
     the grid rule (a positive extent with 2 extent finite, a whole
     n >= 2), or an extent whose mu phases, up to mu_max extent, overflow,
     raises ValueError before sampling.

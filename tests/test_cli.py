@@ -288,13 +288,27 @@ class TestEval:
 
     @pytest.mark.parametrize("profile", ["resonance:0.1", "free"])
     @pytest.mark.parametrize(
+        "op, value",
+        [(["green_driven", "X=0.3", "Z=-0.4"], lambda g: g(0.3, -0.4, 0.0)),
+         (["quantum_propagator", "X=0.3", "Xp=0.1", "Z=-0.4", "Zp=0.2"],
+          lambda g: g(0.3, -0.4, 0.0) * g(0.1, 0.2, 0.0).conjugate())],
+        ids=["green_driven", "quantum_propagator"],
+    )
+    def test_non_unit_profile_prints_the_kernel_of_its_flow(self, capsys, op, value, profile):
+        from osctomo.propagators import _green
+
+        kernel = _green(*flow_at(cli._parse_profile(profile, None)[0], 1.0), "driven Green function")
+        out = f"{cli._fmt(value(kernel))}\n"
+        assert run(["eval", *op, f"profile={profile}", "t=1"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize(
         "op", [["green_driven", "X=0", "Z=0"], ["quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2"]],
         ids=["green_driven", "quantum_propagator"],
     )
-    def test_non_unit_profile_is_usage_error(self, capsys, op, profile):
-        code, out, err = run(["eval", *op, f"profile={profile}", "t=1"], capsys)
+    def test_profile_without_closed_form_before_time_zero_is_usage_error(self, capsys, op):
+        code, out, err = run(["eval", *op, "profile=resonance:0.1", "t=-1"], capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("usage error:") and "omega_sq" in err
+        assert err.startswith("usage error: t=-1.0:") and "t must be >= 0" in err
 
     def test_unit_table_equals_constant_profile(self, capsys, tmp_path):
         table = tmp_path / "unit.txt"
@@ -352,12 +366,10 @@ EVAL_CASES = {
     "green_sho": (["X=0.1", "Z=0.2", "t=1"], ["t=nan"]),
     "green_free": (["X=0.1", "Z=0.2", "t=1"], ["Z=inf"]),
     "green_driven": (
-        ["X=0.1", "Z=0.2", "t=1", "profile=constant:1", "force=0.5"],
-        ["profile=constant:2", "profile=free", "profile=resonance:0.1"],
+        ["X=0.1", "Z=0.2", "t=1", "profile=constant:1", "force=0.5"], ["t=1e7"],
     ),
     "quantum_propagator": (
-        ["X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4", "t=1", "profile=constant:1", "force=0.5"],
-        ["profile=constant:2", "profile=free"],
+        ["X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4", "t=1", "profile=constant:1", "force=0.5"], ["t=1e7"],
     ),
 }
 
