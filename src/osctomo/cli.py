@@ -83,17 +83,16 @@ def _table_profile(
         raise ValueError(f"profile table {path!r}: the t column must be strictly increasing")
     f = data[:, 2] if data.shape[1] == 3 else np.zeros_like(ts)
     profile = osctomo.DriveProfile.custom(
-        lambda t: np.interp(t, ts, w2), force or (lambda t: np.interp(t, ts, f))
+        lambda t: np.interp(t, ts, w2), (lambda t: np.interp(t, ts, f)) if force is None else force
     )
     return profile, (float(ts[0]), float(ts[-1]))
 
 
 def _parse_profile(
-    spec: str, force_value: float | None
+    spec: str, force: float | None
 ) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
     """The profile and the t range it is defined on (a table's rows, else all t)."""
     always = (-math.inf, math.inf)
-    force = None if force_value is None else (lambda t, c=force_value: c)
     head, _, arg = spec.partition(":")
     try:
         if head == "constant":

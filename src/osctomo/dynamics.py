@@ -28,9 +28,11 @@ the classical flow every view downstream is evaluated from; one private
 function assembles it for flow_at and the four Green functions alike.
 Constant and free profiles take the closed form above; every other profile
 is integrated (and Wronskian-checked) by the RK4 of :func:`solve_epsilon`.
-beta is one Simpson rule of the drive on at most MAX_STEPS steps, and
-exactly 0, with no grid, for the zero force.  flow_at owns the flow's
-input rule (t finite and >= 0, 0 < step <= t, at most MAX_STEPS steps).
+A force given as a number is constant: on constant and free profiles its
+beta is exact, with no grid; otherwise beta is one Simpson rule of the
+drive on at most MAX_STEPS steps.  The number 0, the default force, gives
+beta exactly 0 on every profile.  flow_at owns the flow's input rule (t
+finite and >= 0, 0 < step <= t, at most MAX_STEPS steps).
 Every profile callable is sampled on a grid through one helper, which
 raises EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
@@ -88,10 +90,6 @@ _BLOCK = 8
 _DEFAULT_STEP = 1e-3
 
 
-def _zero_force(t: float) -> float:
-    return 0.0
-
-
 # beta of the zero force, -(1j / sqrt 2) times an integral of 0j: 0-0j, as
 # beta_shift's Simpson sum of zeros gives it
 _NO_SHIFT = complex(-1j / math.sqrt(2.0) * 0j)
@@ -101,17 +99,20 @@ _NO_SHIFT = complex(-1j / math.sqrt(2.0) * 0j)
 class DriveProfile:
     """Time dependence of the Hamiltonian H = p^2/2 + omega^2(t) q^2/2 - f(t) q.
 
-    ``omega_sq`` and ``force`` are callables of time.  Where a whole time
-    grid is needed they are first called once with the array of nodes; a
-    callable that raises on an array, or returns neither a scalar nor an
-    array of the grid's shape, is then called once per node instead, so
-    scalar-only callables (``math.cos``, ``if t < 3``) work unchanged.  A
-    repulsive oscillator is expressed by a negative ``omega_sq`` (only the
-    square of the frequency ever enters the equations).
+    ``omega_sq`` is a callable of time, ``force`` a callable or a number,
+    the constant force: finite by the number rule of :func:`_float`
+    (ValueError naming force; None reads as 0), which ``profile.force``
+    then returns as a callable.  Where a whole time grid is needed a
+    callable is first called once with the array of nodes; one that raises
+    on an array, or returns neither a scalar nor an array of the grid's
+    shape, is then called once per node instead, so scalar-only callables
+    (``math.cos``, ``if t < 3``) work unchanged.  A repulsive oscillator is
+    expressed by a negative ``omega_sq`` (only the square of the frequency
+    ever enters the equations).
 
     Use the constructors :meth:`constant`, :meth:`free`,
     :meth:`parametric_resonance` and :meth:`custom`, which default the
-    force to zero.
+    force to the number 0.
     """
 
     omega_sq: Callable[[float], float]
@@ -119,21 +120,33 @@ class DriveProfile:
     # |omega| of a constant or free profile, whose flow has a closed form
     # (see flow_at); None for every other profile
     _omega: float | None = field(default=None, init=False, repr=False)
+    # a force given as a number, whose beta flow_at takes exactly on a
+    # constant or free profile; None for a callable force
+    _force: float | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if callable(self.force):
+            return
+        c = 0.0 if self.force is None else float(_float("force", self.force))
+        if not math.isfinite(c):
+            raise ValueError(f"force must be a callable or a finite number, got {c!r}")
+        object.__setattr__(self, "force", lambda t: c)
+        object.__setattr__(self, "_force", c)
 
     @classmethod
-    def constant(cls, omega: float = 1.0, force: Callable[[float], float] | None = None):
+    def constant(cls, omega: float = 1.0, force: Callable[[float], float] | float = 0.0):
         """Constant frequency omega (omega_sq = omega**2 for all t); omega and
         omega**2 must be finite (ValueError)."""
         omega = float(_float("omega", omega))
         if not math.isfinite(omega * omega):
             raise ValueError(f"omega and omega**2 must be finite, got omega={omega!r}")
         w2 = omega**2
-        return cls(lambda t: w2, force or _zero_force)._exact(abs(omega))
+        return cls(lambda t: w2, force)._exact(abs(omega))
 
     @classmethod
-    def free(cls, force: Callable[[float], float] | None = None):
+    def free(cls, force: Callable[[float], float] | float = 0.0):
         """Free motion, omega_sq = 0."""
-        return cls(lambda t: 0.0, force or _zero_force)._exact(0.0)
+        return cls(lambda t: 0.0, force)._exact(0.0)
 
     def _exact(self, omega: float) -> DriveProfile:
         """This profile, marked as the constant frequency omega >= 0."""
@@ -141,25 +154,22 @@ class DriveProfile:
         return self
 
     @classmethod
-    def parametric_resonance(cls, k: float, force: Callable[[float], float] | None = None):
+    def parametric_resonance(cls, k: float, force: Callable[[float], float] | float = 0.0):
         """Parametric resonance profile omega_sq(t) = (1 + k cos 2t) / (1 + k).
 
         The weak-modulation regime is enforced as k in (-0.5, 0.5).
         """
         k = _resonance_k(k)
-        return cls(
-            lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k),
-            force or _zero_force,
-        )
+        return cls(lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k), force)
 
     @classmethod
     def custom(
         cls,
         omega_sq: Callable[[float], float],
-        force: Callable[[float], float] | None = None,
+        force: Callable[[float], float] | float = 0.0,
     ):
         """Arbitrary user-supplied omega_sq(t) (may be negative) and force."""
-        return cls(omega_sq, force or _zero_force)
+        return cls(omega_sq, force)
 
 
 @dataclass(frozen=True)
@@ -586,17 +596,20 @@ def flow_at(
 
         eps = cos wt + 1j sin(wt) / w,   eps_dot = -w sin wt + 1j cos wt
 
-    (1 + 1j t and 1j at w = 0), and beta by Simpson's rule on that eps over
-    2 max(1, round(t / 2 step)) uniform steps from 0 to t; an overflowing
-    w t raises EvaluationError.  Every other profile is solved by RK4
+    (1 + 1j t and 1j at w = 0); an overflowing w t raises EvaluationError.
+    beta is exact there for a number force c, -(1j / sqrt 2) c times the
+    integral of eps (:func:`_constant_drive`), and for a callable force
+    Simpson's rule on that eps over 2 max(1, round(t / 2 step)) uniform
+    steps from 0 to t.  Every other profile is solved by RK4
     (:func:`solve_epsilon`) from 0 up to t, and beta integrated by
-    :func:`beta_shift`.  For the zero force beta is exactly 0 (0-0j), with
-    no drive grid, whatever the profile.  The Green functions
-    read the same flow.  t must be finite and >= 0, and a given step
-    0 < step <= t, any step > 0 at t = 0 (ValueError); the default step is
-    min(1e-3, t), and t / step may round to at most MAX_STEPS steps
-    (ValueError).  At t = 0 the seeded (1, 1j, 0) is returned unsolved.  A
-    non-finite profile sample or drive integral raises EvaluationError.
+    :func:`beta_shift`.  step sets only those RK4 and Simpson grids.  For
+    the number force 0 beta is exactly 0 (0-0j), with no drive grid,
+    whatever the profile.  The Green functions read the same flow.  t
+    must be finite and >= 0, and a given step 0 < step <= t, any step > 0
+    at t = 0 (ValueError); the default step is min(1e-3, t), and t / step
+    may round to at most MAX_STEPS steps (ValueError).  At t = 0 the
+    seeded (1, 1j, 0) is returned unsolved.  A non-finite profile sample
+    or drive integral raises EvaluationError.
     """
     t = _float("t", t)
     return _flow_of(profile, t, _flow_step(t, _float("step", step)))
@@ -614,6 +627,28 @@ def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):
     return c + 1j * (s / omega), 1j * c - omega * s
 
 
+def _constant_drive(omega: float, force: float, t: float) -> complex:
+    """beta at t of the constant force on the constant frequency omega >= 0,
+    any real t, exactly: -(1j / sqrt 2) force times
+
+        integral_0^t eps = sin(wt) / w + 2j (sin(wt/2) / w)^2,
+
+    t + 1j t^2 / 2 at w = 0, the imaginary part (1 - cos wt) / w^2 written
+    so that it does not cancel at small wt.  The force 0 gives _NO_SHIFT,
+    and a force times the integral that overflows raises EvaluationError."""
+    if force == 0.0:
+        return _NO_SHIFT
+    if omega == 0.0:
+        integral = complex(t, 0.5 * t * t)
+    else:
+        half = math.sin(0.5 * omega * t) / omega
+        integral = complex(math.sin(omega * t) / omega, 2.0 * half * half)
+    total = complex(force * integral.real, force * integral.imag)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise EvaluationError(f"the drive integral over t in [0, {t:g}] overflows")
+    return complex(-1j / math.sqrt(2.0) * total)
+
+
 def _drive_grid(t: float, step: float) -> np.ndarray:
     """The nodes of the closed-form flows' drive quadrature: 2 max(1,
     round(|t| / 2 step)) uniform steps from 0 to t (t < 0 too), after the
@@ -627,26 +662,26 @@ def _flow_of(
 ) -> tuple[complex, complex, complex]:
     """(eps, eps_dot, beta) of profile at t, the package's one assembly of the
     flow: the seeded (1, 1j, 0) at t = 0 for every profile; a constant or
-    free profile's closed form at any real t, beta on :func:`_drive_grid`;
-    RK4 for every other profile, t > 0 only (ValueError naming t), beta by
-    :func:`beta_shift`.  The default step is min(1e-3, |t|).  The zero
-    force gives beta exactly 0, 0-0j, with no grid.  See :func:`flow_at`."""
+    free profile's closed form at any real t, beta by :func:`_constant_drive`
+    for a number force and on :func:`_drive_grid` for a callable one; RK4
+    for every other profile, t > 0 only (ValueError naming t), beta by
+    :func:`beta_shift`.  The default step is min(1e-3, |t|).  The number
+    force 0 gives beta exactly 0, 0-0j, with no grid.  See :func:`flow_at`."""
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
     if step is None:
         step = min(_DEFAULT_STEP, abs(t))
-    omega = profile._omega
-    unforced = profile.force is _zero_force
+    omega, force = profile._omega, profile._force
     if omega is None:
         if t < 0.0:
             raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
                              "so t must be >= 0")
         traj = solve_epsilon(profile, t, step)
-        return *traj(t), _NO_SHIFT if unforced else beta_shift(traj, t)
+        return *traj(t), _NO_SHIFT if force == 0.0 else beta_shift(traj, t)
     if not math.isfinite(omega * t):
         raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
-    if unforced:
-        return *_oscillator(omega, t), _NO_SHIFT
+    if force is not None:
+        return *_oscillator(omega, t), _constant_drive(omega, force, t)
     s = _drive_grid(t, step)
     total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
     return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)

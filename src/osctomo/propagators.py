@@ -42,13 +42,14 @@ the unforced constant(1) and free profiles, (e^{it}, i e^{it}, 0) and
 (1 + it, i, 0) at any real t, beta exactly 0 with no grid.  green_driven
 and quantum_propagator read the profile they are given, after one bound,
 |t| / 1e-3 within MAX_STEPS (ValueError), forced or not: a constant or free
-profile's closed form at any real t, beta on a drive grid of step ~1e-3;
-any other profile by RK4 from 0 to t at flow_at's default step
-min(1e-3, t), so t < 0 is a ValueError there.  The density-matrix
-propagator K = G(X,Z) conj(G(X',Z')) is independent of the phase
-convention.  Focal points (m12 = 0) raise CausticError; a non-finite
-argument raises ValueError naming it, and a finite (X, Z) whose phase
-overflows raises EvaluationError naming X and Z.  The Green functions take floats.
+profile's closed form at any real t, beta exact for a number force and on a
+drive grid of step ~1e-3 for a callable one; any other profile by RK4 from
+0 to t at flow_at's default step min(1e-3, t), so t < 0 is a ValueError
+there.  The density-matrix propagator K = G(X,Z) conj(G(X',Z')) is
+independent of the phase convention.  Focal points (m12 = 0) raise
+CausticError; a non-finite argument raises ValueError naming it, and a
+finite (X, Z) whose phase overflows raises EvaluationError naming X and
+Z.  The Green functions take floats.
 """
 
 from __future__ import annotations

@@ -158,14 +158,21 @@ def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
     """(r, |r|, Y) of the Fock and cross tomograms, Y in one full-size array.
 
     ``r`` broadcasts with mu/nu and ``Y`` with X and r; Y is 0-d when all
-    three are scalars.  ValueError if beta is not finite.
+    three are scalars.  ValueError if beta is not finite; EvaluationError
+    naming the first frame whose shift 2 Re(conj(beta) r) overflows.
     """
     _finite(beta=beta)
     r = _frame_r(eps, eps_dot, mu, nu)
     abs_r = np.abs(r)
     X = np.asarray(_float("X", X), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = 2.0 * np.real(np.conj(beta) * r)
+    overflowed = ~np.isfinite(shift)
+    if overflowed.any():
+        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): the shift 2 Re(conj(beta) r) "
+                     "overflows double precision", overflowed, mu, nu)
     Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
-    Y += 2.0 * np.real(np.conj(beta) * r)
+    Y += shift
     Y /= _SQRT2 * abs_r
     return r, abs_r, Y
 

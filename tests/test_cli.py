@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import stat
@@ -106,6 +107,12 @@ class TestEval:
         assert given == run(["eval", "beta", f"profile=table:{replaced}", "t=1"], capsys)
         assert given[0] == 0
 
+    def test_a_zero_force_gives_beta_exactly_zero_on_every_profile(self, capsys, tmp_path):
+        table = tmp_path / "forced.txt"
+        table.write_text("0 1 1\n5 1 1\n")
+        for spec in ("constant:1.3", "free", "resonance:0.2", f"table:{table}"):
+            assert run(["eval", "beta", f"profile={spec}", "t=1", "force=0"], capsys) == (0, "0-0j\n", "")
+
     def test_an_absent_force_keeps_the_table_column(self, capsys, tmp_path):
         table = tmp_path / "forced.txt"
         table.write_text("0 1 1\n5 1 1\n")
@@ -144,9 +151,30 @@ class TestEval:
     def test_overflowing_drive_integral_exits_2(self, capsys, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning may escape either
-            code, out, err = run(["eval", *op, "profile=constant:1", "force=1e308", "t=5"], capsys)
+            code, out, err = run(["eval", *op, "profile=free", "force=1e308", "t=5"], capsys)
         assert (code, out) == (2, "")
         assert "drive integral" in err
+
+    def test_large_constant_force_takes_its_finite_exact_beta(self, capsys):
+        # |beta| = 1e308 |e^{5j} - 1| / sqrt 2, where a Simpson sum's partial sums overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", "beta", "profile=constant:1", "force=1e308", "t=5"], capsys)
+        assert (code, err) == (0, "")
+        beta = complex(out.strip())
+        assert cmath.isfinite(beta)
+        assert abs(beta) == pytest.approx(1e308 * abs(cmath.exp(5j) - 1.0) / math.sqrt(2.0), rel=1e-11)
+
+    @pytest.mark.parametrize("spec, integral", [
+        ("constant:1.7", lambda t: complex(math.sin(1.7 * t) / 1.7, (1.0 - math.cos(1.7 * t)) / 1.7**2)),
+        ("free", lambda t: complex(t, t * t / 2.0)),
+    ])
+    def test_constant_force_beta_is_the_closed_form(self, capsys, spec, integral):
+        # to the 12 digits printed
+        for force, t in ((0.6, 3.0), (1.0, 3.0), (-0.7, 12.5)):
+            code, out, _ = run(["eval", "beta", f"profile={spec}", f"force={force}", f"t={t}"], capsys)
+            assert code == 0
+            assert complex(out) == pytest.approx(-1j / math.sqrt(2.0) * force * integral(t), rel=1e-11)
 
     @pytest.mark.parametrize(
         "op", [["variance_X"], ["coherent_mdf", "alpha=0", "X=1e200"]], ids=["variance_X", "coherent_mdf"]
@@ -157,6 +185,18 @@ class TestEval:
             code, out, err = run(["eval", *op, "profile=constant:1", "t=1", "mu=1", "nu=1e200"], capsys)
         assert (code, out) == (2, "")
         assert "frame (mu, nu) = (1.0, 1e+200): |r|^2" in err and "overflows" in err
+
+    @pytest.mark.parametrize("op", [["fock_mdf", "n=2"], ["cross_mdf", "n=1", "m=2"]], ids=["fock_mdf", "cross_mdf"])
+    @pytest.mark.parametrize("drive", [["profile=free", "force=1e308", "mu=0.6", "nu=0.8"],
+                                       ["profile=free", "force=1e156", "mu=0", "nu=1e153"]],
+                             ids=["large-beta", "large-frame"])
+    def test_overflowing_fock_shift_exits_2(self, capsys, op, drive):
+        # a finite beta whose 2 Re(conj(beta) r) overflows is named, rather than printing nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape either
+            code, out, err = run(["eval", *op, *drive, "t=1.3", "X=0.3"], capsys)
+        assert (code, out) == (2, "")
+        assert "the shift 2 Re(conj(beta) r) overflows" in err
 
     def test_mean_of_a_frame_whose_variance_overflows_stays_finite(self, capsys):
         with warnings.catch_warnings():

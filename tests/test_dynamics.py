@@ -635,6 +635,95 @@ class TestExactFlow:
             DriveProfile(lambda t: 1.0, lambda t: 0.0, 1.0)
 
 
+def zero_force_profiles():
+    """The constant, free, resonance and table profiles, by the force they take."""
+    return {"constant": lambda force: DriveProfile.constant(1.3, force),
+            "free": DriveProfile.free,
+            "resonance": lambda force: DriveProfile.parametric_resonance(0.2, force),
+            "table": lambda force: DriveProfile.custom(lambda t: np.interp(t, [0.0, 20.0], [1.0, 3.0]), force)}
+
+
+class TestConstantForce:
+    """A force given as a number: exact beta on constant and free profiles,
+    the equal callable's beta bit for bit on every other profile, and beta
+    exactly 0-0j for the number 0 on all of them."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(omega=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), c=st.floats(-2.0, 2.0),
+           t=st.floats(-20.0, 20.0))
+    def test_exact_beta_within_simpson_bound_of_the_equal_callable(self, omega, c, t):
+        # _flow_of is the flow green_driven reads, so t < 0 is covered as it sees it
+        exact = dynamics._flow_of(DriveProfile.constant(omega, c), t)[2]
+        simpson = dynamics._flow_of(DriveProfile.constant(omega, lambda s: c), t)[2]
+        if t == 0.0:
+            assert exact == simpson == 0.0
+            return
+        # composite Simpson errs by at most |t| h^4 max|g^(4)| / 180 in each part of
+        # g = c eps, and |eps^(4)| = w^4 |eps| <= w^4 max(1, 1/w)
+        h = abs(t) / (len(dynamics._drive_grid(t, min(1e-3, abs(t)))) - 1)
+        bound = abs(c) * abs(t) * h**4 * omega**3 * max(omega, 1.0) / 180.0
+        assert abs(exact - simpson) <= bound + 1e-14 * abs(c) * max(1.0, t * t)
+
+    def test_closed_form(self):
+        # integral_0^t e^{1j s} ds = (e^{1j t} - 1) / 1j, so beta(pi) = sqrt 2 for c = 1
+        assert abs(flow_at(DriveProfile.constant(1.0, 1.0), math.pi)[2] - math.sqrt(2.0)) <= 1e-15
+        assert flow_at(DriveProfile.free(2.0), 3.0)[2] == -1j / math.sqrt(2.0) * complex(6.0, 9.0)
+        # the imaginary part (1 - cos wt) / w^2 = t^2 / 2 does not cancel at small wt
+        beta = flow_at(DriveProfile.constant(1e-9, 1.0), 1e-4)[2]
+        assert beta.real == pytest.approx(0.5e-8 / math.sqrt(2.0), rel=1e-15)
+
+    def test_builds_no_drive_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_drive_grid called")
+
+        monkeypatch.setattr(dynamics, "_drive_grid", refuse)
+        for profile in (DriveProfile.constant(1.7, 0.6), DriveProfile.constant(1.0, -3), DriveProfile.free(1.0)):
+            for t in (1e-4, 0.37, 20.0):
+                flow_at(profile, t)
+                green_driven(0.1, 0.2, -t, profile)
+
+    @pytest.mark.parametrize("kind", sorted(zero_force_profiles()))
+    def test_zero_force_is_exactly_zero_with_no_grid(self, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drive quadrature called")
+
+        monkeypatch.setattr(dynamics, "_drive_grid", refuse)
+        monkeypatch.setattr(dynamics, "beta_shift", refuse)
+        make = zero_force_profiles()[kind]
+        for profile in (make(0), make(0.0), make(-0.0), make(None)):
+            assert profile._force == 0.0
+            for t in (1e-4, 0.37, 5.0):
+                assert repr(flow_at(profile, t)[2]) == repr(complex(0.0, -0.0))
+
+    @pytest.mark.parametrize("kind", ["resonance", "table"])
+    def test_number_force_off_the_closed_forms_is_the_callable_bit_for_bit(self, kind):
+        make = zero_force_profiles()[kind]
+        for c in (0.7, -1.3, 1e-300):
+            for t in (0.37, 5.0):
+                assert repr(flow_at(make(c), t)) == repr(flow_at(make(lambda s, c=c: c), t))
+
+    def test_force_reads_as_a_callable(self):
+        for make in zero_force_profiles().values():
+            profile = make(0.7)
+            assert profile._force == 0.7 and profile.force(3.0) == 0.7
+            assert make(math.cos)._force is None
+        assert "_force" not in repr(DriveProfile.free(0.7))
+
+    def test_overflowing_exact_drive_integral_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 1e308 (5 + 12.5j) overflows, in the exact form as in Simpson's rule
+            with pytest.raises(EvaluationError, match=r"^the drive integral over t in \[0, 5\] overflows$"):
+                flow_at(DriveProfile.free(1e308), 5.0)
+            with pytest.raises(EvaluationError, match=r"over t in \[0, -5\] overflows$"):
+                green_driven(0.1, 0.2, -5.0, DriveProfile.free(1e308))
+            # on constant(1) |beta| = 1e308 |e^{5j} - 1| / sqrt 2 is finite, while Simpson's
+            # partial sums for the equal callable overflow
+            beta = flow_at(DriveProfile.constant(1.0, 1e308), 5.0)[2]
+            assert abs(beta) == pytest.approx(1e308 * abs(cmath.exp(5j) - 1.0) / math.sqrt(2.0), rel=1e-14)
+            with pytest.raises(EvaluationError, match=r"^the drive integral over t in \[0, 5\] overflows$"):
+                flow_at(DriveProfile.constant(1.0, lambda s: 1e308), 5.0)
+
 class TestParametricResonance:
     def test_t_zero(self):
         eps, _ = parametric_resonance_epsilon(0.3, 0.0)
@@ -814,6 +903,10 @@ def coherent_transform(y, z):
 ENTRY_POINTS = {
     "DriveProfile.constant(omega)": lambda v: DriveProfile.constant(v).omega_sq(0.0),
     "DriveProfile.parametric_resonance(k)": lambda v: DriveProfile.parametric_resonance(v).omega_sq(1.0),
+    "DriveProfile.constant(force)": lambda v: flow_at(DriveProfile.constant(1.3, v), 0.5),
+    "DriveProfile.free(force)": lambda v: flow_at(DriveProfile.free(v), 0.5),
+    "DriveProfile.parametric_resonance(force)": lambda v: flow_at(DriveProfile.parametric_resonance(0.1, v), 0.1),
+    "DriveProfile.custom(force)": lambda v: flow_at(DriveProfile.custom(lambda t: 1.0, v), 0.1),
     "solve_epsilon(t_end)": lambda v: solve_epsilon(UNIT, v, 0.5).eps,
     "solve_epsilon(step)": lambda v: solve_epsilon(UNIT, 1.0, v).eps,
     "solve_epsilon(tol_wronskian)": lambda v: solve_epsilon(UNIT, 1.0, 0.01, v).eps,
@@ -931,6 +1024,12 @@ class TestNumberRule:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 ENTRY_POINTS[entry](sign * 10**400)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(e for e in ENTRY_POINTS if e.endswith("(force)")))
+    def test_a_non_finite_force_is_named(self, entry, value):
+        with pytest.raises(ValueError, match=r"^force must be a callable or a finite number, got -?(nan|inf)$"):
+            ENTRY_POINTS[entry](value)
 
     def test_small_ints_and_bools_read_as_floats(self):
         assert FigureConfig(k=0, t_max=10, x_min=-4, x_max=True).x_max == 1.0
