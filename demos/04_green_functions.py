@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from osctomo import (
+    ClassicalPropagator,
     DriveProfile,
     coherent_wavefunction,
-    flow_at,
     green_driven,
     green_free,
     green_sho,
@@ -60,7 +60,8 @@ print(f"phase blindness      : |K(F=0) - K(F=0.37 t)| = {abs(k_0 - k_f):.2e}")
 # route B: the kernel of any profile's flow carries a state. A coherent
 # state through the resonance profile's kernel, psi(X, t) = integral
 # G(X, Z, t) psi(Z, 0) dZ on a trapezoid of 241 nodes over [-9, 9], is the
-# coherent state of the flow up to one global phase
+# coherent state of the flow up to one global phase; one flow serves every
+# kernel entry and the closed form
 resonance = DriveProfile.parametric_resonance(0.3, force=lambda s: np.sin(2.0 * s) + 0.2)
 t, alpha = 2.2, 0.7 - 0.4j
 Z = np.linspace(-9.0, 9.0, 241)
@@ -68,8 +69,9 @@ weights = np.full(Z.shape, Z[1] - Z[0])
 weights[[0, -1]] /= 2.0
 psi0 = coherent_wavefunction(alpha, 1.0, 1j, 0.0, Z) * weights
 X = np.array([-1.0, 0.3, 1.2])
-psi = np.array([sum(green_driven(x, z, t, resonance) * c for z, c in zip(Z, psi0)) for x in X])
-exact = coherent_wavefunction(alpha, *flow_at(resonance, t), X)
+prop = ClassicalPropagator.from_profile(resonance, t)
+psi = prop.kernel(X[:, None], Z) @ psi0
+exact = coherent_wavefunction(alpha, prop.eps, prop.eps_dot, prop.beta, X)
 phase = np.vdot(exact, psi) / np.vdot(exact, exact)
 print(f"route B on the resonance profile at t = {t}: "
       f"max |psi - e^(i phi) psi_closed| = {np.max(np.abs(psi - phase * exact)):.2e}")

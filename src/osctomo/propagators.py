@@ -1,55 +1,38 @@
-"""Propagators: the classical (tomogram) propagator and quantum Green functions.
+"""Propagators: the classical flow and its views.
 
-For quadratic Hamiltonians the Green's function of the tomogram evolution
-equation
+A ClassicalPropagator is one flow of the forced parametric oscillator, the
+auxiliary solution and drive shift (eps, eps_dot, beta) at t, together with
+its invariant data (Lambda, Delta) of :mod:`osctomo.invariants`.  Building
+it builds the LinearInvariant, which gates det Lambda once, at DET_TOL =
+1e-8, for every view of the flow.  The views:
 
-    dw/dt - mu dw/dnu + omega^2(t) nu dw/dmu + f(t) nu dw/dX = 0
+* frame_map and evolve, the classical (tomogram) propagator.  For
+  quadratic Hamiltonians the Green's function of the tomogram evolution
+  equation
 
-is a delta kernel: evolution is an affine characteristic flow on
-(X, mu, nu), implemented here exactly as a pullback map (never as a
-mollified delta).  With N = (nu, mu) and the invariant data
-(Lambda, Delta) of :mod:`osctomo.invariants`,
+      dw/dt - mu dw/dnu + omega^2(t) nu dw/dmu + f(t) nu dw/dX = 0
 
-    N'  = N Lambda^{-1},
-    X'  = X + N Lambda^{-1} Delta,
-    w(X, mu, nu, t) = w0(X', mu', nu').
+  is a delta kernel: evolution is an affine characteristic flow on
+  (X, mu, nu), implemented exactly as a pullback map, never as a
+  mollified delta.  With N = (nu, mu),
 
-The same map has an explicit form in terms of (eps, eps_dot, beta):
+      N' = N Lambda^{-1},   X' = X + N' Delta,   w(X, mu, nu, t) = w0(X', mu', nu').
 
-    mu' = Re r,  nu' = Im r,  X' = X + sqrt(2) Re(beta conj(r)),
-    r = eps_dot nu + eps mu,
+  The same map has an explicit form in (eps, eps_dot, beta),
 
-exact when the Wronskian D = Im(conj(eps) eps_dot) = det Lambda is 1.
-The two representations are compared once per propagator, as matrices,
-where Lambda^{-1} is formed, the eps form divided by D as Lambda^{-1} is
-by det Lambda: the check compares the two forms of one map, and det
-Lambda itself is gated once, by LinearInvariant at DET_TOL = 1e-8.  The
-map is one array computation: ClassicalPropagator.frame_map and evolve
-take X, mu and nu of any shapes that broadcast, so a whole tomogram
-surface evolves in one call, and floats give floats.
+      mu' = Re r,  nu' = Im r,  X' = X + sqrt(2) Re(beta conj(r)),
+      r = eps_dot nu + eps mu,
 
-The quantum Green function is one Van Vleck kernel of the same flow, with
-m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2) Re(eps
-conj(beta)), dp = -sqrt(2) Re(eps_dot conj(beta)) and global phase F(t) = 0:
+  and the two forms are compared once per propagator.
+* kernel, the quantum Green function of the Schroedinger equation: the
+  Van Vleck kernel of the same flow (Malkin, Man'ko & Trifonov 1970: the
+  Green function of any quadratic Hamiltonian is this kernel of its flow).
 
-    G(X, Z, t) = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
-                                          + (m12 dp - m22 dq) X + dq Z ] / m12 }.
-
-Every kernel reads its flow from the one function flow_at reads
-(Malkin, Man'ko & Trifonov 1970: the Green function of any quadratic
-Hamiltonian is this kernel of its flow).  green_sho and green_free read
-the unforced constant(1) and free profiles, (e^{it}, i e^{it}, 0) and
-(1 + it, i, 0) at any real t, beta exactly 0 with no grid.  green_driven
-and quantum_propagator read the profile they are given, after one bound,
-|t| / 1e-3 within MAX_STEPS (ValueError), forced or not: a constant or free
-profile's closed form at any real t, beta exact for a number force and on a
-drive grid of step ~1e-3 for a callable one; any other profile by RK4 from
-0 to t at flow_at's default step min(1e-3, t), so t < 0 is a ValueError
-there.  The density-matrix propagator K = G(X,Z) conj(G(X',Z')) is
-independent of the phase convention.  Focal points (m12 = 0) raise
-CausticError; a non-finite argument raises ValueError naming it, and a
-finite (X, Z) whose phase overflows raises EvaluationError naming X and
-Z.  The Green functions take floats.
+Each view takes floats or arrays of any shapes that broadcast, and floats
+give floats.  green_sho, green_free, green_driven and quantum_propagator
+read the kernel of the flow that flow_at's own function assembles, one
+propagator per call.  The density-matrix propagator K = G(X,Z)
+conj(G(X',Z')) is independent of the phase convention.
 """
 
 from __future__ import annotations
@@ -96,11 +79,15 @@ _UNIT, _FREE = DriveProfile.constant(1.0), DriveProfile.free()  # the unforced k
 
 @dataclass(frozen=True)
 class ClassicalPropagator:
-    """Affine pullback map on (X, mu, nu) representing the delta kernel.
+    """One flow (eps, eps_dot, beta) at t, with its invariant inv, and the
+    views of it: the affine pullback map on (X, mu, nu) that represents the
+    delta kernel (frame_map, evolve) and the quantum Green function
+    (kernel).
 
-    Holds both the invariant data and the raw (eps, eps_dot, beta) so the
-    two representations of the map can be checked against each other,
-    once per propagator.
+    Holds both the invariant data and the raw flow, so the two
+    representations of the map can be checked against each other, once per
+    propagator.  Each view forms what it needs of the flow once, on its
+    first call, so one propagator serves any number of points.
     """
 
     eps: complex
@@ -198,6 +185,51 @@ class ClassicalPropagator:
         """
         return w0(*self.frame_map(X, mu, nu))
 
+    @cached_property
+    def _van_vleck(self) -> tuple[float, float, float, float, float, complex]:
+        """(m11, m12, m22, m12 dp - m22 dq, dq, (2 pi m12)^{-1/2}), the
+        coefficients of :meth:`kernel`, formed once per propagator.  A focal
+        point, |m12| < CAUSTIC_TOL, raises CausticError; raising, the
+        property caches nothing."""
+        eps, eps_dot, beta = self.eps, self.eps_dot, self.beta
+        m11, m12, m22 = eps.real, eps.imag, eps_dot.imag
+        if abs(m12) < CAUSTIC_TOL:
+            raise CausticError(f"the Green function is singular at a focal point (|Im eps| < {CAUSTIC_TOL})")
+        dq = -_SQRT2 * (eps * beta.conjugate()).real
+        dp = -_SQRT2 * (eps_dot * beta.conjugate()).real
+        return m11, m12, m22, m12 * dp - m22 * dq, dq, 1.0 / cmath.sqrt(2.0 * math.pi * m12)
+
+    def kernel(self, X, Z, phase=0.0):
+        """The Green function G(X, Z, t) of this flow, with global phase F(t) = phase:
+
+            G = (2 pi m12)^{-1/2} exp{ 1j [ (m22 X^2 - 2 X Z + m11 Z^2)/2
+                                          + (m12 dp - m22 dq) X + dq Z ] / m12 + 1j phase },
+
+        m = [[Re eps, Im eps], [Re eps_dot, Im eps_dot]], dq = -sqrt(2)
+        Re(eps conj(beta)) and dp = -sqrt(2) Re(eps_dot conj(beta)).  So
+        psi(X, t) = integral G(X, Z, t) psi(Z, 0) dZ, which for an array of
+        Z and trapezoid weights c is ``kernel(X[:, None], Z) @ (c psi0)``.
+
+        X, Z and phase are floats or numpy arrays that broadcast together.
+        Scalars (0-d arrays too) give a complex; otherwise G is an array of
+        the broadcast shape, each entry equal (==) to the scalar call at its
+        point.  A focal point, |Im eps| < CAUSTIC_TOL, raises CausticError.
+        A non-finite X, Z or phase raises ValueError naming it, and a finite
+        (X, Z) whose phase overflows raises EvaluationError naming the first
+        such point in C order, with no RuntimeWarning.
+        """
+        X, Z, phase = _finite(X=X, Z=Z, phase=phase)
+        m11, m12, m22, lin_x, dq, amp = self._van_vleck
+        # a phase past the double range is inf or NaN, named below instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = ((m22 * X * X - 2.0 * X * Z + m11 * Z * Z) / 2.0 + lin_x * X + dq * Z) / m12 + phase
+        finite = np.isfinite(arg)
+        if not finite.all():
+            _raise_first(EvaluationError, "Green function phase overflows at (X, Z) = ({!r}, {!r})",
+                         ~finite, X, Z)
+        g = amp * np.exp(1j * arg)
+        return complex(g) if np.ndim(g) == 0 else g
+
 
 def fokker_planck_residual(
     w: Callable[[float, float, float, float], float],
@@ -222,51 +254,26 @@ def fokker_planck_residual(
     return d_t - mu * d_nu + profile.omega_sq(t) * nu * d_mu + profile.force(t) * nu * d_X
 
 
-def _green(eps: complex, eps_dot: complex, beta: complex, label: str):
-    """G(X, Z, phase) of the flow (eps, eps_dot, beta): the module's Van
-    Vleck kernel, checked for a finite flow and a focal point once, when it
-    is built.  Its arguments are checked by the public functions."""
-    _finite(eps=eps, eps_dot=eps_dot, beta=beta)
-    m11, m12, m22 = eps.real, eps.imag, eps_dot.imag
-    if abs(m12) < CAUSTIC_TOL:
-        raise CausticError(f"{label} is singular at a focal point (|Im eps| < {CAUSTIC_TOL})")
-    dq = -_SQRT2 * (eps * beta.conjugate()).real
-    dp = -_SQRT2 * (eps_dot * beta.conjugate()).real
-    lin_x, amp = m12 * dp - m22 * dq, 1.0 / cmath.sqrt(2.0 * math.pi * m12)
-
-    def green(X: float, Z: float, phase: float) -> complex:
-        X, Z, phase = float(X), float(Z), float(phase)  # a numpy scalar would warn on overflow
-        expo = ((m22 * X * X - 2.0 * X * Z + m11 * Z * Z) / 2.0 + lin_x * X + dq * Z) / m12
-        if not math.isfinite(expo + phase):
-            raise EvaluationError(f"{label} phase overflows at (X, Z) = ({X!r}, {Z!r})")
-        return amp * cmath.exp(1j * (expo + phase))
-
-    return green
-
-
 def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
-    """Green function of the unit-frequency oscillator, F(t) = phase convention.
+    """Green function of the unit-frequency oscillator, F(t) = phase convention:
+    the kernel of the unforced constant(1) profile's flow (e^{it}, i e^{it},
+    0) at any real t, with no step bound.
 
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_flow_of(_UNIT, t), "oscillator Green function")(X, Z, phase)
+    return ClassicalPropagator.from_epsilon(*_flow_of(_UNIT, t), t).kernel(X, Z, phase)
 
 
 def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
-    """Free-particle Green function (2 pi t)^{-1/2} exp{1j (X-Z)^2 / (2t)}.
+    """Free-particle Green function (2 pi t)^{-1/2} exp{1j (X-Z)^2 / (2t)}:
+    the kernel of the unforced free profile's flow (1 + it, i, 0) at any
+    real t, with no step bound.
 
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _green(*_flow_of(_FREE, t), "free Green function")(X, Z, phase)
-
-
-def _profile_green(profile: DriveProfile, t: float, label: str):
-    """The kernel of profile's flow at t, once |t| / 1e-3 is within MAX_STEPS
-    (ValueError, forced or not, before any grid is allocated)."""
-    _check_steps(abs(t), _DEFAULT_STEP)
-    return _green(*_flow_of(profile, t), label)
+    return ClassicalPropagator.from_epsilon(*_flow_of(_FREE, t), t).kernel(X, Z, phase)
 
 
 def green_driven(
@@ -275,14 +282,19 @@ def green_driven(
     """Green function of ``profile``'s Schroedinger equation: the kernel of
     its flow (eps, eps_dot, beta) at t.
 
-    A constant or free profile takes its closed form at any real t; any
-    other profile is solved by RK4 from 0, so t must be >= 0 (ValueError
-    naming t), and its kernel is that of :func:`flow_at` bit for bit.
-    |t| / 1e-3 may be at most MAX_STEPS (ValueError).  The modulus
-    (2 pi |Im eps|)^{-1/2} is force-independent.
+    |t| / 1e-3 may be at most MAX_STEPS (ValueError, forced or not, before
+    any grid is allocated).  A constant or free profile takes its closed
+    form at any real t, beta exact for a number force and on a drive grid
+    of step ~1e-3 for a callable one.  Any other profile is solved by RK4
+    from 0 at flow_at's default step min(1e-3, t), so t must be >= 0
+    (ValueError naming t), and its kernel is that of :func:`flow_at` bit
+    for bit.  A flow with |det Lambda - 1| > DET_TOL raises
+    ConsistencyError.  The modulus (2 pi |Im eps|)^{-1/2} is
+    force-independent.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return _profile_green(profile, t, "driven Green function")(X, Z, phase)
+    _check_steps(abs(t), _DEFAULT_STEP)
+    return ClassicalPropagator.from_epsilon(*_flow_of(profile, t), t).kernel(X, Z, phase)
 
 
 def quantum_propagator(
@@ -295,7 +307,8 @@ def quantum_propagator(
     ``profile``'s flow, with the rules of :func:`green_driven`.
     """
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
-    green = _profile_green(profile, t, "quantum propagator")
+    _check_steps(abs(t), _DEFAULT_STEP)
+    green = ClassicalPropagator.from_epsilon(*_flow_of(profile, t), t).kernel
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 

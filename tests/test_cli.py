@@ -335,9 +335,7 @@ class TestEval:
         ids=["green_driven", "quantum_propagator"],
     )
     def test_non_unit_profile_prints_the_kernel_of_its_flow(self, capsys, op, value, profile):
-        from osctomo.propagators import _green
-
-        kernel = _green(*flow_at(cli._parse_profile(profile, None)[0], 1.0), "driven Green function")
+        kernel = ClassicalPropagator.from_epsilon(*flow_at(cli._parse_profile(profile, None)[0], 1.0)).kernel
         out = f"{cli._fmt(value(kernel))}\n"
         assert run(["eval", *op, f"profile={profile}", "t=1"], capsys) == (0, out, "")
 

@@ -379,8 +379,6 @@ class TestGreenFunctions:
     def test_route_b_carries_a_coherent_state_to_its_closed_form(self, profile):
         # psi(X, t) = integral G(X, Z, t) psi(Z, 0) dZ on a trapezoid of 241 nodes
         # over [-9, 9] is the coherent state of the flow, up to one global phase
-        from osctomo.propagators import _green
-
         alpha = 0.7 - 0.4j
         Z = np.linspace(-9.0, 9.0, 241)
         weights = np.full(Z.shape, Z[1] - Z[0])
@@ -389,8 +387,8 @@ class TestGreenFunctions:
         X = np.linspace(-3.0, 3.0, 7)
         for t in (0.8, 2.2, 6.0):
             flow = flow_at(profile, t)
-            kernel = _green(*flow, "driven Green function")
-            psi = np.array([sum(kernel(x, z, 0.0) * c for z, c in zip(Z, psi0)) for x in X])
+            kernel = ClassicalPropagator.from_epsilon(*flow).kernel
+            psi = kernel(X[:, None], Z) @ psi0
             exact = coherent_wavefunction(alpha, *flow, X)
             phase = np.vdot(exact, psi) / np.vdot(exact, exact)
             assert abs(abs(phase) - 1.0) <= 1e-12
@@ -543,12 +541,10 @@ class TestGreenProperties:
     @given(case=classical_profiles(), t=st.floats(0.0, 8.0, exclude_min=True), X=points, Z=points,
            phase=phases)
     def test_driven_is_the_kernel_of_flow_at(self, case, t, X, Z, phase):
-        from osctomo.propagators import _green
-
         profile = case[0]
         flow = flow_at(profile, t)
         assume(abs(flow[0].imag) >= 1e-3)
-        kernel = _green(*flow, "driven Green function")
+        kernel = ClassicalPropagator.from_epsilon(*flow).kernel
         assert green_driven(X, Z, t, profile, phase) == kernel(X, Z, phase)
         k = kernel(X, Z, phase) * kernel(Z, X, phase).conjugate()
         assert quantum_propagator(X, Z, Z, X, t, profile, phase) == k
@@ -731,13 +727,6 @@ class TestGreenNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 call()
-
-    def test_kernel_rejects_a_non_finite_flow(self):
-        from osctomo.propagators import _green
-
-        for flow, name in (((complex(math.nan), 1j, 0j), "eps"), ((1 + 1j, 1j, complex(math.inf)), "beta")):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                _green(*flow, "test kernel")
 
 
 class TestGreenOverflow:
