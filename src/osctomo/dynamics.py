@@ -155,12 +155,15 @@ class DriveProfile:
 
     @classmethod
     def parametric_resonance(cls, k: float, force: Callable[[float], float] | float = 0.0):
-        """Parametric resonance profile omega_sq(t) = (1 + k cos 2t) / (1 + k).
+        """Parametric resonance profile omega_sq(t) = 1 + k cos 2t.
 
+        Its modulation at twice the unit frequency lies in the first
+        instability tongue, so eps grows like e^{|k| t / 4}: the equation
+        :func:`parametric_resonance_epsilon` solves to first order in k.
         The weak-modulation regime is enforced as k in (-0.5, 0.5).
         """
         k = _resonance_k(k)
-        return cls(lambda t: (1.0 + k * np.cos(2.0 * t)) / (1.0 + k), force)
+        return cls(lambda t: 1.0 + k * np.cos(2.0 * t), force)
 
     @classmethod
     def custom(
@@ -690,7 +693,8 @@ def _flow_of(
 def parametric_resonance_epsilon(k: float, t):
     """Closed-form weak-resonance approximation for eps and its derivative.
 
-    For omega_sq(t) = (1 + k cos 2t)/(1 + k) with |k| << 1,
+    For the profile omega_sq(t) = 1 + k cos 2t of
+    :meth:`DriveProfile.parametric_resonance`, with |k| << 1,
 
         eps(t) = cosh(kt/4) e^{it} - 1j sinh(kt/4) e^{-it},
 

@@ -396,6 +396,27 @@ class TestGreenFunctions:
             for x, z in ((0.3, -0.4), (-2.1, 1.7)):
                 assert green_driven(x, z, t, profile) == kernel(x, z, 0.0)
 
+    def test_route_b_solves_one_flow(self, monkeypatch):
+        from osctomo import dynamics
+
+        solve, calls = dynamics.solve_epsilon, []
+        monkeypatch.setattr(dynamics, "solve_epsilon", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        resonance = DriveProfile.parametric_resonance(0.3, lambda s: np.sin(2.0 * s) + 0.2)
+        Z = np.linspace(-9.0, 9.0, 241)
+        psi0 = coherent_wavefunction(0.7 - 0.4j, 1.0, 1j, 0.0, Z) * (Z[1] - Z[0])
+        psi = ClassicalPropagator.from_profile(resonance, 2.2).kernel(np.array([[-1.0], [0.3], [1.2]]), Z) @ psi0
+        assert psi.shape == (3,) and len(calls) == 1
+
+    def test_green_functions_share_the_frame_maps_det_gate(self):
+        # the RK4 flow of omega = 20 at t = 200 has det Lambda off 1 by ~1.8e-7, beyond
+        # DET_TOL: every view of that flow raises, the kernel as the frame map
+        profile = DriveProfile.custom(lambda s: 400.0)
+        with pytest.raises(ConsistencyError, match="det Lambda"):
+            ClassicalPropagator.from_profile(profile, 200.0).frame_map(0.3, 1.0, 0.5)
+        for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
+            with pytest.raises(ConsistencyError, match="det Lambda"):
+                kernel(0.3, -0.4, 200.0, profile)
+
     @pytest.mark.parametrize("t", [1e7, -1e7, 1e200])
     def test_driven_forms_beyond_max_steps_raise_before_allocating(self, t):
         # t = 1e7 would ask for 10^10 drive-quadrature nodes (~75 GiB each array)
@@ -548,6 +569,18 @@ class TestGreenProperties:
         assert green_driven(X, Z, t, profile, phase) == kernel(X, Z, phase)
         k = kernel(X, Z, phase) * kernel(Z, X, phase).conjugate()
         assert quantum_propagator(X, Z, Z, X, t, profile, phase) == k
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0, exclude_min=True),
+           X=st.lists(points, min_size=1, max_size=5), Z=st.lists(points, min_size=1, max_size=5),
+           phase=st.one_of(st.sampled_from([0.0, -0.0]), phases))
+    def test_kernel_on_arrays_is_the_float_kernel_at_each_point(self, case, t, X, Z, phase):
+        prop = ClassicalPropagator.from_profile(case[0], t)
+        assume(abs(prop.eps.imag) >= 1e-3)
+        grid = prop.kernel(np.array(X)[:, None], np.array(Z), phase)
+        assert grid.shape == (len(X), len(Z))
+        for (i, j), g in np.ndenumerate(grid):
+            assert g == prop.kernel(X[i], Z[j], phase)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(force=unit_forces(), t=st.floats(0.1, 6.0), X=points, Z=points)
@@ -735,6 +768,10 @@ class TestGreenOverflow:
 
     P = DriveProfile.constant(1.0, lambda t: 1.0)
 
+    @staticmethod
+    def kernel(X, Z, phase=0.0):
+        return ClassicalPropagator.from_profile(TestGreenOverflow.P, 1.0).kernel(X, Z, phase)
+
     @pytest.mark.parametrize(
         "call, shown",
         [
@@ -747,16 +784,23 @@ class TestGreenOverflow:
             (lambda: quantum_propagator_from_shift(1e200, 0.0, 0.0, 0.0, 1.0, 0.1j), "(1e+200, 0.0)"),
             (lambda: green_sho(0.0, 1e154, 1.0, phase=1.7e308), "(0.0, 1e+154)"),
             (lambda: green_sho(np.float64(1e200), np.float64(0.1), 1.0), "(1e+200, 0.1)"),
+            # arrays name their first overflowing (X, Z) in C order
+            (lambda: TestGreenOverflow.kernel(np.array([0.1, 1e200, -1e200]), 0.1), "(1e+200, 0.1)"),
+            (lambda: TestGreenOverflow.kernel(np.array([[0.3], [1e200]]), np.array([1e155, 0.2])),
+             "(0.3, 1e+155)"),
+            (lambda: TestGreenOverflow.kernel(0.0, np.array([0.5, -1e200, 1e200]), 0.37), "(0.0, -1e+200)"),
+            (lambda: TestGreenOverflow.kernel(0.0, 1e154, np.array([0.0, 1.7e308])), "(0.0, 1e+154)"),
         ],
         ids=["sho", "sho-nan", "free", "driven", "propagator", "propagator-Zp", "shift", "sho-phase",
-             "sho-numpy-scalars"],
+             "sho-numpy-scalars", "kernel-X", "kernel-grid", "kernel-Z", "kernel-phase"],
     )
     def test_phase_overflow_raises(self, call, shown):
+        # every caller, float or array, words it as the float call at that point
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvaluationError, match=r"phase overflows at \(X, Z\)") as err:
+            with pytest.raises(EvaluationError) as err:
                 call()
-        assert shown in str(err.value)
+        assert str(err.value) == f"Green function phase overflows at (X, Z) = {shown}"
 
     def test_large_finite_phase_still_evaluates(self):
         # the phase m22 X^2 / (2 m12) is finite here: the value keeps its modulus
