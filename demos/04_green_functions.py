@@ -7,6 +7,7 @@ time-dependent phase left open by the wavefunction kernel, and the kernel
 of a parametric profile carries a coherent state to its closed form.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -34,10 +35,14 @@ g_s, g_f = green_sho(0.3, 0.4, t), green_free(0.3, 0.4, t)
 print(f"oscillator vs free kernel at t = {t}: relative difference "
       f"{abs(g_s - g_f) / abs(g_f):.2e}")
 
-# driven kernel with the force switched off is the oscillator kernel
+# driven kernel with the force switched off is the oscillator kernel as the
+# seed wrote it out, (2 pi sin t)^(-1/2) exp{i((X^2 + Z^2) cos t - 2XZ)/(2 sin t)},
+# which shares no code with the kernel of the flow
 quiet = DriveProfile.constant(1.0)
-print("driven(f=0) == SHO:",
-      abs(green_driven(0.4, -0.7, 1.1, quiet) - green_sho(0.4, -0.7, 1.1)))
+x, z, t = 0.4, -0.7, 1.1
+seed = cmath.exp(1j * ((x * x + z * z) * math.cos(t) - 2.0 * x * z) / (2.0 * math.sin(t))) / cmath.sqrt(
+    2.0 * math.pi * math.sin(t))
+print("driven(f=0) vs seed kernel:", abs(green_driven(x, z, t, quiet) - seed))
 
 # two routes to the driven density-matrix propagator: the Green kernel of
 # the flow with beta from its own force integrals, or the trajectory's

@@ -186,8 +186,15 @@ def _op_epsilon(args):
 
 
 def _op_wronskian(args):
+    # the RK4 solve itself, on every profile, so forward from 0 only, at
+    # flow_at's step: min(1e-3, t) by default, any step > 0 at t = 0
     profile, t, step = args.flow_args()
-    step = osctomo.dynamics._flow_step(t, step)
+    if t < 0.0:
+        raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
+    if step is None:
+        step = min(1e-3, t) or 1e-3
+    elif not (step > 0.0 and (t == 0.0 or step <= t)):
+        raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
     traj = osctomo.solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
     return (traj.max_wronskian_drift,)
 

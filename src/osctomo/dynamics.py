@@ -23,16 +23,18 @@ The seeded initial conditions fix the Wronskian
 for all times, and that conservation law is the one solution-quality
 invariant monitored during integration.
 
-:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t >= 0,
-the classical flow every view downstream is evaluated from; one private
-function assembles it for flow_at and the four Green functions alike.
-Constant and free profiles take the closed form above; every other profile
-is integrated (and Wronskian-checked) by the RK4 of :func:`solve_epsilon`.
-A force given as a number is constant: on constant and free profiles its
+:func:`flow_at` returns the triple (eps, eps_dot, beta) at one time t,
+the classical flow every view downstream is evaluated from, the four
+Green functions among them; it is the package's one assembly of the flow,
+under one rule.  Constant and free profiles take the closed form above at
+any finite t; every other profile is integrated (and Wronskian-checked)
+by the RK4 of :func:`solve_epsilon` forward from 0, so at t >= 0 only.  A
+force given as a number is constant: on constant and free profiles its
 beta is exact, with no grid; otherwise beta is one Simpson rule of the
-drive on at most MAX_STEPS steps.  The number 0, the default force, gives
-beta exactly 0 on every profile.  flow_at owns the flow's input rule (t
-finite and >= 0, 0 < step <= t, at most MAX_STEPS steps).
+drive.  The number 0, the default force, gives beta exactly 0 on every
+profile.  A given step satisfies 0 < step <= |t|.  MAX_STEPS bounds the
+grids where they are allocated, in solve_epsilon and the drive grid of
+the closed forms, so a flow that builds no grid has no step bound.
 Every profile callable is sampled on a grid through one helper, which
 raises EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
@@ -309,7 +311,8 @@ def solve_epsilon(
 
 def _check_steps(span: float, step: float) -> None:
     """ValueError if span / step rounds to more than MAX_STEPS steps: the one
-    step bound of the flow's grids, checked before any grid is allocated."""
+    step bound of the flow's grids, checked where a grid is allocated, by
+    :func:`solve_epsilon` and :func:`_drive_grid`, before allocating."""
     if span / step > MAX_STEPS + 0.5:  # round(span / step) > MAX_STEPS
         raise ValueError(f"a span of {span:.12g} at step {step:.12g} is {span / step:.7g} steps, "
                          f"more than MAX_STEPS = {MAX_STEPS}")
@@ -577,45 +580,58 @@ def beta_shift(traj: EpsilonTrajectory, t: float, t_start: float = 0.0) -> compl
     return complex(-1j / math.sqrt(2.0) * total)
 
 
-def _flow_step(t: float, step: float | None) -> float:
-    """The ODE step of the flow over [0, t] within MAX_STEPS: see :func:`flow_at`."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
-    if step is None:
-        step = min(_DEFAULT_STEP, t) or _DEFAULT_STEP
-    elif not (step > 0.0 and (t == 0.0 or step <= t)):
-        raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
-    _check_steps(t, step)
-    return step
-
-
 def flow_at(
     profile: DriveProfile, t: float, step: float | None = None
 ) -> tuple[complex, complex, complex]:
-    """The classical flow (eps, eps_dot, beta) of ``profile`` at time t.
+    """The classical flow (eps, eps_dot, beta) of ``profile`` at time t:
+    the package's one assembly of it, which every view downstream, the
+    four Green functions among them, reads.
 
     A profile made by :meth:`DriveProfile.constant` or
-    :meth:`DriveProfile.free` takes its closed form,
+    :meth:`DriveProfile.free` takes its closed form at any finite t,
 
         eps = cos wt + 1j sin(wt) / w,   eps_dot = -w sin wt + 1j cos wt
 
     (1 + 1j t and 1j at w = 0); an overflowing w t raises EvaluationError.
     beta is exact there for a number force c, -(1j / sqrt 2) c times the
     integral of eps (:func:`_constant_drive`), and for a callable force
-    Simpson's rule on that eps over 2 max(1, round(t / 2 step)) uniform
-    steps from 0 to t.  Every other profile is solved by RK4
-    (:func:`solve_epsilon`) from 0 up to t, and beta integrated by
-    :func:`beta_shift`.  step sets only those RK4 and Simpson grids.  For
-    the number force 0 beta is exactly 0 (0-0j), with no drive grid,
-    whatever the profile.  The Green functions read the same flow.  t
-    must be finite and >= 0, and a given step 0 < step <= t, any step > 0
-    at t = 0 (ValueError); the default step is min(1e-3, t), and t / step
-    may round to at most MAX_STEPS steps (ValueError).  At t = 0 the
-    seeded (1, 1j, 0) is returned unsolved.  A non-finite profile sample
-    or drive integral raises EvaluationError.
+    Simpson's rule on that eps over 2 max(1, round(|t| / 2 step)) uniform
+    steps from 0 to t (:func:`_drive_grid`).  Every other profile is
+    solved by RK4 (:func:`solve_epsilon`) forward from 0 up to t, so t must
+    be >= 0 there (ValueError naming t), and beta integrated by
+    :func:`beta_shift`.  For the number force 0 beta is exactly 0 (0-0j),
+    with no drive grid, whatever the profile.  t must be finite, and a
+    given step 0 < step <= |t|, any step > 0 at t = 0 (ValueError); the
+    default step is min(1e-3, |t|).  step sets only the RK4 and Simpson
+    grids, and MAX_STEPS bounds a grid where it is allocated (ValueError,
+    before allocating), so a flow with no grid takes any finite t.  At
+    t = 0 the seeded (1, 1j, 0) is returned unsolved.  A non-finite
+    profile sample or drive integral raises EvaluationError.
     """
-    t = _float("t", t)
-    return _flow_of(profile, t, _flow_step(t, _float("step", step)))
+    t, step = _float("t", t), _float("step", step)
+    omega, force = profile._omega, profile._force
+    if not math.isfinite(t):
+        raise ValueError(f"t={t!r} is not finite: the flow needs a finite t, "
+                         "and t must be >= 0 for a profile without a closed form")
+    if omega is None and t < 0.0:
+        raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
+                         "so t must be >= 0")
+    if step is None:
+        step = min(_DEFAULT_STEP, abs(t))
+    elif not (step > 0.0 and (t == 0.0 or step <= abs(t))):
+        raise ValueError(f"step={step!r} must satisfy 0 < step <= {'t' if t >= 0.0 else '-t'} (t={t!r})")
+    if t == 0.0:
+        return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
+    if omega is None:
+        traj = solve_epsilon(profile, t, step)
+        return *traj(t), _NO_SHIFT if force == 0.0 else beta_shift(traj, t)
+    if not math.isfinite(omega * t):
+        raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
+    if force is not None:
+        return *_oscillator(omega, t), _constant_drive(omega, force, t)
+    s = _drive_grid(t, step)
+    total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
+    return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
 
 
 def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):
@@ -658,36 +674,6 @@ def _drive_grid(t: float, step: float) -> np.ndarray:
     MAX_STEPS check of :func:`_check_steps`."""
     _check_steps(abs(t), step)
     return np.linspace(0.0, t, 2 * max(1, round(abs(t) / (2.0 * step))) + 1)
-
-
-def _flow_of(
-    profile: DriveProfile, t: float, step: float | None = None
-) -> tuple[complex, complex, complex]:
-    """(eps, eps_dot, beta) of profile at t, the package's one assembly of the
-    flow: the seeded (1, 1j, 0) at t = 0 for every profile; a constant or
-    free profile's closed form at any real t, beta by :func:`_constant_drive`
-    for a number force and on :func:`_drive_grid` for a callable one; RK4
-    for every other profile, t > 0 only (ValueError naming t), beta by
-    :func:`beta_shift`.  The default step is min(1e-3, |t|).  The number
-    force 0 gives beta exactly 0, 0-0j, with no grid.  See :func:`flow_at`."""
-    if t == 0.0:
-        return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    if step is None:
-        step = min(_DEFAULT_STEP, abs(t))
-    omega, force = profile._omega, profile._force
-    if omega is None:
-        if t < 0.0:
-            raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
-                             "so t must be >= 0")
-        traj = solve_epsilon(profile, t, step)
-        return *traj(t), _NO_SHIFT if force == 0.0 else beta_shift(traj, t)
-    if not math.isfinite(omega * t):
-        raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
-    if force is not None:
-        return *_oscillator(omega, t), _constant_drive(omega, force, t)
-    s = _drive_grid(t, step)
-    total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
-    return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
 
 
 def parametric_resonance_epsilon(k: float, t):

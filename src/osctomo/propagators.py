@@ -30,8 +30,9 @@ it builds the LinearInvariant, which gates det Lambda once, at DET_TOL =
 
 Each view takes floats or arrays of any shapes that broadcast, and floats
 give floats.  green_sho, green_free, green_driven and quantum_propagator
-read the kernel of the flow that flow_at's own function assembles, one
-propagator per call.  The density-matrix propagator K = G(X,Z)
+read the kernel of ``ClassicalPropagator.from_profile(profile, t)``, one
+propagator per call, so they take the flow and the rule of
+:func:`osctomo.dynamics.flow_at`.  The density-matrix propagator K = G(X,Z)
 conj(G(X',Z')) is independent of the phase convention.
 """
 
@@ -45,15 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    _DEFAULT_STEP,
-    DriveProfile,
-    _check_steps,
-    _float,
-    _flow_of,
-    _raise_first,
-    flow_at,
-)
+from .dynamics import DriveProfile, _float, _raise_first, flow_at
 from .errors import CausticError, ConsistencyError, EvaluationError
 from .invariants import LinearInvariant, linear_invariant
 from .states import _check_point, _finite
@@ -257,44 +250,42 @@ def fokker_planck_residual(
 def green_sho(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     """Green function of the unit-frequency oscillator, F(t) = phase convention:
     the kernel of the unforced constant(1) profile's flow (e^{it}, i e^{it},
-    0) at any real t, with no step bound.
+    0) at any finite t, which builds no grid.
 
     |G| = (2 pi |sin t|)^{-1/2} for all X, Z.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return ClassicalPropagator.from_epsilon(*_flow_of(_UNIT, t), t).kernel(X, Z, phase)
+    return ClassicalPropagator.from_profile(_UNIT, t).kernel(X, Z, phase)
 
 
 def green_free(X: float, Z: float, t: float, phase: float = 0.0) -> complex:
     """Free-particle Green function (2 pi t)^{-1/2} exp{1j (X-Z)^2 / (2t)}:
     the kernel of the unforced free profile's flow (1 + it, i, 0) at any
-    real t, with no step bound.
+    finite t, which builds no grid.
 
     The small-t limit of :func:`green_sho` (sin t -> t, cos t -> 1).
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    return ClassicalPropagator.from_epsilon(*_flow_of(_FREE, t), t).kernel(X, Z, phase)
+    return ClassicalPropagator.from_profile(_FREE, t).kernel(X, Z, phase)
 
 
 def green_driven(
     X: float, Z: float, t: float, profile: DriveProfile, phase: float = 0.0
 ) -> complex:
     """Green function of ``profile``'s Schroedinger equation: the kernel of
-    its flow (eps, eps_dot, beta) at t.
+    its flow ``flow_at(profile, t)`` at flow_at's default step.
 
-    |t| / 1e-3 may be at most MAX_STEPS (ValueError, forced or not, before
-    any grid is allocated).  A constant or free profile takes its closed
-    form at any real t, beta exact for a number force and on a drive grid
-    of step ~1e-3 for a callable one.  Any other profile is solved by RK4
-    from 0 at flow_at's default step min(1e-3, t), so t must be >= 0
-    (ValueError naming t), and its kernel is that of :func:`flow_at` bit
-    for bit.  A flow with |det Lambda - 1| > DET_TOL raises
+    So a constant or free profile takes its closed form at any finite t,
+    beta exact for a number force and on a drive grid of step ~1e-3 for a
+    callable one; any other profile is solved by RK4 forward from 0, so t
+    must be >= 0 (ValueError naming t).  A grid of more than MAX_STEPS
+    steps raises ValueError before it is allocated; a flow that builds no
+    grid has no step bound.  A flow with |det Lambda - 1| > DET_TOL raises
     ConsistencyError.  The modulus (2 pi |Im eps|)^{-1/2} is
     force-independent.
     """
     X, Z, t, phase = _finite(X=X, Z=Z, t=t, phase=phase)
-    _check_steps(abs(t), _DEFAULT_STEP)
-    return ClassicalPropagator.from_epsilon(*_flow_of(profile, t), t).kernel(X, Z, phase)
+    return ClassicalPropagator.from_profile(profile, t).kernel(X, Z, phase)
 
 
 def quantum_propagator(
@@ -307,8 +298,7 @@ def quantum_propagator(
     ``profile``'s flow, with the rules of :func:`green_driven`.
     """
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
-    _check_steps(abs(t), _DEFAULT_STEP)
-    green = ClassicalPropagator.from_epsilon(*_flow_of(profile, t), t).kernel
+    green = ClassicalPropagator.from_profile(profile, t).kernel
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
 
 

@@ -206,9 +206,12 @@ class TestEval:
         assert (code, out, err) == (0, "-5.95009839529e+199\n", "")
 
     def test_too_many_steps_is_usage_error(self, capsys):
-        code, out, err = run(["eval", "epsilon", "profile=free", "t=1e7"], capsys)
+        # an RK4 profile's grid of 1e10 steps is rejected before it is allocated
+        code, out, err = run(["eval", "epsilon", "profile=resonance:0.1", "t=1e7"], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("usage error:") and "MAX_STEPS" in err
+        # the free profile's closed form builds no grid, so it has no step bound
+        assert run(["eval", "epsilon", "profile=free", "t=1e7"], capsys) == (0, "1+10000000j 0+1j\n", "")
 
     def test_overflowing_flow_exits_2(self, capsys, tmp_path):
         # omega_sq = 1e300 overflows the RK4 steps to NaN; a table profile is solved by RK4
@@ -241,12 +244,21 @@ class TestEval:
         out = "0.612014671945-0.0623280472411j\n"
         assert run(["eval", "green_sho", "X=0.1", "Z=0.2", "t=1e7"], capsys) == (0, out, "")
 
-    def test_driven_forms_beyond_max_steps_are_usage_errors(self, capsys):
-        # 1e10 drive-quadrature nodes would be ~75 GiB; the check comes first
+    def test_driven_forms_beyond_max_steps_are_usage_errors(self, capsys, tmp_path):
+        # 1e10 RK4 steps would be ~1 TB; the check comes first
+        table = tmp_path / "unit.txt"
+        table.write_text("0 1\n2e7 1\n")
         for op in (["green_driven", "X=0.1", "Z=0.2"], ["quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2"]):
-            code, out, err = run(["eval", *op, "profile=constant:1", "t=1e7"], capsys)
+            code, out, err = run(["eval", *op, f"profile=table:{table}", "t=1e7"], capsys)
             assert (code, out) == (1, "")
             assert err.startswith("usage error:") and "MAX_STEPS" in err
+        # the unforced constant:1 flow builds no grid: its kernel is green_sho's
+        sho = run(["eval", "green_sho", "X=0.1", "Z=0.2", "t=1e7"], capsys)
+        assert sho == (0, "0.612014671945-0.0623280472411j\n", "")
+        assert run(["eval", "green_driven", "X=0.1", "Z=0.2", "profile=constant:1", "t=1e7"], capsys) == sho
+        out = "0.376499340959+0.0383429838945j\n"
+        argv = ["eval", "quantum_propagator", "X=0", "Xp=0.1", "Z=0", "Zp=0.2", "profile=constant:1", "t=1e7"]
+        assert run(argv, capsys) == (0, out, "")
 
     @pytest.mark.parametrize("n, y", [("3", "1e200"), ("200", "30")])
     def test_overflowing_hermite_exits_2(self, capsys, n, y):
@@ -310,9 +322,10 @@ class TestEval:
     @pytest.mark.parametrize(
         "op, message",
         [
-            (["epsilon", "t=-1"], "t must be >= 0"),
-            (["beta", "force=1", "t=-1"], "t must be >= 0"),
-            (["coherent_mdf", "alpha=0", "X=0", "mu=1", "nu=0", "t=-1"], "t must be >= 0"),
+            (["epsilon", "profile=resonance:0.1", "t=-1"], "t must be >= 0"),
+            (["beta", "profile=resonance:0.1", "force=1", "t=-1"], "t must be >= 0"),
+            (["coherent_mdf", "alpha=0", "X=0", "mu=1", "nu=0", "profile=resonance:0.1", "t=-1"],
+             "t must be >= 0"),
             (["wronskian", "t=-1"], "t must be >= 0"),
             (["epsilon", "t=1", "step=0"], "0 < step <= t"),
             (["epsilon", "t=1", "step=5"], "0 < step <= t"),
@@ -325,6 +338,16 @@ class TestEval:
         code, out, err = run(["eval", *op], capsys)
         assert (code, out) == (1, "")
         assert message in err
+
+    def test_closed_form_before_time_zero(self, capsys):
+        # e^{-i} and i e^{-i}; beta of the force 1 is -(i/sqrt 2)(-sin 1 + i(1 - cos 1))
+        out = "0.540302305868-0.841470984808j 0.841470984808+0.540302305868j\n"
+        assert run(["eval", "epsilon", "profile=constant:1", "t=-1"], capsys) == (0, out, "")
+        out = "0.325055356816+0.595009839529j\n"
+        assert run(["eval", "beta", "profile=constant:1", "force=1", "t=-1"], capsys) == (0, out, "")
+        out = "0.564189583548\n"  # the vacuum tomogram at X = 0, pi^{-1/2}
+        argv = ["eval", "coherent_mdf", "alpha=0", "X=0", "mu=1", "nu=0", "t=-1"]
+        assert run(argv, capsys) == (0, out, "")
 
     @pytest.mark.parametrize("profile", ["resonance:0.1", "free"])
     @pytest.mark.parametrize(
@@ -386,36 +409,41 @@ class TestEval:
 
 # every eval operation with valid arguments, and the malformed values of the
 # library's own input rules it can reach (green_sho and green_free have none,
-# so they get a value the argument reader rejects)
+# so they get a value the argument reader rejects); a t < 0 or a grid above
+# MAX_STEPS is malformed only on a profile without a closed form
+BEFORE_ZERO, TOO_LONG = "profile=resonance:0.1 t=-1", "profile=resonance:0.1 t=1e7"
 EVAL_CASES = {
-    "epsilon": (["t=1"], ["t=-1", "step=0", "step=2"]),
+    "epsilon": (["t=1"], [BEFORE_ZERO, "step=0", "step=2"]),
     "wronskian": (["t=1"], ["t=-1", "step=0", "step=2"]),
-    "beta": (["force=1", "t=1"], ["t=-1", "step=0", "step=2"]),
-    "frame_map": (["t=1", "X=0.3", "mu=1", "nu=0.5"], ["t=-1", "step=0", "step=2"]),
-    "coherent_mdf": (["alpha=0.5+0.2j", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["t=-1", "step=2"]),
-    "fock_mdf": (["n=2", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["n=-1", "t=-1", "step=0"]),
+    "beta": (["force=1", "t=1"], [BEFORE_ZERO, "step=0", "step=2"]),
+    "frame_map": (["t=1", "X=0.3", "mu=1", "nu=0.5"], [BEFORE_ZERO, "step=0", "step=2"]),
+    "coherent_mdf": (["alpha=0.5+0.2j", "t=1", "X=0.3", "mu=1", "nu=0.5"], [BEFORE_ZERO, "step=2"]),
+    "fock_mdf": (["n=2", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["n=-1", BEFORE_ZERO, "step=0"]),
     "cross_mdf": (["n=2", "m=1", "t=1", "X=0.3", "mu=1", "nu=0.5"], ["m=-2", "n=-1", "step=2"]),
-    "mean_X": (["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5"], ["t=-1", "step=0"]),
-    "variance_X": (["t=1", "mu=1", "nu=0.5"], ["t=-1", "step=2"]),
+    "mean_X": (["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5"], [BEFORE_ZERO, "step=0"]),
+    "variance_X": (["t=1", "mu=1", "nu=0.5"], [BEFORE_ZERO, "step=2"]),
     "annihilation_eigencheck": (
-        ["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5", "k=0.7"], ["k=0", "h=0", "h=-1e-3", "t=-1"]
+        ["alpha=0.5+0.2j", "t=1", "mu=1", "nu=0.5", "k=0.7"], ["k=0", "h=0", "h=-1e-3", BEFORE_ZERO]
     ),
     "hermite": (["n=3", "y=0.5"], ["n=-1"]),
     "green_sho": (["X=0.1", "Z=0.2", "t=1"], ["t=nan"]),
     "green_free": (["X=0.1", "Z=0.2", "t=1"], ["Z=inf"]),
     "green_driven": (
-        ["X=0.1", "Z=0.2", "t=1", "profile=constant:1", "force=0.5"], ["t=1e7"],
+        ["X=0.1", "Z=0.2", "t=1", "profile=constant:1", "force=0.5"], [TOO_LONG],
     ),
     "quantum_propagator": (
-        ["X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4", "t=1", "profile=constant:1", "force=0.5"], ["t=1e7"],
+        ["X=0.1", "Xp=-0.3", "Z=0.2", "Zp=0.4", "t=1", "profile=constant:1", "force=0.5"], [TOO_LONG],
     ),
 }
 
 
-def with_override(args, override):
-    """args with the key of ``override`` set to its value (added if absent)."""
-    key = override.partition("=")[0]
-    return [a for a in args if a.partition("=")[0] != key] + [override]
+def with_override(args, overrides):
+    """args with the key of each space-separated key=value in ``overrides``
+    set to its value (added if absent)."""
+    for override in overrides.split():
+        key = override.partition("=")[0]
+        args = [a for a in args if a.partition("=")[0] != key] + [override]
+    return args
 
 
 class TestEvalChecks:

@@ -478,10 +478,26 @@ class TestFlowAt:
         assert beta == 0.0
         assert ClassicalPropagator.from_profile(DriveProfile.constant(1.0), t).t == t
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
-    def test_time_outside_the_flow_rejected(self, t):
+    @pytest.mark.parametrize(
+        "profile, t",
+        [(DriveProfile.constant(1.0), math.nan), (DriveProfile.constant(1.0), math.inf),
+         (DriveProfile.constant(1.0), -math.inf), (DriveProfile.parametric_resonance(0.1), -1.0)],
+        ids=["nan", "inf", "-inf", "-1.0"],
+    )
+    def test_time_outside_the_flow_rejected(self, profile, t):
+        # t < 0 is outside the flow only where it is solved forward from 0
         with pytest.raises(ValueError, match="t must be >= 0"):
-            flow_at(DriveProfile.constant(1.0), t)
+            flow_at(profile, t)
+
+    def test_closed_form_before_time_zero(self):
+        # e^{-i} and i e^{-i}, and beta of the force c = 1 is -(i/sqrt 2) c integral_0^{-1} e^{is} ds
+        assert flow_at(DriveProfile.constant(1.0), -1.0) == (cmath.exp(-1j), 1j * cmath.exp(-1j), 0.0)
+        beta = flow_at(DriveProfile.constant(1.0, 1.0), -1.0)[2]
+        assert abs(beta - (-1j / math.sqrt(2.0)) * (cmath.exp(-1j) - 1.0) / 1j) <= 1e-15
+        # a given step is bounded by |t|
+        assert flow_at(DriveProfile.free(math.cos), -1.0, 1.0)[:2] == (complex(1.0, -1.0), 1j)
+        with pytest.raises(ValueError, match=r"^step=2\.0 must satisfy 0 < step <= -t \(t=-1\.0\)$"):
+            flow_at(DriveProfile.free(math.cos), -1.0, 2.0)
 
     @pytest.mark.parametrize(
         "t, step", [(1.0, 2.0), (5e-4, 1e-3), (1.0, 0.0), (0.0, -1e-3), (1.0, math.nan)]
@@ -597,14 +613,17 @@ class TestExactFlow:
             flow_at(DriveProfile.parametric_resonance(0.3, math.cos), 1.0)
 
     def test_step_bound_message_names_no_t_end(self):
-        with pytest.raises(ValueError, match=f"MAX_STEPS = {dynamics.MAX_STEPS}$") as err:
-            flow_at(DriveProfile.free(), 1e7)
-        assert "t_end" not in str(err.value)
+        for profile in (DriveProfile.free(math.cos), DriveProfile.parametric_resonance(0.1)):
+            with pytest.raises(ValueError, match=f"MAX_STEPS = {dynamics.MAX_STEPS}$") as err:
+                flow_at(profile, 1e7)
+            assert "t_end" not in str(err.value)
+        # the unforced free flow builds no grid, so it has no step bound
+        assert flow_at(DriveProfile.free(), 1e7) == (complex(1.0, 1e7), 1j, 0.0)
 
     def test_step_bound_before_allocating(self):
         tracemalloc.start()
         try:
-            for profile in (DriveProfile.constant(1.0, math.cos), DriveProfile.free()):
+            for profile in (DriveProfile.constant(1.0, math.cos), DriveProfile.parametric_resonance(0.1)):
                 for t, step in ((1e7, None), (1.0, 1e-300)):
                     with pytest.raises(ValueError, match="MAX_STEPS"):
                         flow_at(profile, t, step)
@@ -612,6 +631,10 @@ class TestExactFlow:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 18
+        # a number force's closed form builds no grid at any step
+        for profile in (DriveProfile.free(), DriveProfile.constant(1.0, 0.5)):
+            for t, step in ((1e7, None), (1.0, 1e-300)):
+                assert flow_at(profile, t, step) == flow_at(profile, t)
 
     def test_overflowing_phase_raises_without_warnings(self):
         with warnings.catch_warnings():
@@ -652,9 +675,9 @@ class TestConstantForce:
     @given(omega=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), c=st.floats(-2.0, 2.0),
            t=st.floats(-20.0, 20.0))
     def test_exact_beta_within_simpson_bound_of_the_equal_callable(self, omega, c, t):
-        # _flow_of is the flow green_driven reads, so t < 0 is covered as it sees it
-        exact = dynamics._flow_of(DriveProfile.constant(omega, c), t)[2]
-        simpson = dynamics._flow_of(DriveProfile.constant(omega, lambda s: c), t)[2]
+        # closed forms take t < 0 too
+        exact = flow_at(DriveProfile.constant(omega, c), t)[2]
+        simpson = flow_at(DriveProfile.constant(omega, lambda s: c), t)[2]
         if t == 0.0:
             assert exact == simpson == 0.0
             return

@@ -434,10 +434,12 @@ class TestGreenFunctions:
     def test_step_bound_message_names_no_t_end(self):
         # the driven forms' step is fixed, so the message names only the span and the step
         for kernel in (green_driven, lambda *a: quantum_propagator(0.1, 0.2, *a)):
-            for profile in (DriveProfile.constant(1.0), DriveProfile.custom(lambda s: 1.0, math.cos)):
+            for profile in (DriveProfile.constant(1.0, math.cos), DriveProfile.custom(lambda s: 1.0, math.cos)):
                 with pytest.raises(ValueError, match="MAX_STEPS = 2000000$") as err:
                     kernel(0.1, 0.2, 1e7, profile)
                 assert "t_end" not in str(err.value) and "step 0.001" in str(err.value)
+        # the unforced constant(1.0) flow builds no grid: its kernel is green_sho's
+        assert green_driven(0.1, 0.2, 1e7, DriveProfile.constant(1.0)) == green_sho(0.1, 0.2, 1e7)
 
     def test_one_drive_grid_per_call(self, monkeypatch):
         from osctomo import dynamics
@@ -518,6 +520,29 @@ def unit_forces(draw):
 frame_points = st.tuples(points, points, points).filter(lambda p: abs(p[1]) + abs(p[2]) >= 1e-2)
 
 
+@st.composite
+def closed_form_cases(draw):
+    """(profile, t): a constant (omega in [0, 3]) or free profile with no
+    force, a number force or a cos force, at a t of either sign; |t| up to
+    1e7 where the flow builds no drive grid, up to 20 for the cos force."""
+    kind = draw(st.sampled_from(["none", "number", "callable"]))
+    c, w = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 3.0))
+    force = {"none": 0.0, "number": c, "callable": lambda s: c * np.cos(w * s)}[kind]
+    omega = draw(st.floats(0.0, 3.0))
+    profile = DriveProfile.free(force) if draw(st.booleans()) else DriveProfile.constant(omega, force)
+    span = 20.0 if kind == "callable" else 1e7
+    return profile, draw(st.floats(-span, span))
+
+
+def outcome(call, *args):
+    """repr of call(*args), so signed zeros count, or the type and message of
+    the error it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
 class TestGreenProperties:
     """The one Green kernel against the seed closed forms and the beta-shift
     route, over random times and points."""
@@ -581,6 +606,24 @@ class TestGreenProperties:
         assert grid.shape == (len(X), len(Z))
         for (i, j), g in np.ndenumerate(grid):
             assert g == prop.kernel(X[i], Z[j], phase)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=closed_form_cases(), X=points, Xp=points, Z=points, Zp=points, phase=phases)
+    @example(case=(DriveProfile.free(), 1e7), X=0.3, Xp=0.1, Z=-0.4, Zp=0.2, phase=0.0)
+    @example(case=(DriveProfile.constant(1.0, 0.5), -1e7), X=0.3, Xp=0.1, Z=-0.4, Zp=0.2, phase=0.2)
+    @example(case=(DriveProfile.constant(1.3, math.cos), -2.5), X=0.3, Xp=0.1, Z=-0.4, Zp=0.2, phase=0.0)
+    def test_green_functions_read_the_propagator_of_their_profile(self, case, X, Xp, Z, Zp, phase):
+        # bit for bit, at any finite t, caustics and all
+        profile, t = case
+        prop = ClassicalPropagator.from_profile(profile, t)
+        assert repr(flow_at(profile, t)) == repr((prop.eps, prop.eps_dot, prop.beta))
+        assert outcome(green_driven, X, Z, t, profile, phase) == outcome(prop.kernel, X, Z, phase)
+        propagator = lambda: prop.kernel(X, Z, phase) * prop.kernel(Xp, Zp, phase).conjugate()
+        assert outcome(quantum_propagator, X, Xp, Z, Zp, t, profile, phase) == outcome(propagator)
+        for green, unforced in ((green_sho, DriveProfile.constant(1.0)), (green_free, DriveProfile.free())):
+            kernel = ClassicalPropagator.from_profile(unforced, t).kernel
+            assert outcome(green, X, Z, t, phase) == outcome(kernel, X, Z, phase)
+        assert outcome(green_driven, X, Z, t, DriveProfile.free(), phase) == outcome(green_free, X, Z, t, phase)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(force=unit_forces(), t=st.floats(0.1, 6.0), X=points, Z=points)
