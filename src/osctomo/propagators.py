@@ -67,6 +67,7 @@ CAUSTIC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _MAP_TOL = 1e-10
+_PHASE_TOL = 1e-6  # the largest rounding error, in rad, that a Green kernel's phase may carry
 _UNIT, _FREE = DriveProfile.constant(1.0), DriveProfile.free()  # the unforced kernels' profiles
 
 
@@ -210,16 +211,30 @@ class ClassicalPropagator:
         A non-finite X, Z or phase raises ValueError naming it, and a finite
         (X, Z) whose phase overflows raises EvaluationError naming the first
         such point in C order, with no RuntimeWarning.
+
+        The phase's rounding error is about 2^-53 times the size of its
+        terms, S = (|m22| X^2 / 2 + |X Z| + |m11| Z^2 / 2 + |m12 dp - m22 dq|
+        |X| + |dq Z|) / |m12| + |phase|.  A point where that error exceeds
+        1e-6 rad, S past 2^53 1e-6 ~ 9.0e9 rad, would print digits that are
+        not there, and raises EvaluationError naming the first such (X, Z)
+        in C order, with S.
         """
         X, Z, phase = _finite(X=X, Z=Z, phase=phase)
         m11, m12, m22, lin_x, dq, amp = self._van_vleck
         # a phase past the double range is inf or NaN, named below instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
             arg = ((m22 * X * X - 2.0 * X * Z + m11 * Z * Z) / 2.0 + lin_x * X + dq * Z) / m12 + phase
-        finite = np.isfinite(arg)
-        if not finite.all():
-            _raise_first(EvaluationError, "Green function phase overflows at (X, Z) = ({!r}, {!r})",
-                         ~finite, X, Z)
+            ax, az = abs(X), abs(Z)
+            size = ((abs(m22) * ax * ax + 2.0 * ax * az + abs(m11) * az * az) / 2.0
+                    + abs(lin_x) * ax + abs(dq) * az) / abs(m12) + abs(phase)
+        # |arg| <= size, so one comparison passes every good point; an overflow is named first
+        if not (fine := np.less_equal(size, _PHASE_TOL * 2.0**53)).all():
+            finite = np.isfinite(arg)
+            if not finite.all():
+                _raise_first(EvaluationError, "Green function phase overflows at (X, Z) = ({!r}, {!r})",
+                             ~finite, X, Z)
+            _raise_first(EvaluationError, "Green function phase at (X, Z) = ({!r}, {!r}) has terms of size "
+                         f"{{:.4g}} rad, which round by more than {_PHASE_TOL:g} rad", ~fine, X, Z, size)
         g = amp * np.exp(1j * arg)
         return complex(g) if np.ndim(g) == 0 else g
 

@@ -7,29 +7,32 @@ through the auxiliary solution (eps, eps_dot) and the drive shift beta of
 :mod:`osctomo.dynamics`; passing (eps, eps_dot, beta) = (1, 1j, 0)
 evaluates the t = 0 forms, so no separate initial-time code path exists.
 
-Shared frame quantities:
+Every closed form reads one kernel, :func:`_frame_kernel`, which gives
 
     r     = eps_dot * nu + eps * mu          (must be nonzero)
-    gamma = alpha - beta
-    Y     = (beta* r + beta r* + sqrt(2) X) / (sqrt(2) |r|)   (real)
+    |r|
+    <X>   = sqrt(2) Re((alpha - beta) conj(r))
 
-The coherent tomogram is the normal density with
+and then the pulled-back quadrature Y = (X - <X>) / |r|.  The coherent
+tomogram is w_alpha = exp(-Y^2) / (sqrt(pi) |r|), the normal density
+with mean <X> and variance |r|^2 / 2.  The Fock tomogram is
+w_n = hermite_gauss(n, Y)^2 / |r| at alpha = 0, and the cross terms
+carry the unit phases (r*/|r|)^n (r/|r|)^m on top of the same
+Hermite-Gauss profile.  A coherent state is the vacuum displaced by
+alpha, so w_alpha at beta is w_0 at beta - alpha: the two share one <X>.
 
-    mean      <X>   = sqrt(2) Re(gamma * conj(r))
-    variance  sig^2 = |r|^2 / 2,
-
-the Fock tomogram is w_n = hermite_gauss(n, Y)^2 / |r|, and the cross
-terms carry the unit phases (r*/|r|)^n (r/|r|)^m on top of the same
-Hermite-Gauss profile.
-
-Every closed form takes r from one kernel, which holds eps, eps_dot and
-the frame to the package's rules, and checks beta (and alpha) beside it:
-a non-finite eps, eps_dot, beta, mu or nu (or alpha) raises ValueError
-naming it, an array argument its first such entry in C order, and the
-frame (0, 0) raises the zero-frame ValueError of the CLI, the transforms
-and the propagator.  The sample array X is
-not checked: a NaN in it gives NaN where it stands.  Every scalar
-argument, X among them, is read by the package's number rule
+The kernel holds eps, eps_dot and the frame to the package's rules, and
+checks alpha and beta beside them: a non-finite eps, eps_dot, beta, mu
+or nu (or alpha) raises ValueError naming it, an array argument its
+first such entry in C order, and the frame (0, 0) raises the zero-frame
+ValueError of the CLI, the transforms and the propagator.  One overflow
+rule holds for every closed form: an <X> that is not finite raises
+EvaluationError naming the first such frame, and no RuntimeWarning
+escapes.  Only variance_X, whose value is |r|^2 / 2, also names a frame
+whose |r|^2 overflows; the tomograms divide by |r| and never square it,
+and a Y far past the mass gives 0.  The sample array X is not checked: a
+NaN in it gives NaN where it stands.  Every scalar argument, X among
+them, is read by the package's number rule
 (:func:`osctomo.dynamics._float`): a Python int is the float it converts
 to, and one past the double range raises ValueError naming it.
 """
@@ -59,6 +62,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
 _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
 
@@ -112,117 +116,113 @@ def _check_frame(mu, nu) -> None:
 
 
 def _frame_r(eps, eps_dot, mu, nu):
-    """r = eps_dot*nu + eps*mu of a flow and a frame, under the package's
-    rules for both: a non-finite eps, eps_dot, mu or nu raises ValueError
-    naming it (an array its first such entry), the frame (0, 0) raises the
-    ValueError of :func:`_check_frame`, and a vanishing r
-    DegenerateFrameError.
+    """r = eps_dot*nu + eps*mu of a flow and a frame, under the rules of
+    :func:`_frame_kernel`."""
+    return _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[0]
+
+
+def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
+    """(r, |r|, <X>) of a flow and a frame: the one kernel of every closed form.
+
+    r = eps_dot*nu + eps*mu and <X> = sqrt(2) Re((alpha - beta) conj(r))
+    broadcast with mu/nu, under the package's rules for the flow and the
+    frame: a non-finite eps, eps_dot, mu, nu, alpha or beta raises
+    ValueError naming it (an array its first such entry), the frame (0, 0)
+    raises the ValueError of :func:`_check_frame`, and a vanishing r
+    DegenerateFrameError.  An <X> that is not finite raises
+    EvaluationError naming the first such frame in C order, with float
+    coordinates, and no RuntimeWarning.
     """
-    _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu)
-    with np.errstate(over="ignore"):  # a square past the double range is no zero frame
+    eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
+    # a square past the double range is no zero frame, and a non-finite <X> is named below
+    with np.errstate(over="ignore", invalid="ignore"):
         _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
-    r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
-    if np.any(np.abs(r) < _R_TOL):
+        r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
+        abs_r = np.abs(r)
+        mean = _SQRT2 * np.real((alpha - beta) * np.conj(r))
+    if np.count_nonzero(abs_r < _R_TOL):  # not np.any, which costs a scalar frame several times more
         raise DegenerateFrameError(
             "frame coefficient r = eps_dot*nu + eps*mu vanished; the tomogram "
             "kernel is degenerate for this (mu, nu)"
         )
-    return r
+    if np.count_nonzero(finite := np.isfinite(mean)) != finite.size:
+        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): <X> = sqrt(2) Re((alpha - beta) conj r) "
+                     "overflows double precision", ~finite, mu, nu)
+    return r, abs_r, mean
 
 
-def _coherent_mean(alpha, beta, r):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; ValueError naming a label,
-    alpha or beta, that is not finite."""
-    _finite(alpha=alpha, beta=beta)
-    return _SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
-
-
-def _coherent_moments(alpha, eps, eps_dot, beta, mu, nu):
-    """The coherent tomogram's mean <X> and |r|^2 = 2 Var X.
-
-    A frame whose |r|^2 overflows raises EvaluationError naming the first
-    such (mu, nu) in C order, with float coordinates.  |r| is compared
-    before squaring, so no RuntimeWarning escapes, and a float frame's
-    comparison is a numpy bool tested without an array call.
-    """
-    r = _frame_r(eps, eps_dot, mu, nu)
-    abs_r = np.abs(r)
-    over = abs_r > _SQRT_MAX
-    if np.count_nonzero(over) if over.ndim else over:
-        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 "
-                     "overflows double precision", over, mu, nu)
-    return _coherent_mean(alpha, beta, r), abs_r**2
-
-
-def _frame_kernel(eps, eps_dot, beta, X, mu, nu):
-    """(r, |r|, Y) of the Fock and cross tomograms, Y in one full-size array.
-
-    ``r`` broadcasts with mu/nu and ``Y`` with X and r; Y is 0-d when all
-    three are scalars.  ValueError if beta is not finite; EvaluationError
-    naming the first frame whose shift 2 Re(conj(beta) r) overflows.
-    """
-    _finite(beta=beta)
-    r = _frame_r(eps, eps_dot, mu, nu)
-    abs_r = np.abs(r)
-    X = np.asarray(_float("X", X), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = 2.0 * np.real(np.conj(beta) * r)
-    overflowed = ~np.isfinite(shift)
-    if overflowed.any():
-        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): the shift 2 Re(conj(beta) r) "
-                     "overflows double precision", overflowed, mu, nu)
-    Y = np.multiply(_SQRT2, X, out=np.empty(np.broadcast(X, r).shape))
-    Y += shift
-    Y /= _SQRT2 * abs_r
+def _quadrature(alpha, eps, eps_dot, beta, X, mu, nu):
+    """(r, |r|, Y) of the kernel, with the pulled-back quadrature
+    Y = (X - <X>) / |r| in one fresh array of the broadcast shape, 0-d when
+    X, mu and nu are scalars.  A Y past the double range is inf, with no
+    RuntimeWarning."""
+    r, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
+    with np.errstate(over="ignore"):
+        Y = np.asarray(np.asarray(_float("X", X), dtype=float) - mean)
+        Y /= abs_r
     return r, abs_r, Y
 
 
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
-    """<X> = sqrt(2) Re[(alpha - beta) conj(r)]; it needs no |r|^2, so a frame
-    whose |r|^2 overflows keeps its mean."""
-    return _coherent_mean(alpha, beta, _frame_r(eps, eps_dot, mu, nu))
+    """<X> = sqrt(2) Re[(alpha - beta) conj(r)], the kernel's mean.
+
+    It squares no |r|, so a frame whose |r|^2 overflows keeps its mean; an
+    <X> past the double range raises EvaluationError naming the frame.
+    """
+    return _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[2]
 
 
 def variance_X(eps, eps_dot, mu, nu):
-    """Var X = |eps_dot*nu + eps*mu|^2 / 2 (independent of the state label)."""
-    return 0.5 * _coherent_moments(0.0, eps, eps_dot, 0.0, mu, nu)[1]
+    """Var X = |eps_dot*nu + eps*mu|^2 / 2 (independent of the state label).
+
+    The one closed form that squares |r|: a frame whose |r|^2 overflows
+    raises EvaluationError naming the first such (mu, nu) in C order, with
+    float coordinates.  |r| is compared before squaring, so no
+    RuntimeWarning escapes.
+    """
+    abs_r = _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[1]
+    if np.count_nonzero(over := abs_r > _SQRT_MAX):
+        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 "
+                     "overflows double precision", over, mu, nu)
+    return 0.5 * abs_r**2
 
 
 def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
-    """Tomogram of the coherent state alpha: a normal density in X.
+    """Tomogram of the coherent state alpha: exp(-Y^2) / (sqrt(pi) |r|), the
+    normal density in X with mean <X> and variance |r|^2 / 2.
 
     Vectorised over X (and over mu/nu as long as r stays away from zero).
+    It squares no |r|, so any finite frame has a value; an <X> past the
+    double range raises EvaluationError naming the frame, and a Y far past
+    the mass gives 0.
     """
-    m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
-    diff = np.asarray(_float("X", X), dtype=float) - m
-    # the allocating operations in place on one full-size array (1 element for scalars)
-    out = np.atleast_1d(diff)
-    with np.errstate(over="ignore"):  # an exponent past -1e308 is -inf, and exp gives the 0
+    _, abs_r, out = _quadrature(alpha, eps, eps_dot, beta, X, mu, nu)
+    with np.errstate(over="ignore"):  # a Y past 1e154 squares to inf, and exp gives the 0
         np.square(out, out=out)
-        out /= -s  # the sign is exact, so this is -(diff^2) / s bit for bit
+    np.negative(out, out=out)
     np.exp(out, out=out)
-    out /= np.sqrt(np.pi * s)
-    return out if np.ndim(diff) else out[0]
+    out /= _SQRT_PI * abs_r
+    return out if out.ndim else out[()]
 
 
 def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
     """Characteristic-function form of the coherent tomogram.
 
-    w_k = exp(-k^2 |r|^2 / 4 - 1j k <X>), normalised so w_0 = 1; the
+    w_k = exp(-(k |r|)^2 / 4 - 1j k <X>), normalised so w_0 = 1; the
     inverse transform w(X) = (2 pi)^-1 integral w_k e^{1j k X} dk
     reproduces :func:`coherent_mdf`.  Satisfies conj(w_k) = w_{-k}.
 
     In the scaled variables (y, z) = (k mu, k nu) the quadratic part of
     the exponent at t = 0 reads -(y^2 + z^2)/4, i.e. the Gaussian ansatz
     coefficients are c = d = -1/4 with no cross term.  A finite k whose
-    exponent leaves the double range (k^2 past it among them) raises
+    exponent leaves the double range ((k |r|)^2 past it among them) raises
     EvaluationError naming it, the first such k of an array in C order,
     with no RuntimeWarning.
     """
-    m, s = _coherent_moments(alpha, eps, eps_dot, beta, mu, nu)
+    _, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
     k = np.asarray(_float("k", k), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        exponent = -0.25 * k * k * s - 1j * k * m
+        exponent = -0.25 * (k * abs_r) ** 2 - 1j * k * mean
     overflowed = np.isfinite(k) & ~np.isfinite(exponent)
     if np.count_nonzero(overflowed):
         _raise_first(EvaluationError, "coherent characteristic function overflows double precision "
@@ -286,12 +286,15 @@ def annihilation_eigencheck(alpha, eps, eps_dot, beta, mu, nu, k, h) -> complex:
 
 
 def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
-    """Tomogram of the n-th excited state: hermite_gauss(n, Y)^2 / |r|.
+    """Tomogram of the n-th excited state: hermite_gauss(n, Y)^2 / |r|, with
+    Y = (X - <X>) / |r| at alpha = 0.
 
-    For f = 0 and constant unit frequency this depends on (X, mu, nu)
-    only through X / sqrt(mu^2 + nu^2).
+    The vacuum n = 0 at the shift beta - alpha is the coherent tomogram of
+    alpha at beta.  For f = 0 and constant unit frequency this depends on
+    (X, mu, nu) only through X / sqrt(mu^2 + nu^2).  An <X> past the
+    double range raises EvaluationError naming the frame.
     """
-    _, abs_r, Y = _frame_kernel(eps, eps_dot, beta, X, mu, nu)
+    _, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
     out = hermite_gauss(n, np.atleast_1d(Y))
     np.square(out, out=out)
     out /= abs_r
@@ -301,14 +304,15 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
 def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
     """Off-diagonal tomogram w_nm between Fock states n and m.
 
-    w_nm = hermite_gauss(n, Y) hermite_gauss(m, Y) e^{1j (m-n) arg r} / |r|;
+    w_nm = hermite_gauss(n, Y) hermite_gauss(m, Y) e^{1j (m-n) arg r} / |r|,
+    with Y = (X - <X>) / |r| at alpha = 0 as in :func:`fock_mdf`;
     Hermitian in (n, m): w_nm = conj(w_mn).  The coherent tomogram is
     recovered from the double series
 
         w_alpha = e^{-|alpha|^2} sum_{n,m} alpha^n conj(alpha)^m
                   / sqrt(n! m!) * w_nm.
     """
-    r, abs_r, Y = _frame_kernel(eps, eps_dot, beta, X, mu, nu)
+    r, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
     phase = np.exp(1j * (m - n) * np.angle(r))
     return hermite_gauss(n, Y) * hermite_gauss(m, Y) * phase / abs_r
 

@@ -176,9 +176,7 @@ class TestEval:
             assert code == 0
             assert complex(out) == pytest.approx(-1j / math.sqrt(2.0) * force * integral(t), rel=1e-11)
 
-    @pytest.mark.parametrize(
-        "op", [["variance_X"], ["coherent_mdf", "alpha=0", "X=1e200"]], ids=["variance_X", "coherent_mdf"]
-    )
+    @pytest.mark.parametrize("op", [["variance_X"]], ids=["variance_X"])
     def test_overflowing_coherent_variance_exits_2(self, capsys, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning may escape either
@@ -186,17 +184,35 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "frame (mu, nu) = (1.0, 1e+200): |r|^2" in err and "overflows" in err
 
+    def test_coherent_tomogram_of_a_frame_whose_variance_overflows_is_finite(self, capsys):
+        # exp(-Y^2) / (sqrt(pi) |r|) squares no |r|: at Y ~ 1 it is ~ e^-1 / (sqrt(pi) 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", "coherent_mdf", "alpha=0", "X=1e200", "profile=constant:1", "t=1",
+                                  "mu=1", "nu=1e200"], capsys)
+        assert (code, out, err) == (0, "2.0755374871e-201\n", "")
+
     @pytest.mark.parametrize("op", [["fock_mdf", "n=2"], ["cross_mdf", "n=1", "m=2"]], ids=["fock_mdf", "cross_mdf"])
-    @pytest.mark.parametrize("drive", [["profile=free", "force=1e308", "mu=0.6", "nu=0.8"],
-                                       ["profile=free", "force=1e156", "mu=0", "nu=1e153"]],
-                             ids=["large-beta", "large-frame"])
+    @pytest.mark.parametrize("drive", [["profile=free", "force=1e156", "mu=0", "nu=1e153"]], ids=["large-frame"])
     def test_overflowing_fock_shift_exits_2(self, capsys, op, drive):
-        # a finite beta whose 2 Re(conj(beta) r) overflows is named, rather than printing nan
+        # a finite beta whose mean <X> overflows is named, rather than printing nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning may escape either
             code, out, err = run(["eval", *op, *drive, "t=1.3", "X=0.3"], capsys)
         assert (code, out) == (2, "")
-        assert "the shift 2 Re(conj(beta) r) overflows" in err
+        assert "frame (mu, nu) = (0.0, 1e+153): <X> = sqrt(2) Re((alpha - beta) conj r) overflows" in err
+
+    @pytest.mark.parametrize("op", [["coherent_mdf", "alpha=0"], ["fock_mdf", "n=0"], ["fock_mdf", "n=2"],
+                                    ["cross_mdf", "n=1", "m=2"]], ids=["coherent_mdf", "fock_mdf-0", "fock_mdf-2",
+                                                                       "cross_mdf"])
+    def test_finite_mean_far_past_X_underflows_to_0(self, capsys, op):
+        # <X> = 1.547e308 is finite, so Y = (X - <X>) / |r| is too, and every tomogram of the
+        # one family reads 0 there, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", *op, "profile=free", "force=1e308", "mu=0.6", "nu=0.8", "t=1.3",
+                                  "X=0.3"], capsys)
+        assert (code, err) == (0, "") and complex(out) == 0.0
 
     def test_mean_of_a_frame_whose_variance_overflows_stays_finite(self, capsys):
         with warnings.catch_warnings():
@@ -204,6 +220,15 @@ class TestEval:
             code, out, err = run(["eval", "mean_X", "alpha=0.5", "profile=constant:1", "t=1",
                                   "mu=1", "nu=1e200"], capsys)
         assert (code, out, err) == (0, "-5.95009839529e+199\n", "")
+
+    @pytest.mark.parametrize("op", [["mean_X"], ["coherent_mdf", "X=0.3"]], ids=["mean_X", "coherent_mdf"])
+    def test_overflowing_mean_exits_2(self, capsys, op):
+        # <X> = sqrt(2) 1.5e308 is past the double range: named, where mean_X printed inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", *op, "alpha=1.5e308", "profile=constant:1", "t=0", "mu=1", "nu=0"], capsys)
+        assert (code, out) == (2, "")
+        assert "frame (mu, nu) = (1.0, 0.0): <X> = sqrt(2) Re((alpha - beta) conj r) overflows" in err
 
     def test_too_many_steps_is_usage_error(self, capsys):
         # an RK4 profile's grid of 1e10 steps is rejected before it is allocated
@@ -497,6 +522,16 @@ class TestEvalChecks:
             code, out, err = run(["eval", *op], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("numerical invariant failure:") and f"(X, Z) = {shown}" in err
+
+    def test_green_phase_past_its_rounding_bound_exits_2(self, capsys):
+        # a phase of ~1e299 rad is finite, but its rounding error leaves no correct digit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", "green_driven", "profile=constant:1", "force=1e300", "X=0.3", "Z=-0.4",
+                                  "t=0.3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical invariant failure: Green function phase at (X, Z) = (0.3, -0.4)")
+        assert "round by more than 1e-06 rad" in err
 
     def test_eval_calls_the_library_through_the_package_root(self, capsys, monkeypatch):
         from osctomo import states

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -846,9 +847,38 @@ class TestGreenOverflow:
         assert str(err.value) == f"Green function phase overflows at (X, Z) = {shown}"
 
     def test_large_finite_phase_still_evaluates(self):
-        # the phase m22 X^2 / (2 m12) is finite here: the value keeps its modulus
-        g = green_sho(1e150, 0.0, 1.0)
+        # the phase m22 X^2 / (2 m12) ~ 3.2e9 rad rounds by ~4e-7 rad, inside the kernel's
+        # 1e-6 rad: the value keeps its modulus
+        g = green_sho(1e5, 0.0, 1.0)
         assert abs(g) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * math.sin(1.0)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: green_sho(1e150, 0.0, 1.0), "(1e+150, 0.0)"),
+            (lambda: green_driven(0.3, -0.4, 0.3, DriveProfile.constant(1.0, 1e300)), "(0.3, -0.4)"),
+            (lambda: quantum_propagator(0.1, 0.2, 0.3, 0.4, 1.0, TestGreenOverflow.P, phase=1e10), "(0.1, 0.3)"),
+            (lambda: TestGreenOverflow.kernel(np.array([[0.1], [1e5], [2e5], [1e150]]), np.array([0.0, 1.0])),
+             "(200000.0, 0.0)"),
+        ],
+        ids=["sho", "driven-force", "propagator-phase", "kernel-grid"],
+    )
+    def test_phase_past_its_rounding_bound_raises(self, call, shown):
+        # a finite phase whose rounding error passes 1e-6 rad has no digits to print
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as err:
+                call()
+        assert re.fullmatch(re.escape(f"Green function phase at (X, Z) = {shown} has terms of size ")
+                            + r"\S+ rad, which round by more than 1e-06 rad", str(err.value))
+
+    def test_rounding_bound_is_the_documented_size(self):
+        # at t = pi/4 the unit kernel's phase at Z = 0 is X^2 / 2 (cot t = 1), so the bound
+        # S = 2^53 1e-6 rad falls at X = sqrt(2 S) ~ 134218
+        edge = math.sqrt(2.0 * 2.0**53 * 1e-6)
+        green_sho(0.999 * edge, 0.0, math.pi / 4.0)
+        with pytest.raises(EvaluationError, match="round by more than"):
+            green_sho(1.001 * edge, 0.0, math.pi / 4.0)
 
 
 class TestResidualStep:

@@ -140,19 +140,22 @@ class TestInPlaceClosedForms:
         assert np.all(want == 0.0) and np.all(want_fock == 0.0)
 
 
-def allocating_coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
+def allocating_quadrature(alpha, eps, eps_dot, beta, X, mu, nu):
+    """(Y, |r|), Y = (X - <X>) / |r| with <X> = sqrt(2) Re((alpha - beta) conj r)."""
     r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
-    s = np.abs(r) ** 2
-    m = SQRT2 * np.real((complex(alpha) - complex(beta)) * np.conj(r))
-    X = np.asarray(X, dtype=float)
-    return np.exp(-((X - m) ** 2) / s) / np.sqrt(np.pi * s)
+    mean = SQRT2 * np.real((alpha - beta) * np.conj(r))
+    return (np.asarray(X, dtype=float) - mean) / np.abs(r), np.abs(r)
+
+
+def allocating_coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
+    Y, abs_r = allocating_quadrature(alpha, eps, eps_dot, beta, X, mu, nu)
+    return np.exp(-(Y**2)) / (np.sqrt(np.pi) * abs_r)
 
 
 def allocating_fock_mdf(n, eps, eps_dot, beta, X, mu, nu):
     # hermite_gauss itself is pinned to its allocating form in test_dynamics
-    r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
-    Y = (2.0 * np.real(np.conj(beta) * r) + SQRT2 * np.asarray(X, dtype=float)) / (SQRT2 * np.abs(r))
-    return hermite_gauss(n, Y) ** 2 / np.abs(r)
+    Y, abs_r = allocating_quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
+    return hermite_gauss(n, Y) ** 2 / abs_r
 
 
 class TestMoments:
@@ -181,13 +184,13 @@ class TestMoments:
 
 
 class TestMomentOverflow:
-    """A frame whose |r|^2 overflows raises EvaluationError naming it, with no
-    RuntimeWarning; the mean needs no |r|^2 and keeps its finite value."""
+    """A frame whose |r|^2 overflows raises EvaluationError naming it in
+    variance_X, the one closed form whose value is |r|^2 / 2, with no
+    RuntimeWarning; the mean and the coherent forms square no |r| and keep
+    their finite values."""
 
     CALLS = {
         "variance_X": lambda mu, nu: variance_X(1.0, 1j, mu, nu),
-        "coherent_mdf": lambda mu, nu: coherent_mdf(0.0, *VACUUM, 0.3, mu, nu),
-        "coherent_mdf_fourier": lambda mu, nu: coherent_mdf_fourier(0.5, 0.0, *VACUUM, mu, nu),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -205,6 +208,21 @@ class TestMomentOverflow:
             with pytest.raises(EvaluationError, match=re.escape("frame (mu, nu) = (1.0, 1e+300): |r|^2")):
                 self.CALLS[name](mu, nu)
 
+    def test_coherent_forms_need_no_square(self):
+        # at |r| = 1e200 the coherent tomogram is exp(-Y^2) / (sqrt(pi) |r|), and w_k keeps
+        # its value wherever (k |r|)^2 is finite; past that the exponent names k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coherent_mdf(0.0, *VACUUM, 1e200, 1.0, 1e200) == pytest.approx(
+                math.exp(-1.0) / (math.sqrt(math.pi) * 1e200), rel=1e-15)
+            assert coherent_mdf_fourier(2e-200, 0.0, *VACUUM, 1.0, 1e200) == pytest.approx(math.exp(-1.0), rel=1e-15)
+            with pytest.raises(EvaluationError, match=re.escape("at k = 0.5")):
+                coherent_mdf_fourier(0.5, 0.0, *VACUUM, 1.0, 1e200)
+            mu, nu = np.array([[1.0], [2.0]]), np.array([0.5, 1e300, 1e200])
+            w = coherent_mdf(0.0, *VACUUM, 0.3, mu, nu)
+            assert np.all(w > 0.0)
+            assert w.tolist() == [[coherent_mdf(0.0, *VACUUM, 0.3, m, n) for n in nu] for m in mu[:, 0]]
+
     def test_largest_frame_whose_square_is_finite(self):
         largest = math.sqrt(sys.float_info.max)
         assert variance_X(1.0, 1j, largest, 0.0) == 0.5 * largest**2
@@ -219,6 +237,41 @@ class TestMomentOverflow:
             assert mean_X(0.5, *VACUUM, 1.0, 1e200) == SQRT2 * 0.5
             assert mean_X(0.5, *VACUUM, np.array([1.0, 1.0]), np.array([0.5, 1e200])).tolist() == [
                 SQRT2 * 0.5, SQRT2 * 0.5]
+
+
+class TestOneOverflowRule:
+    """Every closed form that reads <X> names the same first frame whose <X>
+    overflows, with the same EvaluationError and no RuntimeWarning: the
+    coherent state gamma and the vacuum at the shift -gamma share one <X>."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(frames=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+               lambda f: math.hypot(*f) >= 0.1), min_size=1, max_size=6),
+           data=st.data(), size=st.floats(1.0, 3.0), angle=st.floats(-math.pi, math.pi),
+           scale=st.floats(1.5, 1.7), column=st.booleans())
+    def test_closed_forms_name_the_same_first_frame(self, frames, data, size, angle, scale, column):
+        # frame j lies along gamma with |r| = scale 1e308, so |<X>| >= sqrt(2) 1.5e308 overflows;
+        # the others, with |r| <= 2 sqrt(2) and |gamma| <= 3, keep a finite <X>
+        gamma = cmath.rect(size, angle)
+        j = data.draw(st.integers(0, len(frames) - 1))
+        frames[j] = (scale * 1e308 * math.cos(angle), scale * 1e308 * math.sin(angle))
+        mu, nu = (np.array(c) for c in zip(*frames))
+        if column:
+            mu, nu = mu[:, None], nu[:, None]
+        calls = {
+            "coherent_mdf": lambda: coherent_mdf(gamma, *VACUUM, 0.3, mu, nu),
+            "fock_mdf": lambda: fock_mdf(2, 1.0, 1j, -gamma, 0.3, mu, nu),
+            "cross_mdf": lambda: cross_mdf(1, 3, 1.0, 1j, -gamma, 0.3, mu, nu),
+            "mean_X": lambda: mean_X(gamma, *VACUUM, mu, nu),
+            "coherent_mdf_fourier": lambda: coherent_mdf_fourier(0.5, gamma, *VACUUM, mu, nu),
+        }
+        want = f"frame (mu, nu) = ({frames[j][0]}, {frames[j][1]}): <X> = sqrt(2) Re((alpha - beta) conj r) overflows"
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationError) as caught:
+                    call()
+            assert str(caught.value).startswith(want), name
 
 
 class TestFourierForm:
@@ -293,12 +346,19 @@ class TestEigencheck:
 
 
 class TestFockMdf:
-    def test_ground_state_equals_vacuum_coherent(self):
-        eps, eps_dot, beta = driven_state(1.6)
-        for X in np.linspace(-3.0, 3.0, 7):
-            assert fock_mdf(0, eps, eps_dot, beta, X, 0.3, 0.9) == pytest.approx(
-                coherent_mdf(0.0, eps, eps_dot, beta, X, 0.3, 0.9), abs=1e-15
-            )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), mu=st.floats(-2.0, 2.0), nu=st.floats(-2.0, 2.0),
+           alpha=st.complex_numbers(max_magnitude=3.0))
+    def test_ground_state_equals_vacuum_coherent(self, case, t, mu, nu, alpha):
+        # a coherent state is the vacuum displaced by alpha: its tomogram is the n = 0 Fock
+        # tomogram at the shift beta - alpha (one family, read from one kernel)
+        eps, eps_dot, beta = flow_at(case[0], t)
+        r = eps_dot * nu + eps * mu
+        assume(abs(r) >= 1e-3)
+        X = SQRT2 * ((alpha - beta) * r.conjugate()).real + abs(r) * np.linspace(-12.0, 12.0, 241)
+        coherent = coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu)
+        fock = fock_mdf(0, eps, eps_dot, beta - alpha, X, mu, nu)
+        assert np.max(np.abs(coherent - fock)) <= 1e-15 * np.max(coherent)
 
     def test_depends_only_on_scaled_quadrature_for_sho(self):
         eps = cmath.exp(2.3j)
