@@ -24,7 +24,13 @@ Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 columns t, omega_sq and optionally force, linearly interpolated); a
 constant force is supplied separately as ``force=<value>``, and a given
 one, 0 too, replaces a table's force column.  Complex
-values accept either ``0.7+0.3j`` or ``0.7+0.3i``.
+values accept either ``0.7+0.3j`` or ``0.7+0.3i``.  :func:`main` keeps
+the profiles it has parsed, the last 32 by spec, force and a table's
+bytes (a rewritten table is parsed again; one that fails to parse is not
+kept), and a profile keeps the record of its RK4 flow
+(:func:`osctomo.dynamics.flow_at`), so many ``eval`` requests in one
+process solve each profile's flow once up to the longest t asked for.
+No output depends on the requests before it.
 
 Importing this module loads numpy and :mod:`osctomo.errors` only.  Each
 command imports what it runs when it runs: the parser and ``figure``
@@ -40,8 +46,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import io
 import math
 import sys
+import threading
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -88,10 +97,39 @@ def _table_profile(
     return profile, (float(ts[0]), float(ts[-1]))
 
 
+# Profiles parsed in this process, least recently used first, by spec, force
+# and a table's bytes: a profile keeps the record of its RK4 flow, so a
+# later request on it reads that record instead of solving again.
+_PROFILES: dict = {}
+_PROFILES_KEPT = 32
+_PROFILES_LOCK = threading.Lock()
+
+
 def _parse_profile(
     spec: str, force: float | None
 ) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
-    """The profile and the t range it is defined on (a table's rows, else all t)."""
+    """The profile and the t range it is defined on (a table's rows, else
+    all t): the same profile object for the same spec, force and table
+    content, from the last _PROFILES_KEPT parsed; a spec that fails to
+    parse is not kept."""
+    head, _, arg = spec.partition(":")
+    try:
+        content = Path(arg).read_bytes() if head == "table" else None
+    except OSError as exc:
+        raise ValueError(f"bad profile spec {spec!r}: {exc}") from exc
+    key = (spec, repr(force), content)
+    with _PROFILES_LOCK:
+        parsed = _PROFILES.pop(key, None) or _read_profile(spec, content, force)
+        _PROFILES[key] = parsed
+        if len(_PROFILES) > _PROFILES_KEPT:
+            del _PROFILES[next(iter(_PROFILES))]
+    return parsed
+
+
+def _read_profile(
+    spec: str, content: bytes | None, force: float | None
+) -> tuple[dynamics.DriveProfile, tuple[float, float]]:
+    """A new profile from spec, and its t range; content is a table's bytes."""
     always = (-math.inf, math.inf)
     head, _, arg = spec.partition(":")
     try:
@@ -102,8 +140,10 @@ def _parse_profile(
         if head == "resonance":
             return osctomo.DriveProfile.parametric_resonance(float(arg or 0.01), force), always
         if head == "table":
-            data = np.loadtxt(arg, comments="#", ndmin=2)
-    except (ValueError, OSError) as exc:
+            with warnings.catch_warnings():  # a table with no rows fails the column check below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(io.BytesIO(content), comments="#", ndmin=2)
+    except ValueError as exc:
         raise ValueError(f"bad profile spec {spec!r}: {exc}") from exc
     if head != "table":
         raise ValueError(f"unknown profile kind {head!r} (use constant/free/resonance/table)")
@@ -186,17 +226,9 @@ def _op_epsilon(args):
 
 
 def _op_wronskian(args):
-    # the RK4 solve itself, on every profile, so forward from 0 only, at
-    # flow_at's step: min(1e-3, t) by default, any step > 0 at t = 0
-    profile, t, step = args.flow_args()
-    if t < 0.0:
-        raise ValueError(f"t={t!r}: the flow runs forward from 0, so t must be >= 0 and finite")
-    if step is None:
-        step = min(1e-3, t) or 1e-3
-    elif not (step > 0.0 and (t == 0.0 or step <= t)):
-        raise ValueError(f"step={step!r} must satisfy 0 < step <= t (t={t!r})")
-    traj = osctomo.solve_epsilon(profile, max(t, step), step, tol_wronskian=np.inf)
-    return (traj.max_wronskian_drift,)
+    # the drift of the RK4 flow over [0, t], on every profile (so forward
+    # from 0 only), read from the profile's record; any finite drift prints
+    return (osctomo.dynamics._rk4_flow(*args.flow_args(), tol=math.inf)[3],)
 
 
 def _op_beta(args):

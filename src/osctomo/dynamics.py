@@ -27,13 +27,23 @@ invariant monitored during integration.
 the classical flow every view downstream is evaluated from, the four
 Green functions among them; it is the package's one assembly of the flow,
 under one rule.  Constant and free profiles take the closed form above at
-any finite t; every other profile is integrated (and Wronskian-checked)
-by the RK4 of :func:`solve_epsilon` forward from 0, so at t >= 0 only.  A
+any finite t.  Every other profile is integrated (and Wronskian-checked)
+by RK4 forward from 0, so at t >= 0 only, under one time rule: on the
+fixed grid t_k = k step (step 1e-3 unless one is given, and kept
+exactly), n = floor(t / step) full steps, a t within rounding of a node
+counting as that node, then one closing step of t - n step.  Each
+profile keeps one record of its flow at its latest step, written by one
+transfer-matrix solve and read by every later time: the state, the
+running maximum of the Wronskian drift and the Simpson integral of the
+drive at every 8th node, 7 bytes per step.  A time that the record covers
+costs at most 7 steps plus the closing step; a later time solves again
+from 0, up to its own node.  The value at every node is the same however
+far a solve reaches, so a result never depends on earlier calls.  A
 force given as a number is constant: on constant and free profiles its
 beta is exact, with no grid; otherwise beta is one Simpson rule of the
 drive.  The number 0, the default force, gives beta exactly 0 on every
 profile.  A given step satisfies 0 < step <= |t|.  MAX_STEPS bounds the
-grids where they are allocated, in solve_epsilon and the drive grid of
+grids where they are allocated, in the RK4 solves and the drive grid of
 the closed forms, so a flow that builds no grid has no step bound.
 Every profile callable is sampled on a grid through one helper, which
 raises EvaluationError on a non-finite omega_sq or force.
@@ -53,6 +63,7 @@ documented in :mod:`osctomo.invariants`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,7 +90,8 @@ __all__ = [
 #: Default ceiling on the Wronskian drift accepted from the integrator.
 TOL_WRONSKIAN = 1e-6
 
-#: Most RK4 steps :func:`solve_epsilon` takes (a peak of about 116 bytes each, so ~230 MB).
+#: Most RK4 steps one solve takes, in :func:`solve_epsilon` or a flow's record (a peak of about
+#: 116 bytes each, so ~230 MB).
 MAX_STEPS = 2_000_000
 
 #: Largest Hermite order served by :func:`hermite` / :func:`hermite_gauss`.
@@ -125,6 +137,9 @@ class DriveProfile:
     # a force given as a number, whose beta flow_at takes exactly on a
     # constant or free profile; None for a callable force
     _force: float | None = field(default=None, init=False, repr=False)
+    # the RK4 flow at the latest step (see _rk4_flow), replaced whole, never
+    # changed in place
+    _record: _FlowRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if callable(self.force):
@@ -204,12 +219,12 @@ class EpsilonTrajectory:
 
     def wronskian(self) -> np.ndarray:
         """eps'*conj(eps) - conj(eps')*eps at every grid node (ideally 2j)."""
-        return self.eps_dot * np.conj(self.eps) - np.conj(self.eps_dot) * self.eps
+        return _wronskian(self.eps, self.eps_dot)
 
     @cached_property
     def max_wronskian_drift(self) -> float:
         """max |W(t) - 2j| over the grid, the integrator's quality monitor."""
-        return float(np.max(np.abs(self.wronskian() - 2.0j)))
+        return float(np.max(_drift(self.eps, self.eps_dot)))
 
     def _bracket(self, time: float) -> tuple[int, float]:
         if not 0.0 <= time <= self.t_end * (1 + 1e-12) + 1e-15:
@@ -224,17 +239,31 @@ class EpsilonTrajectory:
         if s == 0.0:
             return complex(self.eps[i]), complex(self.eps_dot[i])
         h = self.step
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
         e0, e1 = self.eps[i], self.eps[i + 1]
         d0, d1 = self.eps_dot[i], self.eps_dot[i + 1]
         a0 = -self.profile.omega_sq(self.t[i]) * e0
         a1 = -self.profile.omega_sq(self.t[i + 1]) * e1
-        eps = h00 * e0 + h10 * h * d0 + h01 * e1 + h11 * h * d1
-        eps_dot = h00 * d0 + h10 * h * a0 + h01 * d1 + h11 * h * a1
-        return complex(eps), complex(eps_dot)
+        return complex(_hermite(e0, d0, e1, d1, h, s)), complex(_hermite(d0, a0, d1, a1, h, s))
+
+
+def _hermite(y0, dy0, y1, dy1, h: float, s: float):
+    """The cubic through y0 and y1, with slopes dy0 and dy1, a step h apart,
+    at the fraction s of the step."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * h * dy0 + h01 * y1 + h11 * h * dy1
+
+
+def _wronskian(eps, eps_dot):
+    """eps_dot conj(eps) - conj(eps_dot) eps, for arrays or numbers."""
+    return eps_dot * eps.conjugate() - eps_dot.conjugate() * eps
+
+
+def _drift(eps, eps_dot):
+    """|W - 2j| of the Wronskian W, the integrator's quality monitor."""
+    return abs(_wronskian(eps, eps_dot) - 2.0j)
 
 
 def solve_epsilon(
@@ -312,7 +341,8 @@ def solve_epsilon(
 def _check_steps(span: float, step: float) -> None:
     """ValueError if span / step rounds to more than MAX_STEPS steps: the one
     step bound of the flow's grids, checked where a grid is allocated, by
-    :func:`solve_epsilon` and :func:`_drive_grid`, before allocating."""
+    :func:`solve_epsilon`, :func:`_rk4_flow` and :func:`_drive_grid`,
+    before allocating."""
     if span / step > MAX_STEPS + 0.5:  # round(span / step) > MAX_STEPS
         raise ValueError(f"a span of {span:.12g} at step {step:.12g} is {span / step:.7g} steps, "
                          f"more than MAX_STEPS = {MAX_STEPS}")
@@ -463,6 +493,20 @@ def _rk4_steps(
     np.add(a, b, out=out[1, 1])
 
 
+def _rk4_step(w0: float, wh: float, w1: float, h: float) -> tuple[float, float, float, float]:
+    """One step of :func:`_rk4_steps` in floats, A00, A01, A10, A11 of
+    A = P - 1, the same operations in the same order, so the same bits:
+    the flow's few closing steps take ~1 us each this way, against ~50 us
+    for the array form's numpy calls on a handful of steps."""
+    h2 = h * h
+    return (
+        (2.0 * wh + w0) * (-h2 / 6.0) + h2 * h2 / 24.0 * w0 * wh,
+        h - h2 * h / 6.0 * wh,
+        (4.0 * wh + w0 + w1) * (-h / 6.0) + h2 * h / 12.0 * wh * (w0 + w1),
+        (2.0 * wh + w1) * (-h2 / 6.0) + h2 * h2 / 24.0 * wh * w1,
+    )
+
+
 def _lay_out(steps: np.ndarray, blocks: np.ndarray) -> None:
     """Copy (2, 2, n) steps into the level-0 blocks, blocks[:, :, p, a]
     being step _BLOCK * a + p, and zero the padding after them: identity
@@ -596,42 +640,201 @@ def flow_at(
     beta is exact there for a number force c, -(1j / sqrt 2) c times the
     integral of eps (:func:`_constant_drive`), and for a callable force
     Simpson's rule on that eps over 2 max(1, round(|t| / 2 step)) uniform
-    steps from 0 to t (:func:`_drive_grid`).  Every other profile is
-    solved by RK4 (:func:`solve_epsilon`) forward from 0 up to t, so t must
-    be >= 0 there (ValueError naming t), and beta integrated by
-    :func:`beta_shift`.  For the number force 0 beta is exactly 0 (0-0j),
-    with no drive grid, whatever the profile.  t must be finite, and a
-    given step 0 < step <= |t|, any step > 0 at t = 0 (ValueError); the
-    default step is min(1e-3, |t|).  step sets only the RK4 and Simpson
+    steps from 0 to t (:func:`_drive_grid`).
+
+    Every other profile is solved by RK4 forward from 0, so t must be >= 0
+    there (ValueError naming t), under the time rule of :func:`_rk4_flow`:
+    floor(t / step) steps of the fixed grid t_k = k step, with a t within
+    rounding of a node counting as that node, then one closing step up to
+    t.  beta is Simpson's rule of the drive on that grid, and one 3-point
+    rule over the last one or two steps.  The profile keeps one record of
+    its flow at its latest step, every 8th node, 7 bytes per step: a t it
+    covers costs at most 7 steps plus the closing step, and a later t
+    solves again from 0.  The result never depends on earlier calls: a
+    copy of the profile with no record returns the same bits.  The
+    Wronskian drift over [0, t] must stay within TOL_WRONSKIAN
+    (WronskianDriftError, a NaN too).
+
+    For the number force 0 beta is exactly 0 (0-0j), with no drive grid,
+    whatever the profile.  t must be finite, and a given step 0 < step <=
+    |t|, any step > 0 at t = 0 (ValueError); the default step is 1e-3, and
+    a t below it takes one step of t.  step sets only the RK4 and Simpson
     grids, and MAX_STEPS bounds a grid where it is allocated (ValueError,
     before allocating), so a flow with no grid takes any finite t.  At
     t = 0 the seeded (1, 1j, 0) is returned unsolved.  A non-finite
     profile sample or drive integral raises EvaluationError.
     """
-    t, step = _float("t", t), _float("step", step)
     omega, force = profile._omega, profile._force
-    if not math.isfinite(t):
-        raise ValueError(f"t={t!r} is not finite: the flow needs a finite t, "
-                         "and t must be >= 0 for a profile without a closed form")
-    if omega is None and t < 0.0:
-        raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
-                         "so t must be >= 0")
-    if step is None:
-        step = min(_DEFAULT_STEP, abs(t))
-    elif not (step > 0.0 and (t == 0.0 or step <= abs(t))):
-        raise ValueError(f"step={step!r} must satisfy 0 < step <= {'t' if t >= 0.0 else '-t'} (t={t!r})")
+    t, h = _time_and_step(t, step, omega is None)
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j, 0.0 + 0.0j
-    if omega is None:
-        traj = solve_epsilon(profile, t, step)
-        return *traj(t), _NO_SHIFT if force == 0.0 else beta_shift(traj, t)
+    if omega is None:  # which reads t and the given step by the same rules
+        eps, eps_dot, total, _ = _rk4_flow(profile, t, step)
+        if total is None:
+            return eps, eps_dot, _NO_SHIFT
+        if not cmath.isfinite(total):
+            raise EvaluationError(f"the drive integral over t in [0, {t:g}] overflows")
+        return eps, eps_dot, -1j / math.sqrt(2.0) * total
     if not math.isfinite(omega * t):
         raise EvaluationError(f"the phase omega t of the flow overflows at omega = {omega:g}, t = {t:g}")
     if force is not None:
         return *_oscillator(omega, t), _constant_drive(omega, force, t)
-    s = _drive_grid(t, step)
+    s = _drive_grid(t, h)
     total = _drive_integral(s, _oscillator(omega, s, np.cos, np.sin)[0], profile.force, t / (len(s) - 1))
     return *_oscillator(omega, t), complex(-1j / math.sqrt(2.0) * total)
+
+
+def _time_and_step(t, step, forward: bool) -> tuple[float, float]:
+    """t and the step of its flow, by :func:`flow_at`'s rules: t finite, and
+    t >= 0 if forward (a flow solved from 0); a given step 0 < step <= |t|,
+    any step > 0 at t = 0, else the default 1e-3 (ValueError)."""
+    t, step = _float("t", t), _float("step", step)
+    if not math.isfinite(t):
+        raise ValueError(f"t={t!r} is not finite: the flow needs a finite t, "
+                         "and t must be >= 0 for a profile without a closed form")
+    if forward and t < 0.0:
+        raise ValueError(f"t={t!r}: a profile without a closed form is solved forward from 0, "
+                         "so t must be >= 0")
+    if step is None:
+        return t, _DEFAULT_STEP
+    if not (step > 0.0 and (t == 0.0 or step <= abs(t))):
+        raise ValueError(f"step={step!r} must satisfy 0 < step <= {'t' if t >= 0.0 else '-t'} (t={t!r})")
+    return t, step
+
+
+@dataclass(frozen=True)
+class _FlowRecord:
+    """The RK4 flow of one profile at one step, on the grid t_k = k step,
+    at its checkpoints k = 0, _BLOCK, 2 _BLOCK, ...: (eps, eps_dot) there,
+    the running maximum of the Wronskian drift |W - 2j| over every node up
+    to each, and the Simpson integral of eps f from 0 to each (None for the
+    number force 0).  56 bytes per checkpoint, so 7 per step; the arrays
+    are read-only."""
+
+    step: float
+    states: np.ndarray  # (2, checkpoints), complex
+    drift: np.ndarray  # (checkpoints,)
+    drive: np.ndarray | None  # (checkpoints,), complex
+
+
+def _solve_record(profile: DriveProfile, blocks: int, step: float) -> _FlowRecord:
+    """The record of profile's flow at step up to checkpoint ``blocks``:
+    one transfer-matrix solve (:func:`_flow`) of _BLOCK * blocks steps from
+    0, whose value at every node does not depend on how far it reaches.  A
+    non-finite omega_sq or force sample raises EvaluationError."""
+    n = _BLOCK * blocks
+    t = np.arange(n + 1) * step
+    # a product that overflows ends in inf/NaN, which the drift reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, eps_dot = _flow(profile.omega_sq, t, step)[:, : n + 1]
+        drift = _drift(eps, eps_dot)
+        drive = None
+        if profile._force != 0.0:
+            g = eps * _on_grid(profile.force, t, "force")
+            pairs = _simpson_pair(g[:-2:2], g[1:-1:2], g[2::2], step).reshape(blocks, -1)
+            for k in range(1, _BLOCK // 2):  # the pairs of each block, in order
+                pairs[:, 0] += pairs[:, k]
+            drive = np.append(0.0, _running_sum(pairs[:, 0]))
+    worst = np.maximum.accumulate(np.append(drift[0], drift[1:].reshape(blocks, _BLOCK).max(axis=1)))
+    record = _FlowRecord(step, np.array([eps[::_BLOCK], eps_dot[::_BLOCK]]), worst, drive)
+    for array in (record.states, record.drift, record.drive):
+        if array is not None:
+            array.flags.writeable = False
+    return record
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """The prefix sums of x, each within about one rounding of the exact one
+    however long x is: np.cumsum's, plus the running sum of the exact error
+    of each of its additions (Knuth's TwoSum)."""
+    s = np.cumsum(x)
+    a, b, c = s[:-1], x[1:], s[1:]
+    bb = c - a
+    s[1:] += np.cumsum((a - (c - bb)) + (b - bb))
+    return s
+
+
+def _simpson_pair(g0, g1, g2, h):
+    """Simpson's rule over two steps of length h with the values g0, g1, g2."""
+    return (h / 3.0) * (g0 + 4.0 * g1 + g2)
+
+
+def _rk4_flow(
+    profile: DriveProfile, t: float, step: float | None = None, tol: float = TOL_WRONSKIAN
+) -> tuple[complex, complex, complex | None, float]:
+    """(eps, eps_dot, integral_0^t eps f, drift) of profile's RK4 flow at
+    t >= 0, with t and step by :func:`flow_at`'s rules; the integral is
+    None for the number force 0, and drift is the largest |W - 2j| over
+    the nodes in [0, t] and t itself, which must not exceed tol
+    (WronskianDriftError, a NaN too).
+
+    The time rule: n = floor(t / step) full steps of the grid t_k = k step
+    (a t within rounding of node n is that node), then one closing step of
+    t - n step, the RK4 step of :func:`_rk4_steps` either way.  The state
+    at the checkpoint 8 floor(n / 8) comes from the profile's record,
+    which one solve (:func:`_solve_record`) up to that checkpoint replaces
+    if it has another step or ends before it; the at most 7 steps after it
+    and the closing step are taken here, with one sample of omega_sq and
+    one of the force.  The drive integral adds Simpson's rule over pairs
+    of those steps and one 3-point rule, on Hermite-interpolated eps, over
+    the rest of [0, t].  Every gate reads [0, t] alone: MAX_STEPS, a
+    non-finite sample (EvaluationError) and the drift, so a profile with a
+    record gives what a fresh copy gives.
+    """
+    t, step = _time_and_step(t, step, True)
+    _check_steps(t, step)
+    n = math.floor(t / step * (1.0 + 1e-12))
+    blocks, m = divmod(n, _BLOCK)
+    drive = None if profile._force == 0.0 else 0.0j
+    e, d, worst = 1.0 + 0.0j, 1.0j, 0.0
+    if blocks:
+        record = profile._record
+        if record is None or record.step != step or blocks >= len(record.drift):
+            record = _solve_record(profile, blocks, step)
+            object.__setattr__(profile, "_record", record)
+        e, d = record.states[:, blocks].tolist()
+        worst = float(record.drift[blocks])
+        if drive is not None:
+            drive = complex(record.drive[blocks])
+    # the m steps after the checkpoint, then the closing step, in floats
+    delta = t - n * step
+    h = [step] * m + ([delta] if delta else [])
+    nodes = [(n - m + k) * step for k in range(m + 1)] + ([t] if delta else [])
+    eps, eps_dot = [e], [d]
+    if h:
+        w = _on_grid(profile.omega_sq, np.array(nodes + [a + 0.5 * b for a, b in zip(nodes, h)]),
+                     "omega_sq").tolist()
+        for k, hk in enumerate(h):
+            a00, a01, a10, a11 = _rk4_step(w[k], w[len(nodes) + k], w[k + 1], hk)
+            e, d = e + (a00 * e + a01 * d), d + (a10 * e + a11 * d)
+            eps.append(e)
+            eps_dot.append(d)
+    for x in map(_drift, eps, eps_dot):
+        if x > worst or x != x:  # a NaN stays
+            worst = x
+    if not worst <= tol:  # a NaN drift fails too
+        raise WronskianDriftError(worst, tol)
+    if drive is not None:
+        drive = _drive_tail(profile.force, drive, eps, eps_dot, nodes, h, m - m % 2, t)
+    return eps[-1], eps_dot[-1], drive, worst
+
+
+def _drive_tail(force, drive, eps, eps_dot, nodes, h, p, t):
+    """drive, the integral of eps f up to nodes[0], plus the rest of it up
+    to t: Simpson's rule over the first p steps h (p even), then one
+    3-point rule over [nodes[p], t], its midpoint eps interpolated in step
+    p.  eps and eps_dot hold the states at the nodes, then at t; the force
+    is sampled once, at nodes[:p + 1] and the rule's midpoint and t."""
+    span = t - nodes[p]
+    s = nodes[: p + 1] + ([nodes[p] + 0.5 * span, t] if span else [])
+    f = _on_grid(force, np.array(s), "force").tolist()
+    g = [x * y for x, y in zip(eps[: p + 1], f)]
+    for i in range(0, p, 2):
+        drive += _simpson_pair(g[i], g[i + 1], g[i + 2], h[i])
+    if span:
+        mid = _hermite(eps[p], eps_dot[p], eps[p + 1], eps_dot[p + 1], h[p], 0.5 * span / h[p])
+        drive += _simpson_pair(g[p], mid * f[p + 1], eps[-1] * f[p + 2], 0.5 * span)
+    return drive
 
 
 def _oscillator(omega: float, t, cos=math.cos, sin=math.sin):

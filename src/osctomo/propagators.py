@@ -102,12 +102,13 @@ class ClassicalPropagator:
         return cls.from_epsilon(*flow_at(profile, t, step), t)
 
     @cached_property
-    def _lam_inv(self) -> np.ndarray:
-        """Lambda^{-1}, the adjugate over det Lambda, formed and checked once
-        per propagator.
+    def _map(self) -> np.ndarray:
+        """The 2x3 matrix that takes the row (nu, mu) to (X' - X, nu', mu'),
+        [Lambda^{-1} Delta | Lambda^{-1}] with Lambda^{-1} the adjugate over
+        det Lambda, formed and checked once per propagator.
 
         Both forms of the map take the rows (nu, mu) to (X' - X, nu', mu'):
-        the Lambda form is [Lambda^{-1} Delta | Lambda^{-1}], the eps form
+        the Lambda form is this matrix, the eps form
         has rows [sqrt(2) Re(beta conj c), Im c, Re c] / D for c = eps_dot,
         eps, and D = Im(conj(eps) eps_dot), det Lambda computed from eps.
         So they agree to roundoff whatever det Lambda is, which
@@ -130,7 +131,7 @@ class ClassicalPropagator:
                 "Lambda^-1 form and eps form of the frame map disagree: "
                 f"{lam_form.tolist()} vs {eps_form.tolist()}"
             )
-        return lam_inv
+        return lam_form
 
     def frame_map(self, X, mu, nu):
         """The unique source point (X', mu', nu') the delta kernel fires at.
@@ -138,10 +139,10 @@ class ClassicalPropagator:
         X, mu and nu are floats or numpy arrays that broadcast together.
         Scalars (0-d arrays too) give a tuple of three floats; otherwise
         X', mu' and nu' are arrays of the broadcast shape.  The points are
-        mapped as N' = N Lambda^{-1}, X' = X + N' Delta, with N = (nu, mu),
-        each bit for bit as on its own.  The two forms of the map are
-        compared once per propagator, as matrices, where Lambda^{-1} is
-        formed; a propagator whose forms disagree raises ConsistencyError
+        mapped as (X' - X, N') = N [Lambda^{-1} Delta | Lambda^{-1}], with
+        N = (nu, mu), each bit for bit as on its own.  The two forms of the
+        map are compared once per propagator, as matrices, where that one
+        is formed; a propagator whose forms disagree raises ConsistencyError
         at every call.  A point whose image leaves the double range raises
         ConsistencyError naming it, with no RuntimeWarning.  A non-finite
         X, mu or nu, or a zero frame (the rule of the CLI and the
@@ -155,10 +156,11 @@ class ClassicalPropagator:
             pts = np.empty(np.broadcast(X, nu, mu).shape + (3,))  # rows (X, nu, mu)
             pts[..., 0], pts[..., 1], pts[..., 2] = X, nu, mu
             out = np.empty_like(pts)  # rows (X', nu', mu')
-            n_p = np.matmul(pts[..., 1:], self._lam_inv, out=out[..., 1:])
-            # vecdot takes each row's N' Delta with the dot kernel of a 1-D @;
-            # a matrix-vector n_p @ Delta would round some points differently
-            np.add(pts[..., 0], np.vecdot(n_p, self.inv.delta), out=out[..., 0])
+            # X' - X = N (Lambda^{-1} Delta), the checked matrix's first column,
+            # rounds about half as much as (N Lambda^{-1}) Delta, whose terms
+            # cancel at the size of the map squared
+            np.matmul(pts[..., 1:], self._map, out=out)
+            out[..., 0] += pts[..., 0]
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != finite.size:
             _raise_first(ConsistencyError, "frame map image of (X, mu, nu) = ({}, {}, {}) is not finite, "

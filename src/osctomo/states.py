@@ -65,6 +65,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
+_SQUARE_OVERFLOWS = "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 overflows double precision"
 
 
 def _finite(**values) -> tuple:
@@ -131,7 +132,8 @@ def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
     raises the ValueError of :func:`_check_frame`, and a vanishing r
     DegenerateFrameError.  An <X> that is not finite raises
     EvaluationError naming the first such frame in C order, with float
-    coordinates, and no RuntimeWarning.
+    coordinates, and no RuntimeWarning: the |r|^2 of :func:`variance_X`
+    where r itself overflowed, else <X>.
     """
     eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
     # a square past the double range is no zero frame, and a non-finite <X> is named below
@@ -146,6 +148,10 @@ def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
             "kernel is degenerate for this (mu, nu)"
         )
     if np.count_nonzero(finite := np.isfinite(mean)) != finite.size:
+        # an r that overflowed makes <X> NaN even at alpha = beta: name |r|^2,
+        # as variance_X does where only the square overflows
+        if np.count_nonzero(overflowed := ~np.isfinite(abs_r)):
+            _raise_first(EvaluationError, _SQUARE_OVERFLOWS, overflowed, mu, nu)
         _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): <X> = sqrt(2) Re((alpha - beta) conj r) "
                      "overflows double precision", ~finite, mu, nu)
     return r, abs_r, mean
@@ -182,8 +188,7 @@ def variance_X(eps, eps_dot, mu, nu):
     """
     abs_r = _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[1]
     if np.count_nonzero(over := abs_r > _SQRT_MAX):
-        _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 "
-                     "overflows double precision", over, mu, nu)
+        _raise_first(EvaluationError, _SQUARE_OVERFLOWS, over, mu, nu)
     return 0.5 * abs_r**2
 
 

@@ -543,6 +543,62 @@ class TestEvalChecks:
         assert (code, out) == (0, "0.125\n")
 
 
+class TestProfileMemo:
+    """eval keeps the profiles it parsed, each with the record of its RK4
+    flow, so a later request on one reads that record; no output depends
+    on the requests before it."""
+
+    RESONANCE = ["profile=resonance:0.2", "force=0.7"]
+
+    def test_same_spec_and_force_give_the_same_profile(self):
+        first = cli._parse_profile("resonance:0.2", 0.7)
+        assert cli._parse_profile("resonance:0.2", 0.7) is first
+        assert cli._parse_profile("resonance:0.2", None)[0] is not first[0]
+        for k in range(2 * cli._PROFILES_KEPT):
+            cli._parse_profile(f"constant:{1 + k}", None)
+        assert len(cli._PROFILES) == cli._PROFILES_KEPT
+        assert cli._parse_profile("resonance:0.2", 0.7) is not first
+
+    def test_rewritten_table_gives_the_new_tables_output(self, capsys, tmp_path):
+        table = tmp_path / "profile.txt"
+        argv = ["eval", "epsilon", f"profile=table:{table}", "t=1.5"]
+        table.write_text("0 1\n5 1\n")
+        unit = run(argv, capsys)
+        table.write_text("0 4\n5 4\n")
+        double = run(argv, capsys)
+        assert unit[0] == double[0] == 0 and unit != double
+        assert complex(double[1].split()[0]) == pytest.approx(complex(math.cos(3.0), math.sin(3.0) / 2), abs=1e-9)
+        cli._PROFILES.clear()
+        assert run(argv, capsys) == double
+
+    def test_unsorted_table_exits_1_on_every_call(self, capsys, tmp_path):
+        t = np.arange(0.0, 10.5, 0.5)
+        table = tmp_path / "shuffled.txt"
+        np.savetxt(table, np.column_stack([t, 1.0 + 0.3 * np.sin(t)])[::-1])
+        for _ in range(3):
+            code, out, err = run(["eval", "epsilon", f"profile=table:{table}", "t=1.5"], capsys)
+            assert (code, out) == (1, "") and "strictly increasing" in err
+        assert not any(key[0] == f"table:{table}" for key in cli._PROFILES)
+
+    def test_table_without_rows_is_a_usage_error(self, capsys, tmp_path):
+        table = tmp_path / "empty.txt"
+        table.write_text("# t omega_sq\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["eval", "epsilon", f"profile=table:{table}", "t=1"], capsys)
+        assert (code, out) == (1, "") and "needs columns" in err
+
+    @pytest.mark.parametrize("op", [["epsilon"], ["beta"], ["wronskian"],
+                                    ["coherent_mdf", "alpha=0.5+0.2j", "X=0.3", "mu=0.8", "nu=0.6"]],
+                             ids=["epsilon", "beta", "wronskian", "coherent_mdf"])
+    def test_output_does_not_depend_on_a_longer_request_before(self, capsys, op):
+        argv = ["eval", *op, *self.RESONANCE, "t=3.4567"]
+        cli._PROFILES.clear()
+        fresh = run(argv, capsys)
+        assert run(["eval", "epsilon", *self.RESONANCE, "t=17.3"], capsys)[0] == 0
+        assert run(argv, capsys) == fresh and fresh[0] == 0
+
+
 class TestLibraryErrorsAreUsageErrors:
     def test_every_operation_is_covered(self):
         assert set(EVAL_CASES) == set(cli._OPERATIONS)

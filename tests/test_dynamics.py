@@ -52,6 +52,7 @@ from osctomo import (
     solve_epsilon,
     variance_X,
 )
+from helpers import classical_profiles
 from osctomo import dynamics, states
 from osctomo.dynamics import _on_grid, _simpson
 from osctomo.figures import FigureConfig
@@ -462,12 +463,24 @@ class TestFlowAt:
         assert flow_at(profile, 0.0) == (1.0, 1.0j, 0.0)
 
     def test_matches_trajectory_and_propagator(self):
+        # at a checkpoint, a multiple of 8 steps of the fixed grid t_k = k step, the flow
+        # is the transfer-matrix solve's node bit for bit, and beta Simpson's rule on it
         profile = DriveProfile.parametric_resonance(0.1, force=lambda t: math.cos(t) + 0.2)
-        t, step = 2.345, 1e-3
-        traj = solve_epsilon(profile, t, step)
-        assert flow_at(profile, t, step) == (*traj(t), beta_shift(traj, t))
+        step, n = 1e-3, 2344
+        t = n * step
+        nodes = np.arange(n + 1) * step
+        eps, eps_dot = dynamics._flow(profile.omega_sq, nodes, step)[:, : n + 1]
+        flow = flow_at(profile, t, step)
+        assert flow[:2] == (eps[n], eps_dot[n])
+        beta = -1j / math.sqrt(2.0) * _simpson(eps * _on_grid(profile.force, nodes), step)
+        assert abs(flow[2] - beta) <= 1e-15 * abs(beta)
         prop = ClassicalPropagator.from_profile(profile, t, step)
-        assert flow_at(profile, t, step) == (prop.eps, prop.eps_dot, prop.beta)
+        assert flow == (prop.eps, prop.eps_dot, prop.beta)
+        # between nodes, the closing step: the trajectory grid that lands on t agrees to roundoff
+        t = 2.345
+        traj = solve_epsilon(profile, t, step)
+        for got, want in zip(flow_at(profile, t, step), (*traj(t), beta_shift(traj, t))):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_time_below_step(self):
         # 0 < t < step: the solve takes t itself as the step
@@ -516,6 +529,109 @@ class TestFlowAt:
         profile = DriveProfile.parametric_resonance(0.2, force=math.cos)
         for t in (5e-4, 1e-3, 0.75):
             assert flow_at(profile, t) == flow_at(profile, t, min(1e-3, t))
+
+
+def fresh(profile):
+    """A copy of an RK4-backed profile with no record of its flow."""
+    return DriveProfile(profile.omega_sq, profile.force)
+
+
+class TestFlowRecord:
+    """An RK4-backed profile keeps one record of its flow on the grid
+    t_k = k step; what a call returns never depends on earlier calls."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0, exclude_min=True), longer=st.floats(0.0, 4.0),
+           step=st.sampled_from([None, 1e-3, 2.5e-3]))
+    def test_a_longer_solve_first_changes_no_bit(self, case, t, longer, step):
+        profile = case[0]
+        step = step if step is None or step <= t else None
+        flow_at(profile, t + longer, step)
+        assert repr(flow_at(profile, t, step)) == repr(flow_at(fresh(profile), t, step))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), n=st.integers(0, 7999), f=st.floats(0.0, 1.0, exclude_max=True))
+    def test_agrees_with_the_trajectory_of_its_grid(self, case, n, f):
+        # t = (n + f) step, against solve_epsilon's trajectory up to the next node,
+        # interpolated at t; a table's omega_sq has kinks at its rows (whole t), where
+        # RK4 is second order, so that trajectory shares the grid's nodes
+        profile, step = case[0], 1e-3
+        t = (n + f) * step or step
+        traj = solve_epsilon(fresh(profile), (n + 1) * step, step)
+        for got, want in zip(flow_at(profile, t), (*traj(t), beta_shift(traj, t))):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_record_bytes_per_step(self):
+        profile = DriveProfile.parametric_resonance(0.3, math.cos)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flow_at(profile, 20.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kept / 20_000 <= 10
+
+    def test_covered_time_solves_nothing(self, monkeypatch):
+        profile = DriveProfile.parametric_resonance(0.3, math.cos)
+        flow_at(profile, 10.0)
+        record = profile._record
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_solve_record called")
+
+        monkeypatch.setattr(dynamics, "_solve_record", refuse)
+        for t in (1e-4, 3.7, 9.999, 10.0, 10.007):  # 10.007 is 7 steps past checkpoint 10000
+            flow_at(profile, t)
+        assert profile._record is record and not record.states.flags.writeable
+        with pytest.raises(AssertionError, match="_solve_record called"):
+            flow_at(profile, 10.008)  # the next checkpoint
+        with pytest.raises(AssertionError, match="_solve_record called"):
+            flow_at(profile, 5.0, 2e-3)  # another step replaces the record
+
+    def test_a_failed_solve_keeps_the_record(self):
+        # omega_sq is NaN past t = 6: a solve that reaches it raises, and keeps
+        # the record of the earlier one
+        profile = DriveProfile.custom(lambda t: np.where(t > 6.0, math.nan, 1.0 + 0.2 * np.sin(t)))
+        flow_at(profile, 5.0)
+        record = profile._record
+        with pytest.raises(EvaluationError, match="omega_sq non-finite at t = 6.001"):
+            flow_at(profile, 7.0)
+        assert profile._record is record
+        assert repr(flow_at(profile, 4.2)) == repr(flow_at(fresh(profile), 4.2))
+
+    def test_drift_gate_reads_zero_to_t(self):
+        # omega = 40 drifts past TOL_WRONSKIAN late; a time before that passes
+        # after the longer solve failed, as on a fresh copy
+        profile = DriveProfile.custom(lambda t: np.full_like(t, 1600.0))
+        with pytest.raises(WronskianDriftError):
+            flow_at(profile, 400.0)
+        assert repr(flow_at(profile, 1.0)) == repr(flow_at(fresh(profile), 1.0))
+
+    def test_time_within_rounding_of_a_node_is_that_node(self, monkeypatch):
+        # 0.344 / 1e-3 is 343.99999999999994, below the checkpoint 344: the flow reads
+        # that checkpoint and closes the rounding, -5.6e-17, where node 343 would take
+        # 7 steps and a closing step of about 1e-3
+        closing = []
+        step = dynamics._rk4_step
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *a: closing.append(a[3]) or step(*a))
+        profile = DriveProfile.parametric_resonance(0.2)
+        for t in (0.344, 0.568, 0.8):
+            flow_at(profile, t)
+            assert all(abs(h) < 1e-15 for h in closing) and len(closing) <= 1
+            closing.clear()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(w=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3), h=st.floats(1e-6, 0.1))
+    def test_float_step_is_the_array_step(self, w, h):
+        # the closing steps' float form of the RK4 step gives the array form's bits
+        omega_sq = lambda t: np.where(t == 0.0, w[0], np.where(t == h, w[2], w[1]))
+        steps = np.empty((2, 2, 1))
+        dynamics._rk4_steps(omega_sq, np.array([0.0, h]), h, steps, np.empty(2))
+        assert dynamics._rk4_step(w[0], w[1], w[2], h) == tuple(steps.reshape(4).tolist())
 
 
 def exact_profile(omega, forced):
@@ -577,12 +693,13 @@ class TestExactFlow:
 
     def test_no_rk4_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("solve_epsilon called")
+            raise AssertionError("_solve_record called")
 
-        monkeypatch.setattr(dynamics, "solve_epsilon", refuse)
+        monkeypatch.setattr(dynamics, "_solve_record", refuse)
         for profile in (DriveProfile.constant(1.7, math.cos), DriveProfile.free()):
             assert flow_at(profile, 20.0) == flow_at(profile, 20.0)
-        with pytest.raises(AssertionError, match="solve_epsilon called"):
+            assert profile._record is None
+        with pytest.raises(AssertionError, match="_solve_record called"):
             flow_at(DriveProfile.custom(lambda t: 1.0), 1.0)
 
     def test_unforced_flow_builds_no_drive_grid(self, monkeypatch):
@@ -598,19 +715,25 @@ class TestExactFlow:
             flow_at(DriveProfile.constant(1.3, math.cos), 1.0)
 
     def test_unforced_rk4_flow_takes_no_drive_integral(self, monkeypatch):
-        # beta_shift's Simpson sum of zero samples is 0.0+0.0j, which -1j / sqrt 2
-        # takes to 0-0j: the same value and the same signed zeros, with no grid
-        def refuse(*args, **kwargs):
-            raise AssertionError("beta_shift called")
+        # a Simpson sum of zero samples times -1j / sqrt 2 is 0-0j: the same value and
+        # the same signed zeros, with no force sampled, and eps is the forced flow's
+        sampled = []
 
-        monkeypatch.setattr(dynamics, "beta_shift", refuse)
+        def on_grid(fn, t, name="profile value"):
+            sampled.append(name)
+            return on_grid.original(fn, t, name)
+
+        on_grid.original = dynamics._on_grid
+        monkeypatch.setattr(dynamics, "_on_grid", on_grid)
         profile = DriveProfile.parametric_resonance(0.3)
+        forced = DriveProfile.parametric_resonance(0.3, math.cos)
         for t in (1e-4, 0.37, 5.0, 20.0):
             eps, eps_dot, beta = flow_at(profile, t)
             assert repr(beta) == repr(complex(0.0, -0.0))
-            assert (eps, eps_dot) == solve_epsilon(profile, t, min(1e-3, t))(t)
-        with pytest.raises(AssertionError, match="beta_shift called"):
-            flow_at(DriveProfile.parametric_resonance(0.3, math.cos), 1.0)
+            assert set(sampled) == {"omega_sq"} and getattr(profile._record, "drive", None) is None
+            assert (eps, eps_dot) == flow_at(forced, t)[:2]
+            assert "force" in sampled
+            sampled.clear()
 
     def test_step_bound_message_names_no_t_end(self):
         for profile in (DriveProfile.free(math.cos), DriveProfile.parametric_resonance(0.1)):

@@ -103,17 +103,16 @@ class TestFrameMap:
             prop.frame_map(X, mu, nu)
 
     def test_cached_inverse_matches_a_per_point_inverse(self):
-        # Lambda^-1 is formed once per propagator; every point must map bit for bit
-        # as with the inverse built afresh at that point
+        # [Lambda^-1 Delta | Lambda^-1] is formed once per propagator; every point
+        # must map bit for bit as with the matrix built afresh at that point
         rng = np.random.default_rng(29)
         for _ in range(20):
             prop = propagator_at(rng.uniform(0.05, 6.0), force=rng.uniform(-1.0, 1.0))
             lam, det, delta = prop.inv.lam, prop.inv.det, prop.inv.delta
             for X, mu, nu in rng.normal(scale=2.0, size=(10, 3)).tolist():
                 lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / det
-                n_prime = np.array([nu, mu]) @ lam_inv
-                expected = (float(X + n_prime @ delta), float(n_prime[1]), float(n_prime[0]))
-                assert prop.frame_map(X, mu, nu) == expected
+                shift, nu_p, mu_p = np.array([nu, mu]) @ np.column_stack([lam_inv @ delta, lam_inv])
+                assert prop.frame_map(X, mu, nu) == (float(shift + X), float(mu_p), float(nu_p))
 
     def test_replaced_fields_are_checked_after_the_inverse_is_cached(self):
         prop = propagator_at(1.3)
@@ -400,8 +399,8 @@ class TestGreenFunctions:
     def test_route_b_solves_one_flow(self, monkeypatch):
         from osctomo import dynamics
 
-        solve, calls = dynamics.solve_epsilon, []
-        monkeypatch.setattr(dynamics, "solve_epsilon", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        solve, calls = dynamics._solve_record, []
+        monkeypatch.setattr(dynamics, "_solve_record", lambda *a, **k: calls.append(a) or solve(*a, **k))
         resonance = DriveProfile.parametric_resonance(0.3, lambda s: np.sin(2.0 * s) + 0.2)
         Z = np.linspace(-9.0, 9.0, 241)
         psi0 = coherent_wavefunction(0.7 - 0.4j, 1.0, 1j, 0.0, Z) * (Z[1] - Z[0])

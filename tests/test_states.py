@@ -223,6 +223,16 @@ class TestMomentOverflow:
             assert np.all(w > 0.0)
             assert w.tolist() == [[coherent_mdf(0.0, *VACUUM, 0.3, m, n) for n in nu] for m in mu[:, 0]]
 
+    def test_frame_whose_r_overflows_names_the_square(self):
+        # r = 1e10 * 1e300 overflows, so <X> = sqrt(2) Re(0 conj r) is NaN: the
+        # failure is |r|^2, named as where only the square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=re.escape("frame (mu, nu) = (1e+300, 0.0): |r|^2 = ")):
+                variance_X(1e10, 1j, 1e300, 0.0)
+            with pytest.raises(EvaluationError, match=re.escape("frame (mu, nu) = (1e+300, 0.0): |r|^2 = ")):
+                variance_X(1e10, 1j, np.array([1.0, 1e300]), np.array([0.5, 0.0]))
+
     def test_largest_frame_whose_square_is_finite(self):
         largest = math.sqrt(sys.float_info.max)
         assert variance_X(1.0, 1j, largest, 0.0) == 0.5 * largest**2
