@@ -99,7 +99,8 @@ def _table_profile(
 
 # Profiles parsed in this process, least recently used first, by spec, force
 # and a table's bytes: a profile keeps the record of its RK4 flow, so a
-# later request on it reads that record instead of solving again.
+# later request on it reads that record, or extends it from its end,
+# instead of solving again from 0.
 _PROFILES: dict = {}
 _PROFILES_KEPT = 32
 _PROFILES_LOCK = threading.Lock()

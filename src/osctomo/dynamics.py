@@ -32,19 +32,21 @@ by RK4 forward from 0, so at t >= 0 only, under one time rule: on the
 fixed grid t_k = k step (step 1e-3 unless one is given, and kept
 exactly), n = floor(t / step) full steps, a t within rounding of a node
 counting as that node, then one closing step of t - n step.  Each
-profile keeps one record of its flow at its latest step, written by one
-transfer-matrix solve and read by every later time: the state, the
-running maximum of the Wronskian drift and the Simpson integral of the
-drive at every 8th node, 7 bytes per step.  A time that the record covers
-costs at most 7 steps plus the closing step; a later time solves again
-from 0, up to its own node.  The value at every node is the same however
-far a solve reaches, so a result never depends on earlier calls.  A
-force given as a number is constant: on constant and free profiles its
-beta is exact, with no grid; otherwise beta is one Simpson rule of the
-drive.  The number 0, the default force, gives beta exactly 0 on every
-profile.  A given step satisfies 0 < step <= |t|.  MAX_STEPS bounds the
-grids where they are allocated, in the RK4 solves and the drive grid of
-the closed forms, so a flow that builds no grid has no step bound.
+profile keeps one record of its flow at its latest step, read by every
+later time: the state, the running maximum of the Wronskian drift and the
+Simpson integral of the drive at every 8th node, 7 bytes per step, and
+the frontier of the transfer-matrix product at its end.  A time that the
+record covers costs at most 7 steps plus the closing step; a later time
+extends the record from its end, by one transfer-matrix solve of the
+steps in between, so each step of the grid is integrated once.  The
+value at every node is the same however the record was grown, so a
+result never depends on earlier calls.  A force given as a number is
+constant: on constant and free profiles its beta is exact, with no grid;
+otherwise beta is one Simpson rule of the drive.  The number 0, the
+default force, gives beta exactly 0 on every profile.  A given step
+satisfies 0 < step <= |t|.  MAX_STEPS bounds the grids where they are
+allocated, in the RK4 solves and the drive grid of the closed forms, so
+a flow that builds no grid has no step bound.
 Every profile callable is sampled on a grid through one helper, which
 raises EvaluationError on a non-finite omega_sq or force.
 Hermite orders and the package's grid counts pass one integer rule,
@@ -99,6 +101,9 @@ MAX_HERMITE_ORDER = 200
 
 # Steps per block at every level of the transfer-matrix product.
 _BLOCK = 8
+
+# |y| past which hermite_gauss clips y, just below sqrt of the largest double, so y^2 is finite
+_HERMITE_Y_MAX = 1.34e154
 
 # Default ODE step of the flow, and the drive quadrature step of the driven closed forms.
 _DEFAULT_STEP = 1e-3
@@ -257,8 +262,12 @@ def _hermite(y0, dy0, y1, dy1, h: float, s: float):
 
 
 def _wronskian(eps, eps_dot):
-    """eps_dot conj(eps) - conj(eps_dot) eps, for arrays or numbers."""
-    return eps_dot * eps.conjugate() - eps_dot.conjugate() * eps
+    """eps_dot conj(eps) - conj(eps_dot) eps, for arrays or numbers.  Each
+    product takes the conjugate first: numpy's complex product of arrays
+    can round a * b and b * a apart, and numpy itself moves a temporary
+    operand of 256 KiB or more to the front, to reuse its memory, so the
+    other order would round by the arrays' length."""
+    return eps.conjugate() * eps_dot - eps_dot.conjugate() * eps
 
 
 def _drift(eps, eps_dot):
@@ -330,7 +339,7 @@ def solve_epsilon(
 
     # a product that overflows ends in inf/NaN, which the Wronskian check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = _flow(profile.omega_sq, t, h)
+        flow, _ = _flow(profile.omega_sq, t, h)
         traj = EpsilonTrajectory(t, flow[0, : n + 1], flow[1, : n + 1], profile)
         drift = traj.max_wronskian_drift
     if not drift <= tol_wronskian:  # a NaN drift fails too
@@ -379,20 +388,19 @@ def _raise_first(error: type[Exception], message: str, bad, *values):
     raise error(message.format(*((complex if np.iscomplexobj(v) else float)(v.flat[i]) for v in values)))
 
 
-def _workspace(n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Views into one buffer for the product of n steps: the blocks of every
-    level, each (2, 2, _BLOCK, columns), and the spare part the compositions
-    write to.
+def _workspace(count: int, held: tuple = ()) -> tuple[list[np.ndarray], np.ndarray]:
+    """Views into one buffer for the product of count entries at level 0
+    after the frontier held (see :func:`_block_products`): the blocks of
+    every level, each (2, 2, _BLOCK, columns), and the spare part the
+    compositions write to.
 
-    Level 0 holds the steps, blocks[:, :, p, a] being step _BLOCK * a + p;
-    every higher level holds the totals of all blocks but the last of the
-    level below.  A level with more than one block gets zero-padded columns
-    up to 1 + _BLOCK * m, so that those totals fill m whole blocks above it
-    and blocks 1.. line up with them as an (m, _BLOCK) grid of starts.  The
-    spare part holds 4 + 4 * _BLOCK numbers per level-0 column: first the
-    steps in step order, then a row of a scan or of starts in its first
-    4 per column, and the output of one composition over a whole level
-    in its end.
+    Level 0 holds the entries, blocks[:, :, p, a] being entry _BLOCK * a + p;
+    every higher level holds the raw entries of held's partial block there,
+    then the totals of the whole blocks of the level below.  The spare part
+    holds 4 + 4 * _BLOCK numbers per level-0 column and 60 more: first the
+    level-0 entries in step order, later a row of a scan, a level's entries
+    or its starts in its front (at most 4 per column and 60), and the
+    output of one composition over a whole level in its end.
 
     A solve allocates this one large block, not a fresh array per level
     and per composition, so that a stream of solves keeps reusing the same
@@ -400,13 +408,13 @@ def _workspace(n: int) -> tuple[list[np.ndarray], np.ndarray]:
     returns freed heap to the system only past about twice the largest
     block it has freed).
     """
-    columns = [-(-n // _BLOCK)]
-    while columns[-1] > 1:
-        m = -(-(columns[-1] - 1) // _BLOCK)
-        columns[-1] = _BLOCK * m + 1
-        columns.append(m)
+    columns = [-(-count // _BLOCK)]
+    while count >= _BLOCK:
+        level = len(columns)
+        count = count // _BLOCK + (held[level][0].shape[-1] if level < len(held) else 0)
+        columns.append(-(-count // _BLOCK))
     sizes = [4 * _BLOCK * c for c in columns]
-    buffer = np.empty(sum(sizes) + (4 + 4 * _BLOCK) * columns[0])
+    buffer = np.empty(sum(sizes) + (4 + 4 * _BLOCK) * columns[0] + 60)
     levels, start = [], 0
     for size in sizes:
         levels.append(buffer[start : start + size].reshape(2, 2, _BLOCK, -1))
@@ -419,16 +427,20 @@ def _position_major(steps: np.ndarray) -> np.ndarray:
     return steps.reshape(2, 2, -1, _BLOCK).transpose(0, 1, 3, 2)
 
 
-def _flow(omega_sq: Callable, t: np.ndarray, h: float) -> np.ndarray:
+def _flow(omega_sq: Callable, t: np.ndarray, h: float, held: tuple = ()) -> tuple[np.ndarray, tuple]:
     """(eps, eps_dot) at every node of t, and at padding nodes after it, as
-    the two rows of a complex array: the running products of the RK4 steps,
-    taken in one workspace that is released on return."""
+    the two rows of a complex array, and the frontier of the product after
+    its last step: the running products of the RK4 steps on t, continued
+    from the frontier held of the steps before t[0], which end a whole
+    block (see :func:`_block_products`), and taken in one workspace that is
+    released on return.  The first column is (1, 1j), the state at t[0]
+    of a solve from 0."""
     n = len(t) - 1
-    levels, spare = _workspace(n)
+    levels, spare = _workspace(n, held)
     steps = spare[: 4 * n].reshape(2, 2, n)
     _rk4_steps(omega_sq, t, h, steps, levels[0].reshape(-1))
     _lay_out(steps, levels[0])
-    _block_products(levels, spare)
+    frontier = _block_products(levels, spare, n, held)
     # (eps, eps_dot)(t_k) = M(t_k) (1, 1j), so the real and imaginary parts
     # of flow[i] are entries (i, 0) and (i, 1) of M(t_k)
     blocks = levels[0]
@@ -441,7 +453,7 @@ def _flow(omega_sq: Callable, t: np.ndarray, h: float) -> np.ndarray:
             np.add(blocks[i, k].T, 1.0, out=entry)
         else:
             np.copyto(entry, blocks[i, k].T)
-    return flow
+    return flow, frontier
 
 
 def _rk4_steps(
@@ -519,36 +531,66 @@ def _lay_out(steps: np.ndarray, blocks: np.ndarray) -> None:
     blocks[..., count + 1 :] = 0.0
 
 
-def _block_products(levels: list[np.ndarray], spare: np.ndarray) -> None:
-    """Turn the steps in levels[0] into their running products, in place,
-    as differences from the identity: entry k becomes
-    (1 + A_k)...(1 + A_0) - 1.
+def _block_products(levels: list[np.ndarray], spare: np.ndarray, count: int, held: tuple = ()) -> tuple:
+    """Turn the count entries in levels[0] into their running products, in
+    place, as differences from the identity, and return the frontier after
+    them: entry k becomes (1 + A_k)...(1 + A_0) - 1, the product over
+    every step before it too.
 
-    levels and spare are the views :func:`_workspace` returns.  In turn:
+    The product is a tree of blocks of _BLOCK entries (a blocked prefix
+    scan): each level's entries are the totals of the whole blocks of the
+    level below, and a node's product is the product inside its block
+    composed with the product above that ends just before the block, the
+    block's start.  The frontier held of the steps before the entries is,
+    at every level from 0 up, the pair (raw, start) of the level's partial
+    block: its at most _BLOCK - 1 raw entries, (2, 2, r), and its start,
+    (2, 2), or None for the level's first block; () before any step.  So
+    the value at every node is the same however the steps are split into
+    calls, and a solve from 0 is the extension of ().
+
+    levels and spare are the views :func:`_workspace` returns for count
+    and held, and levels[0] holds the raw entries of held's level-0
+    partial block, then the new ones.  In turn:
       - the products inside every block are taken one position p at a
         time, each a contiguous row over all blocks;
-      - the block totals are copied into the level above, which recurses,
-        unless there is only one block;
+      - the totals of the whole blocks follow the raw entries held above
+        in the level above, which recurses, if there are any;
       - the finished products above, the starts of blocks 1.., are laid
-        out in step order in spare, and every later block is combined with
-        its start in one broadcast composition.
+        out in step order in spare after the held start of block 0, and
+        every block is combined with its start in one broadcast
+        composition; the first block of a level has none.
     A level costs _BLOCK compositions, so about _BLOCK * log_BLOCK(n) in all.
     """
     blocks = levels[0]
     columns = blocks.shape[-1]
+    full, rest = divmod(count, _BLOCK)
+    start = held[0][1] if held else None
+    tail = blocks[:, :, :rest, full:].reshape(2, 2, rest).copy()
     row = spare[: 4 * columns].reshape(2, 2, columns)
-    for p in range(1, _BLOCK):
+    for p in range(1, min(count, _BLOCK)):  # a lone block stops at its last entry
         _compose(blocks[:, :, p], blocks[:, :, p - 1], row)
-    if columns > 1:
-        m = (columns - 1) // _BLOCK
-        totals = levels[1]
-        totals[..., :m] = _position_major(blocks[:, :, -1, :-1])
-        totals[..., m:] = 0.0
-        _block_products(levels[1:], spare)
-        starts = spare[: 4 * (columns - 1)].reshape(2, 2, 1, -1)
-        _position_major(starts[:, :, 0])[...] = totals[..., :m]
-        later = blocks[..., 1:]
+    above = held[1:]
+    first = 0 if start is not None else 1
+    if full:
+        raw = above[0][0] if above else blocks[:, :, :0, 0]
+        r = raw.shape[-1]
+        entries = spare[: 4 * (r + full)].reshape(2, 2, -1)
+        np.concatenate((raw, blocks[:, :, -1, :full]), axis=-1, out=entries)
+        _lay_out(entries, levels[1])
+        above = _block_products(levels[1:], spare, r + full, above)
+        # products[..., 1 + j] is entry j above, so products[..., r + i] is the start of block i
+        products = spare[: 4 * (1 + levels[1][0, 0].size)].reshape(2, 2, -1)
+        _position_major(products[..., 1:])[...] = levels[1]
+        if start is not None:
+            products[..., r] = start
+        starts = products[:, :, None, r + first : r + columns]
+        start = products[..., r + full].copy()
+    elif start is not None:
+        starts = start[:, :, None, None]
+    if columns > first:
+        later = blocks[..., first:]
         _compose(later, starts, spare[-later.size :].reshape(later.shape))
+    return ((tail, start), *above)
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
@@ -558,7 +600,7 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     n = steps.shape[-1]
     levels, spare = _workspace(n)
     _lay_out(steps, levels[0])
-    _block_products(levels, spare)
+    _block_products(levels, spare, n)
     return levels[0].transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., :n]
 
 
@@ -650,10 +692,10 @@ def flow_at(
     rule over the last one or two steps.  The profile keeps one record of
     its flow at its latest step, every 8th node, 7 bytes per step: a t it
     covers costs at most 7 steps plus the closing step, and a later t
-    solves again from 0.  The result never depends on earlier calls: a
-    copy of the profile with no record returns the same bits.  The
-    Wronskian drift over [0, t] must stay within TOL_WRONSKIAN
-    (WronskianDriftError, a NaN too).
+    extends the record from its end, solving only the steps after it.
+    The result never depends on earlier calls: a copy of the profile with
+    no record returns the same bits.  The Wronskian drift over [0, t] must
+    stay within TOL_WRONSKIAN (WronskianDriftError, a NaN too).
 
     For the number force 0 beta is exactly 0 (0-0j), with no drive grid,
     whatever the profile.  t must be finite, and a given step 0 < step <=
@@ -709,49 +751,76 @@ class _FlowRecord:
     the running maximum of the Wronskian drift |W - 2j| over every node up
     to each, and the Simpson integral of eps f from 0 to each (None for the
     number force 0).  56 bytes per checkpoint, so 7 per step; the arrays
-    are read-only."""
+    are read-only.  After the last checkpoint, the frontier of the
+    transfer-matrix product (:func:`_block_products`) and the carry of the
+    drive's running sum (:func:`_running_sum`), ~2 kB in all, let a
+    later solve continue the record from there."""
 
     step: float
     states: np.ndarray  # (2, checkpoints), complex
     drift: np.ndarray  # (checkpoints,)
     drive: np.ndarray | None  # (checkpoints,), complex
+    frontier: tuple = ()
+    carry: tuple | None = None
 
 
 def _solve_record(profile: DriveProfile, blocks: int, step: float) -> _FlowRecord:
-    """The record of profile's flow at step up to checkpoint ``blocks``:
-    one transfer-matrix solve (:func:`_flow`) of _BLOCK * blocks steps from
-    0, whose value at every node does not depend on how far it reaches.  A
-    non-finite omega_sq or force sample raises EvaluationError."""
-    n = _BLOCK * blocks
-    t = np.arange(n + 1) * step
+    """The record of profile's flow at step up to checkpoint ``blocks``,
+    which replaces the profile's record: that record extended if it has
+    this step, else the record of checkpoint 0 (the seeded state, drift 0
+    and drive 0).  One transfer-matrix solve (:func:`_flow`) takes the
+    steps after its last checkpoint from the frontier there, so omega_sq
+    and the force are sampled on those nodes alone, and the value at every
+    node is the one a solve from 0 gives.  A non-finite omega_sq or force
+    sample raises EvaluationError and keeps the record."""
+    record = profile._record
+    if record is None or record.step != step:
+        forced = profile._force != 0.0
+        record = _FlowRecord(step, np.array([[1.0 + 0.0j], [1.0j]]), np.zeros(1),
+                             np.zeros(1, complex) if forced else None)
+    done = len(record.drift) - 1
+    n = _BLOCK * (blocks - done)
+    t = np.arange(_BLOCK * done, _BLOCK * blocks + 1) * step
     # a product that overflows ends in inf/NaN, which the drift reports
     with np.errstate(over="ignore", invalid="ignore"):
-        eps, eps_dot = _flow(profile.omega_sq, t, step)[:, : n + 1]
-        drift = _drift(eps, eps_dot)
-        drive = None
-        if profile._force != 0.0:
+        flow, frontier = _flow(profile.omega_sq, t, step, record.frontier)
+        flow[:, 0] = record.states[:, -1]
+        eps, eps_dot = flow[:, : n + 1]
+        drift = _drift(eps[1:], eps_dot[1:]).reshape(-1, _BLOCK).max(axis=1)
+        drive, carry = record.drive, None
+        if drive is not None:
             g = eps * _on_grid(profile.force, t, "force")
-            pairs = _simpson_pair(g[:-2:2], g[1:-1:2], g[2::2], step).reshape(blocks, -1)
+            pairs = _simpson_pair(g[:-2:2], g[1:-1:2], g[2::2], step).reshape(-1, _BLOCK // 2)
             for k in range(1, _BLOCK // 2):  # the pairs of each block, in order
                 pairs[:, 0] += pairs[:, k]
-            drive = np.append(0.0, _running_sum(pairs[:, 0]))
-    worst = np.maximum.accumulate(np.append(drift[0], drift[1:].reshape(blocks, _BLOCK).max(axis=1)))
-    record = _FlowRecord(step, np.array([eps[::_BLOCK], eps_dot[::_BLOCK]]), worst, drive)
+            sums, carry = _running_sum(pairs[:, 0], record.carry)
+            drive = np.append(drive, sums)
+    worst = np.maximum.accumulate(np.append(record.drift[-1], drift))
+    states = np.append(record.states, [eps[_BLOCK::_BLOCK], eps_dot[_BLOCK::_BLOCK]], axis=1)
+    record = _FlowRecord(step, states, np.append(record.drift, worst[1:]), drive, frontier, carry)
     for array in (record.states, record.drift, record.drive):
         if array is not None:
             array.flags.writeable = False
+    object.__setattr__(profile, "_record", record)
     return record
 
 
-def _running_sum(x: np.ndarray) -> np.ndarray:
+def _running_sum(x: np.ndarray, carry: tuple | None = None) -> tuple[np.ndarray, tuple]:
     """The prefix sums of x, each within about one rounding of the exact one
     however long x is: np.cumsum's, plus the running sum of the exact error
-    of each of its additions (Knuth's TwoSum)."""
+    of each of its additions (Knuth's TwoSum); and the carry after x, those
+    two running sums at its end.  Given the carry of the elements before x,
+    the sums continue theirs, bit for bit.  (No TwoSum error is -0, so the
+    error sum may start from 0.0.)"""
+    if carry is not None:
+        x = np.append(carry[0], x)
     s = np.cumsum(x)
     a, b, c = s[:-1], x[1:], s[1:]
     bb = c - a
-    s[1:] += np.cumsum((a - (c - bb)) + (b - bb))
-    return s
+    errors = np.cumsum(np.append(0.0 if carry is None else carry[1], (a - (c - bb)) + (b - bb)))
+    after = s[-1], errors[-1]
+    s[1:] += errors[1:]
+    return (s if carry is None else s[1:]), after
 
 
 def _simpson_pair(g0, g1, g2, h):
@@ -772,14 +841,14 @@ def _rk4_flow(
     (a t within rounding of node n is that node), then one closing step of
     t - n step, the RK4 step of :func:`_rk4_steps` either way.  The state
     at the checkpoint 8 floor(n / 8) comes from the profile's record,
-    which one solve (:func:`_solve_record`) up to that checkpoint replaces
-    if it has another step or ends before it; the at most 7 steps after it
-    and the closing step are taken here, with one sample of omega_sq and
-    one of the force.  The drive integral adds Simpson's rule over pairs
-    of those steps and one 3-point rule, on Hermite-interpolated eps, over
-    the rest of [0, t].  Every gate reads [0, t] alone: MAX_STEPS, a
-    non-finite sample (EvaluationError) and the drift, so a profile with a
-    record gives what a fresh copy gives.
+    which :func:`_solve_record` extends up to that checkpoint if it ends
+    before it, or replaces by a solve from 0 if it has another step; the
+    at most 7 steps after it and the closing step are taken here, with one
+    sample of omega_sq and one of the force.  The drive integral adds
+    Simpson's rule over pairs of those steps and one 3-point rule, on
+    Hermite-interpolated eps, over the rest of [0, t].  Every gate reads
+    [0, t] alone: MAX_STEPS, a non-finite sample (EvaluationError) and the
+    drift, so a profile with a record gives what a fresh copy gives.
     """
     t, step = _time_and_step(t, step, True)
     _check_steps(t, step)
@@ -791,7 +860,6 @@ def _rk4_flow(
         record = profile._record
         if record is None or record.step != step or blocks >= len(record.drift):
             record = _solve_record(profile, blocks, step)
-            object.__setattr__(profile, "_record", record)
         e, d = record.states[:, blocks].tolist()
         worst = float(record.drift[blocks])
         if drive is not None:
@@ -960,7 +1028,8 @@ def hermite_gauss(n: int, y):
     Evaluated with a scaled recurrence that keeps every intermediate on
     the order of one, so it stays finite for all supported n and y.  A
     scalar y runs the array recurrence on a 1-element array.  y is not
-    checked: a NaN in it gives NaN where it stands.
+    checked: a NaN in it gives NaN where it stands, and every |y| past
+    1.34e154, inf too, gives 0, with no overflow.
     """
     n = _check_order(n)
     y = np.asarray(_float("y", y), dtype=float)
@@ -970,10 +1039,15 @@ def hermite_gauss(n: int, y):
 
 def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:
     """The recurrence of :func:`hermite_gauss` in three rotating buffers,
-    without four fresh temporaries per step."""
+    without four fresh temporaries per step.  A y with values past
+    +-_HERMITE_Y_MAX (or NaN) is clipped to it first: every Hermite function
+    is 0 there already, and past it y^2 and sqrt(2) y would overflow.  Any
+    other y is read as it is, so that no copy of it is held beside the
+    three buffers."""
+    if not -_HERMITE_Y_MAX <= y.min(initial=0.0) <= y.max(initial=0.0) <= _HERMITE_Y_MAX:
+        y = np.clip(y, -_HERMITE_Y_MAX, _HERMITE_Y_MAX)
     u_prev = np.multiply(-0.5, y)
-    with np.errstate(over="ignore"):  # |y| > 1e154: -y^2/2 is -inf, and exp gives the 0
-        u_prev *= y
+    u_prev *= y
     np.exp(u_prev, out=u_prev)
     u_prev *= np.pi ** -0.25
     if n == 0:

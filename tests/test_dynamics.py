@@ -243,6 +243,33 @@ class TestPrefixProducts:
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6000), seed=st.integers(0, 2**32 - 1), magnitude=st.sampled_from([1e-3, 0.5]),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=6), whole_blocks=st.booleans())
+    def test_split_products_are_the_one_piece_products(self, n, seed, magnitude, cuts, whole_blocks):
+        # each piece continues the frontier of the pieces before it; cut anywhere, or
+        # on block boundaries only, the products are those of one piece, bit for bit
+        steps = random_steps(np.random.default_rng(seed), magnitude, n)
+        cuts = sorted({round(c * n) // 8 * 8 if whole_blocks else round(c * n) for c in cuts} - {0, n})
+        assert np.array_equal(products_in_pieces(steps, cuts), dynamics._prefix_products(steps))
+
+
+def products_in_pieces(steps, cuts):
+    """The running products of (2, 2, n) steps taken piece by piece between
+    the cuts by _block_products, each piece after the frontier of the ones
+    before it, whose level-0 raw entries lead the piece's level 0."""
+    held, pieces = (), []
+    for piece in np.split(steps, cuts, axis=-1):
+        raw = held[0][0] if held else np.empty((2, 2, 0))
+        entries = np.concatenate((raw, piece), axis=-1)
+        count = entries.shape[-1]
+        levels, spare = dynamics._workspace(count, held)
+        dynamics._lay_out(entries, levels[0])
+        held = dynamics._block_products(levels, spare, count, held)
+        pieces.append(levels[0].transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., raw.shape[-1] : count])
+    return np.concatenate(pieces, axis=-1)
+
+
 class TestSolveMatchesStridedProduct:
     @pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65, 4095, 4096, 4097, 20000])
     @pytest.mark.parametrize(
@@ -469,7 +496,7 @@ class TestFlowAt:
         step, n = 1e-3, 2344
         t = n * step
         nodes = np.arange(n + 1) * step
-        eps, eps_dot = dynamics._flow(profile.omega_sq, nodes, step)[:, : n + 1]
+        eps, eps_dot = dynamics._flow(profile.omega_sq, nodes, step)[0][:, : n + 1]
         flow = flow_at(profile, t, step)
         assert flow[:2] == (eps[n], eps_dot[n])
         beta = -1j / math.sqrt(2.0) * _simpson(eps * _on_grid(profile.force, nodes), step)
@@ -531,6 +558,24 @@ class TestFlowAt:
             assert flow_at(profile, t) == flow_at(profile, t, min(1e-3, t))
 
 
+@st.composite
+def extension_times(draw):
+    """2 to 4 increasing times in (0, 40], each either anywhere or within a
+    few checkpoints of an 8^L-block boundary of the default grid (64, 512,
+    4096 and 32768 steps), so that consecutive times may straddle one."""
+    near = st.sampled_from([0.064, 0.512, 4.096, 32.768]).flatmap(lambda b: st.floats(b - 0.03, b + 0.03))
+    times = draw(st.lists(st.floats(1e-3, 40.0) | near, min_size=2, max_size=4, unique=True))
+    return sorted(times)
+
+
+def outcome(profile, t, step):
+    """repr of flow_at(profile, t, step), or of the error it raises."""
+    try:
+        return repr(flow_at(profile, t, step))
+    except (WronskianDriftError, EvaluationError) as error:
+        return repr(error)
+
+
 def fresh(profile):
     """A copy of an RK4-backed profile with no record of its flow."""
     return DriveProfile(profile.omega_sq, profile.force)
@@ -548,6 +593,17 @@ class TestFlowRecord:
         step = step if step is None or step <= t else None
         flow_at(profile, t + longer, step)
         assert repr(flow_at(profile, t, step)) == repr(flow_at(fresh(profile), t, step))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), times=extension_times(), step=st.sampled_from([None, 1e-3, 2.5e-3]))
+    def test_a_shorter_solve_first_changes_no_bit(self, case, times, step):
+        # each time extends the record of the one before; the flow at every time is
+        # that of a fresh copy, a drift error or an overflow included
+        profile = case[0]
+        step = step if step is None or step <= times[0] else None
+        for t in times:
+            assert outcome(profile, t, step) == outcome(fresh(profile), t, step)
+        assert 8 * (len(profile._record.drift) - 1) * (step or 1e-3) <= times[-1]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(case=classical_profiles(), n=st.integers(0, 7999), f=st.floats(0.0, 1.0, exclude_max=True))
@@ -602,6 +658,78 @@ class TestFlowRecord:
             flow_at(profile, 7.0)
         assert profile._record is record
         assert repr(flow_at(profile, 4.2)) == repr(flow_at(fresh(profile), 4.2))
+
+    @pytest.mark.parametrize("sample", ["omega_sq", "force"])
+    def test_a_failed_extension_keeps_the_record(self, sample):
+        # omega_sq or the force is NaN in (6, 6.5): an extension that reaches it raises
+        # and keeps the record, and one that stops short of it, or passes it on a
+        # fresh copy, gives the fresh copy's bits
+        nan_between = lambda t, value: np.where((t > 6.0) & (t < 6.5), math.nan, value)
+        w = lambda t: 1.0 + 0.2 * np.sin(t)
+        f = lambda t: np.cos(0.7 * t)
+        profile = (DriveProfile.custom(lambda t: nan_between(t, w(t)), f) if sample == "omega_sq"
+                   else DriveProfile.custom(w, lambda t: nan_between(t, f(t))))
+        flow_at(profile, 3.0)
+        record = profile._record
+        with pytest.raises(EvaluationError, match=f"{sample} non-finite at t = 6.001"):
+            flow_at(profile, 7.0)
+        assert profile._record is record
+        assert repr(flow_at(profile, 5.9)) == repr(flow_at(fresh(profile), 5.9))
+        assert len(profile._record.drift) == 5900 // 8 + 1
+        assert repr(flow_at(profile, 2.0)) == repr(flow_at(fresh(profile), 2.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 10.0, exclude_min=True), later=st.floats(0.0, 10.0))
+    def test_an_extension_samples_after_the_record_alone(self, case, t, later):
+        # after a flow to t, a flow to t + later samples omega_sq and the force only in
+        # [8 floor(n / 8) step, t + later], n = floor(t / step): the nodes from the
+        # record's last checkpoint on
+        sampled = []
+        record_samples = lambda fn: lambda s: sampled.append(np.atleast_1d(s)) or fn(s)
+        base = case[0]
+        profile = DriveProfile.custom(record_samples(base.omega_sq), record_samples(base.force))
+        try:
+            flow_at(profile, t)
+        except WronskianDriftError:
+            pass
+        checkpoint = 8e-3 * (len(profile._record.drift) - 1) if profile._record is not None else 0.0
+        sampled.clear()
+        try:
+            flow_at(profile, t + later)
+        except WronskianDriftError:
+            pass
+        s = np.concatenate(sampled)
+        assert s.min() >= checkpoint and s.max() <= t + later
+
+    @pytest.mark.parametrize("profile, t", [
+        (DriveProfile.parametric_resonance(0.05), 4.992),
+        (DriveProfile.parametric_resonance(0.17, -0.8), 10.666),
+        (DriveProfile.constant(1.3, 0.7), 8.351764574396757),
+    ], ids=["resonance", "forced-resonance", "constant"])
+    def test_drift_does_not_depend_on_how_far_the_record_reaches(self, profile, t):
+        # a record past 16384 nodes once took the drift of its nodes from complex
+        # products of 256 KiB or more, whose operands numpy swaps, and rounds apart:
+        # these drifts then read one or two units of 2.2e-16 lower than a fresh copy's
+        profile = fresh(profile)
+        dynamics._rk4_flow(profile, 19.2, tol=math.inf)
+        assert repr(dynamics._rk4_flow(profile, t, tol=math.inf)) == repr(
+            dynamics._rk4_flow(fresh(profile), t, tol=math.inf))
+
+    def test_record_grown_in_steps_keeps_bytes_per_step(self):
+        profile = DriveProfile.parametric_resonance(0.3, math.cos)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in np.linspace(0.5, 20.0, 40):
+                flow_at(profile, t)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(profile._record.drift) == 20_000 // 8 + 1
+        assert kept / 20_000 <= 10
 
     def test_drift_gate_reads_zero_to_t(self):
         # omega = 40 drifts past TOL_WRONSKIAN late; a time before that passes

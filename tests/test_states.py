@@ -284,6 +284,19 @@ class TestOneOverflowRule:
             assert str(caught.value).startswith(want), name
 
 
+    @pytest.mark.parametrize("X, mu", [(-1.2e308, 0.5), (1.5e308, 1.0)])
+    def test_fock_forms_are_zero_far_out(self, X, mu):
+        # <X> and |r| are finite, and |Y| = |X - <X>| / |r| passes 1.27e308, where
+        # sqrt(2) Y overflows: every Hermite function is 0 there, with no RuntimeWarning
+        beta = -1.2e308 if X < 0 else 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fock_mdf(2, 1.0, 1j, beta, 0.0 if X < 0 else X, mu, 0.0) == 0.0
+            assert cross_mdf(1, 3, 1.0, 1j, beta, 0.0 if X < 0 else X, mu, 0.0) == 0.0
+            w = fock_mdf(3, 1.0, 1j, 0.0, np.array([X, 1e154, 0.3]), mu, 0.0)
+        assert w[:2].tolist() == [0.0, 0.0] and w[2] > 0.0
+
+
 class TestFourierForm:
     def test_unit_at_k_zero(self):
         state = driven_state(0.8)
