@@ -709,7 +709,7 @@ class TestFlowRecord:
     def test_drift_does_not_depend_on_how_far_the_record_reaches(self, profile, t):
         # a record past 16384 nodes once took the drift of its nodes from complex
         # products of 256 KiB or more, whose operands numpy swaps, and rounds apart:
-        # these drifts then read one or two units of 2.2e-16 lower than a fresh copy's
+        # these drifts then read one or two units of 2.2e-16 off a fresh copy's
         profile = fresh(profile)
         dynamics._rk4_flow(profile, 19.2, tol=math.inf)
         assert repr(dynamics._rk4_flow(profile, t, tol=math.inf)) == repr(
