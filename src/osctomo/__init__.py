@@ -34,6 +34,7 @@ evaluate concurrently.
 """
 
 import importlib
+import sys
 
 from . import errors
 from .errors import *
@@ -78,7 +79,11 @@ __all__ = [*_SUBMODULE_OF, *errors.__all__, "__version__"]
 
 def __getattr__(name):
     if name in _SUBMODULE_OF:
-        return getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+        module = f"{__name__}.{_SUBMODULE_OF[name]}"
+        try:  # a loaded submodule, without import_module's import lock
+            return getattr(sys.modules[module], name)
+        except (KeyError, AttributeError):  # not loaded, or still loading in another thread
+            return getattr(importlib.import_module(module), name)
     if name in _SUBMODULE_OF.values():
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

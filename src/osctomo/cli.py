@@ -1,10 +1,11 @@
 """Command line driver.
 
-Three subcommands::
+Usage::
 
-    osctomo figure --id N [--out DIR] [--config FILE] [grid/profile overrides]
-    osctomo eval OPERATION key=value [key=value ...]
+    osctomo figure --id N [--out DIR] [--config FILE] [--KEY VALUE ...]
+    osctomo eval OPERATION [key=value ...]
     osctomo selftest
+    osctomo -h | --help
 
 ``figure`` writes ``figN.csv`` (with a structural validation pass) and a
 companion gnuplot script.  Its nine options, the fields of
@@ -18,6 +19,15 @@ usage error, 2 numerical-invariant failure.  The library validates its
 own input, and a ValueError it raises is a usage error, as is an OSError
 on a path the user gave; both are converted once in :func:`main`, and
 the CLI keeps no copy of the library's rules.
+
+:func:`main` reads the first argument as the command and hands the rest
+to the typed reader as key=value entries: ``eval``'s as they are, and
+``figure``'s flags ``--key value`` or ``--key=value``, full names only,
+with each ``-`` of a name read as ``_`` (``--t-count`` is ``t_count``)
+and the last of a repeated flag winning.  A separate value that starts
+with ``-`` must be a number such as ``-30`` or ``-.5``; write any other
+as ``--x-min=-1e3``.  A ``-h`` or ``--help`` before any ``--`` prints the
+usage block above and the operation names.
 
 Profile arguments for ``eval`` take the forms ``constant:<omega>``,
 ``free``, ``resonance:<k>`` or ``table:<path>`` (whitespace-separated
@@ -33,7 +43,7 @@ process solve each profile's flow once up to the longest t asked for.
 No output depends on the requests before it.
 
 Importing this module loads numpy and :mod:`osctomo.errors` only.  Each
-command imports what it runs when it runs: the parser and ``figure``
+command imports what it runs when it runs: ``figure``
 :mod:`osctomo.figures`, ``selftest`` the acceptance battery, and ``eval``
 calls the library through the package root (``osctomo.flow_at``,
 ``osctomo.coherent_mdf``, ...), whose first use of a name imports the
@@ -43,11 +53,10 @@ each name lives.
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import functools
 import io
 import math
+import re
 import sys
 import threading
 import warnings
@@ -64,12 +73,6 @@ if TYPE_CHECKING:
     from . import dynamics
 
 __all__ = ["main"]
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the CLI contract wants 1
-    def error(self, message):
-        raise ValueError(message)
 
 
 def _fmt(value) -> str:
@@ -260,19 +263,19 @@ def _op_cross_mdf(args):
     return (complex(osctomo.cross_mdf(n, m, *args.flow(), args.get("X"), mu, nu)),)
 
 
-def _op_mean(args):
+def _op_mean_X(args):
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     return (osctomo.mean_X(alpha, *args.flow(), mu, nu),)
 
 
-def _op_variance(args):
+def _op_variance_X(args):
     mu, nu = args.frame()
     eps, eps_dot, _ = args.flow()
     return (osctomo.variance_X(eps, eps_dot, mu, nu),)
 
 
-def _op_eigencheck(args):
+def _op_annihilation_eigencheck(args):
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     flow = args.flow()
@@ -303,28 +306,22 @@ def _op_quantum_propagator(args):
     return (osctomo.quantum_propagator(*points, t, profile),)
 
 
-_OPERATIONS = {
-    "epsilon": _op_epsilon,
-    "wronskian": _op_wronskian,
-    "beta": _op_beta,
-    "frame_map": _op_frame_map,
-    "coherent_mdf": _op_coherent_mdf,
-    "fock_mdf": _op_fock_mdf,
-    "cross_mdf": _op_cross_mdf,
-    "mean_X": _op_mean,
-    "variance_X": _op_variance,
-    "annihilation_eigencheck": _op_eigencheck,
-    "hermite": _op_hermite,
-    "green_sho": _op_green_sho,
-    "green_free": _op_green_free,
-    "green_driven": _op_green_driven,
-    "quantum_propagator": _op_quantum_propagator,
-}
+# the operations by name: each eval OPERATION is the function _op_OPERATION
+_OPERATIONS = {name[4:]: op for name, op in globals().items() if name.startswith("_op_")}
 
 
-def _cmd_eval(ns) -> int:
-    args = _Args(ns.args)
-    values = _OPERATIONS[ns.operation](args)
+def _cmd_eval(tokens) -> int:
+    # a "--" ends the options, and eval has none: it is dropped, and a token
+    # before it that reads as an option is refused
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    options = [token for token in tokens[:end] if _is_option(token)]
+    if options:
+        raise ValueError(f"unrecognized argument(s): {' '.join(options)}")
+    operation, *pairs = [*tokens[:end], *tokens[end + 1 :]] or [""]
+    if operation not in _OPERATIONS:
+        raise ValueError(f"the operation must be one of {', '.join(sorted(_OPERATIONS))}, got {operation!r}")
+    args = _Args(pairs)
+    values = _OPERATIONS[operation](args)
     args.check_consumed()
     print(" ".join(map(_fmt, values)))
     return 0
@@ -343,51 +340,73 @@ def _read_config(path: str) -> list[str]:
     return pairs
 
 
-def _cmd_figure(ns) -> int:
+# argparse's test for a token that is a number and not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    """Whether token reads as an option, never as a value: it starts with
+    ``-`` and is not ``-``, a number such as ``-30``, or text with a space."""
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.match(token) and " " not in token
+
+
+def _flag_pairs(tokens) -> list[str]:
+    """``--key value`` and ``--key=value`` flags as key=value entries, each
+    ``-`` of a key read as ``_``; a key spelled with ``_`` is refused."""
+    pairs, tokens = [], iter(tokens)
+    for token in tokens:
+        name, sep, value = token[2:].partition("=")
+        if not token.startswith("--") or not name or "_" in name:
+            raise ValueError(f"unrecognized argument {token!r}")
+        if not sep and _is_option(value := next(tokens, "--")):  # a last flag has no value
+            raise ValueError(f"flag {token} expects a value (write one that starts with - as {token}=VALUE)")
+        pairs.append(f"{name.replace('-', '_')}={value}")
+    return pairs
+
+
+def _cmd_figure(tokens) -> int:
     from . import figures
 
+    args = _Args(_flag_pairs(tokens))
+    fig_id, out, config = args.get("id", int), args.get("out", str, "."), args.get("config", str, "")
     kinds = figures.FigureConfig._types()
-    flags = [f"{key}={getattr(ns, key)}" for key in kinds if getattr(ns, key) is not None]
-    args = _Args([*(_read_config(ns.config) if ns.config else ()), *flags])  # flags win
+    flags = [f"{key}={args.get(key, str)}" for key in kinds if key in args.values]
+    args.check_consumed()
+    args = _Args([*(_read_config(config) if config else ()), *flags])  # flags win
     options = {key: args.get(key, kind) for key, kind in kinds.items() if key in args.values}
     args.check_consumed()
-    print(*figures.write_figure(ns.id, ns.out, figures.FigureConfig(**options)), sep="\n")
+    print(*figures.write_figure(fig_id, out, figures.FigureConfig(**options)), sep="\n")
     return 0
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    from . import figures
+def _cmd_selftest(tokens) -> int:
+    if tokens:
+        raise ValueError(f"unrecognized argument(s): {' '.join(tokens)}")
+    from . import selftest
 
-    parser = _Parser(prog="osctomo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    return selftest.run_all()
 
-    fig = sub.add_parser("figure", help="write a reference figure CSV and gnuplot script")
-    fig.add_argument("--id", type=int, required=True, choices=figures.FIGURE_IDS)
-    fig.add_argument("--out", default=".", help="output directory")
-    fig.add_argument("--config", default=None, help="key=value file with grid overrides")
-    for key in figures.FigureConfig._types():
-        fig.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
-    ev = sub.add_parser("eval", help="evaluate a library operation")
-    ev.add_argument("operation", choices=sorted(_OPERATIONS))
-    ev.add_argument("args", nargs="*", metavar="key=value")
+_COMMANDS = {"figure": _cmd_figure, "eval": _cmd_eval, "selftest": _cmd_selftest}
+_HELP = {"-h", "--help"}
 
-    sub.add_parser("selftest", help="run the acceptance battery")
-    return parser
+
+def _help() -> str:
+    """What a help flag prints: the module docstring's usage block and the operation names."""
+    usage = __doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    return f"usage:\n{usage}\n\noperations: {' '.join(sorted(_OPERATIONS))}"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    command, *tokens = (sys.argv[1:] if argv is None else list(argv)) or [""]
     try:
-        ns = parser.parse_args(argv)
-        if ns.command == "figure":
-            return _cmd_figure(ns)
-        if ns.command == "eval":
-            return _cmd_eval(ns)
-        from . import selftest
-
-        return selftest.run_all()
+        end = tokens.index("--") if "--" in tokens else len(tokens)
+        if command in _HELP or (command in _COMMANDS and not _HELP.isdisjoint(tokens[:end])):
+            print(_help())
+            return 0
+        if command not in _COMMANDS:
+            raise ValueError(f"the command must be figure, eval or selftest, got {command!r}")
+        return _COMMANDS[command](tokens)
     except OscTomoError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return 2

@@ -287,7 +287,7 @@ def write_figure(fig_id: int, out_dir, cfg: FigureConfig | None = None) -> tuple
         ",".join(columns),
         "",
     ]
-    # loaded here, not at import: the parser imports this module for every command
+    # loaded here, not at import: figure_table's callers, the battery among them, format no CSV
     from ._csvbody import csv_rows
 
     write_in_place(csv_path, itertools.chain(["\n".join(lines)], csv_rows(first, second, values)))

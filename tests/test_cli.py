@@ -410,11 +410,11 @@ class TestEval:
         assert code == 0
         assert float(out) <= 1e-12
 
-    def test_argparse_usage_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, capsys):
         assert run(["figure"], capsys)[0] == 1  # missing --id
         assert run(["bogus-command"], capsys)[0] == 1
 
-    def test_cached_parser_matches_fresh_parser(self, capsys):
+    def test_a_call_does_not_depend_on_the_calls_before_it(self, capsys):
         calls = [
             ["eval", "hermite", "n=2", "y=1"],
             ["eval", "hermite", "n=2"],
@@ -423,13 +423,10 @@ class TestEval:
             ["bogus-command"],
             ["eval", "hermite", "n=3", "y=0.5"],
         ]
-        cached = [run(argv, capsys) for argv in calls]
-        fresh = []
-        for argv in calls:
-            cli._build_parser.cache_clear()
-            fresh.append(run(argv, capsys))
-        assert cached == fresh
-        assert [code for code, _, _ in cached] == [0, 1, 1, 0, 1, 0]
+        in_order = [run(argv, capsys) for argv in calls]
+        reversed_order = [run(argv, capsys) for argv in reversed(calls)][::-1]
+        assert in_order == reversed_order
+        assert [code for code, _, _ in in_order] == [0, 1, 1, 0, 1, 0]
 
 
 # every eval operation with valid arguments, and the malformed values of the
@@ -1125,6 +1122,110 @@ class TestFigureFourZeroResolution:
         values[3] = np.exp(-first * first)
         with pytest.raises(ConsistencyError, match="slice t = 0.3 shows 0 interior zeros"):
             figures._validate(4, cfg, first, second, values)
+
+
+HELP = object()  # stands for the help text: the usage block and the operation names
+WRITTEN = "fig{0}.csv\nfig{0}.gp\n"
+# one value per FigureConfig field, on a figure that reads it
+FIELD_CASES = {
+    "k": (1, "0.02"), "t_max": (1, "5"), "t_count": (1, "7"), "x_min": (1, "-3"),
+    "x_max": (1, "3.5"), "x_count": (1, "31"), "mu_count": (5, "7"), "t_fixed": (5, "2.5"),
+    "x_fixed": (6, "0.25"),
+}
+
+
+def field_argvs(key):
+    """The figure argv of FIELD_CASES[key], with --key value and with --key=value."""
+    fig_id, value = FIELD_CASES[key]
+    flag = f"--{key.replace('_', '-')}"
+    return [["figure", "--id", str(fig_id), *SMALL_GRID, flag, value],
+            ["figure", "--id", str(fig_id), *SMALL_GRID, f"{flag}={value}"]]
+
+
+# argv -> (exit code, stdout, stderr prefix; "" means an empty stderr), run in
+# an empty directory.  The rows marked CHANGED are the grammar's two changes
+# from the argparse reader it replaced: an abbreviated flag is refused, and a
+# help flag prints the help text and returns 0 instead of raising SystemExit.
+GRAMMAR = [
+    ([], 1, "", "usage error: "),
+    (["bogus"], 1, "", "usage error: "),
+    (["-x"], 1, "", "usage error: "),
+    (["--", "selftest"], 1, "", "usage error: "),
+    (["eval"], 1, "", "usage error: "),
+    (["eval", "nope"], 1, "", "usage error: "),
+    (["eval", "hermite", "n=2", "y=1"], 0, "2\n", ""),
+    (["eval", "hermite", "y=1", "n=3", "n=2"], 0, "2\n", ""),  # a later entry wins
+    (["eval", "hermite", "n=2", "y=-1"], 0, "2\n", ""),
+    (["eval", "hermite", "--", "n=2", "y=1"], 0, "2\n", ""),  # one "--" ends the options
+    (["eval", "--", "hermite", "n=2", "y=1"], 0, "2\n", ""),
+    (["eval", "hermite", "n=2", "y=1", "--", "--"], 1, "", "usage error: "),
+    (["eval", "hermite", "n=2", "y=1", "-x"], 1, "", "usage error: "),
+    (["eval", "hermite", "n=2", "y=1", "--", "-h"], 1, "", "usage error: "),
+    (["figure"], 1, "", "usage error: "),
+    (["figure", "--id", "7"], 1, "", "usage error: "),
+    (["figure", "--id", "0"], 1, "", "usage error: "),
+    (["figure", "--id", "1.0"], 1, "", "usage error: "),
+    (["figure", "--id"], 1, "", "usage error: "),
+    (["figure", "--id="], 1, "", "usage error: "),
+    (["figure", "-id", "1"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "stray"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "-5"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "--"], 1, "", "usage error: "),
+    (["figure", "--", "--id", "1"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "--t_count", "5"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "--resolution", "5"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "--config"], 1, "", "usage error: "),
+    (["figure", "--id", "1", "--x-min", "-1e3"], 1, "", "usage error: "),  # not a value: use --x-min=-1e3
+    (["figure", "--id", "1", "--x-min", "-30", *SMALL_GRID], 0, WRITTEN.format(1), ""),
+    (["figure", "--id", "1", "--x-min", "-.5", *SMALL_GRID], 0, WRITTEN.format(1), ""),
+    (["figure", "--id", "1", "--x-min=-1e308", *SMALL_GRID], 2, "", "numerical invariant failure: "),
+    (["figure", "--id", "2", "--id", "1", *SMALL_GRID], 0, WRITTEN.format(1), ""),  # the last flag wins
+    (["figure", "--id=01", *SMALL_GRID, "--config="], 0, WRITTEN.format(1), ""),
+    (["figure", "--id", "1", *SMALL_GRID, "--out", "-"], 0, "-/fig1.csv\n-/fig1.gp\n", ""),
+    (["figure", "--id", "1", *SMALL_GRID, "--out=-h"], 0, "-h/fig1.csv\n-h/fig1.gp\n", ""),
+    *[(argv, 0, WRITTEN.format(argv[2]), "") for key in FIELD_CASES for argv in field_argvs(key)],
+    (["selftest", "extra"], 1, "", "usage error: "),
+    (["selftest", "--"], 1, "", "usage error: "),
+    # CHANGED: argparse took an unambiguous prefix of a flag for the flag
+    (["figure", "--id", "1", "--t-c", "5"], 1, "", "usage error: "),
+    # CHANGED: argparse printed its own help text and raised SystemExit(0), or
+    # refused the argv if it met an error before the help flag
+    (["--help"], 0, HELP, ""),
+    (["-h"], 0, HELP, ""),
+    (["figure", "--help"], 0, HELP, ""),
+    (["figure", "--id", "1", "-h"], 0, HELP, ""),
+    (["eval", "--help"], 0, HELP, ""),
+    (["eval", "hermite", "n=2", "-h"], 0, HELP, ""),
+    (["selftest", "-h"], 0, HELP, ""),
+    (["figure", "--id", "1", "--out", "-h"], 0, HELP, ""),
+    (["figure", "--id", "7", "-h"], 0, HELP, ""),
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("argv, code, out, err", GRAMMAR, ids=[" ".join(row[0]) or "(empty)" for row in GRAMMAR])
+    def test_argv(self, capsys, tmp_path, monkeypatch, argv, code, out, err):
+        monkeypatch.chdir(tmp_path)
+        got_code, got_out, got_err = run(argv, capsys)
+        if out is HELP:
+            assert got_out.startswith("usage:\n") and "    osctomo eval OPERATION" in got_out
+            assert set(cli._OPERATIONS) <= set(got_out.split())
+            assert run(["--help"], capsys)[1] == got_out  # one help text
+        else:
+            assert got_out == out
+        assert got_code == code
+        assert got_err.startswith(err) if err else got_err == ""
+
+    @pytest.mark.parametrize("key", sorted(FIELD_CASES))
+    def test_both_flag_forms_write_the_figure_of_the_field(self, capsys, tmp_path, key):
+        fig_id, value = FIELD_CASES[key]
+        small = {"t_count": 21, "x_count": 41, "mu_count": 21}  # SMALL_GRID
+        cfg = FigureConfig(**{**small, key: FigureConfig._types()[key](value)})
+        figures.write_figure(fig_id, tmp_path / "library", cfg)
+        expected = (tmp_path / "library" / f"fig{fig_id}.csv").read_bytes()
+        for i, argv in enumerate(field_argvs(key)):
+            assert run([*argv, "--out", str(tmp_path / str(i))], capsys)[0] == 0
+            assert (tmp_path / str(i) / f"fig{fig_id}.csv").read_bytes() == expected
 
 
 class TestSelftest:

@@ -117,6 +117,6 @@ def test_only_a_written_figure_loads_the_csv_formatter(tmp_path):
     evaluated = modules_after(
         "from osctomo import cli; assert cli.main(['eval', 'hermite', 'n=2', 'y=0.5']) == 0", tmp_path
     )
-    assert "osctomo.figures" in evaluated and "osctomo._csvbody" not in evaluated
+    assert not {"osctomo.figures", "argparse", "osctomo._csvbody"} & evaluated
     written = modules_after("from osctomo import cli; assert cli.main(['figure', '--id', '1']) == 0", tmp_path)
     assert "osctomo._csvbody" in written
