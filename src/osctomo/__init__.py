@@ -34,7 +34,6 @@ evaluate concurrently.
 """
 
 import importlib
-import sys
 
 from . import errors
 from .errors import *
@@ -79,11 +78,10 @@ __all__ = [*_SUBMODULE_OF, *errors.__all__, "__version__"]
 
 def __getattr__(name):
     if name in _SUBMODULE_OF:
-        module = f"{__name__}.{_SUBMODULE_OF[name]}"
-        try:  # a loaded submodule, without import_module's import lock
-            return getattr(sys.modules[module], name)
-        except (KeyError, AttributeError):  # not loaded, or still loading in another thread
-            return getattr(importlib.import_module(module), name)
+        # the import system binds a submodule here only once it has finished
+        # loading, so a loaded one is read without import_module's lock
+        module = _SUBMODULE_OF[name]
+        return getattr(globals().get(module) or importlib.import_module(f".{module}", __name__), name)
     if name in _SUBMODULE_OF.values():
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
