@@ -158,24 +158,28 @@ _KINDS = {float: "a real number", int: "an integer", complex: "a complex number"
 
 
 class _Args:
-    """key=value argument bag with one typed reader and usage errors; a
-    later entry for a key replaces an earlier one."""
+    """key=value argument bag of a command that reads the given keys, with
+    one typed reader and usage errors: a key outside them is refused before
+    the command runs, and a later entry for a key replaces an earlier one."""
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, keys):
         self.values = {}
         for pair in pairs:
             key, sep, value = pair.partition("=")
             if not sep or not key:
                 raise ValueError(f"arguments must look like key=value, got {pair!r}")
             self.values[key] = value
-        self.used = set()
+        if unknown := self.values.keys() - keys:
+            raise ValueError(f"unknown argument(s): {', '.join(sorted(unknown))}")
+        self.keys = keys
 
     def get(self, key, kind=float, default=None):
         """The value of ``key`` (``default`` if absent) as ``kind``: str, or a
         finite float, an int, or a finite complex written ``0.7+0.3j`` or
         ``0.7+0.3i`` (only a final ``i`` is the imaginary unit, so ``inf``
-        stays a number)."""
-        self.used.add(key)
+        stays a number).  ``key`` must be one the command declared."""
+        if key not in self.keys:
+            raise KeyError(f"{key!r} is not among the keys the command declared")
         raw = self.values.get(key, default)
         if raw is None:
             raise ValueError(f"missing required argument {key}=...")
@@ -219,62 +223,81 @@ class _Args:
         """flow_at(*flow_args()): (eps, eps_dot, beta) at t."""
         return osctomo.flow_at(*self.flow_args())
 
-    def check_consumed(self):
-        unused = set(self.values) - self.used
-        if unused:
-            raise ValueError(f"unknown argument(s): {', '.join(sorted(unused))}")
+
+# the keys flow_args reads, and those profile_and_time reads
+_FLOW_KEYS = ("profile", "force", "t", "step")
+_PROFILE_KEYS = ("profile", "force", "t")
 
 
+def _reads(*keys):
+    """Declare the keys an eval operation reads: a request with any other is
+    refused before the operation runs."""
+    def declare(op):
+        op.keys = frozenset(keys)
+        return op
+    return declare
+
+
+@_reads(*_FLOW_KEYS)
 def _op_epsilon(args):
     return args.flow()[:2]
 
 
+@_reads(*_FLOW_KEYS)
 def _op_wronskian(args):
     # the drift of the RK4 flow over [0, t], on every profile (so forward
     # from 0 only), read from the profile's record; any finite drift prints
     return (osctomo.dynamics._rk4_flow(*args.flow_args(), tol=math.inf)[3],)
 
 
+@_reads(*_FLOW_KEYS)
 def _op_beta(args):
     return args.flow()[2:]
 
 
+@_reads("X", "mu", "nu", *_FLOW_KEYS)
 def _op_frame_map(args):
     mu, nu = args.frame()
     prop = osctomo.ClassicalPropagator.from_profile(*args.flow_args())
     return prop.frame_map(args.get("X"), mu, nu)
 
 
+@_reads("alpha", "X", "mu", "nu", *_FLOW_KEYS)
 def _op_coherent_mdf(args):
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     return (osctomo.coherent_mdf(alpha, *args.flow(), args.get("X"), mu, nu),)
 
 
+@_reads("n", "X", "mu", "nu", *_FLOW_KEYS)
 def _op_fock_mdf(args):
     n = args.get("n", int)
     mu, nu = args.frame()
     return (osctomo.fock_mdf(n, *args.flow(), args.get("X"), mu, nu),)
 
 
+@_reads("n", "m", "X", "mu", "nu", *_FLOW_KEYS)
 def _op_cross_mdf(args):
     n, m = args.get("n", int), args.get("m", int)
     mu, nu = args.frame()
     return (complex(osctomo.cross_mdf(n, m, *args.flow(), args.get("X"), mu, nu)),)
 
 
+@_reads("alpha", "mu", "nu", *_FLOW_KEYS)
 def _op_mean_X(args):
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
     return (osctomo.mean_X(alpha, *args.flow(), mu, nu),)
 
 
+@_reads("mu", "nu", *_FLOW_KEYS)
 def _op_variance_X(args):
     mu, nu = args.frame()
     eps, eps_dot, _ = args.flow()
     return (osctomo.variance_X(eps, eps_dot, mu, nu),)
 
 
+@_reads("alpha", "mu", "nu", "k", "h", *_FLOW_KEYS)
 def _op_annihilation_eigencheck(args):
     alpha = args.get("alpha", complex)
     mu, nu = args.frame()
@@ -283,23 +306,28 @@ def _op_annihilation_eigencheck(args):
     return (osctomo.annihilation_eigencheck(alpha, *flow, mu, nu, k, h),)
 
 
+@_reads("n", "y")
 def _op_hermite(args):
     return (osctomo.hermite(args.get("n", int), args.get("y")),)
 
 
+@_reads("X", "Z", "t")
 def _op_green_sho(args):
     return (osctomo.green_sho(args.get("X"), args.get("Z"), args.get("t")),)
 
 
+@_reads("X", "Z", "t")
 def _op_green_free(args):
     return (osctomo.green_free(args.get("X"), args.get("Z"), args.get("t")),)
 
 
+@_reads("X", "Z", *_PROFILE_KEYS)
 def _op_green_driven(args):
     profile, t = args.profile_and_time()
     return (osctomo.green_driven(args.get("X"), args.get("Z"), t, profile),)
 
 
+@_reads("X", "Xp", "Z", "Zp", *_PROFILE_KEYS)
 def _op_quantum_propagator(args):
     profile, t = args.profile_and_time()
     points = (args.get(key) for key in ("X", "Xp", "Z", "Zp"))
@@ -320,10 +348,8 @@ def _cmd_eval(tokens) -> int:
     operation, *pairs = [*tokens[:end], *tokens[end + 1 :]] or [""]
     if operation not in _OPERATIONS:
         raise ValueError(f"the operation must be one of {', '.join(sorted(_OPERATIONS))}, got {operation!r}")
-    args = _Args(pairs)
-    values = _OPERATIONS[operation](args)
-    args.check_consumed()
-    print(" ".join(map(_fmt, values)))
+    op = _OPERATIONS[operation]
+    print(" ".join(map(_fmt, op(_Args(pairs, op.keys)))))
     return 0
 
 
@@ -367,14 +393,12 @@ def _flag_pairs(tokens) -> list[str]:
 def _cmd_figure(tokens) -> int:
     from . import figures
 
-    args = _Args(_flag_pairs(tokens))
-    fig_id, out, config = args.get("id", int), args.get("out", str, "."), args.get("config", str, "")
     kinds = figures.FigureConfig._types()
+    args = _Args(_flag_pairs(tokens), {"id", "out", "config", *kinds})
+    fig_id, out, config = args.get("id", int), args.get("out", str, "."), args.get("config", str, "")
     flags = [f"{key}={args.get(key, str)}" for key in kinds if key in args.values]
-    args.check_consumed()
-    args = _Args([*(_read_config(config) if config else ()), *flags])  # flags win
+    args = _Args([*(_read_config(config) if config else ()), *flags], kinds.keys())  # flags win
     options = {key: args.get(key, kind) for key, kind in kinds.items() if key in args.values}
-    args.check_consumed()
     print(*figures.write_figure(fig_id, out, figures.FigureConfig(**options)), sep="\n")
     return 0
 
@@ -391,10 +415,17 @@ _COMMANDS = {"figure": _cmd_figure, "eval": _cmd_eval, "selftest": _cmd_selftest
 _HELP = {"-h", "--help"}
 
 
+# the usage block of the module docstring, which python -OO strips
+_USAGE = """\
+    osctomo figure --id N [--out DIR] [--config FILE] [--KEY VALUE ...]
+    osctomo eval OPERATION [key=value ...]
+    osctomo selftest
+    osctomo -h | --help"""
+
+
 def _help() -> str:
-    """What a help flag prints: the module docstring's usage block and the operation names."""
-    usage = __doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
-    return f"usage:\n{usage}\n\noperations: {' '.join(sorted(_OPERATIONS))}"
+    """What a help flag prints: the usage block and the operation names."""
+    return f"usage:\n{_USAGE}\n\noperations: {' '.join(sorted(_OPERATIONS))}"
 
 
 def main(argv=None) -> int:

@@ -1027,14 +1027,33 @@ def hermite_gauss(n: int, y):
 
     Evaluated with a scaled recurrence that keeps every intermediate on
     the order of one, so it stays finite for all supported n and y.  A
-    scalar y runs the array recurrence on a 1-element array.  y is not
-    checked: a NaN in it gives NaN where it stands, and every |y| past
-    1.34e154, inf too, gives 0, with no overflow.
+    Python float y (an int read as its float) runs the recurrence in
+    floats, with the bits the array recurrence gives it on a 1-element
+    array, and any other scalar y the array recurrence on a 1-element
+    array.  y is not checked: a NaN in it gives NaN where it stands, and
+    every |y| past 1.34e154, inf too, gives 0, with no overflow.
     """
     n = _check_order(n)
-    y = np.asarray(_float("y", y), dtype=float)
+    y = _float("y", y)
+    if type(y) is float:
+        return _hermite_gauss_float(n, y)
+    y = np.asarray(y, dtype=float)
     u = _hermite_gauss_array(n, np.atleast_1d(y))
     return u if y.ndim else float(u[0])
+
+
+def _hermite_gauss_float(n: int, y: float) -> float:
+    """The recurrence of :func:`_hermite_gauss_array` on one float, each
+    step the same operations in the same order, and numpy's exp."""
+    if abs(y) > _HERMITE_Y_MAX:  # a NaN stays NaN
+        y = math.copysign(_HERMITE_Y_MAX, y)
+    u_prev = float(np.exp(-0.5 * y * y)) * np.pi ** -0.25
+    if n == 0:
+        return u_prev
+    u = math.sqrt(2.0) * y * u_prev
+    for j in range(1, n):
+        u_prev, u = u, math.sqrt(2.0 / (j + 1)) * y * u - u_prev * math.sqrt(j / (j + 1))
+    return u
 
 
 def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:

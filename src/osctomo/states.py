@@ -35,6 +35,15 @@ NaN in it gives NaN where it stands.  Every scalar argument, X among
 them, is read by the package's number rule
 (:func:`osctomo.dynamics._float`): a Python int is the float it converts
 to, and one past the double range raises ValueError naming it.
+
+One float path: where every argument is a Python number (an int read as
+its float), the kernel and the closed forms compute in Python scalars,
+with numpy's abs and exp for |r| and the exponentials, where Python's
+round differently.  A float call gives the value, the type (np.float64
+where an array call's 0-d result is one) and the bits of the same point
+as a 0-d array, and a point that fails a rule on the float path takes
+the array path, which raises the same error.  Arrays and numpy scalars
+take the array path.
 """
 
 from __future__ import annotations
@@ -65,21 +74,23 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
+_NUMBERS = {float, complex}  # the types of the kernel's float path: Python numbers, not numpy scalars
 _SQUARE_OVERFLOWS = "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 overflows double precision"
 
 
 def _finite(**values) -> tuple:
     """The values as the number rule, :func:`_float`, reads them; ValueError
     naming the first real or complex value, or array entry, that is not
-    finite."""
+    finite, as a float or complex, so a float and a 0-d array read alike."""
     read = []
     for name, value in values.items():
         value = _float(name, value)
         if isinstance(value, (float, complex)) or not np.ndim(value):
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        elif not (finite := np.isfinite(value)).all():
-            _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~finite, value)
+            finite = cmath.isfinite(value)
+        else:
+            finite = np.isfinite(value).all()
+        if not finite:
+            _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~np.isfinite(value), value)
         read.append(value)
     return tuple(read)
 
@@ -134,8 +145,21 @@ def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
     EvaluationError naming the first such frame in C order, with float
     coordinates, and no RuntimeWarning: the |r|^2 of :func:`variance_X`
     where r itself overflowed, else <X>.
+
+    Python numbers take the float path: r a complex, |r| and <X> floats,
+    with the bits of the same point as 0-d arrays.  A point that fails a
+    rule there takes the array path, which raises.
     """
     eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
+    if type(mu) is float and type(nu) is float and _NUMBERS.issuperset(map(type, (eps, eps_dot, alpha, beta))):
+        _check_frame(mu, nu)
+        # numpy reads a float as the complex (x, 0), and Python's complex * and +
+        # round as numpy's do on 0-d arrays; Python's abs(complex) does not
+        r = complex(eps_dot) * complex(nu) + complex(eps) * complex(mu)
+        abs_r = float(np.abs(r))
+        mean = _SQRT2 * (complex(alpha - beta) * r.conjugate()).real
+        if abs_r >= _R_TOL and math.isfinite(mean):
+            return r, abs_r, mean
     # a square past the double range is no zero frame, and a non-finite <X> is named below
     with np.errstate(over="ignore", invalid="ignore"):
         _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
@@ -159,12 +183,15 @@ def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
 
 def _quadrature(alpha, eps, eps_dot, beta, X, mu, nu):
     """(r, |r|, Y) of the kernel, with the pulled-back quadrature
-    Y = (X - <X>) / |r| in one fresh array of the broadcast shape, 0-d when
-    X, mu and nu are scalars.  A Y past the double range is inf, with no
-    RuntimeWarning."""
+    Y = (X - <X>) / |r|: a float on the kernel's float path with a float X,
+    else one fresh array of the broadcast shape, 0-d when X, mu and nu are
+    scalars.  A Y past the double range is inf, with no RuntimeWarning."""
     r, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
+    X = _float("X", X)
+    if type(X) is float and type(mean) is float:
+        return r, abs_r, (X - mean) / abs_r
     with np.errstate(over="ignore"):
-        Y = np.asarray(np.asarray(_float("X", X), dtype=float) - mean)
+        Y = np.asarray(np.asarray(X, dtype=float) - mean)
         Y /= abs_r
     return r, abs_r, Y
 
@@ -175,7 +202,8 @@ def mean_X(alpha, eps, eps_dot, beta, mu, nu):
     It squares no |r|, so a frame whose |r|^2 overflows keeps its mean; an
     <X> past the double range raises EvaluationError naming the frame.
     """
-    return _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[2]
+    mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[2]
+    return np.float64(mean) if type(mean) is float else mean
 
 
 def variance_X(eps, eps_dot, mu, nu):
@@ -189,7 +217,7 @@ def variance_X(eps, eps_dot, mu, nu):
     abs_r = _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[1]
     if np.count_nonzero(over := abs_r > _SQRT_MAX):
         _raise_first(EvaluationError, _SQUARE_OVERFLOWS, over, mu, nu)
-    return 0.5 * abs_r**2
+    return 0.5 * (np.float64(abs_r) if type(abs_r) is float else abs_r) ** 2
 
 
 def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
@@ -202,11 +230,15 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
     the mass gives 0.
     """
     _, abs_r, out = _quadrature(alpha, eps, eps_dot, beta, X, mu, nu)
-    with np.errstate(over="ignore"):  # a Y past 1e154 squares to inf, and exp gives the 0
+    if type(out) is float:
+        return np.exp(-(out * out)) / (_SQRT_PI * abs_r)
+    # a Y past 1e154 squares to inf, and exp gives the 0; an |r| past
+    # 1e308 / sqrt(pi) makes the divisor inf, and the value 0
+    with np.errstate(over="ignore"):
         np.square(out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out /= _SQRT_PI * abs_r
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out /= _SQRT_PI * abs_r
     return out if out.ndim else out[()]
 
 
@@ -300,6 +332,9 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     double range raises EvaluationError naming the frame.
     """
     _, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
+    if type(Y) is float:
+        u = hermite_gauss(n, Y)
+        return np.float64(u * u / abs_r)
     out = hermite_gauss(n, np.atleast_1d(Y))
     np.square(out, out=out)
     out /= abs_r
@@ -318,7 +353,7 @@ def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
                   / sqrt(n! m!) * w_nm.
     """
     r, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
-    phase = np.exp(1j * (m - n) * np.angle(r))
+    phase = np.exp(1j * (m - n) * np.arctan2(r.imag, r.real))  # np.angle(r), without its array calls
     return hermite_gauss(n, Y) * hermite_gauss(m, Y) * phase / abs_r
 
 

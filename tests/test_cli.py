@@ -2,8 +2,11 @@ import cmath
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,6 +597,45 @@ class TestProfileMemo:
         fresh = run(argv, capsys)
         assert run(["eval", "epsilon", *self.RESONANCE, "t=17.3"], capsys)[0] == 0
         assert run(argv, capsys) == fresh and fresh[0] == 0
+
+
+# a value for every key an eval operation reads, at which each operation succeeds
+EVAL_VALUES = {
+    "alpha": "0.4-0.2j", "X": "0.3", "mu": "1", "nu": "0.5", "n": "2", "m": "3", "k": "0.7", "h": "1e-4",
+    "y": "0.4", "Z": "-0.4", "Xp": "0.1", "Zp": "0.9", "profile": "resonance:0.3", "force": "0.5", "t": "1.3",
+    "step": "0.001",
+}
+
+
+class TestEvalKeys:
+    """Each eval operation declares the keys it reads, and a request with any
+    other key is refused before the operation runs."""
+
+    def test_an_unknown_key_is_refused_before_the_operation_runs(self, capsys):
+        # run, hermite at y = 1e200 would overflow and exit 2
+        assert run(["eval", "hermite", "n=3", "y=1e200"], capsys)[0] == 2
+        assert run(["eval", "hermite", "n=3", "y=1e200", "foo=1"], capsys) == (
+            1, "", "usage error: unknown argument(s): foo\n")
+
+    @pytest.mark.parametrize("operation", sorted(cli._OPERATIONS))
+    def test_each_operation_reads_the_keys_it_declares(self, capsys, monkeypatch, operation):
+        keys = cli._OPERATIONS[operation].keys
+        read, get = [], cli._Args.get
+        monkeypatch.setattr(cli._Args, "get", lambda self, key, *a: read.append(key) or get(self, key, *a))
+        code, _, err = run(["eval", operation, *(f"{key}={EVAL_VALUES[key]}" for key in sorted(keys))], capsys)
+        assert (code, err) == (0, "")
+        assert set(read) == keys
+        assert run(["eval", operation, "foo=1", "bar=2"], capsys) == (1, "", "usage error: unknown argument(s): bar, foo\n")
+
+    def test_help_reads_no_docstring(self, capsys):
+        # python -OO strips docstrings, and help still prints the usage block
+        assert cli._USAGE in cli.__doc__
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-OO", "-m", "osctomo.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run(["--help"], capsys)[1]
 
 
 class TestLibraryErrorsAreUsageErrors:

@@ -185,22 +185,32 @@ class TestFrameMapFormCheck:
 
     @pytest.mark.parametrize("t", [7.0, 8.0, 9.0])
     def test_inverted_forced_oscillator_maps_within_the_size_of_the_map(self, t):
-        # omega_sq = -1 grows the map like e^t; the forms agree to roundoff
-        # of that size, which a tolerance of 1e-10 max(1, |X|, |mu|, |nu|) missed
+        # omega_sq = -1 grows Lambda^-1 and Delta like e^t, so the products that
+        # X' - X = N Lambda^-1 Delta sums grow like e^2t and cancel to the size of
+        # the image.  Each form reaches a component through at most 7 roundings
+        # of 2^-53 of its partial sums (the shared det = D rounds alike in both),
+        # so the two agree within 14 * 2^-53 * S, here 16 * 2^-53 * S, with the
+        # sizes of the summed products, N = (nu, mu) and |.| entrywise:
+        #     S(X') = |X| + |N| |Lambda^-1| |Delta|,   S(nu', mu') = |N| |Lambda^-1|
         profile = DriveProfile.custom(lambda s: np.full_like(s, -1.0), lambda s: np.full_like(s, 1.0))
         prop = ClassicalPropagator.from_profile(profile, t)
         eps, eps_dot, beta = prop.eps, prop.eps_dot, prop.beta
         d = (eps.conjugate() * eps_dot).imag
+        lam_inv = np.abs(np.linalg.inv(prop.inv.lam))
 
         def eps_form(X, mu, nu):
             r = (eps_dot * nu + eps * mu) / d
             return np.array([X + SQRT2 * (beta * np.conj(r)).real, r.real, r.imag])
 
-        image = np.array(prop.frame_map(0.3, 1.0, 0.5))
-        assert np.all(np.abs(image - eps_form(0.3, 1.0, 0.5)) <= 1e-12 * np.max(np.abs(image)))
+        def size(X, mu, nu):
+            N = np.abs(np.stack(np.broadcast_arrays(nu, mu), axis=-1))
+            s_nu, s_mu = np.moveaxis(N @ lam_inv, -1, 0)
+            return np.array([np.abs(X) + N @ (lam_inv @ np.abs(prop.inv.delta)), s_mu, s_nu])
+
         X, mu, nu = np.random.default_rng(41).normal(size=(3, 20))
-        image = np.array(prop.frame_map(X, mu, nu))
-        assert np.all(np.abs(image - eps_form(X, mu, nu)) <= 1e-12 * np.max(np.abs(image)))
+        for point in [(0.3, 1.0, 0.5), (X, mu, nu)]:
+            image = np.array(prop.frame_map(*point))
+            assert np.all(np.abs(image - eps_form(*point)) <= 16 * 2.0**-53 * size(*point))
 
     def test_fault_orthogonal_to_the_mapped_frame_disagrees(self):
         # beta off by 1e-6j moves only the image of frames with nu != 0; at
@@ -772,6 +782,72 @@ class TestFrameMapOnArrays:
             for j in range(3):
                 point = prop.evolve(w0, float(X[k, 0]), float(mu[j]), float(nu[j]))
                 assert vals[k, j] == pytest.approx(point, rel=1e-14, abs=1e-300)
+
+
+def array_map(prop):
+    """The frame map's matrix and its two-form check formed in numpy arrays,
+    as ClassicalPropagator._map formed them before it read floats: the
+    reference its float formation matches bit for bit."""
+    lam = prop.inv.lam
+    lam_inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]]) / prop.inv.det
+    eps, eps_dot, beta = prop.eps, prop.eps_dot, prop.beta
+    eps_form = np.array([[SQRT2 * (beta * c.conjugate()).real, c.imag, c.real] for c in (eps_dot, eps)])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam_form = np.column_stack([lam_inv @ prop.inv.delta, lam_inv])
+        eps_form /= (eps.conjugate() * eps_dot).imag
+        err = np.max(np.abs(lam_form - eps_form))
+    if not err <= 1e-10 * max(1.0, np.max(np.abs(lam_form))):
+        raise ConsistencyError("Lambda^-1 form and eps form of the frame map disagree: "
+                               f"{lam_form.tolist()} vs {eps_form.tolist()}")
+    return lam_form
+
+
+# a change to the propagator of a profile's flow
+MAP_FAULTS = {
+    "none": lambda prop: prop,
+    "beta off by 1e-6": lambda prop: dataclasses.replace(prop, beta=prop.beta + 1e-6),
+    "another invariant": lambda prop: dataclasses.replace(prop, inv=propagator_at(0.4).inv),
+    "D = 0": lambda prop: dataclasses.replace(prop, eps_dot=prop.eps),
+    "beta of 1e308": lambda prop: ClassicalPropagator.from_epsilon(prop.eps, prop.eps_dot, 1e308 - 1e308j, prop.t),
+}
+# a point the float path refuses, or whose image leaves the double range
+POINT_FAULTS = {
+    "none": {}, "nan X": {0: math.nan}, "inf mu": {1: math.inf}, "zero frame": {1: 0.0, 2: 0.0},
+    "int past the double range": {2: -(10**400)}, "image past the double range": {1: 1.5e308, 2: 1.5e308},
+}
+
+
+class TestFloatFrameMap:
+    """The frame map's matrix is formed and checked in floats, once per
+    propagator, with the bits and errors of its array formation, and a float
+    point maps as a 0-d and a 1-element array holding it do."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=classical_profiles(), t=st.floats(0.0, 8.0), fault=st.sampled_from(sorted(MAP_FAULTS)),
+           point=frame_points, point_fault=st.sampled_from(sorted(POINT_FAULTS)))
+    def test_float_formation_is_the_array_formation(self, case, t, fault, point, point_fault):
+        prop = MAP_FAULTS[fault](ClassicalPropagator.from_profile(case[0], t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            formed = outcome(lambda: prop._map.tobytes())
+        assert formed == outcome(lambda: array_map(prop).tobytes())
+        if fault in ("beta off by 1e-6", "D = 0"):
+            assert formed[0] is ConsistencyError
+        point = list(point)
+        for slot, value in POINT_FAULTS[point_fault].items():
+            point[slot] = value
+
+        def as_arrays(as_array):  # an int no double holds stays as it is
+            return [v if v == -(10**400) else as_array(v) for v in point]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapped = outcome(prop.frame_map, *point)
+            assert mapped == outcome(prop.frame_map, *as_arrays(lambda v: np.asarray(v, dtype=float)))
+            one = outcome(lambda: tuple(float(v[0]) for v in prop.frame_map(*as_arrays(lambda v: np.array([v])))))
+        assert one == mapped
+        if point_fault != "none" and point_fault != "image past the double range":
+            assert mapped[0] is ValueError
 
 
 class TestGreenNonFinite:

@@ -802,3 +802,97 @@ class TestHugeInts:
         with pytest.raises(ValueError, match="^beta must be finite, got an int past"):
             _finite(alpha=0.3, beta=10**309)
         assert _check_point(1, 10**200, True) == (1.0, 1e200, 1.0)
+
+
+
+# each closed form, and hermite_gauss, as a call on (n, m, alpha, eps, eps_dot, beta, X, mu, nu)
+CLOSED_FORMS = {
+    "coherent_mdf": lambda n, m, a, e, ed, b, X, mu, nu: coherent_mdf(a, e, ed, b, X, mu, nu),
+    "mean_X": lambda n, m, a, e, ed, b, X, mu, nu: mean_X(a, e, ed, b, mu, nu),
+    "variance_X": lambda n, m, a, e, ed, b, X, mu, nu: variance_X(e, ed, mu, nu),
+    "fock_mdf": lambda n, m, a, e, ed, b, X, mu, nu: fock_mdf(n, e, ed, b, X, mu, nu),
+    "cross_mdf": lambda n, m, a, e, ed, b, X, mu, nu: cross_mdf(n, m, e, ed, b, X, mu, nu),
+    "hermite_gauss": lambda n, m, a, e, ed, b, X, mu, nu: hermite_gauss(n, X),
+}
+SLOTS = ("alpha", "eps", "eps_dot", "beta", "X", "mu", "nu")
+READS = {  # the slots each call reads
+    "coherent_mdf": set(SLOTS), "mean_X": set(SLOTS) - {"X"}, "variance_X": {"eps", "eps_dot", "mu", "nu"},
+    "fock_mdf": set(SLOTS) - {"alpha"}, "cross_mdf": set(SLOTS) - {"alpha"}, "hermite_gauss": {"X"},
+}
+BAD_VALUES = {"nan": math.nan, "-inf": -math.inf, "10**400": 10**400}
+# a fault sets some slots of the drawn point: name -> {slot: value}
+FAULTS = {
+    "none": {},
+    "zero frame": {"mu": 0.0, "nu": 0.0},
+    "vanishing r": {"eps": 1.0, "eps_dot": -1.0, "mu": 0.5, "nu": 0.5},
+    "overflowing <X>": {"alpha": 1.5e308, "beta": 0.0, "eps": 1.0, "eps_dot": 1j, "mu": 1.0, "nu": 0.25},
+    **{f"{label} {slot}": {slot: value} for label, value in BAD_VALUES.items() for slot in SLOTS},
+}
+finite_reals = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3))
+finite_numbers = st.one_of(finite_reals, st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                           st.builds(complex, finite_reals, finite_reals))
+
+
+def must_raise(name, fault) -> bool:
+    """Whether the fault alone makes the call raise: X is not checked, so
+    only an int past the double range there raises."""
+    if fault == "none":
+        return False
+    if fault in ("zero frame", "vanishing r"):
+        return name != "hermite_gauss"
+    if fault == "overflowing <X>":  # the Fock forms read alpha = 0 and this beta = 0: no mean
+        return name in ("coherent_mdf", "mean_X")
+    label, slot = fault.split(" ")
+    return slot in READS[name] and (slot != "X" or label == "10**400")
+
+
+def float_outcome(call, *args):
+    """("ok", type, dtype, bytes) of call(*args), or ("error", type, message)
+    of the error it raises, with the warnings it lets escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call(*args)
+            got = "ok", type(value), np.asarray(value).dtype.str, np.asarray(value).tobytes()
+        except Exception as exc:  # the error itself is the outcome compared
+            got = "error", type(exc), str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+class TestFloatPath:
+    """A float call of a closed form or of hermite_gauss takes the float path,
+    and gives the value, type, bits, warnings and error of the same point as
+    a 0-d array, which takes the array path, and the error of a 1-element
+    array.  A 1-element hermite_gauss gives the float's bits too; the closed
+    forms' complex products on arrays are numpy's array loops, which may
+    fuse multiply-adds, so there only the 0-d bits are the float's."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(CLOSED_FORMS)), fault=st.sampled_from(sorted(FAULTS)),
+           values=st.tuples(*[finite_numbers] * 4, *[finite_reals] * 3),
+           n=st.integers(0, 12), m=st.integers(0, 12))
+    def test_a_float_call_is_the_array_call_at_its_point(self, name, fault, values, n, m):
+        call = CLOSED_FORMS[name]
+        point = {**dict(zip(SLOTS, values)), **FAULTS[fault]}
+        args = [point[slot] for slot in SLOTS]
+
+        def arrays(as_array):  # X, mu and nu as arrays, but an int no double holds
+            return [as_array(v) if slot in ("X", "mu", "nu") and v != 10**400 else v for slot, v in zip(SLOTS, args)]
+
+        got = float_outcome(call, n, m, *args)
+        assert got == float_outcome(call, n, m, *arrays(lambda v: np.asarray(v, dtype=float)))
+        one = float_outcome(call, n, m, *arrays(lambda v: np.array([v], dtype=float)))
+        if got[0][0] == "error":
+            assert one == got
+        else:
+            assert one[0][:3] == ("ok", np.ndarray, got[0][2]) and one[1] == got[1]
+            assert one[0][3] == got[0][3] or name != "hermite_gauss"
+        if must_raise(name, fault):
+            assert got[0][0] == "error"
+
+    def test_python_numbers_skip_the_array_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np, "asarray", lambda *a, **k: calls.append(a))
+        for form in CLOSED_FORMS.values():
+            form(3, 2, 0.5 + 0.1j, 1, 1j, 0.2, 0.3, 0.6, 0.8)
+        assert calls == []
