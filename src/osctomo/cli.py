@@ -171,15 +171,12 @@ class _Args:
             self.values[key] = value
         if unknown := self.values.keys() - keys:
             raise ValueError(f"unknown argument(s): {', '.join(sorted(unknown))}")
-        self.keys = keys
 
     def get(self, key, kind=float, default=None):
         """The value of ``key`` (``default`` if absent) as ``kind``: str, or a
         finite float, an int, or a finite complex written ``0.7+0.3j`` or
         ``0.7+0.3i`` (only a final ``i`` is the imaginary unit, so ``inf``
-        stays a number).  ``key`` must be one the command declared."""
-        if key not in self.keys:
-            raise KeyError(f"{key!r} is not among the keys the command declared")
+        stays a number)."""
         raw = self.values.get(key, default)
         if raw is None:
             raise ValueError(f"missing required argument {key}=...")

@@ -105,7 +105,10 @@ class ClassicalPropagator:
     def _map(self) -> np.ndarray:
         """The 2x3 matrix that takes the row (nu, mu) to (X' - X, nu', mu'),
         [Lambda^{-1} Delta | Lambda^{-1}] with Lambda^{-1} the adjugate over
-        det Lambda, formed and checked once per propagator, in floats.
+        det Lambda, formed and checked once per propagator in floats, but
+        for two numpy calls: the product Lambda^{-1} Delta, which BLAS may
+        round with fused multiply-adds, and the division by D below, which
+        gives a D of 0 the inf or NaN entries that Python's division refuses.
 
         Both forms of the map take the rows (nu, mu) to (X' - X, nu', mu'):
         the Lambda form is this matrix, the eps form
@@ -119,18 +122,12 @@ class ClassicalPropagator:
         (l00, l01), (l10, l11) = self.inv.lam.tolist()
         det = self.inv.det
         lam_inv = [[l11 / det, -l01 / det], [-l10 / det, l00 / det]]
-        # numpy's product, whose BLAS may fuse the multiply-adds that floats round twice
-        with np.errstate(over="ignore", invalid="ignore"):  # an entry past the double range disagrees below
-            shift = (np.array(lam_inv) @ self.inv.delta).tolist()
-        lam_form = [[shift[0], *lam_inv[0]], [shift[1], *lam_inv[1]]]
         eps, eps_dot, beta = self.eps, self.eps_dot, self.beta
         rows = [[_SQRT2 * (beta * c.conjugate()).real, c.imag, c.real] for c in (eps_dot, eps)]
-        d = (eps.conjugate() * eps_dot).imag
-        if d:
-            eps_form = [[x / d for x in row] for row in rows]
-        else:  # a D of 0, as in a hand-built propagator, gives inf or NaN entries, which disagree
-            with np.errstate(divide="ignore", invalid="ignore"):
-                eps_form = (np.array(rows) / d).tolist()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an inf or NaN entry disagrees below
+            shift = (np.array(lam_inv) @ self.inv.delta).tolist()
+            eps_form = (np.array(rows) / (eps.conjugate() * eps_dot).imag).tolist()
+        lam_form = [[shift[0], *lam_inv[0]], [shift[1], *lam_inv[1]]]
         lam_flat, eps_flat = lam_form[0] + lam_form[1], eps_form[0] + eps_form[1]
         bound = _MAP_TOL * max(1.0, *map(abs, lam_flat))
         if not all(abs(x - y) <= bound for x, y in zip(lam_flat, eps_flat)):  # a NaN fails too
