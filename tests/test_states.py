@@ -804,7 +804,6 @@ class TestHugeInts:
         assert _check_point(1, 10**200, True) == (1.0, 1e200, 1.0)
 
 
-
 # each closed form, and hermite_gauss, as a call on (n, m, alpha, eps, eps_dot, beta, X, mu, nu)
 CLOSED_FORMS = {
     "coherent_mdf": lambda n, m, a, e, ed, b, X, mu, nu: coherent_mdf(a, e, ed, b, X, mu, nu),
