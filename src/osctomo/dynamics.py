@@ -104,6 +104,9 @@ _BLOCK = 8
 
 # |y| past which hermite_gauss clips y, just below sqrt of the largest double, so y^2 is finite
 _HERMITE_Y_MAX = 1.34e154
+# values per chunk of the Hermite recurrence: its three buffers are 128 KiB each, so a
+# chunk's working set stays within a 2 MiB L2 cache
+_HERMITE_CHUNK = 1 << 14
 
 # Default ODE step of the flow, and the drive quadrature step of the driven closed forms.
 _DEFAULT_STEP = 1e-3
@@ -1026,20 +1029,24 @@ def hermite_gauss(n: int, y):
     """L2-normalised Hermite function H_n(y) e^{-y^2/2} / sqrt(n! 2^n sqrt(pi)).
 
     Evaluated with a scaled recurrence that keeps every intermediate on
-    the order of one, so it stays finite for all supported n and y.  A
-    Python float y (an int read as its float) runs the recurrence in
-    floats, with the bits the array recurrence gives it on a 1-element
-    array, and any other scalar y the array recurrence on a 1-element
-    array.  y is not checked: a NaN in it gives NaN where it stands, and
-    every |y| past 1.34e154, inf too, gives 0, with no overflow.
+    the order of one, so it stays finite for all supported n and y.  An
+    array y is read in C order 2^14 values at a time: the recurrence runs
+    in place in three 128 KiB chunk buffers, allocated once per call, and
+    each chunk's result is written into the new array returned, so the
+    working set stays in cache and no full-size temporary is held beside
+    the result.  A Python float y (an int read as its float) runs the
+    recurrence in floats, with the bits the array recurrence gives it on a
+    1-element array, and any other scalar y the array recurrence on a
+    1-element array.  y is not checked: a NaN in it gives NaN where it
+    stands, and every |y| past 1.34e154, inf too, gives 0, with no
+    overflow.
     """
     n = _check_order(n)
     y = _float("y", y)
     if type(y) is float:
         return _hermite_gauss_float(n, y)
-    y = np.asarray(y, dtype=float)
-    u = _hermite_gauss_array(n, np.atleast_1d(y))
-    return u if y.ndim else float(u[0])
+    u = _hermite_gauss_array(n, np.asarray(y, dtype=float))
+    return u if u.ndim else float(u)
 
 
 def _hermite_gauss_float(n: int, y: float) -> float:
@@ -1056,31 +1063,41 @@ def _hermite_gauss_float(n: int, y: float) -> float:
     return u
 
 
-def _hermite_gauss_array(n: int, y: np.ndarray) -> np.ndarray:
-    """The recurrence of :func:`hermite_gauss` in three rotating buffers,
-    without four fresh temporaries per step.  A y with values past
-    +-_HERMITE_Y_MAX (or NaN) is clipped to it first: every Hermite function
-    is 0 there already, and past it y^2 and sqrt(2) y would overflow.  Any
-    other y is read as it is, so that no copy of it is held beside the
-    three buffers."""
-    if not -_HERMITE_Y_MAX <= y.min(initial=0.0) <= y.max(initial=0.0) <= _HERMITE_Y_MAX:
-        y = np.clip(y, -_HERMITE_Y_MAX, _HERMITE_Y_MAX)
-    u_prev = np.multiply(-0.5, y)
-    u_prev *= y
-    np.exp(u_prev, out=u_prev)
-    u_prev *= np.pi ** -0.25
-    if n == 0:
-        return u_prev
-    u = np.multiply(math.sqrt(2.0), y)
-    u *= u_prev
-    nxt = np.empty_like(y)
-    for j in range(1, n):
-        np.multiply(math.sqrt(2.0 / (j + 1)), y, out=nxt)
-        nxt *= u
-        u_prev *= math.sqrt(j / (j + 1))
-        nxt -= u_prev
-        u_prev, u, nxt = u, nxt, u_prev
-    return u
+def _hermite_gauss_array(n: int, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The recurrence of :func:`hermite_gauss` over y in C order, _HERMITE_CHUNK
+    values at a time, in three chunk buffers allocated once per call.  Each
+    chunk's result is written into ``out``: a fresh array of y's shape unless
+    given, and a given one is C-contiguous of y's shape, y itself allowed, as
+    a chunk is read in full before its result is written.  A chunk with values
+    past +-_HERMITE_Y_MAX (or NaN) is clipped to it first: every Hermite
+    function is 0 there already, and past it y^2 and sqrt(2) y would overflow.
+    Every step is elementwise, so the chunks change no bit."""
+    if out is None:
+        out = np.empty(y.shape)
+    src, dst = y.reshape(-1), out.reshape(-1)  # src copies a y that is not C-contiguous
+    buffers = np.empty((3, min(src.size, _HERMITE_CHUNK)))
+    for i in range(0, src.size, _HERMITE_CHUNK):
+        yc = src[i:i + _HERMITE_CHUNK]
+        if not -_HERMITE_Y_MAX <= yc.min() <= yc.max() <= _HERMITE_Y_MAX:
+            yc = np.clip(yc, -_HERMITE_Y_MAX, _HERMITE_Y_MAX)
+        u_prev, u, nxt = buffers[:, :yc.size]
+        np.multiply(-0.5, yc, out=u_prev)
+        u_prev *= yc
+        np.exp(u_prev, out=u_prev)
+        u_prev *= np.pi ** -0.25
+        if n == 0:
+            dst[i:i + yc.size] = u_prev
+            continue
+        np.multiply(math.sqrt(2.0), yc, out=u)
+        u *= u_prev
+        for j in range(1, n):
+            np.multiply(math.sqrt(2.0 / (j + 1)), yc, out=nxt)
+            nxt *= u
+            u_prev *= math.sqrt(j / (j + 1))
+            nxt -= u_prev
+            u_prev, u, nxt = u, nxt, u_prev
+        dst[i:i + yc.size] = u
+    return out
 
 
 def _integer(name: str, value, least: int) -> int:

@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _float, _raise_first, hermite_gauss
+from .dynamics import _check_order, _float, _hermite_gauss_array, _raise_first, hermite_gauss
 from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
@@ -329,16 +329,20 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     The vacuum n = 0 at the shift beta - alpha is the coherent tomogram of
     alpha at beta.  For f = 0 and constant unit frequency this depends on
     (X, mu, nu) only through X / sqrt(mu^2 + nu^2).  An <X> past the
-    double range raises EvaluationError naming the frame.
+    double range raises EvaluationError naming the frame.  On arrays the
+    Hermite recurrence reads Y 2^14 values at a time in three cache-sized
+    buffers and writes each chunk back into Y, which is then squared and
+    divided in place: a tomogram of N values holds one N-value array.
     """
     _, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
     if type(Y) is float:
         u = hermite_gauss(n, Y)
         return np.float64(u * u / abs_r)
-    out = hermite_gauss(n, np.atleast_1d(Y))
-    np.square(out, out=out)
-    out /= abs_r
-    return out if Y.ndim else out[0]
+    Y = np.require(Y, requirements="C")  # the fresh Y, copied only when not in C order
+    _hermite_gauss_array(_check_order(n), Y, out=Y)
+    np.square(Y, out=Y)
+    Y /= abs_r
+    return Y if Y.ndim else Y[()]
 
 
 def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):

@@ -35,11 +35,14 @@ Three transforms are provided:
   bands of the fewest whole mu rows holding 2^19 samples (4 MiB per float
   array, the size from which numpy asks for huge pages), and E @ cols is
   formed and written into the grid 64 rows at a time, each row and its
-  conjugate column, with no full-size temporary.  Every value is bit for
-  bit the one-piece computation's.  The default spec's
-  refined Fock 3 element (480 x 2401 samples) peaks at ~20 MB traced,
-  ~50 MB of RSS in a fresh process; an n = 1001 grid (15.3 MB) is
-  assembled holding ~1.1x the grid, in ~20 ms (2-core Xeon);
+  conjugate column, with no full-size temporary.  A call builds one
+  slice plan per quadrature: the mu grid, the split of K and one buffer
+  that every band of every slice writes its Y nodes into, so a grid's n
+  diagonals allocate no nodes of their own.  Every value is bit for bit
+  the one-piece computation's.  The default spec's refined Fock 3
+  element (480 x 2401 samples) peaks at ~8.6 MB traced, ~40 MB of RSS in
+  a fresh process; an n = 1001 grid (15.3 MB) is assembled holding ~1.1x
+  the grid, in ~20 ms (2-core Xeon);
 
 * Wigner -> tomogram: after the k-integral is done analytically the
   relation collapses to the normalised Radon projection
@@ -351,7 +354,8 @@ class QuadratureSpec:
     counts set the work, not the memory: a slice of mu_count x y_count
     samples is sampled in bands of ceil(2^19 / y_count) mu rows (the
     refined default slice, 480 x 2401, in bands of 219, 219 and 42 rows;
-    every other slice of the default spec is one band).
+    every other slice of the default spec is one band), and every band
+    of a call writes its Y nodes into one buffer.
     """
 
     mu_max: float = 12.0
@@ -383,16 +387,38 @@ def _check_y_window(lo, hi) -> None:
         raise ValueError("y_window bounds must be finite with lo < hi and a finite width hi - lo")
 
 
-def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """G(mu) = integral w(Y, mu, nu) e^{1j Y} dY on the mu grid.
+class _SlicePlan:
+    """What every slice of one quadrature shares, built once per call of
+    :func:`density_from_mdf` (once more for its refined check) or of
+    :func:`density_grid_from_mdf`: the mu grid, read-only, and whether it
+    holds a node at 0; the Y node offsets k < K and the split K = S A + tail
+    of the factorised Y sum (:func:`_band_sums`); the rows of a band; and one
+    buffer that every band of every slice writes its Y nodes into.  No plan
+    outlives its call, so two calls share no buffer."""
+
+    def __init__(self, quad: QuadratureSpec):
+        self.quad = quad
+        self.mu = np.linspace(-quad.mu_max, quad.mu_max, quad.mu_count)
+        self.mu.flags.writeable = False
+        self.zero_node = not np.all(self.mu)
+        K = quad.y_count
+        self.k = np.arange(K, dtype=float)
+        self.S = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
+        self.A, self.tail = divmod(K, self.S)
+        self.band = -(-_SLICE_VALUES // K)  # ceil: the fewest rows holding _SLICE_VALUES samples
+        self.nodes = np.empty((min(self.band, quad.mu_count), K))
+
+
+def _char_slice(w, plan: _SlicePlan, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """G(mu) = integral w(Y, mu, nu) e^{1j Y} dY on the plan's mu grid.
 
     The window is taken and checked on the whole mu grid, before any
     sample; the tomogram is then sampled in bands of ceil(_SLICE_VALUES / K)
     whole mu rows (:func:`_band_sums`), so a row comes out bit for bit as
     it would from a single band.
     """
-    mu = np.linspace(-quad.mu_max, quad.mu_max, quad.mu_count)
-    if nu == 0.0 and not np.all(mu):
+    quad, mu = plan.quad, plan.mu
+    if nu == 0.0 and plan.zero_node:
         raise DegenerateFrameError(
             f"odd mu_count = {quad.mu_count} puts a mu node at 0: on a diagonal element "
             "(nu = 0) that is the frame (0, 0), not a tomographic frame; use an even mu_count")
@@ -400,20 +426,21 @@ def _char_slice(w, quad: QuadratureSpec, nu: float) -> tuple[np.ndarray, np.ndar
     lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), mu.shape)
     _check_y_window(lo, hi)
-    K = quad.y_count
-    dy = (hi - lo) / (K - 1)
-    band = -(-_SLICE_VALUES // K)  # ceil: the fewest rows holding _SLICE_VALUES samples
+    dy = (hi - lo) / (quad.y_count - 1)
+    band = plan.band
     g = np.concatenate([
-        _band_sums(w, mu[i:i + band], lo[i:i + band], dy[i:i + band], nu, K)
+        _band_sums(w, plan, mu[i:i + band], lo[i:i + band], dy[i:i + band], nu)
         for i in range(0, mu.size, band)
     ])
     return mu, dy * g
 
 
-def _band_sums(w, mu: np.ndarray, lo: np.ndarray, dy: np.ndarray, nu: float, K: int) -> np.ndarray:
+def _band_sums(w, plan: _SlicePlan, mu: np.ndarray, lo: np.ndarray, dy: np.ndarray, nu: float) -> np.ndarray:
     """The trapezoid sums of w(Y, mu, nu) e^{1j Y} over the uniform nodes
     Y_k = lo + k dY, k < K, of each mu row of one band, before the factor dY.
 
+    The nodes are written into the plan's buffer, so the Y that ``w`` is
+    handed is overwritten by the next band; ``w`` may change it in place.
     With k = S a + b and S = ceil(sqrt(K)) the phase factorises,
     e^{1j Y_k} = e^{1j (lo + S a dY)} e^{1j b dY}, so a row costs three
     exponentials, e^{1j dY}, e^{1j S dY} and e^{1j lo}, whose running
@@ -426,12 +453,12 @@ def _band_sums(w, mu: np.ndarray, lo: np.ndarray, dy: np.ndarray, nu: float, K: 
     (w_0 e^{1j lo} + w_{K-1} e^{1j hi}) / 2.
     """
     rows = mu.size
-    y = np.multiply.outer(dy, np.arange(K, dtype=float))
+    y = plan.nodes[:rows]
+    np.einsum("i,j->ij", dy, plan.k, out=y)  # the products of multiply.outer, in half the time
     y += lo[:, None]
     vals = np.broadcast_to(w(y, mu[:, None], nu), y.shape)
 
-    S = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
-    A, tail = divmod(K, S)
+    K, S, A, tail = plan.k.size, plan.S, plan.A, plan.tail
     b_table = _powers(np.ones(rows), np.exp(1j * dy), S)  # e^{1j b dY}
     a_table = _powers(np.exp(1j * lo), np.exp(1j * S * dy), A + 1)  # e^{1j (lo + S a dY)}
     block = vals[:, : A * S].reshape(rows, A, S)
@@ -456,7 +483,7 @@ def _powers(start: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
 
 
 def _density_point(w, X: float, Xp: float, quad: QuadratureSpec) -> complex:
-    mu, g = _char_slice(w, quad, X - Xp)
+    mu, g = _char_slice(w, _SlicePlan(quad), X - Xp)
     integrand = g * np.exp(-1j * mu * (X + Xp) / 2.0)
     return complex(np.trapezoid(integrand, x=mu)) / (2.0 * np.pi)
 
@@ -471,13 +498,16 @@ def density_from_mdf(
     """Density-matrix element rho(X, X') reconstructed from a tomogram.
 
     ``w(Y, mu, nu)`` must accept numpy arrays in its first two arguments
-    and decay rapidly in Y.  With ``check_convergence`` the quadrature is
-    repeated at doubled node counts and a change above 1e-3 raises
-    QuadratureConvergenceError.  A non-finite X or Xp raises ValueError
-    naming it, and so do an X and Xp whose nu = X - Xp, or whose mu phase
-    mu (X + Xp) / 2 on the mu grid, overflows.  ``w`` is called on bands of
-    ceil(2^19 / y_count) mu rows, so the default spec's refined Fock 3
-    element (a 480 x 2401 slice) peaks at ~20 MB traced.
+    and decay rapidly in Y.  The Y it is handed is a buffer reused from
+    band to band, which ``w`` may change in place, so a ``w`` that keeps
+    it must copy it; mu is read-only.  With ``check_convergence`` the
+    quadrature is repeated at doubled node counts and a change above 1e-3
+    raises QuadratureConvergenceError.  A non-finite X or Xp raises
+    ValueError naming it, and so do an X and Xp whose nu = X - Xp, or
+    whose mu phase mu (X + Xp) / 2 on the mu grid, overflows.  ``w`` is
+    called on bands of ceil(2^19 / y_count) mu rows, so the default spec's
+    refined Fock 3 element (a 480 x 2401 slice) peaks at ~8.6 MB traced,
+    ~40 MB of RSS in a fresh process (2-core Xeon).
     """
     _finite(X=X, Xp=Xp)
     quad = quad or QuadratureSpec()
@@ -511,12 +541,13 @@ def density_grid_from_mdf(
     stacked per-diagonal columns, formed 64 grid rows at a time.  The
     upper triangle follows from Hermiticity: each row is written
     conjugated, then as its column, so the diagonal is not conjugated.
-    A call at n = 1001 (a 15.3 MB grid, mu_count 60, y_count 121) peaks
-    at ~19 MB traced, and a fresh process making it at ~50 MB of RSS
-    (2-core Xeon).  An extent or n outside
-    the grid rule (a positive extent with 2 extent finite, a whole
-    n >= 2), or an extent whose mu phases, up to mu_max extent, overflow,
-    raises ValueError before sampling.
+    ``w`` is called as in :func:`density_from_mdf`, its Y one buffer
+    for all diagonals.  A call at n = 1001 (a 15.3 MB grid, mu_count 60,
+    y_count 121) peaks at ~19 MB traced, and a fresh process making it
+    at ~50 MB of RSS (2-core Xeon).  An extent or n outside the grid rule
+    (a positive extent with 2 extent finite, a whole n >= 2), or an
+    extent whose mu phases, up to mu_max extent, overflow, raises
+    ValueError before sampling.
     """
     extent, n = _check_grid(extent, n)
     quad = quad or QuadratureSpec()
@@ -527,8 +558,9 @@ def density_grid_from_mdf(
     z = np.linspace(-extent, extent, n)
     h = z[1] - z[0]
     cols = np.empty((quad.mu_count, n), dtype=complex)
+    plan = _SlicePlan(quad)
     for d in range(n):
-        mu, g = _char_slice(w, quad, d * h)
+        mu, g = _char_slice(w, plan, d * h)
         cols[:, d] = g * np.exp(-0.5j * d * h * mu)
     cols *= (_trapz_weights(mu) / (2.0 * np.pi))[:, None]
     values = np.empty((n, n), dtype=complex)

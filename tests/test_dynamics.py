@@ -1158,6 +1158,58 @@ class TestHermiteGauss:
                 assert type(got) is type(want) is float and got == want
 
 
+CHUNK = dynamics._HERMITE_CHUNK
+
+
+class TestChunkedHermiteGauss:
+    """The array recurrence runs over y in chunks of _HERMITE_CHUNK values,
+    and each chunk comes out bit for bit as from one allocating pass."""
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_every_size_bit_identical(self, size):
+        y = np.random.default_rng(size).normal(0.0, 4.0, size)
+        for n in range(31):
+            assert np.array_equal(hermite_gauss(n, y), allocating_hermite_gauss(n, y))
+
+    def test_far_values_in_one_chunk_clip_there_only(self):
+        # the clip is the parent's clip of the whole array: every far value gives 0, a NaN NaN
+        y = np.random.default_rng(3).normal(0.0, 4.0, 3 * CHUNK + 7)
+        far = [1e200, -1e200, math.inf, -math.inf, math.nan]
+        y[CHUNK + 5:CHUNK + 10] = far
+        clipped = np.clip(y, -dynamics._HERMITE_Y_MAX, dynamics._HERMITE_Y_MAX)
+        for n in range(31):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hermite_gauss(n, y)
+            assert np.array_equal(got, allocating_hermite_gauss(n, clipped), equal_nan=True)
+            assert np.all(got[CHUNK + 5:CHUNK + 9] == 0.0) and np.isnan(got[CHUNK + 9])
+            assert np.count_nonzero(np.isnan(got)) == 1
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_layouts_bit_identical(self, layout):
+        base = np.random.default_rng(5).normal(0.0, 4.0, (260, 387))
+        y = {"C": base[:130], "F": np.asfortranarray(base[:130]), "strided": base[::2, 1::3]}[layout]
+        for n in (0, 1, 2, 7, 30):
+            got = hermite_gauss(n, y)
+            assert got.shape == y.shape and np.array_equal(got, allocating_hermite_gauss(n, y))
+
+    def test_out_may_be_y_itself(self):
+        y = np.random.default_rng(6).normal(0.0, 4.0, (7, CHUNK // 3))
+        for n in (0, 1, 2, 7, 30):
+            want = allocating_hermite_gauss(n, y)
+            work = y.copy()
+            assert dynamics._hermite_gauss_array(n, work, out=work) is work
+            assert np.array_equal(work, want)
+
+    def test_read_only_argument_stays_unchanged(self):
+        y = np.random.default_rng(7).normal(0.0, 4.0, 2 * CHUNK + 3)
+        y.flags.writeable = False
+        kept = y.copy()
+        got = hermite_gauss(4, y)
+        assert np.array_equal(got, allocating_hermite_gauss(4, kept)) and np.array_equal(y, kept)
+        assert got.flags.writeable and not np.shares_memory(got, y)
+
+
 UNIT = DriveProfile.constant(1.0)
 TRAJ = solve_epsilon(UNIT, 2.0, 0.01)
 PROPAGATOR = ClassicalPropagator.from_epsilon(1.0, 1j, 0.0)

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +105,7 @@ class TestInPlaceClosedForms:
         X = rng.normal(0.0, 3.0, (19, 29))
         mu = rng.normal(0.0, 3.0, (19, 1))
         yield X, mu, 0.7  # the tomogram -> density slice layout
+        yield np.asfortranarray(X), mu, 0.7  # a Y in F order is copied once into C order
         yield X[0], 0.6, 0.8
         yield 0.4, mu, 0.7  # scalar X, array frame
         yield [0.1, -2.0], 0.6, 0.8
@@ -125,6 +127,22 @@ class TestInPlaceClosedForms:
             for X, mu, nu in self.inputs():
                 got = fock_mdf(n, *self.STATE, X, mu, nu)
                 assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, nu))
+
+    def test_fock_holds_one_array(self):
+        # a tomogram -> density slice of the demo spec, 160 x 501 = 80 160 values: the Hermite
+        # recurrence runs in three 128 KiB chunk buffers and writes back into Y, so the peak
+        # is the one N-value result; the allocating form held four N-value arrays
+        X = np.linspace(-8.0, 8.0, 501) + np.zeros((160, 1))
+        mu = np.linspace(-12.0, 12.0, 160)[:, None]
+        for n in (0, 5):
+            tracemalloc.start()
+            try:
+                got = fock_mdf(n, *self.STATE, X, mu, 0.7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, 0.7))
+            assert peak <= 8 * X.size + 2**20
 
     @pytest.mark.parametrize("X", [1e200, np.array([-3e160, 1e300])], ids=["scalar", "array"])
     def test_far_tails_underflow_to_zero_without_warnings(self, X):
