@@ -40,7 +40,7 @@ import numpy as np
 from ._files import write_in_place
 from .dynamics import _float, _integer, _resonance_k, hermite_gauss, parametric_resonance_epsilon
 from .errors import ConsistencyError
-from .states import _frame_r, fock_mdf
+from .states import _frame_kernel, fock_mdf
 
 __all__ = [
     "FigureConfig",
@@ -235,7 +235,7 @@ def _validate(fig_id: int, cfg: FigureConfig, first, second, values) -> None:
             i = bad[0]
             # w_2 = hermite_gauss(2, x/|r|)^2 / |r| is below the cut on a width `needed`
             # around each zero x = +-|r|/sqrt(2): a coarser x grid can step over it
-            abs_r = abs(_frame_r(*parametric_resonance_epsilon(cfg.k, second[i]), *frame))
+            abs_r = _frame_kernel(0.0, *parametric_resonance_epsilon(cfg.k, second[i]), 0.0, *frame)[2]
             y = np.linspace(0.0, math.sqrt(2.5), 100_001)  # w_2 peaks at Y^2 = 5/2
             profile = hermite_gauss(2, y) ** 2
             needed = np.count_nonzero(profile < ZERO_MINIMUM_REL * profile[-1]) * y[1] * abs_r

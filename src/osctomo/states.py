@@ -10,8 +10,9 @@ evaluates the t = 0 forms, so no separate initial-time code path exists.
 Every closed form reads one kernel, :func:`_frame_kernel`, which gives
 
     r     = eps_dot * nu + eps * mu          (must be nonzero)
-    |r|
+    |r|   = hypot(Re r, Im r)
     <X>   = sqrt(2) Re((alpha - beta) conj(r))
+          = sqrt(2) (Re gamma Re r + Im gamma Im r),   gamma = alpha - beta
 
 and then the pulled-back quadrature Y = (X - <X>) / |r|.  The coherent
 tomogram is w_alpha = exp(-Y^2) / (sqrt(pi) |r|), the normal density
@@ -31,19 +32,25 @@ EvaluationError naming the first such frame, and no RuntimeWarning
 escapes.  Only variance_X, whose value is |r|^2 / 2, also names a frame
 whose |r|^2 overflows; the tomograms divide by |r| and never square it,
 and a Y far past the mass gives 0.  The sample array X is not checked: a
-NaN in it gives NaN where it stands.  Every scalar argument, X among
-them, is read by the package's number rule
-(:func:`osctomo.dynamics._float`): a Python int is the float it converts
-to, and one past the double range raises ValueError naming it.
+NaN in it gives NaN where it stands.  Every scalar argument is read by
+the package's number rule (:func:`osctomo.dynamics._float`): a Python int
+is the float it converts to, and one past the double range raises
+ValueError naming it.  A sample coordinate (X, the Fourier form's k, the
+wavefunction's x) is read by the sample rule
+(:func:`osctomo.dynamics._real`) too: None, a str, a complex value or any
+other object that is not real numbers raises TypeError naming it, as a
+scalar or as an array.
 
-One float path: where every argument is a Python number (an int read as
-its float), the kernel and the closed forms compute in Python scalars,
-with numpy's abs and exp for |r| and the exponentials, where Python's
-round differently.  A float call gives the value, the type (np.float64
-where an array call's 0-d result is one) and the bits of the same point
-as a 0-d array, and a point that fails a rule on the float path takes
-the array path, which raises the same error.  Arrays and numpy scalars
-take the array path.
+One body for every shape: the kernel, Y and the tails of the closed
+forms are real float64 operations, with |r| by np.hypot and numpy's exp,
+so a point gives the same bits as Python numbers, as a 0-d array, as a
+1-element array and as any entry of a larger array, in frame or flow
+columns too.  Where every argument is a Python number (an int read as
+its float), that body runs on Python floats, which never warn, and gives
+the type of the 0-d array call (np.float64 where that call gives one);
+a point that fails a check, or whose |r| could overflow, is computed
+again as 0-d arrays, which raise the array call's error.  Only arrays
+and numpy scalars are read by np.asarray and computed under errstate.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _check_order, _float, _hermite_gauss_array, _raise_first, hermite_gauss
+from .dynamics import _check_order, _float, _hermite_gauss_array, _raise_first, _real, hermite_gauss
 from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
@@ -74,7 +81,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _R_TOL = 1e-12
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |r| whose |r|^2 is finite
-_NUMBERS = {float, complex}  # the types of the kernel's float path: Python numbers, not numpy scalars
+_NUMBERS = {float, complex}  # the types the kernel computes on as they are: Python numbers, not numpy scalars
 _SQUARE_OVERFLOWS = "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 overflows double precision"
 
 
@@ -102,11 +109,13 @@ def _check_point(X, mu, nu):
 
     X, mu and nu are floats or arrays that broadcast; the first bad point
     in C order is named with float coordinates, so a float call and an
-    array holding that point give the same message.  An int is read by the
-    number rule, :func:`_float`.  Finite floats skip the array calls, which
-    would cost a one-point caller several times the check itself.
+    array holding that point give the same message.  Each coordinate is
+    read by the sample rule, :func:`_real`, which reads an int as its float
+    and names one that is not real numbers.  Finite floats skip the array
+    calls, which would cost a one-point caller several times the check
+    itself.
     """
-    X, mu, nu = _float("X", X), _float("mu", mu), _float("nu", nu)
+    X, mu, nu = _real("X", X), _real("mu", mu), _real("nu", nu)
     floats = isinstance(X, float) and isinstance(mu, float) and isinstance(nu, float)
     if not (floats and math.isfinite(X) and math.isfinite(mu) and math.isfinite(nu)):
         finite = np.isfinite(X) & np.isfinite(mu) & np.isfinite(nu)
@@ -127,45 +136,39 @@ def _check_frame(mu, nu) -> None:
         raise ValueError("frame (mu, nu) = (0, 0) is not a valid tomographic frame")
 
 
-def _frame_r(eps, eps_dot, mu, nu):
-    """r = eps_dot*nu + eps*mu of a flow and a frame, under the rules of
-    :func:`_frame_kernel`."""
-    return _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[0]
-
-
 def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
-    """(r, |r|, <X>) of a flow and a frame: the one kernel of every closed form.
+    """(Re r, Im r, |r|, <X>) of a flow and a frame: the one kernel of every closed form.
 
-    r = eps_dot*nu + eps*mu and <X> = sqrt(2) Re((alpha - beta) conj(r))
-    broadcast with mu/nu, under the package's rules for the flow and the
-    frame: a non-finite eps, eps_dot, mu, nu, alpha or beta raises
-    ValueError naming it (an array its first such entry), the frame (0, 0)
-    raises the ValueError of :func:`_check_frame`, and a vanishing r
-    DegenerateFrameError.  An <X> that is not finite raises
-    EvaluationError naming the first such frame in C order, with float
-    coordinates, and no RuntimeWarning: the |r|^2 of :func:`variance_X`
-    where r itself overflowed, else <X>.
+    r = eps_dot*nu + eps*mu, |r| = hypot(Re r, Im r) and <X> = sqrt(2)
+    Re((alpha - beta) conj(r)) broadcast with mu/nu, under the package's
+    rules for the flow and the frame: a non-finite eps, eps_dot, mu, nu,
+    alpha or beta raises ValueError naming it (an array its first such
+    entry), the frame (0, 0) raises the ValueError of :func:`_check_frame`,
+    and a vanishing r DegenerateFrameError.  An <X> that is not finite
+    raises EvaluationError naming the first such frame in C order, with
+    float coordinates, and no RuntimeWarning: the |r|^2 of
+    :func:`variance_X` where r itself overflowed, else <X>.
 
-    Python numbers take the float path: r a complex, |r| and <X> floats,
-    with the bits of the same point as 0-d arrays.  A point that fails a
-    rule there takes the array path, which raises.
+    One body of real float64 operations (:func:`_frame_parts`) serves
+    Python numbers and arrays, so every shape gives the same bits; Python
+    numbers give Python floats, and a point that fails a check above, or
+    with a part of r past sqrt(max) (where np.hypot could overflow and
+    warn), is computed again as arrays, which name it or give the value of
+    a 0-d array call.
     """
     eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
-    if type(mu) is float and type(nu) is float and _NUMBERS.issuperset(map(type, (eps, eps_dot, alpha, beta))):
-        _check_frame(mu, nu)
-        # numpy reads a float as the complex (x, 0), and Python's complex * and +
-        # round as numpy's do on 0-d arrays; Python's abs(complex) does not
-        r = complex(eps_dot) * complex(nu) + complex(eps) * complex(mu)
-        abs_r = float(np.abs(r))
-        mean = _SQRT2 * (complex(alpha - beta) * r.conjugate()).real
-        if abs_r >= _R_TOL and math.isfinite(mean):
-            return r, abs_r, mean
+    if type(mu) is type(nu) is float and _NUMBERS.issuperset(map(type, (alpha, eps, eps_dot, beta))):
+        r_re, r_im, mean = _frame_parts(alpha, eps, eps_dot, beta, mu, nu)  # Python floats never warn
+        # np.hypot does where finite parts give an |r| past the double range: a point with a
+        # part past _SQRT_MAX, where |r|^2 overflows, and one that a check names, is computed
+        # again below
+        if abs(r_re) < _SQRT_MAX > abs(r_im) and math.isfinite(mean) and (abs_r := float(np.hypot(r_re, r_im))) >= _R_TOL:
+            return r_re, r_im, abs_r, mean
     # a square past the double range is no zero frame, and a non-finite <X> is named below
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_frame(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
-        r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
-        abs_r = np.abs(r)
-        mean = _SQRT2 * np.real((alpha - beta) * np.conj(r))
+        mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+        r_re, r_im, mean = _frame_parts(*map(np.asarray, (alpha, eps, eps_dot, beta)), mu, nu)
+        abs_r = np.hypot(r_re, r_im)
     if np.count_nonzero(abs_r < _R_TOL):  # not np.any, which costs a scalar frame several times more
         raise DegenerateFrameError(
             "frame coefficient r = eps_dot*nu + eps*mu vanished; the tomogram "
@@ -178,22 +181,32 @@ def _frame_kernel(alpha, eps, eps_dot, beta, mu, nu):
             _raise_first(EvaluationError, _SQUARE_OVERFLOWS, overflowed, mu, nu)
         _raise_first(EvaluationError, "frame (mu, nu) = ({}, {}): <X> = sqrt(2) Re((alpha - beta) conj r) "
                      "overflows double precision", ~finite, mu, nu)
-    return r, abs_r, mean
+    return r_re, r_im, abs_r, mean
+
+
+def _frame_parts(alpha, eps, eps_dot, beta, mu, nu):
+    """(Re r, Im r, <X>) after the frame rule, in real products and sums of
+    the parts of the Python numbers or arrays given, mu and nu real."""
+    _check_frame(mu, nu)
+    r_re = eps_dot.real * nu + eps.real * mu
+    r_im = eps_dot.imag * nu + eps.imag * mu
+    return r_re, r_im, _SQRT2 * ((alpha.real - beta.real) * r_re + (alpha.imag - beta.imag) * r_im)
 
 
 def _quadrature(alpha, eps, eps_dot, beta, X, mu, nu):
-    """(r, |r|, Y) of the kernel, with the pulled-back quadrature
-    Y = (X - <X>) / |r|: a float on the kernel's float path with a float X,
-    else one fresh array of the broadcast shape, 0-d when X, mu and nu are
-    scalars.  A Y past the double range is inf, with no RuntimeWarning."""
-    r, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
-    X = _float("X", X)
+    """(Re r, Im r, |r|, Y) of the kernel, with the pulled-back quadrature
+    Y = (X - <X>) / |r|: a float where the kernel gives floats and X is a
+    float, else one fresh array of the broadcast shape, 0-d when X, mu and
+    nu are scalars.  A Y past the double range is inf, with no
+    RuntimeWarning."""
+    r_re, r_im, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
+    X = _real("X", X)
     if type(X) is float and type(mean) is float:
-        return r, abs_r, (X - mean) / abs_r
+        return r_re, r_im, abs_r, (X - mean) / abs_r
     with np.errstate(over="ignore"):
         Y = np.asarray(np.asarray(X, dtype=float) - mean)
         Y /= abs_r
-    return r, abs_r, Y
+    return r_re, r_im, abs_r, Y
 
 
 def mean_X(alpha, eps, eps_dot, beta, mu, nu):
@@ -202,7 +215,7 @@ def mean_X(alpha, eps, eps_dot, beta, mu, nu):
     It squares no |r|, so a frame whose |r|^2 overflows keeps its mean; an
     <X> past the double range raises EvaluationError naming the frame.
     """
-    mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[2]
+    mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[3]
     return np.float64(mean) if type(mean) is float else mean
 
 
@@ -214,10 +227,11 @@ def variance_X(eps, eps_dot, mu, nu):
     float coordinates.  |r| is compared before squaring, so no
     RuntimeWarning escapes.
     """
-    abs_r = _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[1]
+    abs_r = _frame_kernel(0.0, eps, eps_dot, 0.0, mu, nu)[2]
     if np.count_nonzero(over := abs_r > _SQRT_MAX):
         _raise_first(EvaluationError, _SQUARE_OVERFLOWS, over, mu, nu)
-    return 0.5 * (np.float64(abs_r) if type(abs_r) is float else abs_r) ** 2
+    var = 0.5 * (abs_r * abs_r)  # one product, where a power may round apart from x*x
+    return np.float64(var) if type(var) is float else var
 
 
 def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
@@ -229,7 +243,7 @@ def coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
     double range raises EvaluationError naming the frame, and a Y far past
     the mass gives 0.
     """
-    _, abs_r, out = _quadrature(alpha, eps, eps_dot, beta, X, mu, nu)
+    abs_r, out = _quadrature(alpha, eps, eps_dot, beta, X, mu, nu)[2:]
     if type(out) is float:
         return np.exp(-(out * out)) / (_SQRT_PI * abs_r)
     # a Y past 1e154 squares to inf, and exp gives the 0; an |r| past
@@ -256,10 +270,10 @@ def coherent_mdf_fourier(k, alpha, eps, eps_dot, beta, mu, nu):
     EvaluationError naming it, the first such k of an array in C order,
     with no RuntimeWarning.
     """
-    _, abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)
-    k = np.asarray(_float("k", k), dtype=float)
+    abs_r, mean = _frame_kernel(alpha, eps, eps_dot, beta, mu, nu)[2:]
+    k = np.asarray(_real("k", k), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        exponent = -0.25 * (k * abs_r) ** 2 - 1j * k * mean
+        exponent = -0.25 * ((kr := k * abs_r) * kr) - 1j * k * mean  # (k |r|)^2 as one product
     overflowed = np.isfinite(k) & ~np.isfinite(exponent)
     if np.count_nonzero(overflowed):
         _raise_first(EvaluationError, "coherent characteristic function overflows double precision "
@@ -306,7 +320,7 @@ def annihilation_eigencheck(alpha, eps, eps_dot, beta, mu, nu, k, h) -> complex:
     w_k overflows raises EvaluationError naming it, as
     :func:`coherent_mdf_fourier` does.
     """
-    k = float(_float("k", k))
+    k = float(_real("k", k))
     if not (math.isfinite(k) and k != 0.0):
         raise ValueError(f"k must be finite and nonzero (the scaled variables divide by k), got {k!r}")
     eps, eps_dot, mu, nu, alpha, beta = _finite(eps=eps, eps_dot=eps_dot, mu=mu, nu=nu, alpha=alpha, beta=beta)
@@ -334,7 +348,7 @@ def fock_mdf(n: int, eps, eps_dot, beta, X, mu, nu):
     buffers and writes each chunk back into Y, which is then squared and
     divided in place: a tomogram of N values holds one N-value array.
     """
-    _, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
+    abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)[2:]
     if type(Y) is float:
         u = hermite_gauss(n, Y)
         return np.float64(u * u / abs_r)
@@ -356,8 +370,8 @@ def cross_mdf(n: int, m: int, eps, eps_dot, beta, X, mu, nu):
         w_alpha = e^{-|alpha|^2} sum_{n,m} alpha^n conj(alpha)^m
                   / sqrt(n! m!) * w_nm.
     """
-    r, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
-    phase = np.exp(1j * (m - n) * np.arctan2(r.imag, r.real))  # np.angle(r), without its array calls
+    r_re, r_im, abs_r, Y = _quadrature(0.0, eps, eps_dot, beta, X, mu, nu)
+    phase = np.exp(1j * ((m - n) * np.arctan2(r_im, r_re)))  # the angle of r from its real parts
     return hermite_gauss(n, Y) * hermite_gauss(m, Y) * phase / abs_r
 
 
@@ -386,7 +400,7 @@ def coherent_wavefunction(alpha, eps, eps_dot, beta, x):
     ae2 = abs(eps) ** 2
     real_comb = 2.0 * (gamma * eps.conjugate()).real  # gamma eps* + gamma* eps
     prefactor = (np.pi * ae2) ** -0.25 * math.exp(-(real_comb**2) / (4.0 * ae2))
-    x = np.asarray(_float("x", x), dtype=float)
+    x = np.asarray(_real("x", x), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
         out = prefactor * np.exp(0.5j * x * x * eps_dot / eps + _SQRT2 * gamma * x / eps)
     overflowed = np.isfinite(x) & ~np.isfinite(out)

@@ -1391,6 +1391,56 @@ class TestNumberRule:
         assert states._float is dynamics._float
 
 
+# every entry point that reads a sample coordinate, or a tomographic point, by the sample rule
+SAMPLE_ENTRY_POINTS = {
+    "coherent_mdf(X)": ENTRY_POINTS["coherent_mdf(X)"],
+    "fock_mdf(X)": ENTRY_POINTS["fock_mdf(X)"],
+    "cross_mdf(X)": ENTRY_POINTS["cross_mdf(X)"],
+    "coherent_wavefunction(x)": ENTRY_POINTS["coherent_wavefunction(x)"],
+    "coherent_mdf_fourier(k)": ENTRY_POINTS["coherent_mdf_fourier(k)"],
+    "annihilation_eigencheck(k)": ENTRY_POINTS["annihilation_eigencheck(k)"],
+    "hermite(y)": ENTRY_POINTS["hermite(y)"],
+    "hermite_gauss(y)": ENTRY_POINTS["hermite_gauss(y)"],
+    "ClassicalPropagator.frame_map(X)": lambda v: PROPAGATOR.frame_map(v, 0.6, 0.5),
+    "ClassicalPropagator.frame_map(mu)": ENTRY_POINTS["ClassicalPropagator.frame_map(mu)"],
+    "ClassicalPropagator.frame_map(nu)": lambda v: PROPAGATOR.frame_map(0.3, 0.6, v),
+    "mdf_from_density(X)": lambda v: mdf_from_density(RHO, v, 0.6, 0.5),
+    "mdf_from_wigner(X)": lambda v: mdf_from_wigner(WIGNER, v, 0.6, 0.5),
+}
+NOT_REAL = {"None": None, "str": "0.3", "complex": 0.3 + 0.1j, "object": object()}
+SHAPES = {"scalar": lambda v: v, "0-d": np.array, "1-element": lambda v: np.array([v])}
+
+
+class TestSampleRule:
+    """One rule for a sample coordinate, dynamics._real: None, a str, a
+    complex value and any other object that is not real numbers raise one
+    TypeError naming the argument, as a scalar, a 0-d and a 1-element array
+    alike; reals, ints, bools, lists of them and NaN read as their floats."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("bad", sorted(NOT_REAL))
+    @pytest.mark.parametrize("entry", sorted(SAMPLE_ENTRY_POINTS))
+    def test_a_value_that_is_not_real_is_named(self, entry, bad, shape):
+        name = re.search(r"\((\w+)\)$", entry)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(TypeError, match=f"^{name} must be a real number or an array of real numbers, got "):
+                SAMPLE_ENTRY_POINTS[entry](SHAPES[shape](NOT_REAL[bad]))
+
+    @pytest.mark.parametrize("entry", sorted(SAMPLE_ENTRY_POINTS))
+    def test_reals_read_as_their_floats(self, entry):
+        call = SAMPLE_ENTRY_POINTS[entry]
+        for value, float_value in ((True, 1.0), (math.nan, math.nan)):
+            assert TestNumberRule.outcome(call, value) == TestNumberRule.outcome(call, float_value)
+        if not entry.startswith(("annihilation", "ClassicalPropagator", "mdf_from")):  # one k; no point from a list
+            for value in ([0.5, 2, False], [2**70, 0.5], [2**70], np.array([1, -2], dtype=np.int8)):
+                want = TestNumberRule.outcome(call, np.asarray(value, dtype=float))
+                assert TestNumberRule.outcome(call, value) == want
+
+    def test_one_definition(self):
+        assert states._real is dynamics._real
+
+
 def allocating_hermite_gauss(n, y):
     """The recurrence with a fresh array per operation, as the arrays of
     hermite_gauss must reproduce bit for bit."""

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import SQRT2, classical_profiles, driven_state
@@ -128,21 +128,26 @@ class TestInPlaceClosedForms:
                 got = fock_mdf(n, *self.STATE, X, mu, nu)
                 assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, nu))
 
-    def test_fock_holds_one_array(self):
+    @pytest.mark.parametrize("name", ["fock_mdf 0", "fock_mdf 5", "coherent_mdf"])
+    def test_holds_one_array(self, name):
         # a tomogram -> density slice of the demo spec, 160 x 501 = 80 160 values: the Hermite
-        # recurrence runs in three 128 KiB chunk buffers and writes back into Y, so the peak
-        # is the one N-value result; the allocating form held four N-value arrays
+        # recurrence runs in three 128 KiB chunk buffers and writes back into Y, and the coherent
+        # tail works on Y in place, so the peak is the one N-value result; the allocating
+        # forms hold two to four N-value arrays
         X = np.linspace(-8.0, 8.0, 501) + np.zeros((160, 1))
         mu = np.linspace(-12.0, 12.0, 160)[:, None]
-        for n in (0, 5):
-            tracemalloc.start()
-            try:
-                got = fock_mdf(n, *self.STATE, X, mu, 0.7)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert self.same(got, allocating_fock_mdf(n, *self.STATE, X, mu, 0.7))
-            assert peak <= 8 * X.size + 2**20
+        form, *n = name.split(" ")
+        closed, allocating = {"fock_mdf": (fock_mdf, allocating_fock_mdf),
+                              "coherent_mdf": (coherent_mdf, allocating_coherent_mdf)}[form]
+        args = (*map(int, n), *self.STATE, X, mu, 0.7) if n else (0.5 - 0.2j, *self.STATE, X, mu, 0.7)
+        tracemalloc.start()
+        try:
+            got = closed(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.same(got, allocating(*args))
+        assert peak <= 8 * X.size + 2**20
 
     @pytest.mark.parametrize("X", [1e200, np.array([-3e160, 1e300])], ids=["scalar", "array"])
     def test_far_tails_underflow_to_zero_without_warnings(self, X):
@@ -159,10 +164,14 @@ class TestInPlaceClosedForms:
 
 
 def allocating_quadrature(alpha, eps, eps_dot, beta, X, mu, nu):
-    """(Y, |r|), Y = (X - <X>) / |r| with <X> = sqrt(2) Re((alpha - beta) conj r)."""
-    r = eps_dot * np.asarray(nu, dtype=complex) + eps * np.asarray(mu, dtype=complex)
-    mean = SQRT2 * np.real((alpha - beta) * np.conj(r))
-    return (np.asarray(X, dtype=float) - mean) / np.abs(r), np.abs(r)
+    """(Y, |r|), Y = (X - <X>) / |r| in real arithmetic: the parts of
+    r = eps_dot nu + eps mu, |r| = hypot(Re r, Im r), and
+    <X> = sqrt(2) Re((alpha - beta) conj r) = sqrt(2) (Re gamma Re r + Im gamma Im r)."""
+    eps, eps_dot, gamma = complex(eps), complex(eps_dot), complex(alpha - beta)
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    r_re, r_im = eps_dot.real * nu + eps.real * mu, eps_dot.imag * nu + eps.imag * mu
+    mean = SQRT2 * (gamma.real * r_re + gamma.imag * r_im)
+    return (np.asarray(X, dtype=float) - mean) / np.hypot(r_re, r_im), np.hypot(r_re, r_im)
 
 
 def allocating_coherent_mdf(alpha, eps, eps_dot, beta, X, mu, nu):
@@ -822,19 +831,22 @@ class TestHugeInts:
         assert _check_point(1, 10**200, True) == (1.0, 1e200, 1.0)
 
 
-# each closed form, and hermite_gauss, as a call on (n, m, alpha, eps, eps_dot, beta, X, mu, nu)
+# each closed form, the Fourier form and hermite_gauss, as a call on
+# (n, m, alpha, eps, eps_dot, beta, X, mu, nu); the Fourier form reads the X slot as its k
 CLOSED_FORMS = {
     "coherent_mdf": lambda n, m, a, e, ed, b, X, mu, nu: coherent_mdf(a, e, ed, b, X, mu, nu),
     "mean_X": lambda n, m, a, e, ed, b, X, mu, nu: mean_X(a, e, ed, b, mu, nu),
     "variance_X": lambda n, m, a, e, ed, b, X, mu, nu: variance_X(e, ed, mu, nu),
     "fock_mdf": lambda n, m, a, e, ed, b, X, mu, nu: fock_mdf(n, e, ed, b, X, mu, nu),
     "cross_mdf": lambda n, m, a, e, ed, b, X, mu, nu: cross_mdf(n, m, e, ed, b, X, mu, nu),
+    "coherent_mdf_fourier": lambda n, m, a, e, ed, b, X, mu, nu: coherent_mdf_fourier(X, a, e, ed, b, mu, nu),
     "hermite_gauss": lambda n, m, a, e, ed, b, X, mu, nu: hermite_gauss(n, X),
 }
 SLOTS = ("alpha", "eps", "eps_dot", "beta", "X", "mu", "nu")
 READS = {  # the slots each call reads
     "coherent_mdf": set(SLOTS), "mean_X": set(SLOTS) - {"X"}, "variance_X": {"eps", "eps_dot", "mu", "nu"},
-    "fock_mdf": set(SLOTS) - {"alpha"}, "cross_mdf": set(SLOTS) - {"alpha"}, "hermite_gauss": {"X"},
+    "fock_mdf": set(SLOTS) - {"alpha"}, "cross_mdf": set(SLOTS) - {"alpha"},
+    "coherent_mdf_fourier": set(SLOTS), "hermite_gauss": {"X"},
 }
 BAD_VALUES = {"nan": math.nan, "-inf": -math.inf, "10**400": 10**400}
 # a fault sets some slots of the drawn point: name -> {slot: value}
@@ -848,6 +860,18 @@ FAULTS = {
 finite_reals = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3))
 finite_numbers = st.one_of(finite_reals, st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
                            st.builds(complex, finite_reals, finite_reals))
+# the array shapes a layout gives the slots it names: the sample coordinates as 0-d, 1-element and
+# 19-element arrays (two 8-lane float64 vectors and a remainder), frames as columns against a row
+# of X, and the flow as columns, as figure_table passes eps[:, None]
+LAYOUTS = {
+    "0-d": dict.fromkeys(("X", "mu", "nu"), ()),
+    "1-element": dict.fromkeys(("X", "mu", "nu"), (1,)),
+    "n-element": dict.fromkeys(("X", "mu", "nu"), (19,)),
+    "frame columns": {"X": (1, 19), "mu": (3, 1), "nu": (3, 1)},
+    "flow columns": {**dict.fromkeys(("alpha", "eps", "eps_dot", "beta"), (3, 1)), "X": (19,)},
+}
+# a point where numpy's complex products rounded apart in an array loop and on a 0-d array
+ROUNDED_APART = (-1.0, -1.9525400179814811, -1 + 1j, 2 + 1j, 0.0, 1.0, 1.0)
 
 
 def must_raise(name, fault) -> bool:
@@ -858,58 +882,81 @@ def must_raise(name, fault) -> bool:
     if fault in ("zero frame", "vanishing r"):
         return name != "hermite_gauss"
     if fault == "overflowing <X>":  # the Fock forms read alpha = 0 and this beta = 0: no mean
-        return name in ("coherent_mdf", "mean_X")
+        return name in ("coherent_mdf", "mean_X", "coherent_mdf_fourier")
     label, slot = fault.split(" ")
     return slot in READS[name] and (slot != "X" or label == "10**400")
 
 
+def laid_out(args, shapes):
+    """The point's arguments in SLOTS order, each slot that shapes names as
+    an array of its shape filled with its value, but an int no double holds."""
+    return [np.full(shapes[slot], v) if slot in shapes and v != 10**400 else v for slot, v in zip(SLOTS, args)]
+
+
 def float_outcome(call, *args):
-    """("ok", type, dtype, bytes) of call(*args), or ("error", type, message)
-    of the error it raises, with the warnings it lets escape."""
+    """("ok", type, dtype, the set of its entries' bytes) of call(*args), or
+    ("error", type, message) of the error it raises, with the warnings it
+    lets escape."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            value = call(*args)
-            got = "ok", type(value), np.asarray(value).dtype.str, np.asarray(value).tobytes()
+            value = np.asarray(got := call(*args))
+            got = "ok", type(got), value.dtype.str, {value[i].tobytes() for i in np.ndindex(value.shape)}
         except Exception as exc:  # the error itself is the outcome compared
             got = "error", type(exc), str(exc)
     return got, [str(w.message) for w in caught]
 
 
 class TestFloatPath:
-    """A float call of a closed form or of hermite_gauss takes the float path,
-    and gives the value, type, bits, warnings and error of the same point as
-    a 0-d array, which takes the array path, and the error of a 1-element
-    array.  A 1-element hermite_gauss gives the float's bits too; the closed
-    forms' complex products on arrays are numpy's array loops, which may
-    fuse multiply-adds, so there only the 0-d bits are the float's."""
+    """Every shape gives the same bits: a closed form, the Fourier form or
+    hermite_gauss called on Python numbers gives the value, type, bits,
+    warnings and error of the same point as a 0-d array, and every entry of
+    a 1-element or n-element array, or of frame or flow columns, has the
+    float call's bits, warnings and error.  The kernel computes in real
+    float64 operations, which round alike in numpy's array loops and on
+    Python floats; hermite_gauss keeps its own float recurrence."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(CLOSED_FORMS)), fault=st.sampled_from(sorted(FAULTS)),
            values=st.tuples(*[finite_numbers] * 4, *[finite_reals] * 3),
            n=st.integers(0, 12), m=st.integers(0, 12))
-    def test_a_float_call_is_the_array_call_at_its_point(self, name, fault, values, n, m):
+    @example(name="coherent_mdf", fault="none", values=ROUNDED_APART, n=0, m=0)
+    def test_every_layout_gives_the_float_call_bits(self, name, fault, values, n, m):
         call = CLOSED_FORMS[name]
         point = {**dict(zip(SLOTS, values)), **FAULTS[fault]}
         args = [point[slot] for slot in SLOTS]
-
-        def arrays(as_array):  # X, mu and nu as arrays, but an int no double holds
-            return [as_array(v) if slot in ("X", "mu", "nu") and v != 10**400 else v for slot, v in zip(SLOTS, args)]
-
         got = float_outcome(call, n, m, *args)
-        assert got == float_outcome(call, n, m, *arrays(lambda v: np.asarray(v, dtype=float)))
-        one = float_outcome(call, n, m, *arrays(lambda v: np.array([v], dtype=float)))
-        if got[0][0] == "error":
-            assert one == got
-        else:
-            assert one[0][:3] == ("ok", np.ndarray, got[0][2]) and one[1] == got[1]
-            assert one[0][3] == got[0][3] or name != "hermite_gauss"
+        for layout, shapes in LAYOUTS.items():
+            laid = float_outcome(call, n, m, *laid_out(args, shapes))
+            if layout == "0-d" or got[0][0] == "error":
+                assert laid == got, layout
+            else:
+                assert laid == (("ok", np.ndarray, *got[0][2:]), got[1]), layout
         if must_raise(name, fault):
             assert got[0][0] == "error"
+
+    def test_a_point_complex_products_rounded_apart(self):
+        want = "0x1.2645c770ee958p-21"
+        assert float.hex(float(coherent_mdf(*ROUNDED_APART))) == want
+        for layout, shapes in LAYOUTS.items():
+            got = coherent_mdf(*laid_out(ROUNDED_APART, shapes))
+            assert {float.hex(float(v)) for v in np.ravel(got)} == {want}, layout
+
+    @pytest.mark.parametrize("name", sorted(set(CLOSED_FORMS) - {"hermite_gauss"}))
+    def test_random_points_as_one_array(self, name):
+        # 4000 points, flow and sample coordinates alike, as one array call and as float calls
+        rng = np.random.default_rng(31)
+        flow = rng.normal(size=(4, 4000, 2)) @ np.array([1.0, 1j])
+        X, mu, nu = rng.normal(scale=2.0, size=(3, 4000))
+        arrays = CLOSED_FORMS[name](3, 5, *flow, X, mu, nu)
+        floats = [CLOSED_FORMS[name](3, 5, *map(complex, flow[:, i]), *map(float, (X[i], mu[i], nu[i])))
+                  for i in range(4000)]
+        assert np.asarray(floats).tobytes() == arrays.tobytes()
 
     def test_python_numbers_skip_the_array_calls(self, monkeypatch):
         calls = []
         monkeypatch.setattr(np, "asarray", lambda *a, **k: calls.append(a))
-        for form in CLOSED_FORMS.values():
-            form(3, 2, 0.5 + 0.1j, 1, 1j, 0.2, 0.3, 0.6, 0.8)
+        for name, form in CLOSED_FORMS.items():
+            if name != "coherent_mdf_fourier":  # which reads k as an array
+                form(3, 2, 0.5 + 0.1j, 1, 1j, 0.2, 0.3, 0.6, 0.8)
         assert calls == []
