@@ -15,7 +15,6 @@ from osctomo import (
     ClassicalPropagator,
     DriveProfile,
     coherent_mdf,
-    ladder_commutator,
     ladder_pair,
     linear_invariant,
 )
@@ -35,9 +34,12 @@ for t in (0.0, 0.9, 2.4, 5.1):
     p = p0 * math.cos(t) - q0 * math.sin(t) + math.sin(t)
     print(f"  t = {t:4.1f}: I = {inv.apply(p, q)}  det Lambda = {inv.det:.12f}")
 
-# the ladder pair built from the same data has commutator exactly one
+# the ladder pair built from the same data has commutator exactly one:
+# for linear forms cp p + cq q + c0 and [q, p] = 1j,
+# [A, A+] = -1j (A.cp A+.cq - A.cq A+.cp)
 a, adag = ladder_pair(cmath.exp(2.0j), 1j * cmath.exp(2.0j), 0.3 - 0.4j)
-print(f"\n[A, A+] = {ladder_commutator(a, adag):.12f}")
+commutator = -1j * (a.cp * adag.cq - a.cq * adag.cp)
+print(f"\n[A, A+] = {commutator:.12f}")
 
 # --- the classical propagator is a frame map -------------------------------
 profile = DriveProfile.constant(1.0)

@@ -20,7 +20,6 @@ from osctomo import (
     green_free,
     green_sho,
     quantum_propagator,
-    quantum_propagator_from_shift,
     solve_epsilon,
     beta_shift,
 )
@@ -46,13 +45,22 @@ print("driven(f=0) vs seed kernel:", abs(green_driven(x, z, t, quiet) - seed))
 
 # two routes to the driven density-matrix propagator: the Green kernel of
 # the flow with beta from its own force integrals, or the trajectory's
-# beta(t) folded into the force-free propagator
+# beta(t) folded into the force-free propagator, where the force enters
+# only through the factor
+#   exp{-(i/sqrt 2) [beta e^{-it} (-i D + E) + conj(beta) e^{it} (i D + E)]},
+#   D = X - Xp,  E = (Z - Zp - D cos t) / sin t
 profile = DriveProfile.constant(1.0, force=lambda s: math.cos(0.7 * s) + 0.4)
 t = 1.3
 traj = solve_epsilon(profile, t, 1e-3)
 beta = beta_shift(traj, t)
-k_direct = quantum_propagator(0.4, -0.2, 0.1, 0.9, t, profile)
-k_shift = quantum_propagator_from_shift(0.4, -0.2, 0.1, 0.9, t, beta)
+X, Xp, Z, Zp = 0.4, -0.2, 0.1, 0.9
+k_direct = quantum_propagator(X, Xp, Z, Zp, t, profile)
+d = X - Xp
+e = (Z - Zp) / math.sin(t) - d * math.cos(t) / math.sin(t)
+shift = (-1j / math.sqrt(2.0)) * (
+    beta * cmath.exp(-1j * t) * (-1j * d + e) + beta.conjugate() * cmath.exp(1j * t) * (1j * d + e)
+)
+k_shift = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate() * cmath.exp(shift)
 print(f"force-integral route : {k_direct:.12f}")
 print(f"beta-shift route     : {k_shift:.12f}")
 print(f"difference           : {abs(k_direct - k_shift):.2e}")

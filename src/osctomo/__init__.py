@@ -54,11 +54,11 @@ _SUBMODULE_OF = {
         ),
         "invariants": (
             "LinearInvariant", "LadderInvariant", "lambda_matrix", "delta_vector",
-            "linear_invariant", "ladder_pair", "ladder_commutator", "invariant_from_ladder",
+            "linear_invariant", "ladder_pair",
         ),
         "propagators": (
             "ClassicalPropagator", "fokker_planck_residual", "green_sho", "green_free",
-            "green_driven", "quantum_propagator", "quantum_propagator_from_shift",
+            "green_driven", "quantum_propagator",
         ),
         "states": (
             "coherent_mdf", "mean_X", "variance_X", "coherent_mdf_fourier",

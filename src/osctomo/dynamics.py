@@ -601,17 +601,6 @@ def _block_products(levels: list[np.ndarray], spare: np.ndarray, count: int, hel
     return ((tail, start), *above)
 
 
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Running products of (2, 2, n) differences from the identity, through
-    the workspace of :func:`solve_epsilon`: column k of the result is
-    (1 + A_k)...(1 + A_0) - 1."""
-    n = steps.shape[-1]
-    levels, spare = _workspace(n)
-    _lay_out(steps, levels[0])
-    _block_products(levels, spare, n)
-    return levels[0].transpose(0, 1, 3, 2).reshape(2, 2, -1)[..., :n]
-
-
 def _compose(x: np.ndarray, y: np.ndarray, spare: np.ndarray) -> None:
     """x becomes (1 + x)(1 + y) - 1 = (x y + y) + x, for entries-first 2x2
     differences broadcast over the trailing axes; spare, of x's shape and

@@ -32,8 +32,9 @@ Each view takes floats or arrays of any shapes that broadcast, and floats
 give floats.  green_sho, green_free, green_driven and quantum_propagator
 read the kernel of ``ClassicalPropagator.from_profile(profile, t)``, one
 propagator per call, so they take the flow and the rule of
-:func:`osctomo.dynamics.flow_at`.  The density-matrix propagator K = G(X,Z)
-conj(G(X',Z')) is independent of the phase convention.
+:func:`osctomo.dynamics.flow_at`; that kernel is the one route to every
+Green function, unit frequency included.  The density-matrix propagator
+K = G(X,Z) conj(G(X',Z')) is independent of the phase convention.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "green_free",
     "green_driven",
     "quantum_propagator",
-    "quantum_propagator_from_shift",
     "CAUSTIC_TOL",
 ]
 
@@ -139,7 +139,8 @@ class ClassicalPropagator:
     def frame_map(self, X, mu, nu):
         """The unique source point (X', mu', nu') the delta kernel fires at.
 
-        X, mu and nu are floats or numpy arrays that broadcast together.
+        X, mu and nu are floats or numpy arrays that broadcast together, a
+        list or tuple reading as the float array it holds.
         Scalars (0-d arrays too) give a tuple of three floats; otherwise
         X', mu' and nu' are arrays of the broadcast shape.  The points are
         mapped as (X' - X, N') = N [Lambda^{-1} Delta | Lambda^{-1}], with
@@ -320,32 +321,3 @@ def quantum_propagator(
     X, Xp, Z, Zp, t, phase = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, phase=phase)
     green = ClassicalPropagator.from_profile(profile, t).kernel
     return green(X, Z, phase) * green(Xp, Zp, phase).conjugate()
-
-
-def quantum_propagator_from_shift(
-    X: float, Xp: float, Z: float, Zp: float, t: float, beta: complex
-) -> complex:
-    """Driven unit-frequency propagator with the force folded into the shift beta.
-
-    The unit-frequency cross-check of :func:`quantum_propagator`, by an
-    independent route: the force enters only
-    through beta(t) = -(1j/sqrt 2) integral eps f, via the factor
-
-        exp{ -(1j/sqrt 2) [ beta e^{-1j t} (-1j D + E)
-                          + conj(beta) e^{1j t} (1j D + E) ] },
-
-    D = X - Xp,  E = (Z - Zp - D cos t) / sin t,
-
-    multiplying the force-free oscillator propagator.
-    """
-    X, Xp, Z, Zp, t, beta = _finite(X=X, Xp=Xp, Z=Z, Zp=Zp, t=t, beta=beta)
-    k_sho = green_sho(X, Z, t) * green_sho(Xp, Zp, t).conjugate()
-    s = math.sin(t)
-    beta = complex(beta)
-    d = X - Xp
-    e = (Z - Zp) / s - d * math.cos(t) / s
-    shift = (-1j / _SQRT2) * (
-        beta * cmath.exp(-1j * t) * (-1j * d + e)
-        + beta.conjugate() * cmath.exp(1j * t) * (1j * d + e)
-    )
-    return k_sho * cmath.exp(shift)

@@ -105,7 +105,8 @@ def _finite(**values) -> tuple:
 def _check_point(X, mu, nu):
     """The one rule for a tomographic point: ValueError naming the first
     point (X, mu, nu) with a coordinate that is not finite, then the rule
-    of :func:`_check_frame`; returns (X, mu, nu) with Python ints as floats.
+    of :func:`_check_frame`; returns (X, mu, nu) with Python ints as floats
+    and a list or tuple as the float array it holds.
 
     X, mu and nu are floats or arrays that broadcast; the first bad point
     in C order is named with float coordinates, so a float call and an
@@ -118,6 +119,7 @@ def _check_point(X, mu, nu):
     X, mu, nu = _real("X", X), _real("mu", mu), _real("nu", nu)
     floats = isinstance(X, float) and isinstance(mu, float) and isinstance(nu, float)
     if not (floats and math.isfinite(X) and math.isfinite(mu) and math.isfinite(nu)):
+        X, mu, nu = (np.asarray(v, dtype=float) if isinstance(v, (list, tuple)) else v for v in (X, mu, nu))
         finite = np.isfinite(X) & np.isfinite(mu) & np.isfinite(nu)
         if np.count_nonzero(finite) != finite.size:
             _raise_first(ValueError, "(X, mu, nu) = ({}, {}, {}) must be finite", ~finite, X, mu, nu)

@@ -88,7 +88,7 @@ from typing import Callable
 import numpy as np
 
 from ._files import write_in_place
-from .dynamics import _float, _integer
+from .dynamics import _float, _integer, _real
 from .errors import (
     ConsistencyError,
     DegenerateFrameError,
@@ -286,26 +286,39 @@ class WignerGrid(_UniformGrid):
         return coefficients
 
 
+def _one_point(X, mu, nu) -> tuple[float, float, float]:
+    """The point of a one-point transform as three floats: TypeError naming
+    the first of X, mu and nu that is not a scalar (a 0-d array reads as its
+    float), then the rule of :func:`osctomo.states._check_point`."""
+    for name, value in (("X", X), ("mu", mu), ("nu", nu)):
+        if not isinstance(value, (int, float)) and np.ndim(_real(name, value)):  # a number is one; np.ndim costs ~1 us
+            raise TypeError(f"{name} must be a scalar: one point per call, got {type(value).__name__} "
+                            f"of shape {np.shape(value)}")
+    X, mu, nu = _check_point(X, mu, nu)
+    return float(X), float(mu), float(nu)
+
+
 def mdf_from_density(rho: DensityGrid, X: float, mu: float, nu: float) -> float:
     """Tomogram value from a sampled density matrix (double trapezoidal rule).
 
     The grid truncation must be chosen so |rho| is negligible (< 1e-10) at
     the boundary.  Hermitian input makes the result real; an imaginary
     residue above 1e-6 (or NaN) raises ConsistencyError.  nu = 0 is
-    rejected: the kernel is singular there.  Non-finite X, mu or nu and
-    the frame (0, 0) raise ValueError (:func:`osctomo.states._check_point`),
-    and so does a point whose kernel phase (mu Z^2/2 - X Z)/nu is
-    undersampled: its slope (mu Z - X)/nu, largest at the grid's ends
-    |Z| = extent, must advance it by at most pi per node.  An overflowing
-    phase advances it by inf, so this one rule, checked before any
-    sampling, also rejects it.
+    rejected: the kernel is singular there.  X, mu and nu are scalars: a
+    list, a tuple or an array of more than 0 dimensions raises TypeError
+    naming it.  Non-finite X, mu or nu and the frame (0, 0) raise ValueError
+    (:func:`osctomo.states._check_point`), and so does a point whose kernel
+    phase (mu Z^2/2 - X Z)/nu is undersampled: its slope (mu Z - X)/nu,
+    largest at the grid's ends |Z| = extent, must advance it by at most pi
+    per node.  An overflowing phase advances it by inf, so this one rule,
+    checked before any sampling, also rejects it.
     """
-    X, mu, nu = _check_point(X, mu, nu)
+    X, mu, nu = _one_point(X, mu, nu)
     if abs(nu) < _NU_TOL:
         raise FrameUnsupportedError(
             "nu = 0 frames are not supported by the density-matrix kernel"
         )
-    X, mu, nu, reach = float(X), float(mu), float(nu), float(rho.extent)
+    reach = float(rho.extent)
     # the largest phase step between nodes, at Z = +-extent; Python floats overflow to inf
     advance = (abs(mu) * reach + abs(X)) * float(rho.spacing) / abs(nu)
     if not advance <= math.pi:
@@ -593,12 +606,12 @@ def mdf_from_wigner(W: WignerGrid, X: float, mu: float, nu: float) -> float:
     401 points (32 random lines each), nodes a quarter spacing apart
     moved a projection by at most 5.1% of its distance from the exact
     tomogram, at twice the spline evaluations.  If the line misses the sampled square an
-    OutOfSupportWarning is issued and 0.0 returned.  Non-finite X, mu or
-    nu and the frame (0, 0) raise ValueError
-    (:func:`osctomo.states._check_point`), and so does a frame whose
-    mu^2 + nu^2 overflows.
+    OutOfSupportWarning is issued and 0.0 returned.  X, mu and nu are
+    scalars, as in :func:`mdf_from_density`.  Non-finite X, mu or nu and
+    the frame (0, 0) raise ValueError (:func:`osctomo.states._check_point`),
+    and so does a frame whose mu^2 + nu^2 overflows.
     """
-    X, mu, nu = _check_point(X, mu, nu)
+    X, mu, nu = _one_point(X, mu, nu)
     s2 = mu * mu + nu * nu
     if s2 == math.inf:
         raise ValueError(f"frame (mu, nu) = ({mu}, {nu}) is too large: mu^2 + nu^2 overflows")

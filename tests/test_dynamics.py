@@ -39,7 +39,6 @@ from osctomo import (
     green_sho,
     hermite,
     hermite_gauss,
-    invariant_from_ladder,
     ladder_pair,
     lambda_matrix,
     linear_invariant,
@@ -48,11 +47,10 @@ from osctomo import (
     mean_X,
     parametric_resonance_epsilon,
     quantum_propagator,
-    quantum_propagator_from_shift,
     solve_epsilon,
     variance_X,
 )
-from helpers import classical_profiles
+from helpers import _prefix_products, classical_profiles, invariant_from_ladder, quantum_propagator_from_shift
 from osctomo import dynamics, states
 from osctomo.dynamics import _on_grid, _simpson
 from osctomo.figures import FigureConfig
@@ -237,7 +235,7 @@ class TestPrefixProducts:
         # since einsum kernels may differ between CPUs
         steps = random_steps(np.random.default_rng(n), magnitude, n)
         want = strided_prefix_products(steps)
-        got = dynamics._prefix_products(steps)
+        got = _prefix_products(steps)
         assert got.shape == want.shape == (2, 2, n)
         scale = np.maximum(1.0, np.abs(1.0 + want).max(axis=(0, 1)))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -251,7 +249,7 @@ class TestPrefixProducts:
         # on block boundaries only, the products are those of one piece, bit for bit
         steps = random_steps(np.random.default_rng(seed), magnitude, n)
         cuts = sorted({round(c * n) // 8 * 8 if whole_blocks else round(c * n) for c in cuts} - {0, n})
-        assert np.array_equal(products_in_pieces(steps, cuts), dynamics._prefix_products(steps))
+        assert np.array_equal(products_in_pieces(steps, cuts), _prefix_products(steps))
 
 
 def products_in_pieces(steps, cuts):
@@ -1432,10 +1430,24 @@ class TestSampleRule:
         call = SAMPLE_ENTRY_POINTS[entry]
         for value, float_value in ((True, 1.0), (math.nan, math.nan)):
             assert TestNumberRule.outcome(call, value) == TestNumberRule.outcome(call, float_value)
-        if not entry.startswith(("annihilation", "ClassicalPropagator", "mdf_from")):  # one k; no point from a list
+        if not entry.startswith(("annihilation", "mdf_from")):  # one k; one point
             for value in ([0.5, 2, False], [2**70, 0.5], [2**70], np.array([1, -2], dtype=np.int8)):
                 want = TestNumberRule.outcome(call, np.asarray(value, dtype=float))
                 assert TestNumberRule.outcome(call, value) == want
+
+    @pytest.mark.parametrize("container", ["list", "tuple", "array"])
+    @pytest.mark.parametrize("coordinate", [0, 1, 2], ids=["X", "mu", "nu"])
+    @pytest.mark.parametrize("transform", ["mdf_from_density", "mdf_from_wigner"])
+    def test_a_one_point_transform_names_a_coordinate_that_is_not_a_scalar(self, transform, coordinate, container):
+        call = {"mdf_from_density": lambda *p: mdf_from_density(RHO, *p),
+                "mdf_from_wigner": lambda *p: mdf_from_wigner(WIGNER, *p)}[transform]
+        point = [0.3, 0.6, 0.5]
+        many = {"list": list, "tuple": tuple, "array": np.array}[container]([point[coordinate], 0.7])
+        name = ("X", "mu", "nu")[coordinate]
+        with pytest.raises(TypeError, match=rf"^{name} must be a scalar: one point per call, got \w+ of shape \(2,\)$"):
+            call(*point[:coordinate], many, *point[coordinate + 1:])
+        zero_d = [*point[:coordinate], np.array(point[coordinate]), *point[coordinate + 1:]]
+        assert bits(call(*zero_d)) == bits(call(*point))
 
     def test_one_definition(self):
         assert states._real is dynamics._real

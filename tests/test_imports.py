@@ -10,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import osctomo
 from osctomo import states
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the routes the tests compare against, defined in tests/helpers.py and not in the package
+TEST_REFERENCES = {
+    "invariant_from_ladder", "ladder_commutator", "IMAG_RESIDUE_TOL", "_to_real",
+    "quantum_propagator_from_shift", "_prefix_products",
+}
 
 
 def modules_after(code, cwd):
@@ -55,7 +62,7 @@ class TestLazyRoot:
     def test_star_import_binds_every_public_name(self):
         namespace = {}
         exec("from osctomo import *", namespace)
-        assert len(osctomo.__all__) == 50
+        assert len(osctomo.__all__) == 47
         assert {name: namespace[name] for name in osctomo.__all__} == {
             name: getattr(osctomo, name) for name in osctomo.__all__
         }
@@ -80,8 +87,14 @@ class TestNameTable:
         }
 
     def test_all_names_each_public_name_once(self):
-        assert len(set(osctomo.__all__)) == len(osctomo.__all__) == 50
+        assert len(set(osctomo.__all__)) == len(osctomo.__all__) == 47
         assert osctomo.__all__[-1] == "__version__"
+
+    @pytest.mark.parametrize("module", ["osctomo", "osctomo.invariants", "osctomo.propagators", "osctomo.dynamics"])
+    @pytest.mark.parametrize("name", sorted(TEST_REFERENCES))
+    def test_a_test_reference_lives_in_the_tests_only(self, module, name):
+        assert hasattr(helpers, name)
+        assert not hasattr(importlib.import_module(module), name)
 
 
 def package_modules(modules):

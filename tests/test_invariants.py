@@ -11,12 +11,11 @@ from osctomo import (
     LadderInvariant,
     LinearInvariant,
     delta_vector,
-    invariant_from_ladder,
-    ladder_commutator,
     ladder_pair,
     lambda_matrix,
     linear_invariant,
 )
+from helpers import invariant_from_ladder, ladder_commutator
 
 SQRT2 = math.sqrt(2.0)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SQRT2, classical_profiles, driven_state
+from helpers import SQRT2, classical_profiles, driven_state, quantum_propagator_from_shift
 from osctomo import (
     CausticError,
     ClassicalPropagator,
@@ -28,7 +28,6 @@ from osctomo import (
     green_sho,
     linear_invariant,
     quantum_propagator,
-    quantum_propagator_from_shift,
     solve_epsilon,
 )
 from osctomo.invariants import DET_TOL
