@@ -1121,18 +1121,33 @@ def _float(name: str, value):
         raise ValueError(f"{name} must be finite, got an int past the double range") from None
 
 
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array by the number rule of :func:`_float`: an
+    int past the double range, which numpy keeps in an object array where it
+    is past the int64 range, raises ValueError naming the argument instead
+    of numpy's OverflowError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int past the double range") from None
+
+
 def _real(name: str, value):
     """The one rule for a sample coordinate, a scalar or an array of them:
     the number rule of :func:`_float`, then TypeError naming the argument
     for None, a str, a complex value or any object that numpy does not read
     as bools, ints or floats, scalar and array alike.  Real values, NaN and
-    lists of them are returned as :func:`_float` returns them."""
+    lists of them are returned as :func:`_float` returns them, except that
+    reals numpy reads only as objects (ints past the int64 range) are
+    returned as their float array, :func:`_float_array`."""
     value = _float(name, value)
     if type(value) is float:
         return value
     array = np.asarray(value)
-    if array.dtype.kind in "biuf" or array.dtype.kind == "O" and all(isinstance(v, Real) for v in array.flat):
+    if array.dtype.kind in "biuf":
         return value
+    if array.dtype.kind == "O" and all(isinstance(v, Real) for v in array.flat):
+        return _float_array(name, array)
     got = f"an array of {array.dtype}" if array.ndim or isinstance(value, np.ndarray) else type(value).__name__
     raise TypeError(f"{name} must be a real number or an array of real numbers, got {got}")
 

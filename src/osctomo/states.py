@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _check_order, _float, _hermite_gauss_array, _raise_first, _real, hermite_gauss
+from .dynamics import _check_order, _float, _float_array, _hermite_gauss_array, _raise_first, _real, hermite_gauss
 from .errors import DegenerateFrameError, EvaluationError
 
 __all__ = [
@@ -88,13 +88,17 @@ _SQUARE_OVERFLOWS = "frame (mu, nu) = ({}, {}): |r|^2 = |eps_dot nu + eps mu|^2 
 def _finite(**values) -> tuple:
     """The values as the number rule, :func:`_float`, reads them; ValueError
     naming the first real or complex value, or array entry, that is not
-    finite, as a float or complex, so a float and a 0-d array read alike."""
+    finite, as a float or complex, so a float and a 0-d array read alike.
+    A list or tuple that numpy reads only as objects (one holding an int
+    past the int64 range) is read as its float array, :func:`_float_array`."""
     read = []
     for name, value in values.items():
         value = _float(name, value)
         if isinstance(value, (float, complex)) or not np.ndim(value):
             finite = cmath.isfinite(value)
         else:
+            if (array := np.asarray(value)).dtype.kind == "O":  # ints past the int64 range
+                value = _float_array(name, array)
             finite = np.isfinite(value).all()
         if not finite:
             _raise_first(ValueError, f"{name} must be finite, got {{!r}}", ~np.isfinite(value), value)

@@ -830,6 +830,22 @@ class TestHugeInts:
             _finite(alpha=0.3, beta=10**309)
         assert _check_point(1, 10**200, True) == (1.0, 1e200, 1.0)
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("name", ["X", "mu", "nu"])
+    def test_a_listed_int_past_the_double_range_names_its_argument(self, name, container):
+        # numpy keeps an int past the int64 range as an object, which float() overflows
+        point = {"X": 0.3, "mu": 0.6, "nu": 0.5, name: container([0.2, -(10**400)])}
+        for call in (lambda **p: coherent_mdf(0.3, 1, 1j, 0, **p), self.PROPAGATOR.frame_map):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got an int past the double range$"):
+                call(**point)
+
+    @pytest.mark.parametrize("name", ["X", "mu", "nu"])
+    def test_a_listed_int_past_the_int64_range_reads_as_its_float(self, name):
+        listed = {"X": 0.3, "mu": 0.6, "nu": 0.5, name: [2**70, 0.4]}
+        floats = {**listed, name: np.array([float(2**70), 0.4])}
+        assert np.array_equal(coherent_mdf(0.3, 1, 1j, 0, **listed), coherent_mdf(0.3, 1, 1j, 0, **floats))
+        assert all(map(np.array_equal, self.PROPAGATOR.frame_map(**listed), self.PROPAGATOR.frame_map(**floats)))
+
 
 # each closed form, the Fourier form and hermite_gauss, as a call on
 # (n, m, alpha, eps, eps_dot, beta, X, mu, nu); the Fourier form reads the X slot as its k

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,8 +335,10 @@ class TestMdfFromDensity:
         for X in (200.0, 45.0, -45.0):
             with pytest.raises(ValueError, match="kernel phase .* per node, above pi"):
                 mdf_from_density(rho, X, 0.6, 0.8)
+        dense = DensityGrid(rho.extent, rho.values)  # the same values, without psi
         for X in (44.8, -44.8, 3.0, 0.0):  # resolved points keep their values bit for bit
             assert mdf_from_density(rho, X, 0.6, 0.8) == rank_one_mdf(rho, X, 0.6, 0.8)
+            assert mdf_from_density(dense, X, 0.6, 0.8) == rank_one_mdf(dense, X, 0.6, 0.8)
 
     @pytest.mark.parametrize("state", ["vacuum", "coherent", "fock"])
     def test_rank_one_matches_double_trapezoid(self, state):
@@ -354,9 +357,14 @@ class TestMdfFromDensity:
 
 
 def rank_one_mdf(rho, X, mu, nu):
-    """mdf_from_density's own evaluation, without its argument checks."""
+    """mdf_from_density's own evaluation, without its argument checks:
+    |v . psi|^2 on a grid that keeps its wavefunction, v^T rho conj(v) on
+    any other."""
     z = rho.axis
     v = transforms._trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
+    if rho._psi is not None:
+        amp = complex(v @ rho._psi)
+        return (amp.real * amp.real + amp.imag * amp.imag) / (2.0 * np.pi * abs(nu))
     return (complex(v @ (rho.values @ v.conj())) / (2.0 * np.pi * abs(nu))).real
 
 
@@ -367,6 +375,93 @@ def double_trapezoid_mdf(rho, X, mu, nu):
     kernel = np.exp(-1j * (Z - Zp) * (X - mu * (Z + Zp) / 2.0) / nu)
     inner = np.trapezoid(rho.values * kernel, dx=rho.spacing, axis=1)
     return (complex(np.trapezoid(inner, dx=rho.spacing)) / (2.0 * np.pi * abs(nu))).real
+
+@st.composite
+def pure_states(draw):
+    """psi on the grid: a driven coherent state, a Fock state, or a
+    normalised superposition of two Fock states with a complex weight."""
+    kind = draw(st.sampled_from(["coherent", "fock", "superposition"]))
+    if kind == "coherent":
+        alpha = complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+        flow = driven_state(draw(st.floats(0.0, 10.0)), draw(st.floats(-0.5, 0.5)))
+        return lambda x: coherent_wavefunction(alpha, *flow, x)
+    m = draw(st.integers(0, 5))
+    if kind == "fock":
+        return lambda x: hermite_gauss(m, x)
+    k = draw(st.integers(0, 5).filter(lambda k: k != m))
+    c = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    norm = math.sqrt(1.0 + abs(c) ** 2)
+    return lambda x: (hermite_gauss(m, x) + c * hermite_gauss(k, x)) / norm
+
+
+class TestPureGrids:
+    """A grid from from_wavefunction reads its psi, O(n) per point; a grid
+    made from values reads values, as before."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(psi=pure_states(), X=st.floats(-4.0, 4.0), mu=st.floats(-1.5, 1.5),
+           nu=st.floats(0.5, 2.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_pure_path_matches_its_dense_twin(self, psi, X, mu, nu, sign):
+        # h = 1/15: the phase advances at most (1.5 * 8 + 4) h / 0.5 = 2.1 rad per node
+        rho = DensityGrid.from_wavefunction(psi, 8.0, 241)
+        dense = DensityGrid(rho.extent, rho.values)
+        assert rho._psi is not None and dense._psi is None
+        assert abs(mdf_from_density(rho, X, mu, sign * nu) - mdf_from_density(dense, X, mu, sign * nu)) <= 1e-14
+
+    def test_grids_made_from_values_follow_their_own_values(self, tmp_path):
+        rho = DensityGrid.from_wavefunction(lambda z: coherent_wavefunction(0.3 + 0.2j, *VACUUM, z), 8.0, 161)
+        other = DensityGrid.from_wavefunction(lambda z: hermite_gauss(2, z), 8.0, 161)
+        rho.save(tmp_path / "rho.txt")
+        quad = QuadratureSpec(mu_count=60, y_window=(-10.0, 10.0), y_count=121)
+        grids = {
+            "replace": replace(rho, values=other.values),
+            "load": DensityGrid.load(tmp_path / "rho.txt"),
+            "density_grid_from_mdf": density_grid_from_mdf(
+                lambda Y, mu, nu: coherent_mdf(0.5, *VACUUM, Y, mu, nu), 6.0, 41, quad),
+        }
+        for how, grid in grids.items():
+            assert grid._psi is None, how
+            for X, mu, nu in ((0.3, 0.6, 0.8), (-1.1, -0.4, 1.3)):
+                z = grid.axis
+                v = transforms._trapz_weights(z) * np.exp(1j * (mu * z * z / 2.0 - X * z) / nu)
+                own = (complex(v @ (grid.values @ v.conj())) / (2.0 * np.pi * abs(nu))).real
+                assert mdf_from_density(grid, X, mu, nu) == own, how
+        assert mdf_from_density(grids["replace"], 0.3, 0.6, 0.8) == mdf_from_density(
+            DensityGrid(other.extent, other.values), 0.3, 0.6, 0.8)
+
+    def test_a_buffer_psi_changes_later_changes_nothing(self):
+        returned = []
+
+        def psi(z):
+            returned.append(coherent_wavefunction(0.5 - 0.3j, *VACUUM, z).astype(complex))
+            return returned[-1]  # complex already: the grid cannot rely on a fresh array
+
+        rho = DensityGrid.from_wavefunction(psi, 8.0, 161)
+        points = [(X, 0.6, 0.8) for X in (-1.0, 0.0, 0.7)]
+        values, before = rho.values.copy(), [mdf_from_density(rho, *p) for p in points]
+        returned[0][:] = 0.0
+        assert np.array_equal(rho.values, values)
+        assert [mdf_from_density(rho, *p) for p in points] == before
+        with pytest.raises(ValueError):
+            rho._psi[0] = 1.0
+
+    def test_the_nodes_and_weights_are_built_once_and_read_only(self, vacuum_density):
+        z, weights = vacuum_density._nodes
+        assert vacuum_density._nodes[0] is z
+        assert np.array_equal(z, vacuum_density.axis)
+        assert np.array_equal(weights, transforms._trapz_weights(vacuum_density.axis))
+        assert vacuum_density.axis is not vacuum_density.axis  # still a fresh array
+        for array in (z, weights):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_a_dense_grid_not_hermitian_enough_has_an_imaginary_residue(self, vacuum_density):
+        # i 4e-11 on every entry leaves the residue 8e-11, within the 1e-10 gate; at the
+        # flat kernel (0, 0, 1e-4) the imaginary part is 4e-11 (sum w)^2 / (2 pi 1e-4) ~ 1.6e-5
+        tilted = DensityGrid(vacuum_density.extent, vacuum_density.values + 4e-11j)
+        with pytest.raises(ConsistencyError, match=r"imaginary residue 1\.6\d*e-05 above 1e-06"):
+            mdf_from_density(tilted, 0.0, 0.0, 1e-4)
+        assert mdf_from_density(vacuum_density, 0.0, 0.0, 1e-4) > 0.0  # the pure path has none
 
 
 class TestDensityFromMdf:
