@@ -72,8 +72,11 @@ spline coefficients are stored read-only, so code holding a grid cannot
 make its construction-time checks or its coefficients stale.  The checks
 read the grid one band of 64 rows at a time, never building a full-size
 temporary: at n = 2001 (a 61 MB density grid) checking holds ~4 MB and
-takes ~31 ms, and a fresh process building the grid with
-``from_wavefunction`` peaks at ~94 MB of RSS (2-core Xeon).
+takes ~31 ms, and a fresh process building the grid from its values
+peaks at ~93 MB of RSS (2-core Xeon).  A pure-state grid from
+``DensityGrid.from_wavefunction`` holds only its wavefunction samples
+until its values are read, and is checked in O(n): ~28 MB of RSS at
+n = 2001, ~30 MB at n = 20001, whose values would take 6.4 GB.
 Grid sizes ``n`` and :class:`QuadratureSpec`'s node counts are whole
 numbers >= 2 (41.0 counts as 41), else ValueError naming the argument.
 """
@@ -90,7 +93,7 @@ from typing import Callable
 import numpy as np
 
 from ._files import write_in_place
-from .dynamics import _float, _integer, _real
+from .dynamics import _float, _integer, _raise_first, _real
 from .errors import (
     ConsistencyError,
     DegenerateFrameError,
@@ -180,8 +183,12 @@ class _UniformGrid:
 
     def _text_lines(self):
         yield f"# L={self.extent:.17g} n={self.n}\n"
-        for row in self.values:
+        for row in self._rows():
             yield " ".join(f"{v:.17g}" for v in np.ascontiguousarray(row).view(float)) + "\n"
+
+    def _rows(self):
+        """The rows of values, in order, for :meth:`save`."""
+        return iter(self.values)
 
     @classmethod
     def load(cls, path):
@@ -224,10 +231,13 @@ class DensityGrid(_UniformGrid):
     holds ~4 MB of temporaries and takes ~31 ms (2-core Xeon), and a NaN
     entry still fails it.
 
-    A pure-state grid built by :meth:`from_wavefunction` also keeps the
-    samples psi(axis) that ``values`` is the outer product of, read-only,
-    so :func:`mdf_from_density` takes O(n) per point on it instead of
-    O(n^2).  They are no constructor argument: a grid made from ``values``
+    A pure-state grid built by :meth:`from_wavefunction` holds only the
+    samples psi(axis), read-only, until ``values`` is read: ``n``, the
+    axis, :meth:`trace`, :meth:`save` and :func:`mdf_from_density` read
+    psi, each in O(n), and the first read of ``values`` forms
+    ``outer(psi, conj(psi))``, read-only, and keeps it.  ``repr``, ``==``,
+    ``dataclasses.replace``, pickling and deep copies work as on any grid.
+    The samples are no constructor argument: a grid made from ``values``
     (the constructor, :meth:`load`, :func:`density_grid_from_mdf`,
     ``dataclasses.replace``) holds none and reads its own ``values``.
     """
@@ -241,12 +251,39 @@ class DensityGrid(_UniformGrid):
         herm = _hermiticity_residue(self.values)
         if not herm <= _HERMITICITY_TOL:  # a NaN residue fails too
             raise ConsistencyError(f"density grid not Hermitian: residue {herm:.3e}")
+        self._check_trace()
+
+    def _check_trace(self) -> None:
         tr = self.trace()
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ConsistencyError(f"density grid trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
 
+    def __getattr__(self, name):
+        # reached only when the normal lookup fails: values of a pure grid, on their first read
+        psi = self._psi
+        if name != "values" or psi is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = np.outer(psi, psi.conj())
+        values.flags.writeable = False
+        return self.__dict__.setdefault("values", values)  # one atomic step: racing readers share one array
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0] if self._psi is None else len(self._psi)
+
     def trace(self) -> float:
-        return float(np.trapezoid(np.real(np.diag(self.values)), dx=self.spacing))
+        if self._psi is None:
+            diagonal = np.real(np.diag(self.values))
+        else:  # the diagonal of outer(psi, conj(psi)), bit for bit; an overflow is inf, which the gate rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                diagonal = (self._psi * self._psi.conj()).real
+        return float(np.trapezoid(diagonal, dx=self.spacing))
+
+    def _rows(self):
+        if self._psi is None:
+            return super()._rows()
+        conj = self._psi.conj()
+        return (p * conj for p in self._psi)  # the rows of outer(psi, conj(psi)), bit for bit
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -261,17 +298,33 @@ class DensityGrid(_UniformGrid):
     def from_wavefunction(cls, psi: Callable[[np.ndarray], np.ndarray], extent: float, n: int):
         """Pure-state grid rho = psi(Z) conj(psi(Z')) from a wavefunction.
 
-        The grid keeps a read-only copy of the samples psi(axis), which
-        :func:`mdf_from_density` reads in O(n) per point; a buffer that
-        ``psi`` returned and changes later changes neither them nor
-        ``values``."""
+        ``psi(axis)`` must hold exactly n values (ValueError naming both
+        counts), all finite (ConsistencyError naming the first z that is
+        not).  The grid keeps a read-only copy of them and no n x n matrix
+        until ``values`` is read; a buffer that ``psi`` returned and changes
+        later changes neither.  The checks take O(n): the trace gate, as on
+        every grid, and finiteness in place of the Hermiticity residue.
+        ``outer(psi, conj(psi))`` is Hermitian by construction, and in
+        floating point up to a few ulps of max |psi|^2: numpy's complex
+        product uses fused multiply-adds, so entry (i, j) and entry (j, i)
+        conjugated may round apart in the last bits, far inside the 1e-10
+        gate that the n^2 residue would check.  At n = 2001 a build takes
+        ~0.06 ms and peaks at ~0.1 MB traced, the wavefunction's own
+        temporaries included, against ~44 ms and ~68 MB with the n x n
+        matrix and its check (2-core Xeon)."""
         extent, n = _check_grid(extent, n)
         z = np.linspace(-extent, extent, n)
-        vals = np.asarray(psi(z), dtype=complex)
-        grid = cls(extent, np.outer(vals, vals.conj()))
-        samples = vals.flatten()  # a copy, as np.outer reads vals flattened
+        samples = np.asarray(psi(z), dtype=complex).flatten()  # a copy
+        if samples.size != n:
+            raise ValueError(f"psi(z) must hold n = {n} values, one per axis node, got {samples.size}")
+        finite = np.isfinite(samples)
+        if not finite.all():
+            _raise_first(ConsistencyError, "psi is not finite at z = {!r}", ~finite, z)
         samples.flags.writeable = False
+        grid = cls.__new__(cls)
+        object.__setattr__(grid, "extent", extent)
         object.__setattr__(grid, "_psi", samples)
+        grid._check_trace()
         return grid
 
 

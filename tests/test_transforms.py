@@ -1,6 +1,9 @@
+import copy
 import gc
+import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -460,6 +463,132 @@ class TestPureGrids:
         with pytest.raises(ConsistencyError, match=r"imaginary residue 1\.6\d*e-05 above 1e-06"):
             mdf_from_density(tilted, 0.0, 0.0, 1e-4)
         assert mdf_from_density(vacuum_density, 0.0, 0.0, 1e-4) > 0.0  # the pure path has none
+
+
+def coherent_psi(z):
+    return coherent_wavefunction(0.4 - 0.3j, *driven_state(1.3), z)
+
+
+def unread_grid(n=161):
+    """A fresh from_wavefunction grid whose values nothing has read yet."""
+    rho = DensityGrid.from_wavefunction(coherent_psi, 8.0, n)
+    assert "values" not in vars(rho)
+    return rho
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestLazyPureGrids:
+    """A from_wavefunction grid holds psi and is checked in O(n); its n x n
+    values are formed on their first read, with the bits of outer(psi, conj psi)."""
+
+    def test_construction_points_trace_and_save_stay_linear(self):
+        # at n = 2001 values would be 64 MB; psi is 32 kB.  save streams one row at a time,
+        # so its first rows hold what every row does: the whole 99 MB file takes ~36 s traced
+        DensityGrid.from_wavefunction(coherent_psi, 9.0, 41)  # the first call's one-off allocations
+        tracemalloc.start()
+        try:
+            rho = DensityGrid.from_wavefunction(coherent_psi, 9.0, 2001)
+            for X in np.linspace(-4.0, 4.0, 20):
+                mdf_from_density(rho, X, 0.6, 0.8)
+            rho.trace()
+            lines = sum(1 for _ in itertools.islice(rho._text_lines(), 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert lines == 8 and "values" not in vars(rho)
+
+    def test_values_on_first_read_are_the_outer_product_read_only_and_kept(self):
+        rho = unread_grid()
+        samples = np.asarray(coherent_psi(rho.axis), dtype=complex)
+        values = rho.values
+        assert np.array_equal(bits(values), bits(np.outer(samples, samples.conj())))
+        assert rho.values is values
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+
+    def test_racing_first_reads_share_one_array(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                rho, seen = unread_grid(641), []
+                readers = [threading.Thread(target=lambda: seen.append(rho.values)) for _ in range(8)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=30)
+                assert not any(reader.is_alive() for reader in readers)
+                assert len(seen) == 8 and all(values is rho.values for values in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_trace_and_save_match_the_dense_twin(self, tmp_path):
+        rho = unread_grid()
+        samples = np.asarray(coherent_psi(rho.axis), dtype=complex)
+        dense = DensityGrid(rho.extent, np.outer(samples, samples.conj()))
+        assert float.hex(rho.trace()) == float.hex(dense.trace())
+        rho.save(tmp_path / "pure.txt")
+        dense.save(tmp_path / "dense.txt")
+        assert "values" not in vars(rho)
+        assert (tmp_path / "pure.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+        assert rho.n == dense.n and rho.spacing == dense.spacing
+        assert np.array_equal(rho.axis, dense.axis)
+
+    def test_repr_eq_replace_pickle_and_deepcopy_of_an_unread_grid(self):
+        reference = unread_grid().values
+        assert repr(unread_grid()) == repr(DensityGrid(8.0, reference))
+        rho = unread_grid()
+        assert rho == rho and rho != DensityGrid.from_wavefunction(coherent_psi, 9.0, 161)
+        twin = replace(unread_grid())
+        assert twin._psi is None and np.array_equal(twin.values, reference)
+        for copied in (pickle.loads(pickle.dumps(unread_grid())), copy.deepcopy(unread_grid())):
+            assert type(copied) is DensityGrid and copied.n == 161
+            assert np.array_equal(bits(copied.values), bits(reference))
+            assert mdf_from_density(copied, 0.3, 0.6, 0.8) == mdf_from_density(rho, 0.3, 0.6, 0.8)
+
+    def test_an_overridden_trace_still_gates(self):
+        class NanTrace(DensityGrid):
+            def trace(self):
+                return math.nan
+
+        with pytest.raises(ConsistencyError, match="trace nan deviates"):
+            NanTrace.from_wavefunction(coherent_psi, 8.0, 161)
+
+    @pytest.mark.parametrize("psi, size", [
+        (lambda z: coherent_psi(z[::2]), 81),  # once an 81-point grid on the same extent, past the trace gate
+        (lambda z: coherent_psi(z[1:]), 160),
+        (lambda z: coherent_psi(np.append(z, 8.1)), 162),
+        (lambda z: coherent_psi(0.0), 1),  # once refused as "n must be at least 2", the caller's n
+    ], ids=["every-other", "one-short", "one-more", "scalar"])
+    def test_psi_of_another_length_is_refused(self, psi, size):
+        with pytest.raises(ValueError, match=re.escape(f"psi(z) must hold n = 161 values, one per axis node, got {size}")):
+            DensityGrid.from_wavefunction(psi, 8.0, 161)
+
+    def test_psi_of_n_values_in_another_shape_reads_flattened(self):
+        column = DensityGrid.from_wavefunction(lambda z: coherent_psi(z)[:, None], 8.0, 161)
+        assert np.array_equal(column.values, unread_grid().values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
+    def test_non_finite_psi_names_the_first_bad_z(self, bad):
+        def psi(z):
+            samples = coherent_psi(z).astype(complex)
+            samples[[7, 100]] = bad
+            return samples
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ConsistencyError, match=r"^psi is not finite at z = -7\.3$"):
+                DensityGrid.from_wavefunction(psi, 8.0, 161)
+
+    def test_psi_whose_square_overflows_fails_the_trace_gate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError, match="trace inf deviates"):
+                DensityGrid.from_wavefunction(lambda z: 1e200 * coherent_psi(z), 8.0, 161)
 
 
 class TestDensityFromMdf:
